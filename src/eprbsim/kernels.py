@@ -71,7 +71,7 @@ if not _env_disables_numba():
         from numba import njit
 
         _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a hard dependency
+    except ImportError:  # numba is an optional extra
         _HAVE_NUMBA = False
 
 if _HAVE_NUMBA:

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 
-from scipy.integrate import quad
-
 from . import stats
 from .params import ModelParams
 
@@ -124,6 +122,10 @@ def pass_probability(params: ModelParams) -> float:
     the adaptive quadrature on the smooth part; relative error stays
     well under 1e-6.
     """
+    # Imported here: scipy takes longer to import than the rest of the
+    # package, and only this function needs it.
+    from scipy.integrate import quad
+
     if params.span == 0.0:
         return 0.0
     kappa = params.kappa

@@ -181,6 +181,15 @@ def selected_pair_counts(x1, x2, w1, w2) -> dict:
     }
 
 
+def eberhard_selected(n_oo, n_oe, n_eo) -> int:
+    """Eberhard combination over identified pairs from per-pair counts.
+
+    Each argument holds one count per setting pair in the order 11, 12,
+    21, 22; each term is counted in the records of its own setting pair.
+    """
+    return int(n_oe[3] + n_eo[0] + n_oo[1] - n_oo[2])
+
+
 def eberhard_total_selected(records) -> int:
     """Eberhard combination over identified pairs, term by setting pair.
 
@@ -192,11 +201,10 @@ def eberhard_total_selected(records) -> int:
     no per-trial cancellation argument applies.  With every flag set it
     coincides with the fate-based total.
     """
-    c22 = selected_pair_counts(*records["22"])
-    c11 = selected_pair_counts(*records["11"])
-    c12 = selected_pair_counts(*records["12"])
-    c21 = selected_pair_counts(*records["21"])
-    return c22["n_oe"] + c11["n_eo"] + c12["n_oo"] - c21["n_oo"]
+    c = [selected_pair_counts(*records[key])
+         for key in ("11", "12", "21", "22")]
+    return eberhard_selected(*([ci[name] for ci in c]
+                               for name in ("n_oo", "n_oe", "n_eo")))
 
 
 def ch_total_selected(records) -> int:
@@ -207,6 +215,71 @@ def ch_total_selected(records) -> int:
     of the identified pairs, so the two totals coincide.
     """
     return eberhard_total_selected(records)
+
+
+# ------------------------------------------------------------ state counts
+#
+# A setting pair's trials reduce to counts of 16 states, as
+# experiment.state_counts encodes them: bit 0 set for x1 = +1, bit 1 for
+# x2 = +1, bit 2 for w1, bit 3 for w2.  Every sum an estimator needs is
+# an integer linear function of those counts.
+
+_STATE = np.arange(16)
+_O1, _O2, _W1, _W2 = ((_STATE >> bit) & 1 for bit in range(4))
+_X1, _X2 = 2 * _O1 - 1, 2 * _O2 - 1
+_BOTH = _W1 * _W2
+_PAIR_SUMS = {
+    "n": np.ones(16, np.int64),
+    "xx": _X1 * _X2,                  # detection-event product sum
+    "n_pass": _BOTH,                  # pairs both flags identify
+    "xx_pass": _BOTH * _X1 * _X2,     # product sum over those pairs
+    "n1": _W1, "x1": _W1 * _X1,       # side-1 identified count and sum
+    "n2": _W2, "x2": _W2 * _X2,       # side-2 identified count and sum
+    "n_oo": _BOTH * _O1 * _O2,
+    "n_oe": _BOTH * _O1 * (1 - _O2),
+    "n_eo": _BOTH * (1 - _O1) * _O2,
+}
+
+
+def _pair_sums(pair_counts) -> dict:
+    """Integer sums over each setting pair's trials.
+
+    pair_counts is a (P, 16) array of state counts.  Returns a dict
+    mapping each sum's name ('n', 'xx', 'n_pass', 'xx_pass', 'n1', 'x1',
+    'n2', 'x2', 'n_oo', 'n_oe', 'n_eo') to a list of P ints.
+    """
+    pc = np.asarray(pair_counts, np.int64)
+    return {name: [int(v) for v in pc @ weight]
+            for name, weight in _PAIR_SUMS.items()}
+
+
+def pair_statistics(pair_counts) -> dict:
+    """The estimator columns of a sweep row from setting-pair state counts.
+
+    pair_counts is (4, 16), pairs in the order 11, 12, 21, 22.  Each
+    setting's single average merges the two pairs that use the setting.
+    In a CFD run both pairs hold the same station, which doubles the
+    numerator and the denominator alike and leaves the float unchanged.
+    """
+    t = _pair_sums(pair_counts)
+    photon = [_ratio(float(a), b) for a, b in zip(t["xx_pass"], t["n_pass"])]
+    detect = [_ratio(float(a), b) for a, b in zip(t["xx"], t["n"])]
+
+    def single(side, p, q):
+        x, n = t["x" + side], t["n" + side]
+        return _ratio(float(x[p] + x[q]), n[p] + n[q])
+
+    j = eberhard_selected(t["n_oo"], t["n_oe"], t["n_eo"])
+    return {
+        "E11": photon[0], "E12": photon[1], "E21": photon[2], "E22": photon[3],
+        "E1_1": single("1", 0, 1), "E1_2": single("1", 2, 3),
+        "E2_1": single("2", 0, 2), "E2_2": single("2", 1, 3),
+        "S": chsh(*photon), "S_hat": chsh(*detect),
+        "J_eberhard": j, "J_ch": j,
+        "n_pass_11": t["n_pass"][0], "n_pass_12": t["n_pass"][1],
+        "n_pass_21": t["n_pass"][2], "n_pass_22": t["n_pass"][3],
+        "pass_fraction": (sum(t["n1"]) + sum(t["n2"])) / (2 * sum(t["n"])),
+    }
 
 
 # ------------------------------------------------------------------- delta

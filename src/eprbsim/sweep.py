@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng, stats
-from .experiment import (PAIR_COLUMNS, PAIR_NAMES, CfdRun, NonCfdRun,
-                         run_cfd, run_noncfd)
+from .experiment import (PAIR_NAMES, QUADRUPLES, CfdRun, NonCfdRun,
+                         cfd_counts, pair_counts, run_cfd, run_noncfd)
 from .params import (DEFAULT_N, DEFAULT_SEED, DEFAULT_THETA_STEPS,
                      DEFAULT_THRESHOLD, DEFAULT_V_MAX_MAG, DEFAULT_V_MIN_MAG,
                      DEFAULT_D, ModelParams, SettingsQuad)
@@ -98,56 +98,47 @@ class RunConfig:
 
 # ----------------------------------------------------------- row assembly
 
+def _row(theta: float, pair_counts, n: int, cfg_seed: int) -> dict:
+    """A row without delta and bound, from (4, 16) pair state counts."""
+    e_ref, s_ref = stats.quantum_reference(theta)
+    return {"theta": theta, **stats.pair_statistics(pair_counts),
+            "S_ref": s_ref, "E_ref": e_ref, "N": n, "seed": cfg_seed}
+
+
 def _cfd_row(params: ModelParams, theta: float, n: int, point_seed: int,
-             cfg_seed: int, delta_denominator: str):
+             cfg_seed: int, delta_denominator: str, keep_run: bool = False):
+    """One CFD point: (row, CfdRun if keep_run else None).
+
+    Without keep_run the trials are streamed into state counts and no
+    per-trial array outlives a chunk.
+    """
     quad = SettingsQuad.for_theta(theta)
-    run = run_cfd(params, quad, n, point_seed)
-    x, v, w = run.x, run.v, run.w
-
-    photon = [stats.pair_estimate(x[:, i], x[:, j], w[:, i], w[:, j])
-              for i, j in PAIR_COLUMNS]
-    detect = [stats.pair_estimate(x[:, i], x[:, j]) for i, j in PAIR_COLUMNS]
-    singles = [stats.single_average(x[:, c], w[:, c])[0] for c in range(4)]
-
-    s = stats.chsh(*(p.e for p in photon))
-    s_hat = stats.chsh(*(d.e for d in detect))
+    if keep_run:
+        run = run_cfd(params, quad, n, point_seed)
+        counts = run.counts
+    else:
+        run, counts = None, cfd_counts(params, quad, n, point_seed)
+    row = _row(theta, pair_counts(counts), n, cfg_seed)
+    s, s_hat = row["S"], row["S_hat"]
     if s_hat is None or abs(s_hat) > 2.0 + _TOL:
         raise RuntimeError(f"detection-event |S| exceeded 2: {s_hat}")
 
-    pair_records = {name: (x[:, i], x[:, j], w[:, i], w[:, j])
-                    for name, (i, j) in zip(PAIR_NAMES, PAIR_COLUMNS)}
-    j_eb = stats.eberhard_total_selected(pair_records)
-    j_ch = stats.ch_total_selected(pair_records)
-    j_eb_det = stats.eberhard_total(x[:, 0], x[:, 1], x[:, 2], x[:, 3])
-    j_ch_det = stats.ch_total(*((x[:, c] == 1).astype(np.int64)
-                                for c in range(4)))
+    by_flags = counts.reshape(16, 16)  # [flag bits, outcome bits]
+    outcomes = by_flags.sum(axis=0)
+    j_eb_det = int(outcomes @ stats.eberhard_j_terms(*QUADRUPLES.T))
+    j_ch_det = int(outcomes @ stats.ch_j_terms(*(QUADRUPLES.T == 1)))
     if j_eb_det < 0 or j_ch_det < 0:
         raise RuntimeError(
             f"detection-event count combination went negative: "
             f"J_eb={j_eb_det}, J_ch={j_ch_det}")
 
-    n_prime = int(np.count_nonzero(np.all(w == 1, axis=1)))
-    n_passes = tuple(p.n_pass for p in photon)
+    n_prime = int(by_flags[15].sum())
+    n_passes = tuple(row[f"n_pass_{name}"] for name in PAIR_NAMES)
     delta, bound = stats.delta_ratio(n_prime, n_passes, delta_denominator,
                                      per_setting_total=n)
     if s is not None and bound is not None and abs(s) > bound + _TOL:
         raise RuntimeError(f"photon |S|={abs(s)} exceeded bound {bound}")
-
-    e_ref, s_ref = stats.quantum_reference(theta)
-    row = {
-        "theta": theta,
-        "E11": photon[0].e, "E12": photon[1].e,
-        "E21": photon[2].e, "E22": photon[3].e,
-        "E1_1": singles[0], "E1_2": singles[1],
-        "E2_1": singles[2], "E2_2": singles[3],
-        "S": s, "S_ref": s_ref, "E_ref": e_ref, "S_hat": s_hat,
-        "J_eberhard": j_eb, "J_ch": j_ch,
-        "delta": delta, "bound": bound,
-        "n_pass_11": photon[0].n_pass, "n_pass_12": photon[1].n_pass,
-        "n_pass_21": photon[2].n_pass, "n_pass_22": photon[3].n_pass,
-        "pass_fraction": float(w.mean()),
-        "N": n, "seed": cfg_seed,
-    }
+    row.update(delta=delta, bound=bound)
     return row, run
 
 
@@ -155,110 +146,65 @@ def _noncfd_row(params: ModelParams, theta: float, quota: int, point_seed: int,
                 cfg_seed: int):
     quad = SettingsQuad.for_theta(theta)
     run = run_noncfd(params, quad, quota, point_seed)
-
-    photon = [stats.pair_estimate(p.x1, p.x2, p.w1, p.w2) for p in run.pairs]
-    detect = [stats.pair_estimate(p.x1, p.x2) for p in run.pairs]
-    s = stats.chsh(*(p.e for p in photon))
-    s_hat = stats.chsh(*(d.e for d in detect))
-
-    # Station singles merge the two record subsets that used the setting.
-    def merged_single(subsets, side):
-        if side == 1:
-            xs = np.concatenate([run.pairs[i].x1 for i in subsets])
-            ws = np.concatenate([run.pairs[i].w1 for i in subsets])
-        else:
-            xs = np.concatenate([run.pairs[i].x2 for i in subsets])
-            ws = np.concatenate([run.pairs[i].w2 for i in subsets])
-        return stats.single_average(xs, ws)[0]
-
-    singles = [
-        merged_single((0, 1), 1),   # side 1 at a1
-        merged_single((2, 3), 1),   # side 1 at a1p
-        merged_single((0, 2), 2),   # side 2 at a2
-        merged_single((1, 3), 2),   # side 2 at a2p
-    ]
-
-    pair_records = {name: (p.x1, p.x2, p.w1, p.w2)
-                    for name, p in zip(PAIR_NAMES, run.pairs)}
-    j_eb = stats.eberhard_total_selected(pair_records)
-    j_ch = stats.ch_total_selected(pair_records)
-
-    w_all = np.concatenate([np.concatenate([p.w1, p.w2]) for p in run.pairs])
-    e_ref, s_ref = stats.quantum_reference(theta)
-    row = {
-        "theta": theta,
-        "E11": photon[0].e, "E12": photon[1].e,
-        "E21": photon[2].e, "E22": photon[3].e,
-        "E1_1": singles[0], "E1_2": singles[1],
-        "E2_1": singles[2], "E2_2": singles[3],
-        "S": s, "S_ref": s_ref, "E_ref": e_ref, "S_hat": s_hat,
-        "J_eberhard": j_eb, "J_ch": j_ch,
-        # Pair selection accounting does not apply without quadruples.
-        "delta": None, "bound": None,
-        "n_pass_11": photon[0].n_pass, "n_pass_12": photon[1].n_pass,
-        "n_pass_21": photon[2].n_pass, "n_pass_22": photon[3].n_pass,
-        "pass_fraction": float(w_all.mean()),
-        "N": quota, "seed": cfg_seed,
-    }
+    row = _row(theta, run.counts, quota, cfg_seed)
+    # Pair selection accounting does not apply without quadruples.
+    row.update(delta=None, bound=None)
     return row, run
-
-
-def _evaluate_point(cfg: RunConfig, params: ModelParams, theta: float,
-                    index: int):
-    point_seed = rng.derive_seed(cfg.seed, index)
-    if cfg.mode == "cfd":
-        return _cfd_row(params, theta, cfg.n, point_seed, cfg.seed,
-                        cfg.delta_denominator)
-    return _noncfd_row(params, theta, cfg.n, point_seed, cfg.seed)
 
 
 def theta_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(cfg.theta_start, cfg.theta_end, cfg.theta_steps)
 
 
-def sweep_theta(cfg: RunConfig):
-    """One row per theta grid point.  Returns (columns, rows)."""
-    params = cfg.model_params()
-    thetas = theta_grid(cfg)
+def _sweep(cfg: RunConfig, points) -> list:
+    """Rows of the (params, theta) points, in order; writes the trial dump.
+
+    Point i draws from its own sub-seed, so rows do not depend on which
+    thread evaluates them.  A trial dump is written in point order from
+    one thread.
+    """
     dump = _TrialDumper(cfg.dump_trials, cfg.mode) if cfg.dump_trials else None
 
-    def job(args):
-        index, theta = args
-        return _evaluate_point(cfg, params, float(theta), index)
+    def job(item):
+        index, (params, theta) = item
+        point_seed = rng.derive_seed(cfg.seed, index)
+        if cfg.mode == "cfd":
+            return _cfd_row(params, theta, cfg.n, point_seed, cfg.seed,
+                            cfg.delta_denominator, keep_run=dump is not None)
+        return _noncfd_row(params, theta, cfg.n, point_seed, cfg.seed)
 
-    rows = []
     if cfg.threads > 1 and dump is None:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            for row, _run in pool.map(job, enumerate(thetas)):
-                rows.append(row)
-    else:
-        for item in enumerate(thetas):
+            return [row for row, _run in pool.map(job, enumerate(points))]
+    rows = []
+    try:
+        for item in enumerate(points):
             row, run = job(item)
             rows.append(row)
             if dump is not None:
                 dump.write_run(run)
-    if dump is not None:
-        dump.close()
-    return THETA_COLUMNS, rows
+    finally:
+        if dump is not None:
+            dump.close()
+    return rows
+
+
+def sweep_theta(cfg: RunConfig):
+    """One row per theta grid point.  Returns (columns, rows)."""
+    params = cfg.model_params()
+    points = [(params, float(theta)) for theta in theta_grid(cfg)]
+    return THETA_COLUMNS, _sweep(cfg, points)
 
 
 def sweep_threshold(cfg: RunConfig):
     """One row per threshold at fixed theta; documents S -> S_ref convergence."""
     start, stop, steps = cfg.threshold_sweep
-    thresholds = np.linspace(start, stop, steps)
-    theta = THRESHOLD_SWEEP_THETA
-    rows = []
-    for index, thr in enumerate(thresholds):
-        params = cfg.model_params(threshold=float(thr))
-        point_seed = rng.derive_seed(cfg.seed, index)
-        if cfg.mode == "cfd":
-            row, _run = _cfd_row(params, theta, cfg.n, point_seed, cfg.seed,
-                                 cfg.delta_denominator)
-        else:
-            row, _run = _noncfd_row(params, theta, cfg.n, point_seed, cfg.seed)
-        row = {"threshold": float(thr), **row}
-        rows.append(row)
-    return THRESHOLD_COLUMNS, rows
+    thresholds = [float(thr) for thr in np.linspace(start, stop, steps)]
+    points = [(cfg.model_params(threshold=thr), THRESHOLD_SWEEP_THETA)
+              for thr in thresholds]
+    rows = _sweep(cfg, points)
+    return THRESHOLD_COLUMNS, [{"threshold": thr, **row}
+                               for thr, row in zip(thresholds, rows)]
 
 
 # ------------------------------------------------------------ serialization

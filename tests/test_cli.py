@@ -164,6 +164,30 @@ def test_trial_dump_cfd(tmp_path):
     assert first[5] in ("-1", "1")
 
 
+def test_threshold_sweep_thread_count_does_not_change_bytes(tmp_path):
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"thr{threads}.csv"
+        rc = cli.main(["--n", "3000", "--threshold-sweep=-0.999:-0.99:4",
+                       "--threads", threads, "--out", str(out)])
+        assert rc == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_trial_dump_threshold_sweep(tmp_path):
+    dump = tmp_path / "trials.csv"
+    out = tmp_path / "thr.csv"
+    rc = cli.main(["--n", "150", "--threshold-sweep=-0.999:-0.99:3",
+                   "--dump-trials", str(dump), "--out", str(out)])
+    assert rc == 0
+    lines = dump.read_text().splitlines()
+    assert lines[0] == ("k,a1,a1p,a2,a2p,x1,x1p,x2,x2p,"
+                        "v1,v1p,v2,v2p,w1,w1p,w2,w2p")
+    assert len(lines) == 1 + 3 * 150
+    assert [line.split(",")[0] for line in lines[1::150]] == ["0"] * 3
+
+
 def test_trial_dump_noncfd_ordered_by_trial(tmp_path):
     dump = tmp_path / "trials.csv"
     rc, _ = run_main(tmp_path, "--mode", "noncfd", "--theta-steps", "1",

@@ -1,9 +1,14 @@
 """Exhaustive enumerations and the pass-probability quadrature."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eprbsim
 from eprbsim import rng
 from eprbsim.oracle import (enumerate_ch, enumerate_eberhard,
                             enumerate_noncfd_constraint,
@@ -111,3 +116,15 @@ def test_pass_probability_independent_of_setting():
         fracs.append(identify_photon(v, p.threshold).mean())
     sigma = math.sqrt(0.28 * 0.72 / n)
     assert max(fracs) - min(fracs) <= 6 * sigma
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy is imported by pass_probability alone, on first use.
+    src = str(Path(eprbsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, eprbsim, eprbsim.cli; "
+            "sys.exit('scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
