@@ -259,13 +259,13 @@ def run_noncfd(params: ModelParams, quad: SettingsQuad, quota: int,
 
     counts = [0, 0, 0, 0]
     kept: list[list[np.ndarray]] = [[], [], [], []]
+    # Primed choices per side in the chunks before the current one.
+    primed_before = [0, 0]
     k0 = 0
     chunk = max(4096, int(1.2 * quota))
-    while min(counts) < quota:
-        u1 = rng.uniforms(seed, rng.CHOICE_1, chunk, start=k0)
-        u2 = rng.uniforms(seed, rng.CHOICE_2, chunk, start=k0)
-        primed1 = u1 < 0.5
-        primed2 = u2 < 0.5
+    while True:
+        primed1 = rng.uniforms(seed, rng.CHOICE_1, chunk, start=k0) < 0.5
+        primed2 = rng.uniforms(seed, rng.CHOICE_2, chunk, start=k0) < 0.5
         pair_idx = 2 * primed1.astype(np.int8) + primed2.astype(np.int8)
         for p in range(4):
             need = quota - counts[p]
@@ -276,6 +276,10 @@ def run_noncfd(params: ModelParams, quad: SettingsQuad, quota: int,
             if take.size:
                 kept[p].append(take)
                 counts[p] += take.size
+        if min(counts) >= quota:
+            break
+        primed_before[0] += int(np.count_nonzero(primed1))
+        primed_before[1] += int(np.count_nonzero(primed2))
         k0 += chunk
 
     pair_settings = (
@@ -303,12 +307,11 @@ def run_noncfd(params: ModelParams, quad: SettingsQuad, quota: int,
         ))
 
     # The run stops at the trial that fills the last quota; marginals are
-    # counted over exactly that many coin flips.
+    # counted over exactly that many coin flips.  That trial lies in the
+    # last chunk, since a quota was still open before it.
     n_trials = last_k + 1
-    n1p = int(np.count_nonzero(
-        rng.uniforms(seed, rng.CHOICE_1, n_trials) < 0.5))
-    n2p = int(np.count_nonzero(
-        rng.uniforms(seed, rng.CHOICE_2, n_trials) < 0.5))
+    n1p = primed_before[0] + int(np.count_nonzero(primed1[:n_trials - k0]))
+    n2p = primed_before[1] + int(np.count_nonzero(primed2[:n_trials - k0]))
 
     counts = np.stack([state_counts((p.x1, p.x2), (p.w1, p.w2))
                        for p in pairs])

@@ -58,7 +58,8 @@ def _station_numpy(a, phi, r, rhat, d, v_min_mag, v_max_mag):
     arg = 2.0 * (a - phi)
     c = np.cos(arg)
     s = np.sin(arg)
-    x = np.where(1.0 + c - 2.0 * r > 0.0, 1, -1).astype(np.int8)
+    # +1 where the bool is 1, -1 where it is 0, computed in int8 throughout.
+    x = (1.0 + c - 2.0 * r > 0.0).view(np.int8) * np.int8(2) - np.int8(1)
     v = rhat * np.abs(s) ** d * (v_max_mag - v_min_mag) - v_max_mag
     return x, v
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng, stats
+from . import csvblock, rng, stats
 from .experiment import (PAIR_NAMES, QUADRUPLES, CfdRun, NonCfdRun,
                          cfd_counts, pair_counts, run_cfd, run_noncfd)
 from .params import (DEFAULT_N, DEFAULT_SEED, DEFAULT_THETA_STEPS,
@@ -247,10 +247,10 @@ class _TrialDumper:
     NONCFD_HEADER = "k,setting1,setting2,x1,x2,v1,v2,w1,w2"
 
     def __init__(self, path: str, mode: str):
-        self.fh = open(path, "w", newline="")
+        self.fh = open(path, "wb")
         self.mode = mode
         self.fh.write((self.CFD_HEADER if mode == "cfd"
-                       else self.NONCFD_HEADER) + "\n")
+                       else self.NONCFD_HEADER).encode() + b"\n")
 
     def write_run(self, run) -> None:
         if isinstance(run, CfdRun):
@@ -259,34 +259,23 @@ class _TrialDumper:
             self._write_noncfd(run)
 
     def _write_cfd(self, run: CfdRun) -> None:
-        a = run.quad.as_tuple()
-        settings = ",".join("%.17g" % ai for ai in a)
-        x, v, w = run.x, run.v, run.w
-        for k in range(run.n):
-            self.fh.write(
-                f"{k},{settings},"
-                f"{x[k, 0]},{x[k, 1]},{x[k, 2]},{x[k, 3]},"
-                f"{'%.17g' % v[k, 0]},{'%.17g' % v[k, 1]},"
-                f"{'%.17g' % v[k, 2]},{'%.17g' % v[k, 3]},"
-                f"{w[k, 0]},{w[k, 1]},{w[k, 2]},{w[k, 3]}\n"
-            )
+        settings = ",".join("%.17g" % ai for ai in run.quad.as_tuple())
+        csvblock.write_records(self.fh, [np.arange(run.n), settings.encode(),
+                                         *run.x.T, *run.v.T, *run.w.T])
 
     def _write_noncfd(self, run: NonCfdRun) -> None:
-        ks = np.concatenate([p.k for p in run.pairs])
-        order = np.argsort(ks, kind="stable")
-        pair_of = np.concatenate([np.full(p.k.shape[0], i, np.int8)
-                                  for i, p in enumerate(run.pairs)])
-        offs = np.concatenate([np.arange(p.k.shape[0]) for p in run.pairs])
-        for idx in order:
-            p = run.pairs[pair_of[idx]]
-            i = offs[idx]
-            self.fh.write(
-                f"{int(p.k[i])},{'%.17g' % p.side1_setting},"
-                f"{'%.17g' % p.side2_setting},"
-                f"{p.x1[i]},{p.x2[i]},"
-                f"{'%.17g' % p.v1[i]},{'%.17g' % p.v2[i]},"
-                f"{p.w1[i]},{p.w2[i]}\n"
-            )
+        pairs = run.pairs
+        sizes = [p.k.size for p in pairs]
+
+        def joined(name):
+            return np.concatenate([getattr(p, name) for p in pairs])
+
+        columns = [joined("k"),
+                   np.repeat([p.side1_setting for p in pairs], sizes),
+                   np.repeat([p.side2_setting for p in pairs], sizes),
+                   *map(joined, ("x1", "x2", "v1", "v2", "w1", "w2"))]
+        order = np.argsort(columns[0], kind="stable")
+        csvblock.write_records(self.fh, [col[order] for col in columns])
 
     def close(self) -> None:
         self.fh.close()

@@ -1,0 +1,190 @@
+"""Trial dump bytes: the block formatter against a per-line reference.
+
+The reference writer below formats one record per line with f-strings
+and '%.17g', as the dump was first written; the block writer in
+`sweep._TrialDumper` (through `csvblock`) must produce the same bytes.
+"""
+import io
+import math
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eprbsim import cli, csvblock, sweep
+from eprbsim.experiment import CfdRun
+
+# ------------------------------------------------------- per-line reference
+
+
+def _reference_cfd(fh, run):
+    a = run.quad.as_tuple()
+    settings = ",".join("%.17g" % ai for ai in a)
+    x, v, w = run.x, run.v, run.w
+    for k in range(run.n):
+        fh.write(
+            f"{k},{settings},"
+            f"{x[k, 0]},{x[k, 1]},{x[k, 2]},{x[k, 3]},"
+            f"{'%.17g' % v[k, 0]},{'%.17g' % v[k, 1]},"
+            f"{'%.17g' % v[k, 2]},{'%.17g' % v[k, 3]},"
+            f"{w[k, 0]},{w[k, 1]},{w[k, 2]},{w[k, 3]}\n"
+        )
+
+
+def _reference_noncfd(fh, run):
+    ks = np.concatenate([p.k for p in run.pairs])
+    order = np.argsort(ks, kind="stable")
+    pair_of = np.concatenate([np.full(p.k.shape[0], i, np.int8)
+                              for i, p in enumerate(run.pairs)])
+    offs = np.concatenate([np.arange(p.k.shape[0]) for p in run.pairs])
+    for idx in order:
+        p = run.pairs[pair_of[idx]]
+        i = offs[idx]
+        fh.write(
+            f"{int(p.k[i])},{'%.17g' % p.side1_setting},"
+            f"{'%.17g' % p.side2_setting},"
+            f"{p.x1[i]},{p.x2[i]},"
+            f"{'%.17g' % p.v1[i]},{'%.17g' % p.v2[i]},"
+            f"{p.w1[i]},{p.w2[i]}\n"
+        )
+
+
+def _reference_dump(runs, mode):
+    fh = io.StringIO(newline="")
+    fh.write((sweep._TrialDumper.CFD_HEADER if mode == "cfd"
+              else sweep._TrialDumper.NONCFD_HEADER) + "\n")
+    for run in runs:
+        if isinstance(run, CfdRun):
+            _reference_cfd(fh, run)
+        else:
+            _reference_noncfd(fh, run)
+    return fh.getvalue().encode()
+
+
+def _dump_and_reference(tmp_path, monkeypatch, *args):
+    """(dump bytes of a CLI run, the reference writer's bytes of its runs)."""
+    runs = []
+    write_run = sweep._TrialDumper.write_run
+
+    def spy(self, run):
+        runs.append(run)
+        write_run(self, run)
+
+    monkeypatch.setattr(sweep._TrialDumper, "write_run", spy)
+    path = tmp_path / "trials.csv"
+    rc = cli.main([*args, "--dump-trials", str(path),
+                   "--out", str(tmp_path / "rows.csv")])
+    assert rc == 0
+    mode = "noncfd" if "noncfd" in args else "cfd"
+    return path.read_bytes(), _reference_dump(runs, mode)
+
+
+@pytest.mark.parametrize("args", [
+    ("--theta-steps", "3", "--n", "700", "--seed", "1"),
+    ("--theta-steps", "2", "--n", "500", "--seed", "2"),
+    ("--theta-steps", "2", "--n", "500", "--seed", "77"),
+    ("--threshold-sweep=-0.999:-0.9:3", "--n", "400", "--seed", "3"),
+    ("--theta-steps", "2", "--n", "600", "--d", "0", "--vmin", "0.95"),
+    ("--theta-steps", "1", "--n", "1"),
+    ("--theta-steps", "1", "--n", str(csvblock.BLOCK - 1), "--seed", "4"),
+    ("--theta-steps", "2", "--n", str(csvblock.BLOCK + 1), "--seed", "5"),
+    ("--mode", "noncfd", "--theta-steps", "2", "--n", "300", "--seed", "6"),
+    ("--mode", "noncfd", "--theta-steps", "1", "--n", "1", "--seed", "8"),
+    ("--mode", "noncfd", "--theta-steps", "1", "--n", "5000", "--d", "0",
+     "--vmin", "0.95", "--seed", "9"),
+])
+def test_dump_bytes_match_per_line_writer(tmp_path, monkeypatch, args):
+    got, want = _dump_and_reference(tmp_path, monkeypatch, *args)
+    assert got == want
+
+
+def test_dump_bytes_without_long_double_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(csvblock, "LONGDOUBLE_EXACT", False)
+    for args in (("--theta-steps", "2", "--n", "300", "--seed", "10"),
+                 ("--mode", "noncfd", "--theta-steps", "1", "--n", "100")):
+        got, want = _dump_and_reference(tmp_path, monkeypatch, *args)
+        assert got == want
+
+
+# ------------------------------------------------------------ the formatter
+
+
+def _formatted(values):
+    return csvblock.format_records([np.asarray(values, np.float64)])
+
+
+def _expected(values):
+    return "".join("%.17g\n" % v for v in values).encode()
+
+
+def _near_ties(rng, count):
+    """Doubles whose 17-digit scaled value lies within 2**-5 of a .5 tie,
+    on both sides of the formatter's 2**-7 fallback margin."""
+    out = []
+    while len(out) < count:
+        v = float(rng.uniform(1e-4, 1e16) ** rng.choice([0.25, 0.5, 1.0]))
+        e10 = math.floor(math.log10(v))
+        scaled = Fraction(v) * Fraction(10) ** (16 - e10)
+        if abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 32):
+            out.append(v)
+    return out
+
+
+EDGE = [
+    0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 0.1, 0.3, -0.995, 2.0 / 3.0,
+    5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan,
+    1e-4, 9.9999999999999991e-05, 1e-5, 1.5e17, 1e17, 1e16, -1e16,
+    9.9999999999999984e16, 1.2345678901234567e16, 123456789.125,
+    1 + 2.0 ** -17, 0.5 + 2.0 ** -18, 2.0 ** 53, 2.0 ** 53 + 2.0,
+    *(10.0 ** k for k in range(-10, 25)),
+    *(-(10.0 ** k) for k in range(-6, 18)),
+]
+
+
+def test_float_edge_cases_match_percent_g():
+    assert _formatted(EDGE) == _expected(EDGE)
+
+
+def test_float_near_ties_match_percent_g():
+    values = _near_ties(np.random.default_rng(0), 300)
+    assert _formatted(values) == _expected(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_float_column_matches_percent_g(values):
+    assert _formatted(values) == _expected(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=1e-5, max_value=1e17)
+                | st.floats(min_value=-1.0, max_value=-0.5),
+                min_size=1, max_size=40))
+def test_fixed_notation_floats_match_percent_g(values):
+    assert _formatted(values) == _expected(values)
+
+
+def test_floats_without_long_double_path(monkeypatch):
+    values = EDGE + list(np.random.default_rng(1).uniform(-1.0, -0.5, 500))
+    monkeypatch.setattr(csvblock, "LONGDOUBLE_EXACT", False)
+    assert _formatted(values) == _expected(values)
+
+
+@pytest.mark.skipif(not csvblock.LONGDOUBLE_EXACT,
+                    reason="no 64-bit long double significand")
+def test_voltages_take_the_array_path():
+    v = np.random.default_rng(2).uniform(-1.0, -0.5, 10_000)
+    fast, _e10, _sig = csvblock._significands(np.abs(v))
+    # Only products within 2**-7 of a tie, about 1.6%, fall back.
+    assert fast.mean() > 0.95
+
+
+@given(st.lists(st.integers(-2 ** 63 + 1, 2 ** 63 - 1), min_size=1,
+                max_size=40))
+def test_int_column_matches_str(values):
+    got = csvblock.format_records([np.array(values, np.int64), b"c,d"])
+    assert got == "".join(f"{v},c,d\n" for v in values).encode()

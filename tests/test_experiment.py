@@ -175,6 +175,16 @@ def test_noncfd_choice_marginals_are_fair():
         assert abs(primed - n / 2) <= 4 * sigma
 
 
+@pytest.mark.parametrize("seed,quota", [(18, 1), (3, 50), (7, 3000),
+                                         (11, 5000), (29, 20_000)])
+def test_noncfd_primed_counts_equal_a_recount(seed, quota):
+    run = run_noncfd(P, SettingsQuad.for_theta(0.4), quota, seed)
+    recount = tuple(
+        int(np.count_nonzero(rng.uniforms(seed, s, run.n_trials) < 0.5))
+        for s in (rng.CHOICE_1, rng.CHOICE_2))
+    assert run.primed_counts == recount
+
+
 def test_noncfd_station_output_ignores_far_dial():
     base = SettingsQuad.for_theta(0.9)
     moved = SettingsQuad(a1=base.a1, a1p=base.a1p, a2=base.a2 + 0.4,
