@@ -11,10 +11,13 @@ Every statistic a sweep reports depends on a trial only through its
 state: the outcome signs and identification flags of its stations.  A
 run therefore reduces to integer counts of states (`state_counts`), and
 `cfd_counts` streams a CFD point chunk by chunk into those counts
-without keeping per-trial arrays.
+without keeping per-trial arrays.  It certifies each flag from cheaper
+trig wherever the flag is provably that of the exact station law, and
+evaluates the exact law for the rest.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,7 +34,15 @@ PAIR_COLUMNS = ((0, 2), (0, 3), (1, 2), (1, 3))
 PAIR_NAMES = ("11", "12", "21", "22")
 
 # Trials per chunk of the streaming CFD pass: memory per point is O(CHUNK).
-CHUNK = 1 << 16
+CHUNK = 1 << 13
+
+# Streams of one chunk of the streaming CFD pass: the source, then the r
+# and the rhat stream of each station in STATION_NAMES order.
+_CHUNK_STREAMS = (rng.SOURCE, *rng.R_STREAMS, *rng.RHAT_STREAMS)
+
+# Error bound used for every certified cos 2(a - phi) and sin 2(a - phi)
+# of the streaming CFD pass; see _flag_bounds.
+MARGIN = 2.0 ** -30
 
 # State of a trial over k stations: bit c is set when station c gave
 # x = +1, bit k + c when it identified a photon.  A CFD trial (k = 4) has
@@ -59,11 +70,20 @@ class SourceEvent(NamedTuple):
     phi2: float
 
 
+def _phi1_of(u: np.ndarray, out=None) -> np.ndarray:
+    """Side-1 polarization angles, uniform on [0, 2 pi), of draws u."""
+    return np.multiply(TWO_PI, u, out=out)
+
+
+def _orthogonal(phi1: np.ndarray) -> np.ndarray:
+    """Side-2 polarization angles of the pairs whose side-1 angles are phi1."""
+    return np.mod(phi1 + HALF_PI, TWO_PI)
+
+
 def source_phis(seed: int, n: int, start: int = 0):
     """Polarization angles of n source pairs: phi1 uniform, phi2 orthogonal."""
-    phi1 = TWO_PI * rng.uniforms(seed, rng.SOURCE, n, start)
-    phi2 = np.mod(phi1 + HALF_PI, TWO_PI)
-    return phi1, phi2
+    phi1 = _phi1_of(rng.uniforms(seed, rng.SOURCE, n, start))
+    return phi1, _orthogonal(phi1)
 
 
 def generate_source_event(seed: int, k: int) -> SourceEvent:
@@ -225,22 +245,143 @@ def run_cfd(params: ModelParams, quad: SettingsQuad, n: int, seed: int) -> CfdRu
     return cfd_from_inputs(params, quad, *_draws(seed, n), n=n, seed=seed)
 
 
+def _flag_bounds(params: ModelParams) -> tuple[float, float, float, float]:
+    """Certification bounds of the decision values of _chunk_counts.
+
+    Returns (x_lo, x_hi, q_lo, q_hi).  x = +1 is certain where
+    c/2 - r > x_hi and x = -1 where c/2 - r < x_lo; w = 1 is certain
+    where q = rhat * |s|**d < q_lo and w = 0 where q > q_hi.  Here c, s
+    are the certified cos and sin of 2(a - phi), each within MARGIN of
+    the exact kernel's (within MARGIN / 2**15 in fact; CHANGES.md gives
+    the argument).  The float rounding and pow errors of q and of the
+    kernel's voltage are below 2**-46 of top + (v_max - threshold) / span;
+    the bounds allow 2**-40 of it.
+    """
+    m, d, span = MARGIN, params.d, params.span
+    x_lo, x_hi = -0.5 - m, -0.5 + m
+    if params.threshold + params.v_max_mag <= 0.0:
+        # v >= -v_max_mag = threshold, so no station identifies a photon;
+        # this also covers span == 0, where the threshold must be -v_max_mag.
+        return x_lo, x_hi, -math.inf, -math.inf
+    try:
+        top = (1.0 + m) ** d  # bounds |s|**d, certified or exact
+        if d == 0.0:
+            dp = 0.0  # pow(x, 0) is exactly 1
+        elif d < 1.0:
+            dp = m ** d  # |a**d - b**d| <= |a - b|**d
+        else:
+            dp = d * (1.0 + m) ** (d - 1.0) * m  # mean value theorem
+    except OverflowError:
+        return x_lo, x_hi, -math.inf, math.inf
+    kappa = (params.threshold + params.v_max_mag) / span
+    mq = dp + 2.0 ** -40 * (top + (params.v_max_mag - params.threshold)
+                            / span)
+    return x_lo, x_hi, kappa - mq, kappa + mq
+
+
+def _turns(quad: SettingsQuad) -> list[tuple[float, float]]:
+    """(ca, sa) per station, such that cos 2(a - phi) = ca cos 2phi1 +
+    sa sin 2phi1 and sin 2(a - phi) = sa cos 2phi1 - ca sin 2phi1.
+
+    On side 1 they are cos 2a and sin 2a; side 2 negates both, because
+    2phi2 = 2phi1 + pi (mod 2pi).
+    """
+    return [(sign * math.cos(2.0 * a), sign * math.sin(2.0 * a))
+            for sign, a in zip((1.0, 1.0, -1.0, -1.0), quad.as_tuple())]
+
+
+def _chunk_buffers(n: int):
+    """Arrays of the streaming CFD pass for chunks of up to n trials.
+
+    A point allocates them once and every chunk reuses them, so the pass
+    does not allocate, and page-fault, once per chunk.
+    """
+    k = len(_CHUNK_STREAMS)
+    return (np.empty((k, n)),             # uniforms
+            np.empty((k, n), np.uint64),  # their hash words
+            np.empty((5, n)),             # float work
+            np.empty((4, n), bool),       # flags and work
+            np.empty((2, n), np.uint8))   # state and work
+
+
+def _chunk_counts(params: ModelParams, quad: SettingsQuad, turns, bounds,
+                  seed: int, start: int, buffers) -> np.ndarray:
+    """The 256 state counts of trials start..start+n-1 (see cfd_counts).
+
+    n is the length of the arrays in buffers (see _chunk_buffers).
+    """
+    u, words, (cos2, sin2, dx, q, tmp), (x, w, unsure, btmp), \
+        (state, stmp) = buffers
+    n = len(state)
+    rng.uniform_rows(seed, _CHUNK_STREAMS, n, start, out=u, work=words)
+    phi1 = _phi1_of(u[0], out=u[0])
+    np.multiply(phi1, 2.0, out=tmp)
+    np.cos(tmp, out=cos2)
+    np.sin(tmp, out=sin2)
+    x_lo, x_hi, q_lo, q_hi = bounds
+    state.fill(0)
+    for col, (ca, sa) in enumerate(turns):
+        r, rhat = u[1 + col], u[5 + col]
+        # dx = (1 + c - 2r) / 2 - 1/2 with c = cos 2(a - phi)
+        np.multiply(cos2, 0.5 * ca, out=dx)
+        np.multiply(sin2, 0.5 * sa, out=tmp)
+        dx += tmp
+        dx -= r
+        # q = rhat * |s|**d with s = sin 2(a - phi)
+        np.multiply(cos2, sa, out=q)
+        np.multiply(sin2, ca, out=tmp)
+        q -= tmp
+        np.abs(q, out=q)
+        np.power(q, params.d, out=q)
+        q *= rhat
+        # unsure = (x_lo <= dx <= x_hi) | not (q < q_lo or q > q_hi),
+        # so that a nan q stays unsure.
+        np.greater(dx, x_hi, out=x)
+        np.greater_equal(dx, x_lo, out=unsure)
+        unsure ^= x
+        np.less(q, q_lo, out=w)
+        np.greater(q, q_hi, out=btmp)
+        btmp |= w
+        np.invert(btmp, out=btmp)
+        unsure |= btmp
+        if unsure.any():
+            idx = np.flatnonzero(unsure)
+            phi = phi1[idx] if col < 2 else _orthogonal(phi1[idx])
+            xe, ve = station.station_respond_batch(
+                quad.as_tuple()[col], phi, r[idx], rhat[idx], params)
+            x[idx] = xe == 1
+            w[idx] = station.identify_photon(ve, params.threshold)
+        np.left_shift(x.view(np.uint8), col, out=stmp)
+        state |= stmp
+        np.left_shift(w.view(np.uint8), 4 + col, out=stmp)
+        state |= stmp
+    return np.bincount(state, minlength=256)
+
+
 def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
                seed: int) -> np.ndarray:
     """The 256 state counts of run_cfd(params, quad, n, seed).
 
     Trials are drawn and counted CHUNK at a time, so memory does not grow
     with n.  The draws are those of run_cfd for any chunking.
+
+    The flags are those of kernels.station_response, from two trig calls
+    per trial instead of eight: cos 2(a - phi) and sin 2(a - phi) come
+    from cos 2phi1 and sin 2phi1 by angle addition, negated on side 2,
+    where 2phi2 = 2phi1 + pi (mod 2pi).  A flag is taken from them only
+    where its decision value clears the bounds of _flag_bounds; the
+    other station evaluations go through the exact kernel.
     """
     _validate_run(n, seed)
+    turns = _turns(quad)
+    bounds = _flag_bounds(params)
+    buffers = _chunk_buffers(min(CHUNK, n))
     counts = np.zeros(256, np.int64)
     for start in range(0, n, CHUNK):
-        stations = _respond(params, quad, *_draws(seed, min(CHUNK, n - start),
-                                                  start))
-        counts += state_counts(
-            [xc for xc, _vc in stations],
-            [station.identify_photon(vc, params.threshold)
-             for _xc, vc in stations])
+        if n - start < CHUNK:
+            buffers = [b[:, :n - start] for b in buffers]
+        counts += _chunk_counts(params, quad, turns, bounds, seed, start,
+                                buffers)
     _check_identities(counts)
     return counts
 
@@ -291,8 +432,8 @@ def run_noncfd(params: ModelParams, quad: SettingsQuad, quota: int,
     for p in range(4):
         ks = np.concatenate(kept[p])
         last_k = max(last_k, int(ks[-1]))
-        phi1 = TWO_PI * rng.uniforms_at(seed, rng.SOURCE, ks)
-        phi2 = np.mod(phi1 + HALF_PI, TWO_PI)
+        phi1 = _phi1_of(rng.uniforms_at(seed, rng.SOURCE, ks))
+        phi2 = _orthogonal(phi1)
         r1 = rng.uniforms_at(seed, rng.R_1, ks)
         rhat1 = rng.uniforms_at(seed, rng.RHAT_1, ks)
         r2 = rng.uniforms_at(seed, rng.R_2, ks)

@@ -66,6 +66,17 @@ def uniforms(seed: int, stream: int, n: int, start: int = 0) -> np.ndarray:
     return kernels.fill_uniforms(stream_origin(seed, stream), start, n)
 
 
+def uniform_rows(seed: int, streams, n: int, start: int = 0, out=None,
+                 work=None) -> np.ndarray:
+    """uniforms(seed, s, n, start) of each stream s, one row per stream.
+
+    out (float64) and work (uint64), of shape (len(streams), n), let a
+    caller reuse memory from call to call.
+    """
+    origins = np.array([[stream_origin(seed, s)] for s in streams], np.uint64)
+    return kernels.fill_uniforms(origins, start, n, out=out, work=work)
+
+
 def uniforms_at(seed: int, stream: int, indices: np.ndarray) -> np.ndarray:
     """Uniforms at an explicit set of counters (trial indices)."""
     return kernels.gather_uniforms(stream_origin(seed, stream), indices)

@@ -49,7 +49,7 @@ def station_respond(setting: float, phi: float, pair: RandomPair,
 
 
 def station_respond_batch(setting, phi, r, rhat, params: ModelParams):
-    """Array form of station_respond; dispatches to the active kernel backend."""
+    """Array form of station_respond (kernels.station_response)."""
     return kernels.station_response(
         setting, phi, r, rhat, params.d, params.v_min_mag, params.v_max_mag
     )

@@ -2,7 +2,6 @@
 import csv
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -118,12 +117,11 @@ def test_degree_angles_give_identical_bytes(tmp_path):
 
 def test_numpy_backend_subprocess_gives_identical_bytes(tmp_path):
     _, a = run_main(tmp_path, "--seed", "33")
-    b = tmp_path / "fallback.csv"
-    env = dict(os.environ, EPRBSIM_NO_NUMBA="1")
+    b = tmp_path / "subprocess.csv"
     subprocess.run(
         [sys.executable, "-m", "eprbsim.cli", *FAST, "--seed", "33",
          "--out", str(b)],
-        env=env, check=True, capture_output=True)
+        check=True, capture_output=True)
     assert a.read_bytes() == b.read_bytes()
 
 
