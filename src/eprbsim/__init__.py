@@ -1,8 +1,7 @@
 """Event-by-event simulation of two-wing polarization correlation
 experiments with local photon-identification thresholds."""
 
-from .experiment import (CfdRun, NonCfdRun, generate_source_event, run_cfd,
-                         run_noncfd)
+from .experiment import CfdRun, NonCfdRun, run_cfd, run_noncfd
 from .kernels import BACKEND
 from .oracle import pass_probability, run_all_enumerations
 from .params import ModelParams, SettingsQuad
@@ -25,7 +24,6 @@ __all__ = [
     "SettingsQuad",
     "StationOutcome",
     "chsh",
-    "generate_source_event",
     "identify_photon",
     "malus_frequency",
     "pair_estimate",

@@ -9,17 +9,19 @@ for a given seed regardless of chunking or thread count.
 
 Every statistic a sweep reports depends on a trial only through its
 state: the outcome signs and identification flags of its stations.  A
-run therefore reduces to integer counts of states (`state_counts`), and
-`cfd_counts` streams a CFD point chunk by chunk into those counts
-without keeping per-trial arrays.  It certifies each flag from cheaper
-trig wherever the flag is provably that of the exact station law, and
-evaluates the exact law for the rest.
+run therefore reduces to integer counts of states (`state_counts`).
+`cfd_counts` and `noncfd_counts` stream a point chunk by chunk into
+those counts, in counter order and without keeping per-trial arrays;
+`run_cfd` and `run_noncfd` keep the arrays, for the trial dump.  Both
+streaming passes certify each flag from cheaper trig wherever the flag
+is provably that of the exact station law (`_station_flags`), and
+evaluate the exact law for the rest.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,15 +35,20 @@ STATION_NAMES = ("a1", "a1p", "a2", "a2p")
 PAIR_COLUMNS = ((0, 2), (0, 3), (1, 2), (1, 3))
 PAIR_NAMES = ("11", "12", "21", "22")
 
-# Trials per chunk of the streaming CFD pass: memory per point is O(CHUNK).
+# Trials per chunk of the streaming passes: memory per point is O(CHUNK).
 CHUNK = 1 << 13
 
 # Streams of one chunk of the streaming CFD pass: the source, then the r
 # and the rhat stream of each station in STATION_NAMES order.
 _CHUNK_STREAMS = (rng.SOURCE, *rng.R_STREAMS, *rng.RHAT_STREAMS)
 
+# Streams of one chunk of the streaming non-CFD pass: the source, the
+# setting coin of each side, then the r and the rhat stream of each side.
+_NONCFD_STREAMS = (rng.SOURCE, rng.CHOICE_1, rng.CHOICE_2, rng.R_1, rng.R_2,
+                   rng.RHAT_1, rng.RHAT_2)
+
 # Error bound used for every certified cos 2(a - phi) and sin 2(a - phi)
-# of the streaming CFD pass; see _flag_bounds.
+# of the streaming passes; see _flag_bounds.
 MARGIN = 2.0 ** -30
 
 # State of a trial over k stations: bit c is set when station c gave
@@ -65,11 +72,6 @@ def _fold_matrix():
 _PAIR_FOLD = _fold_matrix()
 
 
-class SourceEvent(NamedTuple):
-    phi1: float
-    phi2: float
-
-
 def _phi1_of(u: np.ndarray, out=None) -> np.ndarray:
     """Side-1 polarization angles, uniform on [0, 2 pi), of draws u."""
     return np.multiply(TWO_PI, u, out=out)
@@ -84,12 +86,6 @@ def source_phis(seed: int, n: int, start: int = 0):
     """Polarization angles of n source pairs: phi1 uniform, phi2 orthogonal."""
     phi1 = _phi1_of(rng.uniforms(seed, rng.SOURCE, n, start))
     return phi1, _orthogonal(phi1)
-
-
-def generate_source_event(seed: int, k: int) -> SourceEvent:
-    """Source pair of trial k; deterministic in (seed, k)."""
-    phi1, phi2 = source_phis(seed, 1, start=k)
-    return SourceEvent(float(phi1[0]), float(phi2[0]))
 
 
 @dataclass
@@ -138,7 +134,6 @@ class NonCfdRun:
     seed: int
     pairs: tuple
     n_trials: int
-    primed_counts: tuple
     counts: np.ndarray
 
 
@@ -246,7 +241,7 @@ def run_cfd(params: ModelParams, quad: SettingsQuad, n: int, seed: int) -> CfdRu
 
 
 def _flag_bounds(params: ModelParams) -> tuple[float, float, float, float]:
-    """Certification bounds of the decision values of _chunk_counts.
+    """Certification bounds of the decision values of _station_flags.
 
     Returns (x_lo, x_hi, q_lo, q_hi).  x = +1 is certain where
     c/2 - r > x_hi and x = -1 where c/2 - r < x_lo; w = 1 is certain
@@ -290,72 +285,112 @@ def _turns(quad: SettingsQuad) -> list[tuple[float, float]]:
             for sign, a in zip((1.0, 1.0, -1.0, -1.0), quad.as_tuple())]
 
 
-def _chunk_buffers(n: int):
-    """Arrays of the streaming CFD pass for chunks of up to n trials.
+def _chunk_buffers(n: int, streams: int, stations: int, bits: int):
+    """Arrays of a streaming pass for chunks of up to n trials.
 
-    A point allocates them once and every chunk reuses them, so the pass
-    does not allocate, and page-fault, once per chunk.
+    They hold the uniforms of the streams and their hash words, the work
+    of the stations and the state bits of each trial.  A point allocates
+    them once and every chunk reuses them, so the pass does not
+    allocate, and page-fault, once per chunk.
     """
-    k = len(_CHUNK_STREAMS)
-    return (np.empty((k, n)),             # uniforms
-            np.empty((k, n), np.uint64),  # their hash words
-            np.empty((5, n)),             # float work
-            np.empty((4, n), bool),       # flags and work
-            np.empty((2, n), np.uint8))   # state and work
+    return (np.empty((streams, n)),             # uniforms
+            np.empty((streams, n), np.uint64),  # their hash words
+            np.empty((2, n)),                   # cos 2phi1, sin 2phi1
+            np.empty((3, stations, n)),         # float work
+            np.empty((2, stations, n), bool),   # bool work
+            np.empty((bits, n), bool),          # state bits
+            np.empty((bits, n), np.uint8),      # weighted state bits
+            np.empty(n, np.uint8))              # states
 
 
-def _chunk_counts(params: ModelParams, quad: SettingsQuad, turns, bounds,
-                  seed: int, start: int, buffers) -> np.ndarray:
+def _trig(u, trig, tmp):
+    """phi1, in place of its draws u, and trig = (cos 2phi1, sin 2phi1)."""
+    phi1 = _phi1_of(u, out=u)
+    np.multiply(phi1, 2.0, out=tmp)
+    np.cos(tmp, out=trig[0])
+    np.sin(tmp, out=trig[1])
+    return phi1
+
+
+def _states(bits, weights, weighted, out):
+    """Each trial's state: the sum of the weights of its set bits."""
+    np.multiply(bits.view(np.uint8), weights, out=weighted)
+    return np.bitwise_or.reduce(weighted, axis=0, out=out)
+
+
+def _station_flags(params: ModelParams, bounds, phi1, trig, turn, r, rhat,
+                   stations, flags, work) -> None:
+    """Flags x (x = +1) and w (photon identified) of k stations over a chunk.
+
+    Row i of every (k, n) array is station stations[i] = (side2,
+    settings, primed): side2 says it sees phi2 = _orthogonal(phi1), and
+    its setting is settings[1] where primed (a bool row, or None for a
+    single setting) and settings[0] elsewhere.  turn = (ca, sa, ca / 2,
+    sa / 2) of those settings (see _turns) is (k, 1) per station or
+    (k, n) per trial; r and rhat are its uniforms; flags = (x, w) are
+    written.  A flag is taken from the angle-addition values only where
+    its decision value clears bounds (see _flag_bounds); the other
+    evaluations go through the exact kernel with their own setting.
+    """
+    cos2, sin2 = trig
+    ca, sa, hca, hsa = turn
+    x, w = flags
+    (dx, q, tmp), (unsure, btmp) = work
+    x_lo, x_hi, q_lo, q_hi = bounds
+    # dx = (1 + c - 2r) / 2 - 1/2 with c = cos 2(a - phi)
+    np.multiply(cos2, hca, out=dx)
+    np.multiply(sin2, hsa, out=tmp)
+    dx += tmp
+    dx -= r
+    # q = rhat * |s|**d with s = sin 2(a - phi)
+    np.multiply(cos2, sa, out=q)
+    np.multiply(sin2, ca, out=tmp)
+    q -= tmp
+    np.abs(q, out=q)
+    np.power(q, params.d, out=q)
+    q *= rhat
+    # unsure = (x_lo <= dx <= x_hi) | not (q < q_lo or q > q_hi),
+    # so that a nan q stays unsure.
+    np.greater(dx, x_hi, out=x)
+    np.greater_equal(dx, x_lo, out=unsure)
+    unsure ^= x
+    np.less(q, q_lo, out=w)
+    np.greater(q, q_hi, out=btmp)
+    btmp |= w
+    np.invert(btmp, out=btmp)
+    unsure |= btmp
+    for row in np.flatnonzero(unsure.any(axis=1)):
+        side2, settings, primed = stations[row]
+        idx = np.flatnonzero(unsure[row])
+        for k, a in enumerate(settings):
+            at = idx if primed is None else idx[primed[idx] == k]
+            if at.size:
+                phi = _orthogonal(phi1[at]) if side2 else phi1[at]
+                xe, ve = station.station_respond_batch(
+                    a, phi, r[row, at], rhat[row, at], params)
+                x[row, at] = xe == 1
+                w[row, at] = station.identify_photon(ve, params.threshold)
+
+
+# Weight of each state bit of a CFD trial: x of the stations in
+# STATION_NAMES order, then their w.
+_CFD_WEIGHTS = (1 << np.arange(8, dtype=np.uint8))[:, None]
+
+
+def _chunk_counts(params: ModelParams, turn, stations, bounds, seed: int,
+                  start: int, buffers) -> np.ndarray:
     """The 256 state counts of trials start..start+n-1 (see cfd_counts).
 
     n is the length of the arrays in buffers (see _chunk_buffers).
     """
-    u, words, (cos2, sin2, dx, q, tmp), (x, w, unsure, btmp), \
-        (state, stmp) = buffers
-    n = len(state)
+    u, words, trig, work, flag_work, bits, weighted, states = buffers
+    n = len(states)
     rng.uniform_rows(seed, _CHUNK_STREAMS, n, start, out=u, work=words)
-    phi1 = _phi1_of(u[0], out=u[0])
-    np.multiply(phi1, 2.0, out=tmp)
-    np.cos(tmp, out=cos2)
-    np.sin(tmp, out=sin2)
-    x_lo, x_hi, q_lo, q_hi = bounds
-    state.fill(0)
-    for col, (ca, sa) in enumerate(turns):
-        r, rhat = u[1 + col], u[5 + col]
-        # dx = (1 + c - 2r) / 2 - 1/2 with c = cos 2(a - phi)
-        np.multiply(cos2, 0.5 * ca, out=dx)
-        np.multiply(sin2, 0.5 * sa, out=tmp)
-        dx += tmp
-        dx -= r
-        # q = rhat * |s|**d with s = sin 2(a - phi)
-        np.multiply(cos2, sa, out=q)
-        np.multiply(sin2, ca, out=tmp)
-        q -= tmp
-        np.abs(q, out=q)
-        np.power(q, params.d, out=q)
-        q *= rhat
-        # unsure = (x_lo <= dx <= x_hi) | not (q < q_lo or q > q_hi),
-        # so that a nan q stays unsure.
-        np.greater(dx, x_hi, out=x)
-        np.greater_equal(dx, x_lo, out=unsure)
-        unsure ^= x
-        np.less(q, q_lo, out=w)
-        np.greater(q, q_hi, out=btmp)
-        btmp |= w
-        np.invert(btmp, out=btmp)
-        unsure |= btmp
-        if unsure.any():
-            idx = np.flatnonzero(unsure)
-            phi = phi1[idx] if col < 2 else _orthogonal(phi1[idx])
-            xe, ve = station.station_respond_batch(
-                quad.as_tuple()[col], phi, r[idx], rhat[idx], params)
-            x[idx] = xe == 1
-            w[idx] = station.identify_photon(ve, params.threshold)
-        np.left_shift(x.view(np.uint8), col, out=stmp)
-        state |= stmp
-        np.left_shift(w.view(np.uint8), 4 + col, out=stmp)
-        state |= stmp
-    return np.bincount(state, minlength=256)
+    phi1 = _trig(u[0], trig, work[0, 0])
+    _station_flags(params, bounds, phi1, trig, turn, u[1:5], u[5:9],
+                   stations, (bits[:4], bits[4:]), (work, flag_work))
+    return np.bincount(_states(bits, _CFD_WEIGHTS, weighted, states),
+                       minlength=256)
 
 
 def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
@@ -373,17 +408,99 @@ def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
     other station evaluations go through the exact kernel.
     """
     _validate_run(n, seed)
-    turns = _turns(quad)
+    ca, sa = np.array(_turns(quad)).T[:, :, None]
+    turn = (ca, sa, 0.5 * ca, 0.5 * sa)
+    stations = [(col >= 2, (a,), None)
+                for col, a in enumerate(quad.as_tuple())]
     bounds = _flag_bounds(params)
-    buffers = _chunk_buffers(min(CHUNK, n))
+    buffers = _chunk_buffers(min(CHUNK, n), streams=len(_CHUNK_STREAMS),
+                             stations=4, bits=8)
     counts = np.zeros(256, np.int64)
     for start in range(0, n, CHUNK):
         if n - start < CHUNK:
-            buffers = [b[:, :n - start] for b in buffers]
-        counts += _chunk_counts(params, quad, turns, bounds, seed, start,
+            buffers = [b[..., :n - start] for b in buffers]
+        counts += _chunk_counts(params, turn, stations, bounds, seed, start,
                                 buffers)
     _check_identities(counts)
     return counts
+
+
+def _validate_quota(quota: int, seed: int) -> None:
+    rng.validate_seed(seed)
+    if quota < 1:
+        raise ValueError("quota must be >= 1")
+
+
+# Weight of each state bit of a non-CFD trial: x of side 1 and 2, their
+# w, then the coins primed1 and primed2, so that a trial's state is
+# 16 * pair + its 16-state of pair_statistics, pair = 2 primed1 + primed2.
+_NONCFD_WEIGHTS = np.array([1, 2, 4, 8, 32, 16], np.uint8)[:, None]
+# Station (STATION_NAMES index) of each side's plain setting.
+_SIDE_STATIONS = np.array([[0], [2]])
+
+
+def _noncfd_chunk(params: ModelParams, quad: SettingsQuad, table, bounds,
+                  seed: int, start: int, buffers) -> np.ndarray:
+    """16 * pair + state of trials start..start+n-1 (see noncfd_counts).
+
+    n is the length of the arrays in buffers.
+    """
+    u, words, trig, work, flag_work, bits, weighted, states, turn, sel = \
+        buffers
+    n = len(states)
+    rng.uniform_rows(seed, _NONCFD_STREAMS, n, start, out=u, work=words)
+    phi1 = _trig(u[0], trig, work[0, 0])
+    primed = bits[4:]
+    np.less(u[1:3], 0.5, out=primed)
+    # Each side's station: 2 * side + primed.  mode="wrap" skips the
+    # buffered bounds check of the default; sel is in range.
+    np.add(primed, _SIDE_STATIONS, out=sel)
+    ca, sa, hca, hsa = turn
+    table[0].take(sel, out=ca, mode="wrap")
+    table[1].take(sel, out=sa, mode="wrap")
+    np.multiply(ca, 0.5, out=hca)
+    np.multiply(sa, 0.5, out=hsa)
+    stations = [(False, (quad.a1, quad.a1p), primed[0]),
+                (True, (quad.a2, quad.a2p), primed[1])]
+    _station_flags(params, bounds, phi1, trig, turn, u[3:5], u[5:7],
+                   stations, (bits[:2], bits[2:4]), (work, flag_work))
+    return _states(bits, _NONCFD_WEIGHTS, weighted, states)
+
+
+def noncfd_counts(params: ModelParams, quad: SettingsQuad, quota: int,
+                  seed: int) -> np.ndarray:
+    """The (4, 16) pair state counts of run_noncfd(params, quad, quota, seed).
+
+    Trials are drawn in counter order, a chunk at a time, and go through
+    the certified pass of cfd_counts: each side's coin selects the
+    (ca, sa) of its setting from _turns(quad) per trial, and the
+    uncertain evaluations go through the exact kernel with their own
+    setting.  A trial is kept while its pair holds fewer than quota, and
+    the pass stops after the chunk that fills the last pair, so memory
+    does not grow with quota.
+    """
+    _validate_quota(quota, seed)
+    table = np.array(_turns(quad)).T  # rows ca, sa; STATION_NAMES columns
+    bounds = _flag_bounds(params)
+    # A chunk of 2 * CHUNK trials evaluates as many stations as a CFD
+    # chunk does; no pair can fill before trial 4 * quota.
+    n = min(2 * CHUNK, 4 * quota)
+    buffers = (*_chunk_buffers(n, streams=len(_NONCFD_STREAMS), stations=2,
+                               bits=6),
+               np.empty((4, 2, n)),         # per-trial turns
+               np.empty((2, n), np.intp))   # per-trial stations
+    counts = np.zeros((4, 16), np.int64)
+    for start in itertools.count(0, n):
+        code = _noncfd_chunk(params, quad, table, bounds, seed, start,
+                             buffers)
+        room = quota - counts.sum(axis=1)
+        if room.min() < n:  # a pair may fill in this chunk
+            pair = code >> 4
+            for p in range(4):
+                code[np.flatnonzero(pair == p)[room[p]:]] = 64  # dropped
+        counts += np.bincount(code, minlength=65)[:64].reshape(4, 16)
+        if counts.sum() >= 4 * quota:
+            return counts
 
 
 def run_noncfd(params: ModelParams, quad: SettingsQuad, quota: int,
@@ -394,14 +511,9 @@ def run_noncfd(params: ModelParams, quad: SettingsQuad, quota: int,
     arriving until every one of the four setting pairs has quota
     records; a pair that is already full ignores further trials.
     """
-    rng.validate_seed(seed)
-    if quota < 1:
-        raise ValueError("quota must be >= 1")
-
+    _validate_quota(quota, seed)
     counts = [0, 0, 0, 0]
     kept: list[list[np.ndarray]] = [[], [], [], []]
-    # Primed choices per side in the chunks before the current one.
-    primed_before = [0, 0]
     k0 = 0
     chunk = max(4096, int(1.2 * quota))
     while True:
@@ -419,8 +531,6 @@ def run_noncfd(params: ModelParams, quad: SettingsQuad, quota: int,
                 counts[p] += take.size
         if min(counts) >= quota:
             break
-        primed_before[0] += int(np.count_nonzero(primed1))
-        primed_before[1] += int(np.count_nonzero(primed2))
         k0 += chunk
 
     pair_settings = (
@@ -447,15 +557,8 @@ def run_noncfd(params: ModelParams, quad: SettingsQuad, quota: int,
             x2=x2, v2=v2, w2=station.identify_photon(v2, params.threshold),
         ))
 
-    # The run stops at the trial that fills the last quota; marginals are
-    # counted over exactly that many coin flips.  That trial lies in the
-    # last chunk, since a quota was still open before it.
-    n_trials = last_k + 1
-    n1p = primed_before[0] + int(np.count_nonzero(primed1[:n_trials - k0]))
-    n2p = primed_before[1] + int(np.count_nonzero(primed2[:n_trials - k0]))
-
     counts = np.stack([state_counts((p.x1, p.x2), (p.w1, p.w2))
                        for p in pairs])
     return NonCfdRun(params=params, quad=quad, quota=quota, seed=seed,
-                     pairs=tuple(pairs), n_trials=n_trials,
-                     primed_counts=(n1p, n2p), counts=counts)
+                     pairs=tuple(pairs), n_trials=last_k + 1,
+                     counts=counts)

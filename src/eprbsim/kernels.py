@@ -8,9 +8,10 @@ schedule reproduces the same values.  The mixing function is the
 standard 64-bit xorshift-multiply finalizer used by splitmix-style
 generators.
 
-station_response is the exact station law on arrays.  The streaming CFD
-pass (experiment.cfd_counts) certifies most flags without it and calls
-it only for the evaluations near a decision boundary.
+station_response is the exact station law on arrays.  The streaming
+passes (experiment.cfd_counts and experiment.noncfd_counts) certify most
+flags without it and call it only for the evaluations near a decision
+boundary.
 """
 from __future__ import annotations
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import csvblock, rng, stats
 from .experiment import (PAIR_NAMES, QUADRUPLES, CfdRun, NonCfdRun,
-                         cfd_counts, pair_counts, run_cfd, run_noncfd)
+                         cfd_counts, noncfd_counts, pair_counts, run_cfd,
+                         run_noncfd)
 from .params import (DEFAULT_N, DEFAULT_SEED, DEFAULT_THETA_STEPS,
                      DEFAULT_THRESHOLD, DEFAULT_V_MAX_MAG, DEFAULT_V_MIN_MAG,
                      DEFAULT_D, ModelParams, SettingsQuad)
@@ -143,10 +144,19 @@ def _cfd_row(params: ModelParams, theta: float, n: int, point_seed: int,
 
 
 def _noncfd_row(params: ModelParams, theta: float, quota: int, point_seed: int,
-                cfg_seed: int):
+                cfg_seed: int, keep_run: bool = False):
+    """One non-CFD point: (row, NonCfdRun if keep_run else None).
+
+    Without keep_run the trials are streamed into pair state counts and
+    no per-trial array outlives a chunk.
+    """
     quad = SettingsQuad.for_theta(theta)
-    run = run_noncfd(params, quad, quota, point_seed)
-    row = _row(theta, run.counts, quota, cfg_seed)
+    if keep_run:
+        run = run_noncfd(params, quad, quota, point_seed)
+        counts = run.counts
+    else:
+        run, counts = None, noncfd_counts(params, quad, quota, point_seed)
+    row = _row(theta, counts, quota, cfg_seed)
     # Pair selection accounting does not apply without quadruples.
     row.update(delta=None, bound=None)
     return row, run
@@ -168,10 +178,12 @@ def _sweep(cfg: RunConfig, points) -> list:
     def job(item):
         index, (params, theta) = item
         point_seed = rng.derive_seed(cfg.seed, index)
+        keep_run = dump is not None
         if cfg.mode == "cfd":
             return _cfd_row(params, theta, cfg.n, point_seed, cfg.seed,
-                            cfg.delta_denominator, keep_run=dump is not None)
-        return _noncfd_row(params, theta, cfg.n, point_seed, cfg.seed)
+                            cfg.delta_denominator, keep_run=keep_run)
+        return _noncfd_row(params, theta, cfg.n, point_seed, cfg.seed,
+                           keep_run=keep_run)
 
     if cfg.threads > 1 and dump is None:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:

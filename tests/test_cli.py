@@ -125,6 +125,16 @@ def test_numpy_backend_subprocess_gives_identical_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_noncfd_thread_count_does_not_change_bytes(tmp_path):
+    outs = []
+    for threads in ("1", "2"):
+        rc, out = run_main(tmp_path, "--mode", "noncfd", "--n", "800",
+                           "--seed", "9", "--threads", threads)
+        assert rc == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_noncfd_rows_leave_delta_empty(tmp_path):
     rc, out = run_main(tmp_path, "--mode", "noncfd", "--n", "500")
     assert rc == 0

@@ -1,4 +1,4 @@
-"""State counts: the streaming CFD pass and rows computed from counts.
+"""State counts: the streaming passes and rows computed from counts.
 
 Rows are computed from integer counts of per-trial states.  The
 references here recompute each row from the per-trial arrays with the
@@ -12,7 +12,8 @@ import pytest
 
 from eprbsim import experiment, stats
 from eprbsim.experiment import (PAIR_COLUMNS, PAIR_NAMES, cfd_counts,
-                                pair_counts, run_cfd, run_noncfd, state_counts)
+                                noncfd_counts, pair_counts, run_cfd,
+                                run_noncfd, state_counts)
 from eprbsim.params import ModelParams, SettingsQuad
 from eprbsim.sweep import (RunConfig, _cfd_row, _noncfd_row, rows_to_csv,
                            sweep_theta)
@@ -85,7 +86,10 @@ def test_cfd_row_from_counts_equals_row_from_arrays(params, monkeypatch):
 
 @pytest.mark.parametrize("params", PARAMS, ids=IDS)
 def test_noncfd_row_from_counts_equals_row_from_arrays(params):
-    row, run = _noncfd_row(params, 0.7, 3000, 41, 5)
+    row, none = _noncfd_row(params, 0.7, 3000, 41, 5)
+    from_run, run = _noncfd_row(params, 0.7, 3000, 41, 5, keep_run=True)
+    assert none is None
+    assert row == from_run
     pairs = run.pairs
     ref = _reference_row(0.7, [p.x1 for p in pairs], [p.x2 for p in pairs],
                          [p.w1 for p in pairs], [p.w2 for p in pairs],
@@ -97,22 +101,34 @@ def test_noncfd_row_from_counts_equals_row_from_arrays(params):
 
 @pytest.mark.parametrize("chunk", [1, 7, 4096, 9000, 10**6])
 def test_rows_do_not_depend_on_chunk_size(chunk, monkeypatch):
-    cfg = RunConfig(n=9000, theta_steps=1, theta_start=THETA_38,
-                    theta_end=THETA_38)
-    expected = rows_to_csv(*sweep_theta(cfg))
+    cfgs = [RunConfig(mode=mode, n=n, theta_steps=1, theta_start=THETA_38,
+                      theta_end=THETA_38)
+            for mode, n in (("cfd", 9000), ("noncfd", 2500))]
+    expected = [rows_to_csv(*sweep_theta(cfg)) for cfg in cfgs]
     monkeypatch.setattr(experiment, "CHUNK", chunk)
-    assert rows_to_csv(*sweep_theta(cfg)) == expected
+    assert [rows_to_csv(*sweep_theta(cfg)) for cfg in cfgs] == expected
+
+
+def _traced_peak(point) -> int:
+    tracemalloc.start()
+    try:
+        point()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_streamed_point_memory_stays_bounded():
-    tracemalloc.start()
-    try:
-        _cfd_row(ModelParams(threshold=-0.999), THETA_38, 1_000_000, 3, 3,
-                 "max-pair")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert _traced_peak(lambda: _cfd_row(
+        ModelParams(threshold=-0.999), THETA_38, 1_000_000, 3, 3,
+        "max-pair")) < 32 * 2**20
+
+
+def test_streamed_noncfd_point_memory_stays_bounded():
+    # 4e6 kept trials of about 4.1e6 drawn; run_noncfd peaks at ~220 MB.
+    assert _traced_peak(lambda: _noncfd_row(
+        ModelParams(threshold=-0.999), THETA_38, 1_000_000, 3,
+        3)) < 32 * 2**20
 
 
 def test_state_counts_reject_outcomes_outside_signs():
@@ -124,9 +140,12 @@ def test_state_counts_reject_outcomes_outside_signs():
 
 
 def test_noncfd_counts_hold_every_record():
-    run = run_noncfd(ModelParams(), SettingsQuad.for_theta(0.2), 700, 9)
+    quad = SettingsQuad.for_theta(0.2)
+    run = run_noncfd(ModelParams(), quad, 700, 9)
     assert run.counts.shape == (4, 16)
     assert run.counts.sum(axis=1).tolist() == [700] * 4
+    assert np.array_equal(noncfd_counts(ModelParams(), quad, 700, 9),
+                          run.counts)
 
 
 def test_cfd_counts_validate_arguments():
@@ -136,3 +155,8 @@ def test_cfd_counts_validate_arguments():
     with pytest.raises(ValueError):
         cfd_counts(ModelParams(), q, 10, -3)
     assert run_cfd(ModelParams(), q, 1, 0).counts.sum() == 1
+    for quota, seed in ((0, 1), (10, -3)):
+        with pytest.raises(ValueError):
+            noncfd_counts(ModelParams(), q, quota, seed)
+        with pytest.raises(ValueError):
+            run_noncfd(ModelParams(), q, quota, seed)
