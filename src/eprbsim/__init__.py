@@ -8,7 +8,7 @@ from .params import ModelParams, SettingsQuad
 from .selection import select_by_window, to_time, window_size
 from .station import (RandomPair, StationOutcome, identify_photon,
                       malus_frequency, station_respond)
-from .stats import PairEstimate, chsh, pair_estimate, quantum_reference
+from .stats import chsh, quantum_reference
 from .sweep import RunConfig, sweep_theta, sweep_threshold
 
 __version__ = "0.1.0"
@@ -18,7 +18,6 @@ __all__ = [
     "CfdRun",
     "ModelParams",
     "NonCfdRun",
-    "PairEstimate",
     "RandomPair",
     "RunConfig",
     "SettingsQuad",
@@ -26,7 +25,6 @@ __all__ = [
     "chsh",
     "identify_photon",
     "malus_frequency",
-    "pair_estimate",
     "pass_probability",
     "quantum_reference",
     "run_all_enumerations",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng, station
+from . import rng, station, stats
 from .params import HALF_PI, TWO_PI, ModelParams, SettingsQuad
 
 # Column order of the per-trial station arrays in CFD runs.
@@ -139,16 +139,9 @@ class NonCfdRun:
 
 def _check_quadruple_identities(x: np.ndarray) -> None:
     """Per-trial algebraic identities of +-1 quadruples; hard errors."""
-    x1, x1p, x2, x2p = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-    s = x1 * x2 - x1 * x2p + x1p * x2 + x1p * x2p
-    if not np.all(np.abs(s) == 2):
+    if not np.all(np.abs(stats.quadruple_s(*x.T)) == 2):
         raise RuntimeError("CFD identity violated: s outside {-2, +2}")
-    for b in (
-        x1 * x1p + x1 * x2 + x1p * x2,
-        x1 * x1p + x1 * x2p + x1p * x2p,
-        x1 * x2 + x1 * x2p + x2 * x2p,
-        x1p * x2 + x1p * x2p + x2 * x2p,
-    ):
+    for b in stats.quadruple_b(*x.T):
         if not np.all((b == -1) | (b == 3)):
             raise RuntimeError("CFD identity violated: b outside {-1, +3}")
 
@@ -256,7 +249,8 @@ def _flag_bounds(params: ModelParams) -> tuple[float, float, float, float]:
     x_lo, x_hi = -0.5 - m, -0.5 + m
     if params.threshold + params.v_max_mag <= 0.0:
         # v >= -v_max_mag = threshold, so no station identifies a photon;
-        # this also covers span == 0, where the threshold must be -v_max_mag.
+        # this also covers span == 0, where the threshold must be -v_max_mag
+        # and kappa is undefined.
         return x_lo, x_hi, -math.inf, -math.inf
     try:
         top = (1.0 + m) ** d  # bounds |s|**d, certified or exact
@@ -268,7 +262,7 @@ def _flag_bounds(params: ModelParams) -> tuple[float, float, float, float]:
             dp = d * (1.0 + m) ** (d - 1.0) * m  # mean value theorem
     except OverflowError:
         return x_lo, x_hi, -math.inf, math.inf
-    kappa = (params.threshold + params.v_max_mag) / span
+    kappa = params.kappa
     mq = dp + 2.0 ** -40 * (top + (params.v_max_mag - params.threshold)
                             / span)
     return x_lo, x_hi, kappa - mq, kappa + mq

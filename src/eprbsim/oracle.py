@@ -95,11 +95,12 @@ def enumerate_eberhard() -> EnumerationReport:
 
 
 def enumerate_ch() -> EnumerationReport:
-    """All 16 detection-indicator quadruples: the CH combination is >= 0."""
+    """All 16 detection-indicator quadruples: the CH combination, which
+    is the Eberhard one on 0/1 indicators, is >= 0."""
     report = EnumerationReport("ch-nonnegativity", 0)
     for o1, o1p, o2, o2p in product((0, 1), (0, 1), (0, 1), (0, 1)):
         report.cases += 1
-        j = int(stats.ch_j_terms(o1, o1p, o2, o2p))
+        j = int(stats.eberhard_j_terms(o1, o1p, o2, o2p))
         if j < 0:
             report.violations.append(((o1, o1p, o2, o2p), j))
     return report

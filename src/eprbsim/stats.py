@@ -1,4 +1,4 @@
-"""Estimators and inequality bookkeeping.
+"""The estimators of a sweep row, computed from state counts.
 
 Correlations come in two flavours: detection-event averages over all
 trials, and photon averages restricted by the identification flags.
@@ -8,79 +8,14 @@ silent zeros or NaNs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class PairEstimate:
-    """Correlation and single-side averages for one setting pair.
-
-    e is the pair correlation, e1/e2 the single-side averages, n_pass
-    the number of contributing pairs, n1/n2 the single-side counts.
-    None marks an undefined estimate.
-    """
-
-    e: float | None
-    e1: float | None
-    e2: float | None
-    n_pass: int
-    n_total: int
-    n1: int
-    n2: int
-
-
 def _ratio(num: float, den: int) -> float | None:
     return num / den if den > 0 else None
-
-
-def pair_estimate(x1, x2, w1=None, w2=None) -> PairEstimate:
-    """Averages for one setting pair.
-
-    With w1/w2 omitted this is the detection-event estimate over all
-    trials; with flags it is the photon estimate, pair terms weighted by
-    w1*w2 and singles by the local flag alone.
-    """
-    x1 = np.asarray(x1)
-    x2 = np.asarray(x2)
-    n_total = int(x1.shape[0])
-    prod = (x1.astype(np.int64)) * x2
-    if w1 is None and w2 is None:
-        e = _ratio(float(prod.sum()), n_total)
-        e1 = _ratio(float(x1.sum()), n_total)
-        e2 = _ratio(float(x2.sum()), n_total)
-        return PairEstimate(e, e1, e2, n_total, n_total, n_total, n_total)
-    w1 = np.asarray(w1)
-    w2 = np.asarray(w2)
-    both = (w1 & w2).astype(np.int64)
-    n_pass = int(both.sum())
-    n1 = int(np.count_nonzero(w1))
-    n2 = int(np.count_nonzero(w2))
-    e = _ratio(float((both * prod).sum()), n_pass)
-    e1 = _ratio(float((w1 * x1).astype(np.int64).sum()), n1)
-    e2 = _ratio(float((w2 * x2).astype(np.int64).sum()), n2)
-    return PairEstimate(e, e1, e2, n_pass, n_total, n1, n2)
-
-
-def single_average(x, w=None) -> tuple[float | None, int]:
-    """Single-station average, optionally weighted by its flag."""
-    x = np.asarray(x)
-    if w is None:
-        n = int(x.shape[0])
-        return _ratio(float(x.astype(np.int64).sum()), n), n
-    w = np.asarray(w)
-    n = int(np.count_nonzero(w))
-    return _ratio(float((w * x).astype(np.int64).sum()), n), n
-
-
-def standard_error(e: float, n: int) -> float:
-    """Binomial-style standard error of a +-1 average."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return math.sqrt(max(0.0, 1.0 - e * e) / n)
 
 
 def chsh(e11, e12, e21, e22) -> float | None:
@@ -115,18 +50,14 @@ def quadruple_b(x1, x1p, x2, x2p):
 
 # ------------------------------------------------------------------- fates
 
-def fate_encode(x, w):
-    """Fate of one outcome: +1 kept ordinary, -1 kept extraordinary, 0 unidentified."""
-    return x * w
-
-
 def eberhard_j_terms(f_1, f_1p, f_2, f_2p):
     """Per-trial Eberhard-style count combination.
 
     Arguments are fates at the four stations (side-1 plain and primed,
     side-2 plain and primed).  The combination pairs the primed side-1
     setting with the primed side-2 setting in the 'wasted pair' terms
-    and is non-negative for every fate assignment.
+    and is non-negative for every fate assignment.  On 0/1 detection
+    indicators it is the CH combination.
     """
     o1 = (np.asarray(f_1) == 1).astype(np.int64)
     o1p = (np.asarray(f_1p) == 1).astype(np.int64)
@@ -135,86 +66,15 @@ def eberhard_j_terms(f_1, f_1p, f_2, f_2p):
     return o1p * (1 - o2p) + (1 - o1) * o2 + o1 * o2p - o1p * o2
 
 
-def eberhard_total(f_1, f_1p, f_2, f_2p) -> int:
-    return int(np.sum(eberhard_j_terms(f_1, f_1p, f_2, f_2p)))
-
-
-def ch_j_terms(o_1, o_1p, o_2, o_2p):
-    """Per-trial CH count combination on detected/undetected fates.
-
-    Arguments are 0/1 detection indicators (extraordinary outcomes count
-    as undetected).  Non-negative for every assignment.
-    """
-    o1 = np.asarray(o_1).astype(np.int64)
-    o1p = np.asarray(o_1p).astype(np.int64)
-    o2 = np.asarray(o_2).astype(np.int64)
-    o2p = np.asarray(o_2p).astype(np.int64)
-    return o1p * (1 - o2p) + (1 - o1) * o2 + o1 * o2p - o1p * o2
-
-
-def ch_total(o_1, o_1p, o_2, o_2p) -> int:
-    return int(np.sum(ch_j_terms(o_1, o_1p, o_2, o_2p)))
-
-
-def detected_ordinary(x, w):
-    """CH detection indicator: kept and in the ordinary channel."""
-    return ((np.asarray(x) == 1) & (np.asarray(w) == 1)).astype(np.int64)
-
-
-def selected_pair_counts(x1, x2, w1, w2) -> dict:
-    """Outcome counts among pairs where both identification flags pass.
-
-    Returns n_oo, n_oe, n_eo, n_ee (ordinary = x=+1) plus n_pass.  Trials
-    where either flag is 0 contribute to no count at all; this is the
-    accounting a coincidence-style analysis applies, where unidentified
-    events are simply absent from the record.
-    """
-    keep = (np.asarray(w1) == 1) & (np.asarray(w2) == 1)
-    o1 = np.asarray(x1) == 1
-    o2 = np.asarray(x2) == 1
-    return {
-        "n_oo": int(np.count_nonzero(keep & o1 & o2)),
-        "n_oe": int(np.count_nonzero(keep & o1 & ~o2)),
-        "n_eo": int(np.count_nonzero(keep & ~o1 & o2)),
-        "n_ee": int(np.count_nonzero(keep & ~o1 & ~o2)),
-        "n_pass": int(np.count_nonzero(keep)),
-    }
-
-
 def eberhard_selected(n_oo, n_oe, n_eo) -> int:
     """Eberhard combination over identified pairs from per-pair counts.
 
     Each argument holds one count per setting pair in the order 11, 12,
     21, 22; each term is counted in the records of its own setting pair.
+    Counting extraordinary outcomes as undetected makes it the CH
+    combination too.
     """
     return int(n_oe[3] + n_eo[0] + n_oo[1] - n_oo[2])
-
-
-def eberhard_total_selected(records) -> int:
-    """Eberhard combination over identified pairs, term by setting pair.
-
-    records maps pair keys '11', '12', '21', '22' (plain/primed side 1
-    x side 2) to (x1, x2, w1, w2) arrays; each term is counted in the
-    records of its own setting pair, restricted to pairs both flags
-    identify.  Unlike the per-trial fate combination this can go
-    negative: the identified subsets differ between setting pairs, so
-    no per-trial cancellation argument applies.  With every flag set it
-    coincides with the fate-based total.
-    """
-    c = [selected_pair_counts(*records[key])
-         for key in ("11", "12", "21", "22")]
-    return eberhard_selected(*([ci[name] for ci in c]
-                               for name in ("n_oo", "n_oe", "n_eo")))
-
-
-def ch_total_selected(records) -> int:
-    """CH combination over identified pairs.
-
-    Folding extraordinary outcomes into 'undetected' turns the mixed
-    terms of the Eberhard combination into exactly the n_oe/n_eo counts
-    of the identified pairs, so the two totals coincide.
-    """
-    return eberhard_total_selected(records)
 
 
 # ------------------------------------------------------------ state counts

@@ -126,12 +126,10 @@ def _cfd_row(params: ModelParams, theta: float, n: int, point_seed: int,
 
     by_flags = counts.reshape(16, 16)  # [flag bits, outcome bits]
     outcomes = by_flags.sum(axis=0)
-    j_eb_det = int(outcomes @ stats.eberhard_j_terms(*QUADRUPLES.T))
-    j_ch_det = int(outcomes @ stats.ch_j_terms(*(QUADRUPLES.T == 1)))
-    if j_eb_det < 0 or j_ch_det < 0:
+    j_det = int(outcomes @ stats.eberhard_j_terms(*QUADRUPLES.T))
+    if j_det < 0:
         raise RuntimeError(
-            f"detection-event count combination went negative: "
-            f"J_eb={j_eb_det}, J_ch={j_ch_det}")
+            f"detection-event count combination went negative: J={j_det}")
 
     n_prime = int(by_flags[15].sum())
     n_passes = tuple(row[f"n_pass_{name}"] for name in PAIR_NAMES)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from eprbsim import selection, station, stats
+from eprbsim import selection, station
 from eprbsim.experiment import run_cfd
 from eprbsim.oracle import pass_probability, run_all_enumerations
 from eprbsim.params import DEFAULT_SEED, ModelParams, SettingsQuad

