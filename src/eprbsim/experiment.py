@@ -72,9 +72,9 @@ def _fold_matrix():
 _PAIR_FOLD = _fold_matrix()
 
 
-def _phi1_of(u: np.ndarray, out=None) -> np.ndarray:
+def _phi1_of(u: np.ndarray) -> np.ndarray:
     """Side-1 polarization angles, uniform on [0, 2 pi), of draws u."""
-    return np.multiply(TWO_PI, u, out=out)
+    return np.multiply(TWO_PI, u)
 
 
 def _orthogonal(phi1: np.ndarray) -> np.ndarray:
@@ -241,7 +241,7 @@ def _flag_bounds(params: ModelParams) -> tuple[float, float, float, float]:
     where q = rhat * |s|**d < q_lo and w = 0 where q > q_hi.  Here c, s
     are the certified cos and sin of 2(a - phi), each within MARGIN of
     the exact kernel's (within MARGIN / 2**15 in fact; CHANGES.md gives
-    the argument).  The float rounding and pow errors of q and of the
+    the argument).  The float rounding and power errors of q and of the
     kernel's voltage are below 2**-46 of top + (v_max - threshold) / span;
     the bounds allow 2**-40 of it.
     """
@@ -290,6 +290,7 @@ def _chunk_buffers(n: int, streams: int, stations: int, bits: int):
     return (np.empty((streams, n)),             # uniforms
             np.empty((streams, n), np.uint64),  # their hash words
             np.empty((2, n)),                   # cos 2phi1, sin 2phi1
+            np.empty(n, np.intp),               # their table indices
             np.empty((3, stations, n)),         # float work
             np.empty((2, stations, n), bool),   # bool work
             np.empty((bits, n), bool),          # state bits
@@ -297,13 +298,62 @@ def _chunk_buffers(n: int, streams: int, stations: int, bits: int):
             np.empty(n, np.uint8))              # states
 
 
-def _trig(u, trig, tmp):
-    """phi1, in place of its draws u, and trig = (cos 2phi1, sin 2phi1)."""
-    phi1 = _phi1_of(u, out=u)
-    np.multiply(phi1, 2.0, out=tmp)
-    np.cos(tmp, out=trig[0])
-    np.sin(tmp, out=trig[1])
-    return phi1
+# cos and sin of 2 pi k / 2**_TABLE_BITS for k < 2**(_TABLE_BITS + 1):
+# the nodes of _trig over two turns, since 2 phi1 / 2 pi = 2u lies in
+# [0, 2).  The second turn repeats the first.
+_TABLE_BITS = 10
+_NODES = TWO_PI * (np.arange(1 << _TABLE_BITS) * 2.0 ** -_TABLE_BITS)
+_COS_TABLE = np.tile(np.cos(_NODES), 2)
+_SIN_TABLE = np.tile(np.sin(_NODES), 2)
+# Spacing of the nodes, exactly TWO_PI / 2**_TABLE_BITS, and the Taylor
+# coefficients of cos x - 1 (to x**4) and sin x (to x**5) for the offset
+# 0 <= x < _STEP from a node.
+_STEP = TWO_PI * 2.0 ** -_TABLE_BITS
+_COS_4 = 1.0 / 24.0
+_SIN_3 = -1.0 / 6.0
+_SIN_5 = 1.0 / 120.0
+
+
+def _trig(u, trig, index, work) -> None:
+    """trig = (cos 2phi1, sin 2phi1) of phi1 = _phi1_of(u), from a table.
+
+    2phi1 is 2 pi (j + f) / 2**_TABLE_BITS up to the rounding of phi1,
+    with j = floor(v), f = v - j and v = u * 2**(_TABLE_BITS + 1), all
+    three exact.  With x = f * _STEP and the node values T_c[j], T_s[j],
+    cos 2phi1 = T_c + (T_c (cos x - 1) - T_s sin x) and sin 2phi1 =
+    T_s + (T_s (cos x - 1) + T_c sin x), where short Horner polynomials
+    give cos x - 1 and sin x.  Each value is within 59 * 2**-53 of the
+    exact one (CHANGES.md gives the argument), and there is no libm
+    call.  index (intp) and the four float arrays of work are scratch
+    of u's shape.
+    """
+    v, z, cm1, sx = work
+    np.multiply(u, 2.0 ** (_TABLE_BITS + 1), out=v)
+    np.copyto(index, v, casting="unsafe")  # floor, since v >= 0
+    v -= index
+    x = np.multiply(v, _STEP, out=v)
+    np.multiply(x, x, out=z)
+    np.multiply(z, _COS_4, out=cm1)
+    cm1 -= 0.5
+    cm1 *= z
+    np.multiply(z, _SIN_5, out=sx)
+    sx += _SIN_3
+    sx *= z
+    sx *= x
+    sx += x
+    # index < 2**(_TABLE_BITS + 1), so mode="wrap" never wraps; it skips
+    # the buffered bounds check of the default.
+    tc = _COS_TABLE.take(index, out=v, mode="wrap")
+    ts = _SIN_TABLE.take(index, out=z, mode="wrap")
+    cos2, sin2 = trig
+    np.multiply(tc, cm1, out=cos2)
+    np.multiply(ts, sx, out=sin2)
+    cos2 -= sin2
+    cos2 += tc
+    np.multiply(ts, cm1, out=sin2)
+    np.multiply(tc, sx, out=cm1)
+    sin2 += cm1
+    sin2 += ts
 
 
 def _states(bits, weights, weighted, out):
@@ -312,19 +362,48 @@ def _states(bits, weights, weighted, out):
     return np.bitwise_or.reduce(weighted, axis=0, out=out)
 
 
-def _station_flags(params: ModelParams, bounds, phi1, trig, turn, r, rhat,
+def _abs_power(s, d: float, spare):
+    """|s|**d, in s or in spare (returned); s is overwritten.
+
+    An integer d in [1, 32] takes left-to-right binary powering, which
+    multiplies only: s * s first, so that only an odd d needs |s|.  Its
+    result is within (d - 1) roundings of |s|**d (CHANGES.md).  Any
+    other d takes np.power.
+    """
+    if not (1.0 <= d <= 32.0 and d == int(d)):
+        np.abs(s, out=s)
+        return np.power(s, d, out=s)
+    k = int(d)
+    if k % 2:  # the last step multiplies by s, so s must be |s|
+        np.abs(s, out=s)
+    if k == 1:
+        return s
+    digits = bin(k)[3:]  # the binary digits after the leading one
+    np.multiply(s, s, out=spare)
+    if digits[0] == "1":
+        spare *= s
+    for digit in digits[1:]:
+        spare *= spare
+        if digit == "1":
+            spare *= s
+    return spare
+
+
+def _station_flags(params: ModelParams, bounds, u, trig, turn, r, rhat,
                    stations, flags, work) -> None:
     """Flags x (x = +1) and w (photon identified) of k stations over a chunk.
 
     Row i of every (k, n) array is station stations[i] = (side2,
     settings, primed): side2 says it sees phi2 = _orthogonal(phi1), and
     its setting is settings[1] where primed (a bool row, or None for a
-    single setting) and settings[0] elsewhere.  turn = (ca, sa, ca / 2,
-    sa / 2) of those settings (see _turns) is (k, 1) per station or
-    (k, n) per trial; r and rhat are its uniforms; flags = (x, w) are
-    written.  A flag is taken from the angle-addition values only where
-    its decision value clears bounds (see _flag_bounds); the other
-    evaluations go through the exact kernel with their own setting.
+    single setting) and settings[0] elsewhere.  u holds the source draws
+    of the trials and trig = (cos 2phi1, sin 2phi1) (see _trig).  turn =
+    (ca, sa, ca / 2, sa / 2) of those settings (see _turns) is (k, 1)
+    per station or (k, n) per trial; r and rhat are its uniforms; flags
+    = (x, w) are written.  A flag is taken from the angle-addition
+    values only where its decision value clears bounds (see
+    _flag_bounds); the other evaluations go through the exact kernel
+    with their own setting, at phi1 = _phi1_of(u) of their trials.
     """
     cos2, sin2 = trig
     ca, sa, hca, hsa = turn
@@ -336,18 +415,17 @@ def _station_flags(params: ModelParams, bounds, phi1, trig, turn, r, rhat,
     np.multiply(sin2, hsa, out=tmp)
     dx += tmp
     dx -= r
-    # q = rhat * |s|**d with s = sin 2(a - phi)
-    np.multiply(cos2, sa, out=q)
-    np.multiply(sin2, ca, out=tmp)
-    q -= tmp
-    np.abs(q, out=q)
-    np.power(q, params.d, out=q)
-    q *= rhat
-    # unsure = (x_lo <= dx <= x_hi) | not (q < q_lo or q > q_hi),
-    # so that a nan q stays unsure.
+    # unsure = x_lo <= dx <= x_hi, for now
     np.greater(dx, x_hi, out=x)
     np.greater_equal(dx, x_lo, out=unsure)
     unsure ^= x
+    # q = rhat * |s|**d with s = sin 2(a - phi); dx is free scratch now
+    np.multiply(cos2, sa, out=q)
+    np.multiply(sin2, ca, out=tmp)
+    q -= tmp
+    q = _abs_power(q, params.d, dx)
+    q *= rhat
+    # unsure |= not (q < q_lo or q > q_hi), so that a nan q stays unsure
     np.less(q, q_lo, out=w)
     np.greater(q, q_hi, out=btmp)
     btmp |= w
@@ -359,7 +437,8 @@ def _station_flags(params: ModelParams, bounds, phi1, trig, turn, r, rhat,
         for k, a in enumerate(settings):
             at = idx if primed is None else idx[primed[idx] == k]
             if at.size:
-                phi = _orthogonal(phi1[at]) if side2 else phi1[at]
+                phi1 = _phi1_of(u[at])
+                phi = _orthogonal(phi1) if side2 else phi1
                 xe, ve = station.station_respond_batch(
                     a, phi, r[row, at], rhat[row, at], params)
                 x[row, at] = xe == 1
@@ -377,11 +456,11 @@ def _chunk_counts(params: ModelParams, turn, stations, bounds, seed: int,
 
     n is the length of the arrays in buffers (see _chunk_buffers).
     """
-    u, words, trig, work, flag_work, bits, weighted, states = buffers
+    u, words, trig, index, work, flag_work, bits, weighted, states = buffers
     n = len(states)
     rng.uniform_rows(seed, _CHUNK_STREAMS, n, start, out=u, work=words)
-    phi1 = _trig(u[0], trig, work[0, 0])
-    _station_flags(params, bounds, phi1, trig, turn, u[1:5], u[5:9],
+    _trig(u[0], trig, index, work[0])
+    _station_flags(params, bounds, u[0], trig, turn, u[1:5], u[5:9],
                    stations, (bits[:4], bits[4:]), (work, flag_work))
     return np.bincount(_states(bits, _CFD_WEIGHTS, weighted, states),
                        minlength=256)
@@ -394,10 +473,12 @@ def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
     Trials are drawn and counted CHUNK at a time, so memory does not grow
     with n.  The draws are those of run_cfd for any chunking.
 
-    The flags are those of kernels.station_response, from two trig calls
-    per trial instead of eight: cos 2(a - phi) and sin 2(a - phi) come
-    from cos 2phi1 and sin 2phi1 by angle addition, negated on side 2,
-    where 2phi2 = 2phi1 + pi (mod 2pi).  A flag is taken from them only
+    The flags are those of kernels.station_response, with no libm call
+    per trial: cos 2phi1 and sin 2phi1 come from a table and two short
+    polynomials (_trig), cos 2(a - phi) and sin 2(a - phi) from them by
+    angle addition, negated on side 2, where 2phi2 = 2phi1 + pi
+    (mod 2pi), and |sin 2(a - phi)|**d from multiplications alone for an
+    integer d up to 32 (_abs_power).  A flag is taken from them only
     where its decision value clears the bounds of _flag_bounds; the
     other station evaluations go through the exact kernel.
     """
@@ -439,11 +520,11 @@ def _noncfd_chunk(params: ModelParams, quad: SettingsQuad, table, bounds,
 
     n is the length of the arrays in buffers.
     """
-    u, words, trig, work, flag_work, bits, weighted, states, turn, sel = \
-        buffers
+    u, words, trig, index, work, flag_work, bits, weighted, states, turn, \
+        sel = buffers
     n = len(states)
     rng.uniform_rows(seed, _NONCFD_STREAMS, n, start, out=u, work=words)
-    phi1 = _trig(u[0], trig, work[0, 0])
+    _trig(u[0], trig, index, (*work[0], *work[1]))
     primed = bits[4:]
     np.less(u[1:3], 0.5, out=primed)
     # Each side's station: 2 * side + primed.  mode="wrap" skips the
@@ -456,7 +537,7 @@ def _noncfd_chunk(params: ModelParams, quad: SettingsQuad, table, bounds,
     np.multiply(sa, 0.5, out=hsa)
     stations = [(False, (quad.a1, quad.a1p), primed[0]),
                 (True, (quad.a2, quad.a2p), primed[1])]
-    _station_flags(params, bounds, phi1, trig, turn, u[3:5], u[5:7],
+    _station_flags(params, bounds, u[0], trig, turn, u[3:5], u[5:7],
                    stations, (bits[:2], bits[2:4]), (work, flag_work))
     return _states(bits, _NONCFD_WEIGHTS, weighted, states)
 

@@ -39,7 +39,7 @@ class ModelParams:
 
     d             slope exponent of the voltage response, >= 0
     v_min_mag     magnitude of the shallowest voltage, 0 <= v_min_mag <= v_max_mag
-    v_max_mag     magnitude of the deepest voltage, > 0
+    v_max_mag     magnitude of the deepest voltage, finite and > 0
     threshold     photon identification threshold, negative,
                   in [-v_max_mag, -v_min_mag]
     """
@@ -52,8 +52,9 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not (self.d >= 0.0):
             raise ValueError(f"d must be >= 0, got {self.d}")
-        if not (self.v_max_mag > 0.0):
-            raise ValueError(f"v_max_mag must be > 0, got {self.v_max_mag}")
+        if not (0.0 < self.v_max_mag < math.inf):
+            raise ValueError(
+                f"v_max_mag must be finite and > 0, got {self.v_max_mag}")
         if not (0.0 <= self.v_min_mag <= self.v_max_mag):
             raise ValueError(
                 "v_min_mag must satisfy 0 <= v_min_mag <= v_max_mag, "

@@ -85,8 +85,16 @@ class RunConfig:
             raise ValueError(
                 f"threshold-sweep steps must be >= 1, got {self.threshold_sweep[2]}"
             )
-        # Raises with a message naming the offending field.
+        for name, value in (("theta-start", self.theta_start),
+                            ("theta-end", self.theta_end)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        # Each raises with a message naming the offending field; that
+        # rejects a threshold outside the finite window, nan included.
         self.model_params()
+        if self.threshold_sweep is not None:
+            self.model_params(self.threshold_sweep[0])
+            self.model_params(self.threshold_sweep[1])
 
     def model_params(self, threshold: float | None = None) -> ModelParams:
         return ModelParams(

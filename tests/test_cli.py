@@ -55,6 +55,14 @@ def test_bad_mode_is_config_error():
     ["--threshold-sweep", "nonsense"],
     ["--threshold-sweep=-0.9:-0.99"],
     ["--seed", "-4"],
+    # non-finite angles, voltages and sweep ends, and a sweep end outside
+    # the window
+    ["--theta-start", "nan"],
+    ["--theta-end", "inf"],
+    ["--vmax", "inf", "--threshold", "-2"],
+    ["--threshold-sweep=nan:-0.99:2"],
+    ["--threshold-sweep=-0.99:inf:2"],
+    ["--threshold-sweep=-2:-0.99:2"],
 ])
 def test_invalid_values_exit_one(argv, capsys):
     # some errors surface as a return code, argparse's own as SystemExit
