@@ -37,6 +37,15 @@ PAIR_NAMES = ("11", "12", "21", "22")
 
 # Trials per chunk of the streaming passes: memory per point is O(CHUNK).
 CHUNK = 1 << 13
+# Trials per CFD chunk while other points run on other threads.  The
+# threads share the interpreter lock, which numpy takes between calls and
+# drops during each call.  A call over 2**13 trials is too short for a
+# waiting thread to wake and take the lock before the running one wants
+# it back, so two threads ran little faster than one, and by a margin
+# that varied from run to run.  Calls over 2**15 trials leave that time.
+# One thread alone runs faster on CHUNK, whose arrays stay in a core's
+# L2 cache.
+CONCURRENT_CHUNK = 1 << 15
 
 # Streams of one chunk of the streaming CFD pass: the source, then the r
 # and the rhat stream of each station in STATION_NAMES order.
@@ -467,11 +476,12 @@ def _chunk_counts(params: ModelParams, turn, stations, bounds, seed: int,
 
 
 def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
-               seed: int) -> np.ndarray:
+               seed: int, chunk: int | None = None) -> np.ndarray:
     """The 256 state counts of run_cfd(params, quad, n, seed).
 
-    Trials are drawn and counted CHUNK at a time, so memory does not grow
-    with n.  The draws are those of run_cfd for any chunking.
+    Trials are drawn and counted chunk (CHUNK when None) at a time, so
+    memory does not grow with n.  The draws are those of run_cfd for any
+    chunking.
 
     The flags are those of kernels.station_response, with no libm call
     per trial: cos 2phi1 and sin 2phi1 come from a table and two short
@@ -488,11 +498,12 @@ def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
     stations = [(col >= 2, (a,), None)
                 for col, a in enumerate(quad.as_tuple())]
     bounds = _flag_bounds(params)
-    buffers = _chunk_buffers(min(CHUNK, n), streams=len(_CHUNK_STREAMS),
+    chunk = CHUNK if chunk is None else chunk
+    buffers = _chunk_buffers(min(chunk, n), streams=len(_CHUNK_STREAMS),
                              stations=4, bits=8)
     counts = np.zeros(256, np.int64)
-    for start in range(0, n, CHUNK):
-        if n - start < CHUNK:
+    for start in range(0, n, chunk):
+        if n - start < chunk:
             buffers = [b[..., :n - start] for b in buffers]
         counts += _chunk_counts(params, turn, stations, bounds, seed, start,
                                 buffers)

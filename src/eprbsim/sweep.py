@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import csvblock, rng, stats
-from .experiment import (PAIR_NAMES, QUADRUPLES, CfdRun, NonCfdRun,
-                         cfd_counts, noncfd_counts, pair_counts, run_cfd,
-                         run_noncfd)
+from .experiment import (CONCURRENT_CHUNK, PAIR_NAMES, QUADRUPLES, CfdRun,
+                         NonCfdRun, cfd_counts, noncfd_counts, pair_counts,
+                         run_cfd, run_noncfd)
 from .params import (DEFAULT_N, DEFAULT_SEED, DEFAULT_THETA_STEPS,
                      DEFAULT_THRESHOLD, DEFAULT_V_MAX_MAG, DEFAULT_V_MIN_MAG,
                      DEFAULT_D, ModelParams, SettingsQuad)
@@ -115,18 +115,19 @@ def _row(theta: float, pair_counts, n: int, cfg_seed: int) -> dict:
 
 
 def _cfd_row(params: ModelParams, theta: float, n: int, point_seed: int,
-             cfg_seed: int, delta_denominator: str, keep_run: bool = False):
+             cfg_seed: int, delta_denominator: str, keep_run: bool = False,
+             chunk: int | None = None):
     """One CFD point: (row, CfdRun if keep_run else None).
 
-    Without keep_run the trials are streamed into state counts and no
-    per-trial array outlives a chunk.
+    Without keep_run the trials are streamed into state counts, chunk
+    (see cfd_counts) at a time, and no per-trial array outlives a chunk.
     """
     quad = SettingsQuad.for_theta(theta)
     if keep_run:
         run = run_cfd(params, quad, n, point_seed)
         counts = run.counts
     else:
-        run, counts = None, cfd_counts(params, quad, n, point_seed)
+        run, counts = None, cfd_counts(params, quad, n, point_seed, chunk)
     row = _row(theta, pair_counts(counts), n, cfg_seed)
     s, s_hat = row["S"], row["S_hat"]
     if s_hat is None or abs(s_hat) > 2.0 + _TOL:
@@ -177,9 +178,12 @@ def _sweep(cfg: RunConfig, points) -> list:
 
     Point i draws from its own sub-seed, so rows do not depend on which
     thread evaluates them.  A trial dump is written in point order from
-    one thread.
+    one thread.  CFD points that run on several threads at once take
+    chunks of CONCURRENT_CHUNK trials.
     """
     dump = _TrialDumper(cfg.dump_trials, cfg.mode) if cfg.dump_trials else None
+    threaded = cfg.threads > 1 and dump is None
+    chunk = CONCURRENT_CHUNK if threaded and len(points) > 1 else None
 
     def job(item):
         index, (params, theta) = item
@@ -187,11 +191,12 @@ def _sweep(cfg: RunConfig, points) -> list:
         keep_run = dump is not None
         if cfg.mode == "cfd":
             return _cfd_row(params, theta, cfg.n, point_seed, cfg.seed,
-                            cfg.delta_denominator, keep_run=keep_run)
+                            cfg.delta_denominator, keep_run=keep_run,
+                            chunk=chunk)
         return _noncfd_row(params, theta, cfg.n, point_seed, cfg.seed,
                            keep_run=keep_run)
 
-    if cfg.threads > 1 and dump is None:
+    if threaded:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             return [row for row, _run in pool.map(job, enumerate(points))]
     rows = []

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import reference
-from eprbsim import experiment, stats
+from eprbsim import experiment, stats, sweep
 from eprbsim.experiment import (PAIR_COLUMNS, PAIR_NAMES, cfd_counts,
                                 noncfd_counts, pair_counts, run_cfd,
                                 run_noncfd, state_counts)
@@ -108,6 +108,27 @@ def test_rows_do_not_depend_on_chunk_size(chunk, monkeypatch):
     expected = [rows_to_csv(*sweep_theta(cfg)) for cfg in cfgs]
     monkeypatch.setattr(experiment, "CHUNK", chunk)
     assert [rows_to_csv(*sweep_theta(cfg)) for cfg in cfgs] == expected
+
+
+def test_only_concurrent_cfd_points_take_the_concurrent_chunk(monkeypatch):
+    chunks = []
+
+    def spy(params, quad, n, seed, chunk=None):
+        chunks.append(chunk)
+        return cfd_counts(params, quad, n, seed, chunk)
+
+    monkeypatch.setattr(sweep, "cfd_counts", spy)
+    n = 2 * experiment.CONCURRENT_CHUNK + 5
+    expected = rows_to_csv(*sweep_theta(RunConfig(n=n, theta_steps=2)))
+    assert chunks == [None, None]
+    for threads, steps, chunk in ((2, 1, None),
+                                  (2, 2, experiment.CONCURRENT_CHUNK)):
+        chunks.clear()
+        got = rows_to_csv(*sweep_theta(RunConfig(n=n, theta_steps=steps,
+                                                 threads=threads)))
+        assert chunks == [chunk] * steps
+        if steps == 2:
+            assert got == expected
 
 
 def _traced_peak(point) -> int:
