@@ -64,8 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of sweeping theta; values are negative, so "
                         "use the --threshold-sweep=START:STOP:STEPS form")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads across grid points (results are "
-                        "identical for any value)")
+                   help="up to this many worker processes across grid "
+                        "points, no more than the points or the usable "
+                        "CPUs (results are identical for any value)")
     p.add_argument("--delta-denominator", choices=("max-pair", "setting-quota"),
                    default="max-pair",
                    help="denominator convention for the pair-selection "

@@ -5,7 +5,7 @@ through both settings of each side, producing a quadruple of outcomes
 per trial.  The non-CFD mode flips a fair coin per side per trial and
 records only the chosen pair of settings.  All randomness is drawn from
 counter-based streams keyed by trial index, so runs are bit-reproducible
-for a given seed regardless of chunking or thread count.
+for a given seed regardless of chunking or worker count.
 
 Every statistic a sweep reports depends on a trial only through its
 state: the outcome signs and identification flags of its stations.  A
@@ -35,17 +35,9 @@ STATION_NAMES = ("a1", "a1p", "a2", "a2p")
 PAIR_COLUMNS = ((0, 2), (0, 3), (1, 2), (1, 3))
 PAIR_NAMES = ("11", "12", "21", "22")
 
-# Trials per chunk of the streaming passes: memory per point is O(CHUNK).
+# Trials per chunk of the streaming passes: memory per point is O(CHUNK),
+# and a chunk's arrays fit a core's 2 MB L2 cache.
 CHUNK = 1 << 13
-# Trials per CFD chunk while other points run on other threads.  The
-# threads share the interpreter lock, which numpy takes between calls and
-# drops during each call.  A call over 2**13 trials is too short for a
-# waiting thread to wake and take the lock before the running one wants
-# it back, so two threads ran little faster than one, and by a margin
-# that varied from run to run.  Calls over 2**15 trials leave that time.
-# One thread alone runs faster on CHUNK, whose arrays stay in a core's
-# L2 cache.
-CONCURRENT_CHUNK = 1 << 15
 
 # Streams of one chunk of the streaming CFD pass: the source, then the r
 # and the rhat stream of each station in STATION_NAMES order.
@@ -476,12 +468,11 @@ def _chunk_counts(params: ModelParams, turn, stations, bounds, seed: int,
 
 
 def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
-               seed: int, chunk: int | None = None) -> np.ndarray:
+               seed: int) -> np.ndarray:
     """The 256 state counts of run_cfd(params, quad, n, seed).
 
-    Trials are drawn and counted chunk (CHUNK when None) at a time, so
-    memory does not grow with n.  The draws are those of run_cfd for any
-    chunking.
+    Trials are drawn and counted CHUNK at a time, so memory does not grow
+    with n.  The draws are those of run_cfd for any chunking.
 
     The flags are those of kernels.station_response, with no libm call
     per trial: cos 2phi1 and sin 2phi1 come from a table and two short
@@ -498,12 +489,11 @@ def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
     stations = [(col >= 2, (a,), None)
                 for col, a in enumerate(quad.as_tuple())]
     bounds = _flag_bounds(params)
-    chunk = CHUNK if chunk is None else chunk
-    buffers = _chunk_buffers(min(chunk, n), streams=len(_CHUNK_STREAMS),
+    buffers = _chunk_buffers(min(CHUNK, n), streams=len(_CHUNK_STREAMS),
                              stations=4, bits=8)
     counts = np.zeros(256, np.int64)
-    for start in range(0, n, chunk):
-        if n - start < chunk:
+    for start in range(0, n, CHUNK):
+        if n - start < CHUNK:
             buffers = [b[..., :n - start] for b in buffers]
         counts += _chunk_counts(params, turn, stations, bounds, seed, start,
                                 buffers)

@@ -37,7 +37,7 @@ def normalize_angle(angle: float) -> float:
 class ModelParams:
     """Station model parameters.
 
-    d             slope exponent of the voltage response, >= 0
+    d             slope exponent of the voltage response, finite and >= 0
     v_min_mag     magnitude of the shallowest voltage, 0 <= v_min_mag <= v_max_mag
     v_max_mag     magnitude of the deepest voltage, finite and > 0
     threshold     photon identification threshold, negative,
@@ -50,8 +50,8 @@ class ModelParams:
     threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self) -> None:
-        if not (self.d >= 0.0):
-            raise ValueError(f"d must be >= 0, got {self.d}")
+        if not (0.0 <= self.d < math.inf):
+            raise ValueError(f"d must be finite and >= 0, got {self.d}")
         if not (0.0 < self.v_max_mag < math.inf):
             raise ValueError(
                 f"v_max_mag must be finite and > 0, got {self.v_max_mag}")

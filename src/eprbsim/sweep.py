@@ -3,22 +3,22 @@
 A sweep evaluates one row per grid point (theta, or threshold at fixed
 theta).  Rows are emitted in grid order and all randomness is derived
 per point from the configured seed, so identical configurations yield
-byte-identical output files at any thread count.
+byte-identical output files at any number of worker processes.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import csvblock, rng, stats
-from .experiment import (CONCURRENT_CHUNK, PAIR_NAMES, QUADRUPLES, CfdRun,
-                         NonCfdRun, cfd_counts, noncfd_counts, pair_counts,
-                         run_cfd, run_noncfd)
+from .experiment import (PAIR_NAMES, QUADRUPLES, CfdRun, NonCfdRun,
+                         cfd_counts, noncfd_counts, pair_counts, run_cfd,
+                         run_noncfd)
 from .params import (DEFAULT_N, DEFAULT_SEED, DEFAULT_THETA_STEPS,
                      DEFAULT_THRESHOLD, DEFAULT_V_MAX_MAG, DEFAULT_V_MIN_MAG,
                      DEFAULT_D, ModelParams, SettingsQuad)
@@ -114,20 +114,32 @@ def _row(theta: float, pair_counts, n: int, cfg_seed: int) -> dict:
             "S_ref": s_ref, "E_ref": e_ref, "N": n, "seed": cfg_seed}
 
 
+def _point_counts(mode: str, params: ModelParams, theta: float, n: int,
+                  point_seed: int) -> np.ndarray:
+    """State counts of one point: cfd_counts for mode "cfd", else
+    noncfd_counts.  Module-level, so that a worker process can run it."""
+    quad = SettingsQuad.for_theta(theta)
+    if mode == "cfd":
+        return cfd_counts(params, quad, n, point_seed)
+    return noncfd_counts(params, quad, n, point_seed)
+
+
 def _cfd_row(params: ModelParams, theta: float, n: int, point_seed: int,
              cfg_seed: int, delta_denominator: str, keep_run: bool = False,
-             chunk: int | None = None):
+             counts: np.ndarray | None = None):
     """One CFD point: (row, CfdRun if keep_run else None).
 
-    Without keep_run the trials are streamed into state counts, chunk
-    (see cfd_counts) at a time, and no per-trial array outlives a chunk.
+    The row comes from the point's 256 state counts: counts when given,
+    else those of run_cfd (keep_run) or of cfd_counts, which streams the
+    trials and keeps no per-trial array beyond a chunk.
     """
     quad = SettingsQuad.for_theta(theta)
+    run = None
     if keep_run:
         run = run_cfd(params, quad, n, point_seed)
         counts = run.counts
-    else:
-        run, counts = None, cfd_counts(params, quad, n, point_seed, chunk)
+    elif counts is None:
+        counts = cfd_counts(params, quad, n, point_seed)
     row = _row(theta, pair_counts(counts), n, cfg_seed)
     s, s_hat = row["S"], row["S_hat"]
     if s_hat is None or abs(s_hat) > 2.0 + _TOL:
@@ -151,18 +163,21 @@ def _cfd_row(params: ModelParams, theta: float, n: int, point_seed: int,
 
 
 def _noncfd_row(params: ModelParams, theta: float, quota: int, point_seed: int,
-                cfg_seed: int, keep_run: bool = False):
+                cfg_seed: int, keep_run: bool = False,
+                counts: np.ndarray | None = None):
     """One non-CFD point: (row, NonCfdRun if keep_run else None).
 
-    Without keep_run the trials are streamed into pair state counts and
-    no per-trial array outlives a chunk.
+    The row comes from the (4, 16) pair state counts: counts when given,
+    else those of run_noncfd (keep_run) or of noncfd_counts, which
+    streams the trials and keeps no per-trial array beyond a chunk.
     """
     quad = SettingsQuad.for_theta(theta)
+    run = None
     if keep_run:
         run = run_noncfd(params, quad, quota, point_seed)
         counts = run.counts
-    else:
-        run, counts = None, noncfd_counts(params, quad, quota, point_seed)
+    elif counts is None:
+        counts = noncfd_counts(params, quad, quota, point_seed)
     row = _row(theta, counts, quota, cfg_seed)
     # Pair selection accounting does not apply without quadruples.
     row.update(delta=None, bound=None)
@@ -173,37 +188,74 @@ def theta_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(cfg.theta_start, cfg.theta_end, cfg.theta_steps)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(threads: int, points: int, cpus: int) -> int:
+    """Worker processes of a sweep: no more than requested, than points to
+    evaluate, or than CPUs to run them on."""
+    return max(1, min(threads, points, cpus))
+
+
+def _process_pool(workers: int):
+    """A pool of worker processes, forked where the platform can fork.
+
+    Forked workers start with the modules this process has imported.
+    The fork happens before the pool starts its own thread, and a sweep
+    starts no other.  The pool modules are imported here, so that a run
+    without a pool does not import them.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    context = (multiprocessing.get_context("fork")
+               if "fork" in multiprocessing.get_all_start_methods() else None)
+    return ProcessPoolExecutor(workers, mp_context=context)
+
+
 def _sweep(cfg: RunConfig, points) -> list:
     """Rows of the (params, theta) points, in order; writes the trial dump.
 
-    Point i draws from its own sub-seed, so rows do not depend on which
-    thread evaluates them.  A trial dump is written in point order from
-    one thread.  CFD points that run on several threads at once take
-    chunks of CONCURRENT_CHUNK trials.
+    Point i draws from its own sub-seed, so its counts do not depend on
+    which process computes them.  With more than one worker (see
+    _worker_count) the workers compute the points' state counts, and this
+    process builds every row from them in grid order.  Otherwise, and
+    always for a trial dump, which is written in point order, the points
+    run here one after another.
     """
     dump = _TrialDumper(cfg.dump_trials, cfg.mode) if cfg.dump_trials else None
-    threaded = cfg.threads > 1 and dump is None
-    chunk = CONCURRENT_CHUNK if threaded and len(points) > 1 else None
+    seeds = [rng.derive_seed(cfg.seed, index) for index in range(len(points))]
 
-    def job(item):
-        index, (params, theta) = item
-        point_seed = rng.derive_seed(cfg.seed, index)
-        keep_run = dump is not None
+    def row(params, theta, point_seed, counts=None):
         if cfg.mode == "cfd":
             return _cfd_row(params, theta, cfg.n, point_seed, cfg.seed,
-                            cfg.delta_denominator, keep_run=keep_run,
-                            chunk=chunk)
+                            cfg.delta_denominator, keep_run=dump is not None,
+                            counts=counts)
         return _noncfd_row(params, theta, cfg.n, point_seed, cfg.seed,
-                           keep_run=keep_run)
+                           keep_run=dump is not None, counts=counts)
 
-    if threaded:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return [row for row, _run in pool.map(job, enumerate(points))]
+    workers = 1 if dump is not None else \
+        _worker_count(cfg.threads, len(points), _usable_cpus())
+    if workers > 1:
+        pool = _process_pool(workers)
+        try:
+            futures = [pool.submit(_point_counts, cfg.mode, params, theta,
+                                   cfg.n, point_seed)
+                       for (params, theta), point_seed in zip(points, seeds)]
+            return [row(params, theta, point_seed, future.result())[0]
+                    for (params, theta), point_seed, future
+                    in zip(points, seeds, futures)]
+        finally:
+            pool.shutdown(cancel_futures=True)
     rows = []
     try:
-        for item in enumerate(points):
-            row, run = job(item)
-            rows.append(row)
+        for (params, theta), point_seed in zip(points, seeds):
+            point_row, run = row(params, theta, point_seed)
+            rows.append(point_row)
             if dump is not None:
                 dump.write_run(run)
     finally:

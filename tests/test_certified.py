@@ -94,6 +94,63 @@ def test_noncfd_fallback_gives_the_exact_counts(params, skew, monkeypatch,
                                   run_noncfd(params, quad, quota, seed).counts)
 
 
+def _certified_flags(params, quad, u, r, rhat):
+    """(x == +1, w) of experiment._station_flags at the four CFD stations,
+    as (n, 4) arrays, for source draws u and (4, n) station draws r and
+    rhat."""
+    _, _, trig, index, work, flag_work, bits, _, _ = \
+        experiment._chunk_buffers(u.size, streams=9, stations=4, bits=8)
+    experiment._trig(u, trig, index, work[0])
+    ca, sa = np.array(experiment._turns(quad)).T[:, :, None]
+    stations = [(col >= 2, (a,), None)
+                for col, a in enumerate(quad.as_tuple())]
+    experiment._station_flags(params, experiment._flag_bounds(params), u,
+                              trig, (ca, sa, 0.5 * ca, 0.5 * sa), r, rhat,
+                              stations, (bits[:4], bits[4:]),
+                              (work, flag_work))
+    return bits[:4].T, bits[4:].T
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(), ModelParams(d=3.0, threshold=-0.75),
+    ModelParams(d=0.5, threshold=-0.75)], ids=["default", "d=3", "d=0.5"])
+def test_fallback_flags_match_run_cfd_trial_by_trial(params, monkeypatch,
+                                                     exact_evals):
+    """Every flag of every trial, not only the counts, is run_cfd's.
+
+    The run's own draws come first.  Then half the trials get an r on the
+    exact kernel's outcome boundary (1 + c - 2r = 0, or the float below
+    it) and a quarter an rhat on its identification boundary (v at the
+    threshold), so that an error of 1e-9 rad in the fallback's angles
+    flips about half of their flags.
+    """
+    _widen_margin_and_skew(monkeypatch, 0.0)
+    quad, n, seed = SettingsQuad.for_theta(0.4), 4000, 7
+    run = run_cfd(params, quad, n, seed)
+    u = rng.uniforms(seed, rng.SOURCE, n)
+    phi1, phi2, r_cols, rhat_cols = experiment._draws(seed, n)
+    r, rhat = np.array(r_cols), np.array(rhat_cols)
+    x, w = _certified_flags(params, quad, u, r, rhat)
+    assert np.array_equal(x, run.x == 1) and np.array_equal(w, run.w == 1)
+    assert sum(e for _, e in exact_evals) > 2000
+
+    for c, (a, phi) in enumerate(zip(quad.as_tuple(),
+                                     (phi1, phi1, phi2, phi2))):
+        arg = 2.0 * (a - phi)
+        on_x = 0.5 * (1.0 + np.cos(arg))
+        r[c, 0::4] = on_x[0::4]
+        r[c, 2::4] = np.nextafter(on_x, 0.0)[2::4]
+        power = np.abs(np.sin(arg)) ** params.d
+        on_w = (params.threshold + params.v_max_mag) / (power * params.span)
+        at = np.flatnonzero(power > 1e-3)[1::2]
+        rhat[c, at] = on_w[at]
+    exact_evals.clear()
+    x, w = _certified_flags(params, quad, u, r, rhat)
+    near = experiment.cfd_from_inputs(params, quad, phi1, phi2, r, rhat)
+    assert np.array_equal(x, near.x == 1) and np.array_equal(w, near.w == 1)
+    assert sum(e for _, e in exact_evals) >= 2 * n
+
+
 @pytest.mark.parametrize("quota", [
     1, 2, experiment.CHUNK // 2 - 1, experiment.CHUNK // 2,
     experiment.CHUNK // 2 + 1, experiment.CHUNK - 1, experiment.CHUNK,

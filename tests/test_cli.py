@@ -63,6 +63,7 @@ def test_bad_mode_is_config_error():
     ["--threshold-sweep=nan:-0.99:2"],
     ["--threshold-sweep=-0.99:inf:2"],
     ["--threshold-sweep=-2:-0.99:2"],
+    ["--d", "inf"],
 ])
 def test_invalid_values_exit_one(argv, capsys):
     # some errors surface as a return code, argparse's own as SystemExit

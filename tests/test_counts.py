@@ -6,7 +6,10 @@ array estimators of `reference`, the way rows were computed before
 counts.
 """
 import math
+import multiprocessing
+import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -110,25 +113,95 @@ def test_rows_do_not_depend_on_chunk_size(chunk, monkeypatch):
     assert [rows_to_csv(*sweep_theta(cfg)) for cfg in cfgs] == expected
 
 
-def test_only_concurrent_cfd_points_take_the_concurrent_chunk(monkeypatch):
-    chunks = []
+def test_worker_count_is_capped_by_points_and_cpus():
+    assert sweep._worker_count(10**6, 40, 2) == 2
+    assert sweep._worker_count(10**6, 1, 2) == 1
+    assert sweep._worker_count(3, 40, 64) == 3
+    assert sweep._worker_count(1, 40, 64) == 1
 
-    def spy(params, quad, n, seed, chunk=None):
-        chunks.append(chunk)
-        return cfd_counts(params, quad, n, seed, chunk)
 
-    monkeypatch.setattr(sweep, "cfd_counts", spy)
-    n = 2 * experiment.CONCURRENT_CHUNK + 5
-    expected = rows_to_csv(*sweep_theta(RunConfig(n=n, theta_steps=2)))
-    assert chunks == [None, None]
-    for threads, steps, chunk in ((2, 1, None),
-                                  (2, 2, experiment.CONCURRENT_CHUNK)):
-        chunks.clear()
-        got = rows_to_csv(*sweep_theta(RunConfig(n=n, theta_steps=steps,
-                                                 threads=threads)))
-        assert chunks == [chunk] * steps
-        if steps == 2:
-            assert got == expected
+def test_sweep_asks_for_no_more_workers_than_cpus(monkeypatch):
+    # A thread pool stands in for the process pool: no process starts.
+    pools = []
+
+    def thread_pool(workers):
+        pools.append(workers)
+        return ThreadPoolExecutor(workers)
+
+    monkeypatch.setattr(sweep, "_process_pool", thread_pool)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    cfg = RunConfig(n=500, theta_steps=40)
+    expected = rows_to_csv(*sweep_theta(cfg))
+    assert pools == []
+    cfg.threads = 10**6
+    assert rows_to_csv(*sweep_theta(cfg)) == expected
+    assert pools == [2]
+
+
+def _spy_pools(monkeypatch, cpus):
+    """Worker counts of the process pools a sweep starts, on cpus CPUs."""
+    pools = []
+    start = sweep._process_pool
+
+    def spy(workers):
+        pools.append(workers)
+        return start(workers)
+
+    monkeypatch.setattr(sweep, "_process_pool", spy)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+    return pools
+
+
+@pytest.mark.parametrize("mode", ["cfd", "noncfd"])
+def test_pool_rows_are_built_here_in_grid_order(mode, monkeypatch):
+    # Workers compute counts; this process builds each row from them.
+    name = "_cfd_row" if mode == "cfd" else "_noncfd_row"
+    build, seen = getattr(sweep, name), []
+
+    def spy(params, theta, *args, counts=None, **kwargs):
+        seen.append((theta, counts is not None))
+        return build(params, theta, *args, counts=counts, **kwargs)
+
+    monkeypatch.setattr(sweep, name, spy)
+    pools = _spy_pools(monkeypatch, cpus=2)
+    cfg = RunConfig(mode=mode, n=600, theta_steps=7, threads=2)
+    sweep_theta(cfg)
+    assert pools == [2]
+    assert seen == [(theta, True) for theta in sweep.theta_grid(cfg)]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the failing pass reaches workers by fork")
+def test_worker_error_surfaces_with_its_type_and_message(monkeypatch):
+    parent = os.getpid()
+
+    def broken(params, quad, n, seed):
+        if os.getpid() != parent:
+            raise RuntimeError("CFD identity violated: s outside {-2, +2}")
+        return cfd_counts(params, quad, n, seed)
+
+    monkeypatch.setattr(sweep, "cfd_counts", broken)
+    pools = _spy_pools(monkeypatch, cpus=2)
+    with pytest.raises(RuntimeError) as exc:
+        sweep_theta(RunConfig(n=300, theta_steps=3, threads=2))
+    assert str(exc.value) == "CFD identity violated: s outside {-2, +2}"
+    assert type(exc.value.__cause__).__name__ == "_RemoteTraceback"
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("mode,sweep_range", [
+    ("cfd", None), ("noncfd", None), ("cfd", (-0.9995, -0.99, 4))])
+def test_rows_do_not_depend_on_worker_count(mode, sweep_range, monkeypatch):
+    pools = _spy_pools(monkeypatch, cpus=3)
+    outputs = []
+    for threads in (1, 2, 3):
+        cfg = RunConfig(mode=mode, n=1500, theta_steps=5, threads=threads,
+                        threshold_sweep=sweep_range)
+        run = sweep.sweep_theta if sweep_range is None \
+            else sweep.sweep_threshold
+        outputs.append(rows_to_csv(*run(cfg)))
+    assert pools == [2, 3]
+    assert outputs == [outputs[0]] * 3
 
 
 def _traced_peak(point) -> int:

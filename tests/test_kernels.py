@@ -31,6 +31,54 @@ def test_uniform_gather_matches_numpy_reference():
     assert a.tolist() == [_scalar_uniform(origin, int(k)) for k in idx]
 
 
+def _unshift_xor(y, shift):
+    """x such that x ^ (x >> shift) == y, for 64-bit x."""
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unmix64(word):
+    """The 64-bit z whose rng._mix64(z) is word."""
+    z = _unshift_xor(word, 31)
+    z = z * pow(kernels._M2, -1, 2**64) % 2**64
+    z = _unshift_xor(z, 27)
+    z = z * pow(kernels._M1, -1, 2**64) % 2**64
+    return _unshift_xor(z, 30)
+
+
+def _uniforms_via_uint64(z):
+    """The uniforms of the words z, mixed as in kernels._hash_to_uniforms
+    but with the top 53 bits converted to float64 from uint64."""
+    z = z.copy()
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(kernels._M1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(kernels._M2)
+    z ^= z >> np.uint64(31)
+    return np.multiply(z >> np.uint64(11), 2.0 ** -53)
+
+
+def test_uniform_conversion_matches_the_uint64_path_bit_for_bit():
+    # Mixed words 0 and 2**64 - 1, and words whose top 53 bits lie next to
+    # 2**53 (their largest value) and next to 2**52, with the 11 dropped
+    # bits all clear or all set.
+    tops = [2**53 - 1, 2**53 - 2, 2**52 + 1, 2**52, 2**52 - 1, 1]
+    mixed = [0, 2**64 - 1] + [top << 11 | low for top in tops
+                              for low in (0, 2**11 - 1)]
+    words = [_unmix64(w) for w in mixed]
+    assert [rng._mix64(z) for z in words] == mixed
+    z = np.concatenate([
+        np.array(words, np.uint64),
+        np.random.default_rng(7).integers(0, 2**64, 10**5, np.uint64,
+                                          endpoint=False)])
+    expected = _uniforms_via_uint64(z)
+    got = kernels._hash_to_uniforms(z.copy())
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert got[0] == 0.0 and got[1] == 1.0 - 2.0 ** -53
+
+
 def test_gather_agrees_with_fill_at_same_counters():
     origin = np.uint64(42)
     filled = kernels.fill_uniforms(origin, 100, 50)
