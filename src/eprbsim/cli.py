@@ -1,10 +1,12 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 configuration error, 2 oracle violation.
+Exit codes: 0 success, 1 configuration error or an output that cannot be
+written, 2 oracle violation.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -159,11 +161,17 @@ def main(argv=None) -> int:
     if cfg.mode == "oracles":
         return _run_oracles()
 
-    if cfg.threshold_sweep is not None:
-        columns, rows = sweep.sweep_threshold(cfg)
-    else:
-        columns, rows = sweep.sweep_theta(cfg)
-    sweep.write_rows(cfg, columns, rows)
+    run = sweep.sweep_theta if cfg.threshold_sweep is None \
+        else sweep.sweep_threshold
+    try:
+        # Opened before any point runs, as the trial dump is.
+        with (contextlib.nullcontext(sys.stdout) if cfg.out is None
+              else open(cfg.out, "w", newline="")) as out:
+            columns, rows = run(cfg)
+            sweep.write_rows(cfg, columns, rows, out)
+    except OSError as exc:
+        print(f"eprbsim: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

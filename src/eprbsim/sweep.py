@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +80,11 @@ class RunConfig:
                 f"got {self.delta_denominator!r}"
             )
         rng.validate_seed(self.seed)
+        if (self.out is not None and self.dump_trials is not None
+                and os.path.realpath(self.out)
+                == os.path.realpath(self.dump_trials)):
+            raise ValueError(
+                f"out and dump-trials name the same file: {self.out!r}")
         if self.threshold_sweep is not None and self.threshold_sweep[2] < 1:
             raise ValueError(
                 f"threshold-sweep steps must be >= 1, got {self.threshold_sweep[2]}"
@@ -124,22 +128,9 @@ def _point_counts(mode: str, params: ModelParams, theta: float, n: int,
     return noncfd_counts(params, quad, n, point_seed)
 
 
-def _cfd_row(params: ModelParams, theta: float, n: int, point_seed: int,
-             cfg_seed: int, delta_denominator: str, keep_run: bool = False,
-             counts: np.ndarray | None = None):
-    """One CFD point: (row, CfdRun if keep_run else None).
-
-    The row comes from the point's 256 state counts: counts when given,
-    else those of run_cfd (keep_run) or of cfd_counts, which streams the
-    trials and keeps no per-trial array beyond a chunk.
-    """
-    quad = SettingsQuad.for_theta(theta)
-    run = None
-    if keep_run:
-        run = run_cfd(params, quad, n, point_seed)
-        counts = run.counts
-    elif counts is None:
-        counts = cfd_counts(params, quad, n, point_seed)
+def _cfd_row(theta: float, counts: np.ndarray, n: int, cfg_seed: int,
+             delta_denominator: str) -> dict:
+    """The row of one CFD point, from its 256 state counts."""
     row = _row(theta, pair_counts(counts), n, cfg_seed)
     s, s_hat = row["S"], row["S_hat"]
     if s_hat is None or abs(s_hat) > 2.0 + _TOL:
@@ -159,29 +150,16 @@ def _cfd_row(params: ModelParams, theta: float, n: int, point_seed: int,
     if s is not None and bound is not None and abs(s) > bound + _TOL:
         raise RuntimeError(f"photon |S|={abs(s)} exceeded bound {bound}")
     row.update(delta=delta, bound=bound)
-    return row, run
+    return row
 
 
-def _noncfd_row(params: ModelParams, theta: float, quota: int, point_seed: int,
-                cfg_seed: int, keep_run: bool = False,
-                counts: np.ndarray | None = None):
-    """One non-CFD point: (row, NonCfdRun if keep_run else None).
-
-    The row comes from the (4, 16) pair state counts: counts when given,
-    else those of run_noncfd (keep_run) or of noncfd_counts, which
-    streams the trials and keeps no per-trial array beyond a chunk.
-    """
-    quad = SettingsQuad.for_theta(theta)
-    run = None
-    if keep_run:
-        run = run_noncfd(params, quad, quota, point_seed)
-        counts = run.counts
-    elif counts is None:
-        counts = noncfd_counts(params, quad, quota, point_seed)
+def _noncfd_row(theta: float, counts: np.ndarray, quota: int,
+                cfg_seed: int) -> dict:
+    """The row of one non-CFD point, from its (4, 16) pair state counts."""
     row = _row(theta, counts, quota, cfg_seed)
     # Pair selection accounting does not apply without quadruples.
     row.update(delta=None, bound=None)
-    return row, run
+    return row
 
 
 def theta_grid(cfg: RunConfig) -> np.ndarray:
@@ -221,42 +199,47 @@ def _sweep(cfg: RunConfig, points) -> list:
     """Rows of the (params, theta) points, in order; writes the trial dump.
 
     Point i draws from its own sub-seed, so its counts do not depend on
-    which process computes them.  With more than one worker (see
-    _worker_count) the workers compute the points' state counts, and this
-    process builds every row from them in grid order.  Otherwise, and
-    always for a trial dump, which is written in point order, the points
-    run here one after another.
+    which process computes them.  The points' state counts come from
+    _point_counts, on worker processes when there is more than one worker
+    (see _worker_count) and here otherwise, and this process builds every
+    row from them in grid order.  A trial dump, opened before any point
+    runs, then runs each point again here, in point order, with the
+    station law at every trial, and checks the run's counts against the
+    streamed ones before it writes the run's records.
     """
     dump = _TrialDumper(cfg.dump_trials, cfg.mode) if cfg.dump_trials else None
-    seeds = [rng.derive_seed(cfg.seed, index) for index in range(len(points))]
-
-    def row(params, theta, point_seed, counts=None):
-        if cfg.mode == "cfd":
-            return _cfd_row(params, theta, cfg.n, point_seed, cfg.seed,
-                            cfg.delta_denominator, keep_run=dump is not None,
-                            counts=counts)
-        return _noncfd_row(params, theta, cfg.n, point_seed, cfg.seed,
-                           keep_run=dump is not None, counts=counts)
-
-    workers = 1 if dump is not None else \
-        _worker_count(cfg.threads, len(points), _usable_cpus())
-    if workers > 1:
-        pool = _process_pool(workers)
-        try:
-            futures = [pool.submit(_point_counts, cfg.mode, params, theta,
-                                   cfg.n, point_seed)
-                       for (params, theta), point_seed in zip(points, seeds)]
-            return [row(params, theta, point_seed, future.result())[0]
-                    for (params, theta), point_seed, future
-                    in zip(points, seeds, futures)]
-        finally:
-            pool.shutdown(cancel_futures=True)
-    rows = []
     try:
-        for (params, theta), point_seed in zip(points, seeds):
-            point_row, run = row(params, theta, point_seed)
-            rows.append(point_row)
-            if dump is not None:
+        seeds = [rng.derive_seed(cfg.seed, index)
+                 for index in range(len(points))]
+        params, thetas = zip(*points)
+        args = ([cfg.mode] * len(points), params, thetas,
+                [cfg.n] * len(points), seeds)
+        workers = _worker_count(cfg.threads, len(points), _usable_cpus())
+        if workers > 1:
+            pool = _process_pool(workers)
+            try:
+                counts = list(pool.map(_point_counts, *args))
+            finally:
+                pool.shutdown(cancel_futures=True)
+        else:
+            counts = list(map(_point_counts, *args))
+        if cfg.mode == "cfd":
+            rows = [_cfd_row(theta, c, cfg.n, cfg.seed, cfg.delta_denominator)
+                    for theta, c in zip(thetas, counts)]
+            runner = run_cfd
+        else:
+            rows = [_noncfd_row(theta, c, cfg.n, cfg.seed)
+                    for theta, c in zip(thetas, counts)]
+            runner = run_noncfd
+        if dump is not None:
+            for index, (p, theta, seed, c) in enumerate(
+                    zip(params, thetas, seeds, counts)):
+                run = runner(p, SettingsQuad.for_theta(theta), cfg.n, seed)
+                if not np.array_equal(run.counts, c):
+                    raise RuntimeError(
+                        f"trial dump, point {index} (theta={theta!r}, "
+                        f"threshold={p.threshold!r}): the run's counts "
+                        "differ from the streamed counts")
                 dump.write_run(run)
     finally:
         if dump is not None:
@@ -304,14 +287,11 @@ def rows_to_json(columns, rows) -> str:
     return json.dumps(ordered, indent=2) + "\n"
 
 
-def write_rows(cfg: RunConfig, columns, rows) -> None:
-    text = rows_to_csv(columns, rows) if cfg.format == "csv" \
-        else rows_to_json(columns, rows)
-    if cfg.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(cfg.out, "w", newline="") as fh:
-            fh.write(text)
+def write_rows(cfg: RunConfig, columns, rows, fh) -> None:
+    """Write the rows to fh in cfg.format, and flush it."""
+    fh.write(rows_to_csv(columns, rows) if cfg.format == "csv"
+             else rows_to_json(columns, rows))
+    fh.flush()
 
 
 class _TrialDumper:

@@ -2,13 +2,14 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from eprbsim import cli, oracle
+from eprbsim import cli, oracle, sweep
 from eprbsim.oracle import EnumerationReport
 from eprbsim.sweep import THETA_COLUMNS, THRESHOLD_COLUMNS
 
@@ -127,10 +128,14 @@ def test_degree_angles_give_identical_bytes(tmp_path):
 def test_numpy_backend_subprocess_gives_identical_bytes(tmp_path):
     _, a = run_main(tmp_path, "--seed", "33")
     b = tmp_path / "subprocess.csv"
+    # The child imports the package this test imported.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     subprocess.run(
         [sys.executable, "-m", "eprbsim.cli", *FAST, "--seed", "33",
          "--out", str(b)],
-        check=True, capture_output=True)
+        check=True, capture_output=True,
+        env={**os.environ, "PYTHONPATH": path})
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -215,6 +220,32 @@ def test_trial_dump_noncfd_ordered_by_trial(tmp_path):
     ks = [int(line.split(",")[0]) for line in lines[1:]]
     assert ks == sorted(ks)
     assert len(set(ks)) == len(ks)
+
+
+def test_out_and_dump_naming_one_file_is_config_error(tmp_path, capsys):
+    path = tmp_path / "same.csv"
+    (tmp_path / "link").symlink_to(tmp_path)
+    rc = cli.main(["--theta-steps", "2", "--n", "5", "--out", str(path),
+                   "--dump-trials", str(tmp_path / "link" / "same.csv")])
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-trials"])
+def test_output_that_cannot_be_opened_fails_before_any_point(
+        flag, tmp_path, monkeypatch, capsys):
+    def no_point(*args):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(sweep, "_point_counts", no_point)
+    path = tmp_path / "missing" / "x.csv"
+    rc = cli.main(["--theta-steps", "2", "--n", "5", flag, str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("eprbsim: ")
+    assert err.count("\n") == 1
+    assert str(path) in err
 
 
 def test_oracle_mode_reports_and_exits_zero(capsys):

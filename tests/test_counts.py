@@ -64,12 +64,11 @@ def _reference_row(theta, x1, x2, w1, w2, w_all, n, seed):
 def test_cfd_row_from_counts_equals_row_from_arrays(params, monkeypatch):
     monkeypatch.setattr(experiment, "CHUNK", 4096)
     n, seed = 10_000, 77
-    streamed, none = _cfd_row(params, THETA_38, n, seed, 5, "max-pair")
-    from_run, run = _cfd_row(params, THETA_38, n, seed, 5, "max-pair",
-                             keep_run=True)
-    assert none is None
-    assert streamed == from_run
-    assert np.array_equal(cfd_counts(params, run.quad, n, seed), run.counts)
+    run = run_cfd(params, SettingsQuad.for_theta(THETA_38), n, seed)
+    counts = cfd_counts(params, run.quad, n, seed)
+    streamed = _cfd_row(THETA_38, counts, n, 5, "max-pair")
+    assert streamed == _cfd_row(THETA_38, run.counts, n, 5, "max-pair")
+    assert np.array_equal(counts, run.counts)
 
     x, w = run.x, run.w
     side1, side2 = zip(*PAIR_COLUMNS)
@@ -90,10 +89,10 @@ def test_cfd_row_from_counts_equals_row_from_arrays(params, monkeypatch):
 
 @pytest.mark.parametrize("params", PARAMS, ids=IDS)
 def test_noncfd_row_from_counts_equals_row_from_arrays(params):
-    row, none = _noncfd_row(params, 0.7, 3000, 41, 5)
-    from_run, run = _noncfd_row(params, 0.7, 3000, 41, 5, keep_run=True)
-    assert none is None
-    assert row == from_run
+    quad = SettingsQuad.for_theta(0.7)
+    row = _noncfd_row(0.7, noncfd_counts(params, quad, 3000, 41), 3000, 5)
+    run = run_noncfd(params, quad, 3000, 41)
+    assert row == _noncfd_row(0.7, run.counts, 3000, 5)
     pairs = run.pairs
     ref = _reference_row(0.7, [p.x1 for p in pairs], [p.x2 for p in pairs],
                          [p.w1 for p in pairs], [p.w2 for p in pairs],
@@ -158,9 +157,9 @@ def test_pool_rows_are_built_here_in_grid_order(mode, monkeypatch):
     name = "_cfd_row" if mode == "cfd" else "_noncfd_row"
     build, seen = getattr(sweep, name), []
 
-    def spy(params, theta, *args, counts=None, **kwargs):
-        seen.append((theta, counts is not None))
-        return build(params, theta, *args, counts=counts, **kwargs)
+    def spy(theta, counts, *args):
+        seen.append((theta, isinstance(counts, np.ndarray)))
+        return build(theta, counts, *args)
 
     monkeypatch.setattr(sweep, name, spy)
     pools = _spy_pools(monkeypatch, cpus=2)
@@ -204,6 +203,56 @@ def test_rows_do_not_depend_on_worker_count(mode, sweep_range, monkeypatch):
     assert outputs == [outputs[0]] * 3
 
 
+SWEEPS = [("cfd", None), ("noncfd", None), ("cfd", (-0.9995, -0.99, 4))]
+
+
+@pytest.mark.parametrize("mode,sweep_range", SWEEPS,
+                         ids=["cfd", "noncfd", "threshold-sweep"])
+def test_dump_changes_neither_rows_nor_worker_count(mode, sweep_range,
+                                                    tmp_path, monkeypatch):
+    pools = _spy_pools(monkeypatch, cpus=2)
+    rows, dumps = set(), set()
+    for threads in (1, 2):
+        for dump in (None, tmp_path / f"trials{threads}.csv"):
+            cfg = RunConfig(mode=mode, n=700, theta_steps=3, threads=threads,
+                            threshold_sweep=sweep_range, dump_trials=dump)
+            run = sweep.sweep_theta if sweep_range is None \
+                else sweep.sweep_threshold
+            rows.add(rows_to_csv(*run(cfg)))
+            if dump is not None:
+                dumps.add(dump.read_bytes())
+    assert pools == [2, 2]
+    assert len(rows) == 1
+    assert len(dumps) == 1
+
+
+@pytest.mark.parametrize("mode", ["cfd", "noncfd"])
+def test_dump_rejects_a_run_whose_counts_differ(mode, tmp_path, monkeypatch):
+    # The second point's run moves one trial to another state.
+    name = "run_cfd" if mode == "cfd" else "run_noncfd"
+    runner, calls = getattr(sweep, name), []
+
+    def off_by_one(*args):
+        run = runner(*args)
+        calls.append(run)
+        if len(calls) == 2:
+            run.counts = run.counts.copy()
+            at = int(np.flatnonzero(run.counts)[0])
+            run.counts.flat[at] -= 1
+            run.counts.flat[(at + 1) % run.counts.size] += 1
+        return run
+
+    monkeypatch.setattr(sweep, name, off_by_one)
+    dump = tmp_path / "trials.csv"
+    cfg = RunConfig(mode=mode, n=300, theta_steps=3, dump_trials=str(dump))
+    theta = repr(float(sweep.theta_grid(cfg)[1]))
+    with pytest.raises(RuntimeError, match=rf"point 1 \(theta={theta}, "):
+        sweep_theta(cfg)
+    assert len(calls) == 2
+    records = 300 if mode == "cfd" else 4 * 300
+    assert len(dump.read_bytes().splitlines()) == 1 + records
+
+
 def _traced_peak(point) -> int:
     tracemalloc.start()
     try:
@@ -214,15 +263,15 @@ def _traced_peak(point) -> int:
 
 
 def test_streamed_point_memory_stays_bounded():
-    assert _traced_peak(lambda: _cfd_row(
-        ModelParams(threshold=-0.999), THETA_38, 1_000_000, 3, 3,
-        "max-pair")) < 32 * 2**20
+    assert _traced_peak(lambda: sweep._point_counts(
+        "cfd", ModelParams(threshold=-0.999), THETA_38, 1_000_000,
+        3)) < 32 * 2**20
 
 
 def test_streamed_noncfd_point_memory_stays_bounded():
     # 4e6 kept trials of about 4.1e6 drawn; run_noncfd peaks at ~220 MB.
-    assert _traced_peak(lambda: _noncfd_row(
-        ModelParams(threshold=-0.999), THETA_38, 1_000_000, 3,
+    assert _traced_peak(lambda: sweep._point_counts(
+        "noncfd", ModelParams(threshold=-0.999), THETA_38, 1_000_000,
         3)) < 32 * 2**20
 
 
