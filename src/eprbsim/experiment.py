@@ -11,11 +11,12 @@ Every statistic a sweep reports depends on a trial only through its
 state: the outcome signs and identification flags of its stations.  A
 run therefore reduces to integer counts of states (`state_counts`).
 `cfd_counts` and `noncfd_counts` stream a point chunk by chunk into
-those counts, in counter order and without keeping per-trial arrays;
-`run_cfd` and `run_noncfd` keep the arrays, for the trial dump.  Both
-streaming passes certify each flag from cheaper trig wherever the flag
-is provably that of the exact station law (`_station_flags`), and
-evaluate the exact law for the rest.
+those counts, in counter order and without keeping per-trial arrays.
+Both certify each flag from cheaper trig wherever the flag is provably
+that of the exact station law (`_station_flags`), and evaluate the
+exact law for the rest.  `run_cfd` and `run_noncfd` draw one chunk of
+the same pass, evaluate the exact law at every station and keep the
+chunk's per-trial arrays, for the trial dump.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng, station, stats
+from . import kernels, rng, station, stats
 from .params import HALF_PI, TWO_PI, ModelParams, SettingsQuad
 
 # Column order of the per-trial station arrays in CFD runs.
@@ -91,7 +92,7 @@ def source_phis(seed: int, n: int, start: int = 0):
 
 @dataclass
 class CfdRun:
-    """One CFD run: all four stations observed for every trial.
+    """CFD trials start..start+n-1: all four stations observed per trial.
 
     x, v, w are (n, 4) arrays in STATION_NAMES column order; counts
     holds the 256 state counts of those trials.
@@ -107,34 +108,32 @@ class CfdRun:
     v: np.ndarray
     w: np.ndarray
     counts: np.ndarray
-
-
-@dataclass
-class NonCfdPairData:
-    """Trials recorded for one chosen setting pair in a non-CFD run."""
-
-    side1_setting: float
-    side2_setting: float
-    k: np.ndarray
-    x1: np.ndarray
-    v1: np.ndarray
-    w1: np.ndarray
-    x2: np.ndarray
-    v2: np.ndarray
-    w2: np.ndarray
+    start: int = 0
 
 
 @dataclass
 class NonCfdRun:
-    """Trials of a non-CFD run; counts holds each setting pair's 16 state
-    counts, in PAIR_NAMES order."""
+    """The records of non-CFD trials start..start+n_trials-1: the n
+    trials that their setting pair kept (see run_noncfd), in counter
+    order.
+
+    k holds their trial indices; a, x, v, w are (n, 2) arrays of the
+    settings, outcomes, voltages and flags of side 1 and side 2.  counts
+    holds each setting pair's 16 state counts, in PAIR_NAMES order.
+    """
 
     params: ModelParams
     quad: SettingsQuad
     quota: int
     seed: int
-    pairs: tuple
+    start: int
     n_trials: int
+    n: int
+    k: np.ndarray
+    a: np.ndarray
+    x: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
     counts: np.ndarray
 
 
@@ -192,18 +191,19 @@ def _respond(params: ModelParams, quad: SettingsQuad, phi1, phi2, r_cols,
              rhat_cols):
     """(x, v) of each of the four stations, in STATION_NAMES order."""
     phis = (phi1, phi1, phi2, phi2)
-    return [station.station_respond_batch(a, phi, r, rhat, params)
+    return [kernels.station_response(a, phi, r, rhat, params.d,
+                                     params.v_min_mag, params.v_max_mag)
             for a, phi, r, rhat in zip(quad.as_tuple(), phis, r_cols,
                                        rhat_cols)]
 
 
 def cfd_from_inputs(params: ModelParams, quad: SettingsQuad, phi1, phi2,
                     r_cols, rhat_cols, n: int | None = None,
-                    seed: int = 0) -> CfdRun:
+                    seed: int = 0, start: int = 0) -> CfdRun:
     """Evaluate a CFD run from explicit inputs (test hook).
 
     r_cols and rhat_cols are sequences of four arrays in STATION_NAMES
-    order.
+    order; they are the draws of trials start..start+n-1.
     """
     phi1 = np.asarray(phi1, dtype=np.float64)
     phi2 = np.asarray(phi2, dtype=np.float64)
@@ -219,7 +219,8 @@ def cfd_from_inputs(params: ModelParams, quad: SettingsQuad, phi1, phi2,
     counts = state_counts(x.T, w.T)
     _check_identities(counts)
     return CfdRun(params=params, quad=quad, n=n, seed=seed,
-                  phi1=phi1, phi2=phi2, x=x, v=v, w=w, counts=counts)
+                  phi1=phi1, phi2=phi2, x=x, v=v, w=w, counts=counts,
+                  start=start)
 
 
 def _validate_run(n: int, seed: int) -> None:
@@ -228,10 +229,13 @@ def _validate_run(n: int, seed: int) -> None:
         raise ValueError("n must be >= 1")
 
 
-def run_cfd(params: ModelParams, quad: SettingsQuad, n: int, seed: int) -> CfdRun:
-    """Simulate n CFD trials; every station gets fresh draws each trial."""
+def run_cfd(params: ModelParams, quad: SettingsQuad, n: int, seed: int,
+            start: int = 0) -> CfdRun:
+    """Simulate CFD trials start..start+n-1; every station gets fresh
+    draws each trial, and the exact station law evaluates each one."""
     _validate_run(n, seed)
-    return cfd_from_inputs(params, quad, *_draws(seed, n), n=n, seed=seed)
+    return cfd_from_inputs(params, quad, *_draws(seed, n, start), n=n,
+                           seed=seed, start=start)
 
 
 def _flag_bounds(params: ModelParams) -> tuple[float, float, float, float]:
@@ -440,8 +444,9 @@ def _station_flags(params: ModelParams, bounds, u, trig, turn, r, rhat,
             if at.size:
                 phi1 = _phi1_of(u[at])
                 phi = _orthogonal(phi1) if side2 else phi1
-                xe, ve = station.station_respond_batch(
-                    a, phi, r[row, at], rhat[row, at], params)
+                xe, ve = kernels.station_response(
+                    a, phi, r[row, at], rhat[row, at], params.d,
+                    params.v_min_mag, params.v_max_mag)
                 x[row, at] = xe == 1
                 w[row, at] = station.identify_photon(ve, params.threshold)
 
@@ -543,9 +548,29 @@ def _noncfd_chunk(params: ModelParams, quad: SettingsQuad, table, bounds,
     return _states(bits, _NONCFD_WEIGHTS, weighted, states)
 
 
+def _noncfd_length(quota: int) -> int:
+    """Trials per chunk of the non-CFD pass at this quota.
+
+    A chunk of 2 * CHUNK trials evaluates as many stations as a CFD
+    chunk does; no pair can fill before trial 4 * quota.
+    """
+    return min(2 * CHUNK, 4 * quota)
+
+
+def _past_quota(pair: np.ndarray, room) -> np.ndarray:
+    """Trials of a chunk that fall past their setting pair's quota.
+
+    pair holds the setting pair of each trial of the chunk, in counter
+    order, and room[p] how many more trials pair p keeps.  Pair p keeps
+    its first room[p] trials; the indices of the others are returned.
+    """
+    return np.concatenate([np.flatnonzero(pair == p)[room[p]:]
+                           for p in range(4)])
+
+
 def noncfd_counts(params: ModelParams, quad: SettingsQuad, quota: int,
                   seed: int) -> np.ndarray:
-    """The (4, 16) pair state counts of run_noncfd(params, quad, quota, seed).
+    """The (4, 16) pair state counts of the non-CFD pass at this quota.
 
     Trials are drawn in counter order, a chunk at a time, and go through
     the certified pass of cfd_counts: each side's coin selects the
@@ -553,14 +578,13 @@ def noncfd_counts(params: ModelParams, quad: SettingsQuad, quota: int,
     uncertain evaluations go through the exact kernel with their own
     setting.  A trial is kept while its pair holds fewer than quota, and
     the pass stops after the chunk that fills the last pair, so memory
-    does not grow with quota.
+    does not grow with quota.  run_noncfd evaluates the same chunks
+    with the exact kernel throughout.
     """
     _validate_quota(quota, seed)
     table = np.array(_turns(quad)).T  # rows ca, sa; STATION_NAMES columns
     bounds = _flag_bounds(params)
-    # A chunk of 2 * CHUNK trials evaluates as many stations as a CFD
-    # chunk does; no pair can fill before trial 4 * quota.
-    n = min(2 * CHUNK, 4 * quota)
+    n = _noncfd_length(quota)
     buffers = (*_chunk_buffers(n, streams=len(_NONCFD_STREAMS), stations=2,
                                bits=6),
                np.empty((4, 2, n)),         # per-trial turns
@@ -571,70 +595,43 @@ def noncfd_counts(params: ModelParams, quad: SettingsQuad, quota: int,
                              buffers)
         room = quota - counts.sum(axis=1)
         if room.min() < n:  # a pair may fill in this chunk
-            pair = code >> 4
-            for p in range(4):
-                code[np.flatnonzero(pair == p)[room[p]:]] = 64  # dropped
+            code[_past_quota(code >> 4, room)] = 64  # dropped
         counts += np.bincount(code, minlength=65)[:64].reshape(4, 16)
         if counts.sum() >= 4 * quota:
             return counts
 
 
 def run_noncfd(params: ModelParams, quad: SettingsQuad, quota: int,
-               seed: int) -> NonCfdRun:
-    """Simulate trials with per-trial random setting choices.
+               seed: int, start: int = 0, kept=(0, 0, 0, 0)) -> NonCfdRun:
+    """The records of one chunk of the non-CFD pass of noncfd_counts.
 
-    Each side picks its primed setting on a fair coin.  Trials keep
-    arriving until every one of the four setting pairs has quota
-    records; a pair that is already full ignores further trials.
+    The chunk holds the _noncfd_length(quota) trials from start, drawn
+    as noncfd_counts draws them: each side picks its primed setting on a
+    fair coin, and a trial is kept while its setting pair holds fewer
+    than quota records, kept[p] of them from earlier chunks for pair p.
+    Every station of a kept trial goes through the exact kernel.  A
+    point's pass runs chunks from start 0 until every pair holds quota
+    records.
     """
     _validate_quota(quota, seed)
-    counts = [0, 0, 0, 0]
-    kept: list[list[np.ndarray]] = [[], [], [], []]
-    k0 = 0
-    chunk = max(4096, int(1.2 * quota))
-    while True:
-        primed1 = rng.uniforms(seed, rng.CHOICE_1, chunk, start=k0) < 0.5
-        primed2 = rng.uniforms(seed, rng.CHOICE_2, chunk, start=k0) < 0.5
-        pair_idx = 2 * primed1.astype(np.int8) + primed2.astype(np.int8)
-        for p in range(4):
-            need = quota - counts[p]
-            if need <= 0:
-                continue
-            ks = k0 + np.flatnonzero(pair_idx == p)
-            take = ks[:need]
-            if take.size:
-                kept[p].append(take)
-                counts[p] += take.size
-        if min(counts) >= quota:
-            break
-        k0 += chunk
-
-    pair_settings = (
-        (quad.a1, quad.a2), (quad.a1, quad.a2p),
-        (quad.a1p, quad.a2), (quad.a1p, quad.a2p),
-    )
-    pairs = []
-    last_k = 0
-    for p in range(4):
-        ks = np.concatenate(kept[p])
-        last_k = max(last_k, int(ks[-1]))
-        phi1 = _phi1_of(rng.uniforms_at(seed, rng.SOURCE, ks))
-        phi2 = _orthogonal(phi1)
-        r1 = rng.uniforms_at(seed, rng.R_1, ks)
-        rhat1 = rng.uniforms_at(seed, rng.RHAT_1, ks)
-        r2 = rng.uniforms_at(seed, rng.R_2, ks)
-        rhat2 = rng.uniforms_at(seed, rng.RHAT_2, ks)
-        a1_p, a2_p = pair_settings[p]
-        x1, v1 = station.station_respond_batch(a1_p, phi1, r1, rhat1, params)
-        x2, v2 = station.station_respond_batch(a2_p, phi2, r2, rhat2, params)
-        pairs.append(NonCfdPairData(
-            side1_setting=a1_p, side2_setting=a2_p, k=ks,
-            x1=x1, v1=v1, w1=station.identify_photon(v1, params.threshold),
-            x2=x2, v2=v2, w2=station.identify_photon(v2, params.threshold),
-        ))
-
-    counts = np.stack([state_counts((p.x1, p.x2), (p.w1, p.w2))
-                       for p in pairs])
+    n = _noncfd_length(quota)
+    u = rng.uniform_rows(seed, _NONCFD_STREAMS, n, start)
+    primed = u[1:3] < 0.5
+    keep = np.ones(n, bool)
+    keep[_past_quota(2 * primed[0] + primed[1],
+                     quota - np.asarray(kept))] = False
+    u, primed = u[:, keep], primed[:, keep]
+    phi1 = _phi1_of(u[0])
+    # Row 0 is side 1 and row 1 side 2, each at its own coin's setting.
+    a = np.where(primed, [[quad.a1p], [quad.a2p]], [[quad.a1], [quad.a2]])
+    x, v = kernels.station_response(
+        a, np.stack((phi1, _orthogonal(phi1))), u[3:5], u[5:7], params.d,
+        params.v_min_mag, params.v_max_mag)
+    w = station.identify_photon(v, params.threshold)
+    pair = 2 * primed[0] + primed[1]
+    counts = np.stack([state_counts(x[:, pair == p], w[:, pair == p])
+                       for p in range(4)])
     return NonCfdRun(params=params, quad=quad, quota=quota, seed=seed,
-                     pairs=tuple(pairs), n_trials=last_k + 1,
-                     counts=counts)
+                     start=start, n_trials=n, n=len(phi1),
+                     k=start + np.flatnonzero(keep), a=a.T, x=x.T, v=v.T,
+                     w=w.T, counts=counts)

@@ -11,7 +11,8 @@ generators.
 station_response is the exact station law on arrays.  The streaming
 passes (experiment.cfd_counts and experiment.noncfd_counts) certify most
 flags without it and call it only for the evaluations near a decision
-boundary.
+boundary; the trial dump's runs (experiment.run_cfd and
+experiment.run_noncfd) call it at every station.
 """
 from __future__ import annotations
 
@@ -70,7 +71,11 @@ def fill_uniforms(origin, start: int, n: int, out=None,
 
 
 def gather_uniforms(origin: int, indices: np.ndarray) -> np.ndarray:
-    """Uniforms for an explicit array of counter values."""
+    """Uniforms for an explicit array of counter values.
+
+    The package draws in counter order; the tests' whole-point
+    references gather their draws at trial indices with this.
+    """
     k = np.ascontiguousarray(indices, dtype=np.uint64) + np.uint64(1)
     k *= _GOLDEN_U64
     k += np.uint64(origin)
@@ -80,13 +85,14 @@ def gather_uniforms(origin: int, indices: np.ndarray) -> np.ndarray:
 def station_response(a, phi, r, rhat, d, v_min_mag, v_max_mag):
     """Vectorized station response; see station.station_respond for the law.
 
-    Returns x as int8 (+1 or -1) and v as float64.
+    a is one setting, or an array of settings of phi's shape.  Returns x
+    as int8 (+1 or -1) and v as float64.
     """
     phi = np.ascontiguousarray(phi, dtype=np.float64)
     r = np.ascontiguousarray(r, dtype=np.float64)
     rhat = np.ascontiguousarray(rhat, dtype=np.float64)
     v_min_mag, v_max_mag = float(v_min_mag), float(v_max_mag)
-    arg = 2.0 * (float(a) - phi)
+    arg = 2.0 * (np.asarray(a, dtype=np.float64) - phi)
     c = np.cos(arg)
     s = np.sin(arg)
     # +1 where the bool is 1, -1 where it is 0, computed in int8 throughout.

@@ -123,10 +123,6 @@ def pass_probability(params: ModelParams) -> float:
     the adaptive quadrature on the smooth part; relative error stays
     well under 1e-6.
     """
-    # Imported here: scipy takes longer to import than the rest of the
-    # package, and only this function needs it.
-    from scipy.integrate import quad
-
     if params.span == 0.0:
         return 0.0
     kappa = params.kappa
@@ -137,6 +133,10 @@ def pass_probability(params: ModelParams) -> float:
     d = params.d
     if d == 0.0:
         return kappa
+    # Imported here, after the closed forms: scipy takes longer to import
+    # than the rest of the package, and only this quadrature needs it.
+    from scipy.integrate import quad
+
     s_star = kappa ** (1.0 / d)
     u_star = math.asin(s_star)
     tail, _err = quad(lambda u: math.sin(u) ** (-d), u_star, math.pi / 2.0,

@@ -27,7 +27,6 @@ R_2P = 7
 RHAT_2P = 8
 CHOICE_1 = 9
 CHOICE_2 = 10
-MALUS = 11
 
 R_STREAMS = (R_1, R_1P, R_2, R_2P)
 RHAT_STREAMS = (RHAT_1, RHAT_1P, RHAT_2, RHAT_2P)
@@ -75,8 +74,3 @@ def uniform_rows(seed: int, streams, n: int, start: int = 0, out=None,
     """
     origins = np.array([[stream_origin(seed, s)] for s in streams], np.uint64)
     return kernels.fill_uniforms(origins, start, n, out=out, work=work)
-
-
-def uniforms_at(seed: int, stream: int, indices: np.ndarray) -> np.ndarray:
-    """Uniforms at an explicit set of counters (trial indices)."""
-    return kernels.gather_uniforms(stream_origin(seed, stream), indices)

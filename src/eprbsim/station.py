@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels, rng
 from .params import ModelParams
 
 
@@ -48,13 +47,6 @@ def station_respond(setting: float, phi: float, pair: RandomPair,
     return StationOutcome(x, v)
 
 
-def station_respond_batch(setting, phi, r, rhat, params: ModelParams):
-    """Array form of station_respond (kernels.station_response)."""
-    return kernels.station_response(
-        setting, phi, r, rhat, params.d, params.v_min_mag, params.v_max_mag
-    )
-
-
 def identify_photon(v, threshold):
     """1 when the voltage is strictly below the threshold, else 0.
 
@@ -65,12 +57,3 @@ def identify_photon(v, threshold):
     if np.isscalar(v):
         return int(out)
     return out.astype(np.uint8)
-
-
-def malus_frequency(setting: float, phi: float, n: int, seed: int) -> float:
-    """Empirical frequency of x = +1 over n fresh trials at fixed phi."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    r = rng.uniforms(seed, rng.MALUS, n)
-    c = math.cos(2.0 * (setting - phi))
-    return float(np.count_nonzero(1.0 + c - 2.0 * r > 0.0) / n)

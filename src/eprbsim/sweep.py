@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import csvblock, rng, stats
-from .experiment import (PAIR_NAMES, QUADRUPLES, CfdRun, NonCfdRun,
-                         cfd_counts, noncfd_counts, pair_counts, run_cfd,
-                         run_noncfd)
+from . import csvblock, experiment, rng, stats
+from .experiment import (PAIR_NAMES, QUADRUPLES, CfdRun, cfd_counts,
+                         noncfd_counts, pair_counts, run_cfd, run_noncfd)
 from .params import (DEFAULT_N, DEFAULT_SEED, DEFAULT_THETA_STEPS,
                      DEFAULT_THRESHOLD, DEFAULT_V_MAX_MAG, DEFAULT_V_MIN_MAG,
                      DEFAULT_D, ModelParams, SettingsQuad)
@@ -195,6 +194,25 @@ def _process_pool(workers: int):
     return ProcessPoolExecutor(workers, mp_context=context)
 
 
+def _point_runs(mode: str, params: ModelParams, quad: SettingsQuad, n: int,
+                point_seed: int):
+    """The runs of one point, chunk by chunk in counter order, drawn as
+    _point_counts draws them: run_cfd over CHUNK trials at a time for
+    mode "cfd", else run_noncfd until every setting pair holds n
+    records."""
+    if mode == "cfd":
+        for start in range(0, n, experiment.CHUNK):
+            yield run_cfd(params, quad, min(experiment.CHUNK, n - start),
+                          point_seed, start)
+        return
+    kept, start = np.zeros(4, np.int64), 0
+    while kept.sum() < 4 * n:
+        run = run_noncfd(params, quad, n, point_seed, start, kept)
+        yield run
+        kept = kept + run.counts.sum(axis=1)
+        start += run.n_trials
+
+
 def _sweep(cfg: RunConfig, points) -> list:
     """Rows of the (params, theta) points, in order; writes the trial dump.
 
@@ -204,8 +222,10 @@ def _sweep(cfg: RunConfig, points) -> list:
     (see _worker_count) and here otherwise, and this process builds every
     row from them in grid order.  A trial dump, opened before any point
     runs, then runs each point again here, in point order, with the
-    station law at every trial, and checks the run's counts against the
-    streamed ones before it writes the run's records.
+    station law at every trial (_point_runs), and writes each chunk's
+    records as it comes.  The chunks' counts must add up to the streamed
+    ones; if they do not, the dump is cut back to the end of the
+    previous point and the sweep stops.
     """
     dump = _TrialDumper(cfg.dump_trials, cfg.mode) if cfg.dump_trials else None
     try:
@@ -226,21 +246,25 @@ def _sweep(cfg: RunConfig, points) -> list:
         if cfg.mode == "cfd":
             rows = [_cfd_row(theta, c, cfg.n, cfg.seed, cfg.delta_denominator)
                     for theta, c in zip(thetas, counts)]
-            runner = run_cfd
         else:
             rows = [_noncfd_row(theta, c, cfg.n, cfg.seed)
                     for theta, c in zip(thetas, counts)]
-            runner = run_noncfd
         if dump is not None:
             for index, (p, theta, seed, c) in enumerate(
                     zip(params, thetas, seeds, counts)):
-                run = runner(p, SettingsQuad.for_theta(theta), cfg.n, seed)
-                if not np.array_equal(run.counts, c):
+                point_start = dump.fh.tell()
+                total = np.zeros_like(c)
+                for run in _point_runs(cfg.mode, p,
+                                       SettingsQuad.for_theta(theta), cfg.n,
+                                       seed):
+                    dump.write_run(run)
+                    total += run.counts
+                if not np.array_equal(total, c):
+                    dump.fh.truncate(point_start)
                     raise RuntimeError(
                         f"trial dump, point {index} (theta={theta!r}, "
-                        f"threshold={p.threshold!r}): the run's counts "
-                        "differ from the streamed counts")
-                dump.write_run(run)
+                        f"threshold={p.threshold!r}): the dumped trials' "
+                        "counts differ from the streamed counts")
     finally:
         if dump is not None:
             dump.close()
@@ -308,29 +332,13 @@ class _TrialDumper:
                        else self.NONCFD_HEADER).encode() + b"\n")
 
     def write_run(self, run) -> None:
+        """Write the records of a CfdRun or a NonCfdRun, in counter order."""
         if isinstance(run, CfdRun):
-            self._write_cfd(run)
+            settings = ",".join("%.17g" % ai for ai in run.quad.as_tuple())
+            head = [np.arange(run.start, run.start + run.n), settings.encode()]
         else:
-            self._write_noncfd(run)
-
-    def _write_cfd(self, run: CfdRun) -> None:
-        settings = ",".join("%.17g" % ai for ai in run.quad.as_tuple())
-        csvblock.write_records(self.fh, [np.arange(run.n), settings.encode(),
-                                         *run.x.T, *run.v.T, *run.w.T])
-
-    def _write_noncfd(self, run: NonCfdRun) -> None:
-        pairs = run.pairs
-        sizes = [p.k.size for p in pairs]
-
-        def joined(name):
-            return np.concatenate([getattr(p, name) for p in pairs])
-
-        columns = [joined("k"),
-                   np.repeat([p.side1_setting for p in pairs], sizes),
-                   np.repeat([p.side2_setting for p in pairs], sizes),
-                   *map(joined, ("x1", "x2", "v1", "v2", "w1", "w2"))]
-        order = np.argsort(columns[0], kind="stable")
-        csvblock.write_records(self.fh, [col[order] for col in columns])
+            head = [run.k, *run.a.T]
+        csvblock.write_records(self.fh, [*head, *run.x.T, *run.v.T, *run.w.T])
 
     def close(self) -> None:
         self.fh.close()

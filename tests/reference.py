@@ -1,7 +1,10 @@
-"""Per-trial array estimators, the tests' independent reference for rows.
+"""Independent references of the tests.
 
-Rows come from state counts (`eprbsim.stats`); these compute the same
-quantities from outcome and flag arrays without the package's formulas.
+Rows come from state counts (`eprbsim.stats`); the per-trial array
+estimators compute the same quantities from outcome and flag arrays
+without the package's formulas.  `noncfd_point` draws a whole non-CFD
+point by its own coin loop and quota cut, from gathered draws, for the
+package's chunked pass to be compared with.
 """
 from __future__ import annotations
 
@@ -9,6 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from eprbsim import kernels, rng
+from eprbsim.experiment import state_counts
 
 
 @dataclass(frozen=True)
@@ -103,3 +109,86 @@ def eberhard_total_selected(records) -> int:
     c = {key: selected_pair_counts(*rec) for key, rec in records.items()}
     return (c["22"]["n_oe"] + c["11"]["n_eo"]
             + c["12"]["n_oo"] - c["21"]["n_oo"])
+
+
+# ------------------------------------------- whole-point non-CFD reference
+
+# A stream id of the tests' own, for draws no run makes.
+MALUS_STREAM = 11
+
+
+def malus_frequency(setting: float, phi: float, n: int, seed: int) -> float:
+    """Empirical frequency of x = +1 over n fresh trials at fixed phi."""
+    r = rng.uniforms(seed, MALUS_STREAM, n)
+    c = math.cos(2.0 * (setting - phi))
+    return float(np.count_nonzero(1.0 + c - 2.0 * r > 0.0) / n)
+
+
+@dataclass
+class NonCfdPair:
+    """The records of one setting pair of a non-CFD point, in trial order."""
+
+    side1_setting: float
+    side2_setting: float
+    k: np.ndarray
+    x1: np.ndarray
+    v1: np.ndarray
+    w1: np.ndarray
+    x2: np.ndarray
+    v2: np.ndarray
+    w2: np.ndarray
+
+
+@dataclass
+class NonCfdPoint:
+    """A whole non-CFD point: pairs in PAIR_NAMES order, the trials drawn
+    up to the last kept one, and each pair's 16 state counts."""
+
+    pairs: tuple
+    n_trials: int
+    counts: np.ndarray
+
+
+def _station(seed, setting, phi, r_stream, rhat_stream, ks, params):
+    r = kernels.gather_uniforms(rng.stream_origin(seed, r_stream), ks)
+    rhat = kernels.gather_uniforms(rng.stream_origin(seed, rhat_stream), ks)
+    x, v = kernels.station_response(setting, phi, r, rhat, params.d,
+                                    params.v_min_mag, params.v_max_mag)
+    return x, v, (v < params.threshold).astype(np.uint8)
+
+
+def noncfd_point(params, quad, quota: int, seed: int) -> NonCfdPoint:
+    """A non-CFD point from the trial indices each pair keeps.
+
+    Coins are drawn in chunks of their own size, each pair keeps the
+    first quota trials that chose it, and every kept trial's draws are
+    gathered at its index.  It shares neither chunks nor the quota cut
+    with the package's pass.
+    """
+    kept = [[], [], [], []]
+    counts = [0, 0, 0, 0]
+    k0, chunk = 0, max(4096, int(1.2 * quota))
+    while min(counts) < quota:
+        coins = [kernels.gather_uniforms(rng.stream_origin(seed, s),
+                                         np.arange(k0, k0 + chunk)) < 0.5
+                 for s in (rng.CHOICE_1, rng.CHOICE_2)]
+        pair = 2 * coins[0] + coins[1]
+        for p in range(4):
+            take = (k0 + np.flatnonzero(pair == p))[:quota - counts[p]]
+            kept[p].append(take)
+            counts[p] += take.size
+        k0 += chunk
+    pairs = []
+    for p, (a1, a2) in enumerate(((quad.a1, quad.a2), (quad.a1, quad.a2p),
+                                  (quad.a1p, quad.a2), (quad.a1p, quad.a2p))):
+        ks = np.concatenate(kept[p])
+        u = kernels.gather_uniforms(rng.stream_origin(seed, rng.SOURCE), ks)
+        phi1 = 2.0 * math.pi * u
+        phi2 = np.mod(phi1 + 0.5 * math.pi, 2.0 * math.pi)
+        side1 = _station(seed, a1, phi1, rng.R_1, rng.RHAT_1, ks, params)
+        side2 = _station(seed, a2, phi2, rng.R_2, rng.RHAT_2, ks, params)
+        pairs.append(NonCfdPair(a1, a2, ks, *side1, *side2))
+    counts = np.stack([state_counts((p.x1, p.x2), (p.w1, p.w2))
+                       for p in pairs])
+    return NonCfdPoint(tuple(pairs), max(int(p.k[-1]) for p in pairs) + 1,
+                       counts)

@@ -3,18 +3,20 @@ experiment.noncfd_counts).
 
 The streaming passes take most outcome and identification flags from
 angle-addition values and send the evaluations near a decision boundary
-to the exact kernel.  Their counts must equal those of run_cfd and
-run_noncfd, which evaluate every station with the exact kernel,
-whichever path each flag took.
+to the exact kernel.  Their counts must equal those of run_cfd and of
+the whole-point non-CFD reference (`reference.noncfd_point`), which
+evaluate every station with the exact kernel, whichever path each flag
+took.
 """
 import math
 
 import numpy as np
 import pytest
 
+import reference
 from eprbsim import experiment, kernels, rng
 from eprbsim.experiment import (cfd_counts, noncfd_counts, run_cfd,
-                                run_noncfd, source_phis)
+                                source_phis)
 from eprbsim.params import ModelParams, SettingsQuad
 
 THETAS = (0.0, 3.0 * math.pi / 8.0, math.pi)
@@ -90,8 +92,8 @@ def test_noncfd_fallback_gives_the_exact_counts(params, skew, monkeypatch,
         # (at theta = 0, a1 = a2 and a1p = a2p).
         assert {a for a, _ in exact_evals} == set(quad.as_tuple())
         for seed, counts in zip(SEEDS, streamed):
-            assert np.array_equal(counts,
-                                  run_noncfd(params, quad, quota, seed).counts)
+            point = reference.noncfd_point(params, quad, quota, seed)
+            assert np.array_equal(counts, point.counts)
 
 
 def _certified_flags(params, quad, u, r, rhat):
@@ -160,8 +162,9 @@ def test_noncfd_counts_at_quota_edges(quota):
     for params in (ModelParams(), ModelParams(threshold=-0.5)):
         quad = SettingsQuad.for_theta(0.4)
         for seed in SEEDS:
+            point = reference.noncfd_point(params, quad, quota, seed)
             assert np.array_equal(noncfd_counts(params, quad, quota, seed),
-                                  run_noncfd(params, quad, quota, seed).counts)
+                                  point.counts)
 
 
 def test_noncfd_counts_when_pairs_fill_in_different_chunks(monkeypatch):
@@ -169,11 +172,11 @@ def test_noncfd_counts_when_pairs_fill_in_different_chunks(monkeypatch):
     quad, quota = SettingsQuad.for_theta(1.1), 300
     spread = 0
     for seed in range(1, 6):
-        run = run_noncfd(ModelParams(), quad, quota, seed)
-        fill_chunks = {int(p.k[-1]) // 64 for p in run.pairs}
+        point = reference.noncfd_point(ModelParams(), quad, quota, seed)
+        fill_chunks = {int(p.k[-1]) // 64 for p in point.pairs}
         spread += len(fill_chunks) > 1
         assert np.array_equal(noncfd_counts(ModelParams(), quad, quota, seed),
-                              run.counts)
+                              point.counts)
     assert spread >= 2  # seeds where a pair fills a chunk before the last
 
 

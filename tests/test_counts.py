@@ -91,9 +91,9 @@ def test_cfd_row_from_counts_equals_row_from_arrays(params, monkeypatch):
 def test_noncfd_row_from_counts_equals_row_from_arrays(params):
     quad = SettingsQuad.for_theta(0.7)
     row = _noncfd_row(0.7, noncfd_counts(params, quad, 3000, 41), 3000, 5)
-    run = run_noncfd(params, quad, 3000, 41)
-    assert row == _noncfd_row(0.7, run.counts, 3000, 5)
-    pairs = run.pairs
+    point = reference.noncfd_point(params, quad, 3000, 41)
+    assert row == _noncfd_row(0.7, point.counts, 3000, 5)
+    pairs = point.pairs
     ref = _reference_row(0.7, [p.x1 for p in pairs], [p.x2 for p in pairs],
                          [p.w1 for p in pairs], [p.w2 for p in pairs],
                          [np.concatenate([p.w1, p.w2]) for p in pairs],
@@ -228,21 +228,25 @@ def test_dump_changes_neither_rows_nor_worker_count(mode, sweep_range,
 
 @pytest.mark.parametrize("mode", ["cfd", "noncfd"])
 def test_dump_rejects_a_run_whose_counts_differ(mode, tmp_path, monkeypatch):
-    # The second point's run moves one trial to another state.
+    # The first chunk of the second point moves one trial to another state.
     name = "run_cfd" if mode == "cfd" else "run_noncfd"
     runner, calls = getattr(sweep, name), []
 
     def off_by_one(*args):
         run = runner(*args)
-        calls.append(run)
-        if len(calls) == 2:
-            run.counts = run.counts.copy()
-            at = int(np.flatnonzero(run.counts)[0])
-            run.counts.flat[at] -= 1
-            run.counts.flat[(at + 1) % run.counts.size] += 1
+        if run.start == 0:  # a point's first chunk
+            calls.append(run)
+            if len(calls) == 2:
+                run.counts = run.counts.copy()
+                at = int(np.flatnonzero(run.counts)[0])
+                run.counts.flat[at] -= 1
+                run.counts.flat[(at + 1) % run.counts.size] += 1
         return run
 
     monkeypatch.setattr(sweep, name, off_by_one)
+    # Several chunks per point, so that point 1 writes records before its
+    # counts are checked.
+    monkeypatch.setattr(experiment, "CHUNK", 64)
     dump = tmp_path / "trials.csv"
     cfg = RunConfig(mode=mode, n=300, theta_steps=3, dump_trials=str(dump))
     theta = repr(float(sweep.theta_grid(cfg)[1]))
@@ -269,10 +273,21 @@ def test_streamed_point_memory_stays_bounded():
 
 
 def test_streamed_noncfd_point_memory_stays_bounded():
-    # 4e6 kept trials of about 4.1e6 drawn; run_noncfd peaks at ~220 MB.
+    # 4e6 kept trials of about 4.1e6 drawn; a whole-point run of them
+    # peaks at ~220 MB.
     assert _traced_peak(lambda: sweep._point_counts(
         "noncfd", ModelParams(threshold=-0.999), THETA_38, 1_000_000,
         3)) < 32 * 2**20
+
+
+@pytest.mark.parametrize("mode,n", [("cfd", 300_000), ("noncfd", 50_000)])
+def test_dumped_point_memory_stays_bounded(mode, n, tmp_path):
+    # The dump is written a chunk at a time: 7.3 MB (CFD) and 8.1 MB
+    # (non-CFD) traced, against 53 MB and 31 MB when each point's whole
+    # arrays were kept.
+    cfg = RunConfig(mode=mode, n=n, theta_steps=1, theta_start=THETA_38,
+                    theta_end=THETA_38, dump_trials=str(tmp_path / "t.csv"))
+    assert _traced_peak(lambda: sweep_theta(cfg)) < 16 * 2**20
 
 
 def test_state_counts_reject_outcomes_outside_signs():
@@ -285,11 +300,11 @@ def test_state_counts_reject_outcomes_outside_signs():
 
 def test_noncfd_counts_hold_every_record():
     quad = SettingsQuad.for_theta(0.2)
-    run = run_noncfd(ModelParams(), quad, 700, 9)
-    assert run.counts.shape == (4, 16)
-    assert run.counts.sum(axis=1).tolist() == [700] * 4
+    point = reference.noncfd_point(ModelParams(), quad, 700, 9)
+    assert point.counts.shape == (4, 16)
+    assert point.counts.sum(axis=1).tolist() == [700] * 4
     assert np.array_equal(noncfd_counts(ModelParams(), quad, 700, 9),
-                          run.counts)
+                          point.counts)
 
 
 def test_cfd_counts_validate_arguments():

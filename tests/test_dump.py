@@ -1,8 +1,11 @@
-"""Trial dump bytes: the block formatter against a per-line reference.
+"""Trial dump bytes: the chunked dump against a per-line reference.
 
 The reference writer below formats one record per line with f-strings
-and '%.17g', as the dump was first written; the block writer in
-`sweep._TrialDumper` (through `csvblock`) must produce the same bytes.
+and '%.17g', as the dump was first written, from whole-point runs:
+`run_cfd` over all of a point's trials, and the non-CFD reference
+`reference.noncfd_point`, which selects and draws its trials its own
+way.  The dump, written chunk by chunk by `sweep._TrialDumper` through
+`csvblock`, must produce the same bytes.
 """
 import io
 import math
@@ -14,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprbsim import cli, csvblock, sweep
-from eprbsim.experiment import CfdRun
+import reference
+from eprbsim import cli, csvblock, experiment, rng, sweep
+from eprbsim.experiment import run_cfd
+from eprbsim.params import ModelParams, SettingsQuad
 
 # ------------------------------------------------------- per-line reference
 
@@ -52,34 +57,50 @@ def _reference_noncfd(fh, run):
         )
 
 
-def _reference_dump(runs, mode):
+def _points(cfg):
+    """(params, theta) of each point of the configured sweep, in order."""
+    if cfg.threshold_sweep is None:
+        return [(cfg.model_params(), float(theta))
+                for theta in np.linspace(cfg.theta_start, cfg.theta_end,
+                                         cfg.theta_steps)]
+    return [(cfg.model_params(float(threshold)), 3.0 * math.pi / 8.0)
+            for threshold in np.linspace(*cfg.threshold_sweep)]
+
+
+def _reference_dump(cfg):
+    """The per-line writer's dump of the configured sweep, from whole-point
+    reference runs."""
     fh = io.StringIO(newline="")
-    fh.write((sweep._TrialDumper.CFD_HEADER if mode == "cfd"
+    fh.write((sweep._TrialDumper.CFD_HEADER if cfg.mode == "cfd"
               else sweep._TrialDumper.NONCFD_HEADER) + "\n")
-    for run in runs:
-        if isinstance(run, CfdRun):
-            _reference_cfd(fh, run)
+    for index, (params, theta) in enumerate(_points(cfg)):
+        quad = SettingsQuad.for_theta(theta)
+        seed = rng.derive_seed(cfg.seed, index)
+        if cfg.mode == "cfd":
+            _reference_cfd(fh, run_cfd(params, quad, cfg.n, seed))
         else:
-            _reference_noncfd(fh, run)
+            _reference_noncfd(fh, reference.noncfd_point(params, quad, cfg.n,
+                                                         seed))
     return fh.getvalue().encode()
 
 
 def _dump_and_reference(tmp_path, monkeypatch, *args):
-    """(dump bytes of a CLI run, the reference writer's bytes of its runs)."""
-    runs = []
+    """(dump bytes of a CLI run, the reference writer's bytes of its
+    points, the number of chunks the dump was written in)."""
+    chunks = []
     write_run = sweep._TrialDumper.write_run
 
-    def spy(self, run):
-        runs.append(run)
+    def counted(self, run):
+        chunks.append(run.n)
         write_run(self, run)
 
-    monkeypatch.setattr(sweep._TrialDumper, "write_run", spy)
+    monkeypatch.setattr(sweep._TrialDumper, "write_run", counted)
     path = tmp_path / "trials.csv"
-    rc = cli.main([*args, "--dump-trials", str(path),
-                   "--out", str(tmp_path / "rows.csv")])
-    assert rc == 0
-    mode = "noncfd" if "noncfd" in args else "cfd"
-    return path.read_bytes(), _reference_dump(runs, mode)
+    argv = [*args, "--dump-trials", str(path),
+            "--out", str(tmp_path / "rows.csv")]
+    assert cli.main(argv) == 0
+    cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+    return path.read_bytes(), _reference_dump(cfg), len(chunks)
 
 
 @pytest.mark.parametrize("args", [
@@ -97,15 +118,50 @@ def _dump_and_reference(tmp_path, monkeypatch, *args):
      "--vmin", "0.95", "--seed", "9"),
 ])
 def test_dump_bytes_match_per_line_writer(tmp_path, monkeypatch, args):
-    got, want = _dump_and_reference(tmp_path, monkeypatch, *args)
+    got, want, _ = _dump_and_reference(tmp_path, monkeypatch, *args)
     assert got == want
+
+
+@pytest.mark.parametrize("args", [
+    ("--theta-steps", "2", "--n", "700", "--seed", "11"),
+    ("--threshold-sweep=-0.999:-0.9:2", "--n", "650", "--seed", "12"),
+    ("--mode", "noncfd", "--theta-steps", "2", "--n", "300", "--seed", "13"),
+    ("--mode", "noncfd", "--theta-steps", "1", "--n", "1", "--seed", "14"),
+    ("--mode", "noncfd", "--theta-steps", "1", "--n", "200", "--d", "0",
+     "--vmin", "0.95", "--seed", "15"),
+])
+def test_dump_over_many_chunks_matches_per_line_writer(tmp_path, monkeypatch,
+                                                       args):
+    # 64-trial CFD chunks, 128-trial non-CFD ones.
+    monkeypatch.setattr(experiment, "CHUNK", 64)
+    got, want, chunks = _dump_and_reference(tmp_path, monkeypatch, *args)
+    assert got == want
+    assert chunks >= 2
+
+
+def test_dump_when_pairs_fill_in_different_chunks(tmp_path, monkeypatch):
+    # With 64-trial chunks, the pairs of these seeds fill their quotas of
+    # 300 in different chunks: the dump must keep each pair's first 300
+    # trials and no trial past them.
+    monkeypatch.setattr(experiment, "CHUNK", 32)
+    quad, spread = SettingsQuad.for_theta(1.1), 0
+    for seed in range(1, 4):
+        point = reference.noncfd_point(ModelParams(), quad, 300,
+                                       rng.derive_seed(seed, 0))
+        spread += len({int(p.k[-1]) // 64 for p in point.pairs}) > 1
+        got, want, _ = _dump_and_reference(
+            tmp_path, monkeypatch, "--mode", "noncfd", "--theta-steps", "1",
+            "--theta-start", "1.1", "--theta-end", "1.1", "--n", "300",
+            "--seed", str(seed))
+        assert got == want
+    assert spread >= 2
 
 
 def test_dump_bytes_without_long_double_path(tmp_path, monkeypatch):
     monkeypatch.setattr(csvblock, "LONGDOUBLE_EXACT", False)
     for args in (("--theta-steps", "2", "--n", "300", "--seed", "10"),
                  ("--mode", "noncfd", "--theta-steps", "1", "--n", "100")):
-        got, want = _dump_and_reference(tmp_path, monkeypatch, *args)
+        got, want, _ = _dump_and_reference(tmp_path, monkeypatch, *args)
         assert got == want
 
 

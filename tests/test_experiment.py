@@ -15,7 +15,7 @@ import pytest
 from scipy import stats as sps
 
 import reference
-from eprbsim import rng, station, stats
+from eprbsim import kernels, rng, station, stats, sweep
 from eprbsim.experiment import (PAIR_COLUMNS, cfd_from_inputs, run_cfd,
                                 run_noncfd, source_phis)
 from eprbsim.params import ModelParams, SettingsQuad
@@ -140,37 +140,68 @@ def test_photon_singles_are_centered():
         assert abs(avg) <= 4 / math.sqrt(n)
 
 
+def _noncfd_records(quad, quota, seed):
+    """(k, a, x, v, w) of a whole non-CFD point, joined from its chunks."""
+    runs = list(sweep._point_runs("noncfd", P, quad, quota, seed))
+    return tuple(np.concatenate([getattr(run, name) for run in runs])
+                 for name in ("k", "a", "x", "v", "w"))
+
+
+def _pairs_of(quad, a):
+    """The setting pair (PAIR_NAMES index) of each record's settings."""
+    assert quad.a1 != quad.a1p and quad.a2 != quad.a2p
+    return 2 * (a[:, 0] == quad.a1p) + (a[:, 1] == quad.a2p)
+
+
+def test_cfd_runs_chunk_by_chunk_equal_one_run():
+    q = SettingsQuad.for_theta(0.7)
+    whole = run_cfd(P, q, 1000, 12)
+    parts = [run_cfd(P, q, 300, 12), run_cfd(P, q, 700, 12, start=300)]
+    assert [p.start for p in parts] == [0, 300]
+    for name in ("phi1", "phi2", "x", "v", "w"):
+        assert np.array_equal(getattr(whole, name),
+                              np.concatenate([getattr(p, name)
+                                              for p in parts]))
+    assert np.array_equal(whole.counts, parts[0].counts + parts[1].counts)
+
+
 def test_noncfd_quota_is_exact():
-    run = run_noncfd(P, SettingsQuad.for_theta(0.8), 4000, 15)
-    for p in run.pairs:
-        assert p.k.shape == (4000,)
-        assert p.x1.shape == p.v1.shape == p.w1.shape == (4000,)
-    # a trial index can feed only one pair subset
-    all_ks = np.concatenate([p.k for p in run.pairs])
-    assert np.unique(all_ks).size == all_ks.size
-    assert run.n_trials == all_ks.max() + 1
+    quad = SettingsQuad.for_theta(0.8)
+    k, a, x, v, w = _noncfd_records(quad, 4000, 15)
+    assert k.shape == (4 * 4000,)
+    assert a.shape == x.shape == v.shape == w.shape == (4 * 4000, 2)
+    # a trial index can feed only one pair subset, and records come in
+    # trial order
+    assert np.all(np.diff(k) > 0)
+    assert np.bincount(_pairs_of(quad, a)).tolist() == [4000] * 4
 
 
 def test_noncfd_records_reproducible_from_trial_index():
     # Every kept record must equal a direct recomputation at its original
     # trial index, so chunk boundaries cannot leak into the data.
-    run = run_noncfd(P, SettingsQuad.for_theta(0.8), 500, 16)
-    for p, (s1, s2) in zip(run.pairs, [
-        (rng.R_1, rng.RHAT_1), (rng.R_1, rng.RHAT_1),
-        (rng.R_1, rng.RHAT_1), (rng.R_1, rng.RHAT_1),
-    ]):
-        phi1 = 2 * math.pi * rng.uniforms_at(16, rng.SOURCE, p.k)
-        r1 = rng.uniforms_at(16, s1, p.k)
-        rhat1 = rng.uniforms_at(16, s2, p.k)
-        x1, v1 = station.station_respond_batch(p.side1_setting, phi1, r1,
-                                               rhat1, P)
-        assert np.array_equal(p.x1, x1)
-        assert np.array_equal(p.v1, v1)
+    quad = SettingsQuad.for_theta(0.8)
+    k, a, x, v, w = _noncfd_records(quad, 500, 16)
+
+    def at(stream):
+        return kernels.gather_uniforms(rng.stream_origin(16, stream), k)
+
+    phi1 = 2 * math.pi * at(rng.SOURCE)
+    phi2 = np.mod(phi1 + math.pi / 2, 2 * math.pi)
+    for side, (phi, choice, r, rhat, plain, primed) in enumerate((
+            (phi1, rng.CHOICE_1, rng.R_1, rng.RHAT_1, quad.a1, quad.a1p),
+            (phi2, rng.CHOICE_2, rng.R_2, rng.RHAT_2, quad.a2, quad.a2p))):
+        setting = np.where(at(choice) < 0.5, primed, plain)
+        assert np.array_equal(a[:, side], setting)
+        xs, vs = kernels.station_response(setting, phi, at(r), at(rhat),
+                                          P.d, P.v_min_mag, P.v_max_mag)
+        assert np.array_equal(x[:, side], xs)
+        assert np.array_equal(v[:, side], vs)
+        assert np.array_equal(w[:, side], vs < P.threshold)
 
 
 def test_noncfd_choice_marginals_are_fair():
-    run = run_noncfd(P, SettingsQuad.for_theta(0.4), 20_000, 18)
-    n = run.n_trials
+    k = _noncfd_records(SettingsQuad.for_theta(0.4), 20_000, 18)[0]
+    n = int(k[-1]) + 1
     sigma = math.sqrt(0.25 * n)
     for stream in (rng.CHOICE_1, rng.CHOICE_2):
         primed = np.count_nonzero(rng.uniforms(18, stream, n) < 0.5)
@@ -181,21 +212,22 @@ def test_noncfd_station_output_ignores_far_dial():
     base = SettingsQuad.for_theta(0.9)
     moved = SettingsQuad(a1=base.a1, a1p=base.a1p, a2=base.a2 + 0.4,
                          a2p=base.a2p)
-    a = run_noncfd(P, base, 2000, 21)
-    b = run_noncfd(P, moved, 2000, 21)
-    for pa, pb in zip(a.pairs, b.pairs):
-        assert np.array_equal(pa.k, pb.k)  # coins do not see settings
-        assert np.array_equal(pa.x1, pb.x1)
-        assert np.array_equal(pa.v1, pb.v1)
+    ka, _, xa, va, _ = _noncfd_records(base, 2000, 21)
+    kb, _, xb, vb, _ = _noncfd_records(moved, 2000, 21)
+    assert np.array_equal(ka, kb)  # coins do not see settings
+    assert np.array_equal(xa[:, 0], xb[:, 0])
+    assert np.array_equal(va[:, 0], vb[:, 0])
 
 
 def test_modes_estimate_the_same_correlations():
     theta = 0.55
-    cfd = run_cfd(P, SettingsQuad.for_theta(theta), 100_000, 40)
-    non = run_noncfd(P, SettingsQuad.for_theta(theta), 25_000, 41)
+    quad = SettingsQuad.for_theta(theta)
+    cfd = run_cfd(P, quad, 100_000, 40)
+    _, a, x, _, w = _noncfd_records(quad, 25_000, 41)
+    pairs = _pairs_of(quad, a)
     cfd_ests = _pair_estimates(cfd)
-    non_ests = [reference.pair_estimate(p.x1, p.x2, p.w1, p.w2)
-                for p in non.pairs]
+    non_ests = [reference.pair_estimate(*x[pairs == p].T, *w[pairs == p].T)
+                for p in range(4)]
     for ec, en in zip(cfd_ests, non_ests):
         se = math.hypot(reference.standard_error(ec.e, ec.n_pass),
                         reference.standard_error(en.e, en.n_pass))

@@ -116,3 +116,20 @@ def test_station_kernel_matches_numpy_reference():
     if disagree.size:
         c = np.cos(2.0 * (0.7 - phis[disagree]))
         assert np.all(np.abs(1.0 + c - 2.0 * rs[disagree]) < 1e-12)
+
+
+def test_station_kernel_takes_a_setting_per_trial():
+    # An array of settings gives, bit for bit, each setting's own call:
+    # the non-CFD runs evaluate both sides and both coins in one call.
+    gen = np.random.default_rng(4)
+    phis, rs, rhats = gen.random((3, 2, 5000))
+    phis *= 2 * np.pi
+    settings = np.array([0.0, 0.4, 1.3, 2.2])[gen.integers(0, 4, (2, 5000))]
+    x, v = kernels.station_response(settings, phis, rs, rhats, 4.0, 0.5, 1.0)
+    assert x.shape == v.shape == (2, 5000)
+    for a in np.unique(settings):
+        at = settings == a
+        xa, va = kernels.station_response(a, phis[at], rs[at], rhats[at],
+                                          4.0, 0.5, 1.0)
+        assert np.array_equal(x[at], xa)
+        assert np.array_equal(v[at], va)

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import eprbsim
-from eprbsim import experiment, rng, stats
+from eprbsim import experiment, kernels, rng, stats
 from eprbsim.oracle import (enumerate_ch, enumerate_eberhard,
                             enumerate_noncfd_constraint,
                             enumerate_quadruple_identities, pass_probability,
                             run_all_enumerations)
 from eprbsim.params import ModelParams, SettingsQuad
-from eprbsim.station import identify_photon, station_respond_batch
+from eprbsim.station import identify_photon
 
 
 def test_quadruple_identity_enumeration():
@@ -119,7 +119,8 @@ def test_pass_probability_matches_simulation(d, v_min, thr):
     phi = 2.0 * math.pi * rng.uniforms(2718, rng.SOURCE, n)
     r = rng.uniforms(2718, rng.R_1, n)
     rhat = rng.uniforms(2718, rng.RHAT_1, n)
-    _x, v = station_respond_batch(0.0, phi, r, rhat, p)
+    _x, v = kernels.station_response(0.0, phi, r, rhat, p.d, p.v_min_mag,
+                                     p.v_max_mag)
     frac = identify_photon(v, thr).mean()
     expect = pass_probability(p)
     sigma = math.sqrt(max(expect * (1 - expect), 1e-12) / n)
@@ -136,7 +137,8 @@ def test_pass_probability_independent_of_setting():
     rhat = rng.uniforms(31415, rng.RHAT_1, n)
     fracs = []
     for a in (0.0, 0.4, 1.3):
-        _x, v = station_respond_batch(a, phi, r, rhat, p)
+        _x, v = kernels.station_response(a, phi, r, rhat, p.d,
+                                         p.v_min_mag, p.v_max_mag)
         fracs.append(identify_photon(v, p.threshold).mean())
     sigma = math.sqrt(0.28 * 0.72 / n)
     assert max(fracs) - min(fracs) <= 6 * sigma
@@ -146,13 +148,33 @@ def test_every_public_name_resolves():
     assert [n for n in eprbsim.__all__ if not hasattr(eprbsim, n)] == []
 
 
-def test_package_import_leaves_scipy_unloaded():
-    # scipy is imported by pass_probability alone, on first use.
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this eprbsim."""
     src = str(Path(eprbsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, eprbsim, eprbsim.cli; "
-            "sys.exit('scipy' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy is imported by pass_probability alone, on first use.
+    proc = _run_python("import sys, eprbsim, eprbsim.cli; "
+                       "sys.exit('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_mode_runs_without_scipy():
+    # The spot checks of --mode oracles reach only the closed forms of
+    # pass_probability, so they must run where scipy cannot be imported.
+    proc = _run_python(
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from eprbsim import cli\n"
+        "sys.exit(cli.main(['--mode', 'oracles']))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert "quadrature spot checks: 0 failures" in proc.stdout

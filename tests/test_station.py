@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eprbsim import kernels
 from eprbsim.params import ModelParams
-from eprbsim.station import (RandomPair, identify_photon, malus_frequency,
-                             station_respond, station_respond_batch)
+from eprbsim.station import RandomPair, identify_photon, station_respond
+from reference import malus_frequency
 
 P_DEFAULT = ModelParams()  # d=4, Vmin=0.5, Vmax=1, threshold=-0.995
 
@@ -130,7 +131,9 @@ def test_batch_matches_scalar_reference():
     rs = np.linspace(0.0, 0.999, 97)
     rhats = np.linspace(0.001, 0.998, 97)
     a, phi = 1.234, 0.456
-    x, v = station_respond_batch(a, np.full(97, phi), rs, rhats, P_DEFAULT)
+    x, v = kernels.station_response(a, np.full(97, phi), rs, rhats,
+                                    P_DEFAULT.d, P_DEFAULT.v_min_mag,
+                                    P_DEFAULT.v_max_mag)
     for i in range(97):
         ref = station_respond(a, phi, RandomPair(rs[i], rhats[i]), P_DEFAULT)
         assert x[i] == ref.x
