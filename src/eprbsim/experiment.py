@@ -602,7 +602,7 @@ def noncfd_counts(params: ModelParams, quad: SettingsQuad, quota: int,
 
 
 def run_noncfd(params: ModelParams, quad: SettingsQuad, quota: int,
-               seed: int, start: int = 0, kept=(0, 0, 0, 0)) -> NonCfdRun:
+               seed: int, start: int, kept) -> NonCfdRun:
     """The records of one chunk of the non-CFD pass of noncfd_counts.
 
     The chunk holds the _noncfd_length(quota) trials from start, drawn

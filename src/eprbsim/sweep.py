@@ -224,8 +224,9 @@ def _sweep(cfg: RunConfig, points) -> list:
     runs, then runs each point again here, in point order, with the
     station law at every trial (_point_runs), and writes each chunk's
     records as it comes.  The chunks' counts must add up to the streamed
-    ones; if they do not, the dump is cut back to the end of the
-    previous point and the sweep stops.
+    ones; if they do not, the sweep stops, and a dump that can seek is
+    first cut back to the end of the previous point (a pipe or FIFO
+    keeps what was written).
     """
     dump = _TrialDumper(cfg.dump_trials, cfg.mode) if cfg.dump_trials else None
     try:
@@ -252,7 +253,7 @@ def _sweep(cfg: RunConfig, points) -> list:
         if dump is not None:
             for index, (p, theta, seed, c) in enumerate(
                     zip(params, thetas, seeds, counts)):
-                point_start = dump.fh.tell()
+                point_start = dump.fh.tell() if dump.fh.seekable() else None
                 total = np.zeros_like(c)
                 for run in _point_runs(cfg.mode, p,
                                        SettingsQuad.for_theta(theta), cfg.n,
@@ -260,7 +261,8 @@ def _sweep(cfg: RunConfig, points) -> list:
                     dump.write_run(run)
                     total += run.counts
                 if not np.array_equal(total, c):
-                    dump.fh.truncate(point_start)
+                    if point_start is not None:
+                        dump.fh.truncate(point_start)
                     raise RuntimeError(
                         f"trial dump, point {index} (theta={theta!r}, "
                         f"threshold={p.threshold!r}): the dumped trials' "

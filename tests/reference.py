@@ -141,11 +141,10 @@ class NonCfdPair:
 
 @dataclass
 class NonCfdPoint:
-    """A whole non-CFD point: pairs in PAIR_NAMES order, the trials drawn
-    up to the last kept one, and each pair's 16 state counts."""
+    """A whole non-CFD point: pairs in PAIR_NAMES order and each pair's 16
+    state counts."""
 
     pairs: tuple
-    n_trials: int
     counts: np.ndarray
 
 
@@ -190,5 +189,4 @@ def noncfd_point(params, quad, quota: int, seed: int) -> NonCfdPoint:
         pairs.append(NonCfdPair(a1, a2, ks, *side1, *side2))
     counts = np.stack([state_counts((p.x1, p.x2), (p.w1, p.w2))
                        for p in pairs])
-    return NonCfdPoint(tuple(pairs), max(int(p.k[-1]) for p in pairs) + 1,
-                       counts)
+    return NonCfdPoint(tuple(pairs), counts)

@@ -8,6 +8,7 @@ counts.
 import math
 import multiprocessing
 import os
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -257,6 +258,41 @@ def test_dump_rejects_a_run_whose_counts_differ(mode, tmp_path, monkeypatch):
     assert len(dump.read_bytes().splitlines()) == 1 + records
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_dump_to_a_pipe_stops_on_a_count_mismatch(tmp_path, monkeypatch):
+    # A pipe cannot be cut back: it keeps point 1's records up to the
+    # check, and the run still stops with the error naming point 1.
+    runner, calls = sweep.run_cfd, []
+
+    def off_by_one(*args):
+        run = runner(*args)
+        calls.append(run)
+        if len(calls) == 4:  # point 1's second and last chunk
+            run.counts = run.counts.copy()
+            run.counts.flat[int(np.flatnonzero(run.counts)[0])] -= 1
+        return run
+
+    monkeypatch.setattr(sweep, "run_cfd", off_by_one)
+    monkeypatch.setattr(experiment, "CHUNK", 64)
+    fifo = tmp_path / "trials.fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            received.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    cfg = RunConfig(n=100, theta_steps=2, dump_trials=str(fifo))
+    with pytest.raises(RuntimeError, match=r"point 1 \(theta="):
+        sweep_theta(cfg)
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert len(calls) == 4
+    assert len(received[0].splitlines()) == 1 + 100 + 100
+
+
 def _traced_peak(point) -> int:
     tracemalloc.start()
     try:
@@ -318,4 +354,4 @@ def test_cfd_counts_validate_arguments():
         with pytest.raises(ValueError):
             noncfd_counts(ModelParams(), q, quota, seed)
         with pytest.raises(ValueError):
-            run_noncfd(ModelParams(), q, quota, seed)
+            run_noncfd(ModelParams(), q, quota, seed, 0, (0, 0, 0, 0))

@@ -279,6 +279,6 @@ def test_run_rejects_bad_arguments():
     with pytest.raises(ValueError):
         run_cfd(P, q, 0, 1)
     with pytest.raises(ValueError):
-        run_noncfd(P, q, 0, 1)
+        run_noncfd(P, q, 0, 1, 0, (0, 0, 0, 0))
     with pytest.raises(ValueError):
         run_cfd(P, q, 10, -3)

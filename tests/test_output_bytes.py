@@ -6,6 +6,8 @@ were recorded from the code as it stood before the dump was written
 chunk by chunk; any change to a row or a dump byte fails here.
 """
 import hashlib
+import os
+import threading
 
 import pytest
 
@@ -54,3 +56,29 @@ def test_output_bytes_are_pinned(name, threads, tmp_path):
     assert _sha256(rows) == rows_sha
     if dump_sha is not None:
         assert _sha256(dump) == dump_sha
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("name", ["cfd-dump", "noncfd-dump"])
+def test_dump_to_a_pipe_is_pinned(name, tmp_path):
+    # A FIFO cannot seek: the dump must be written without tell() or
+    # truncate(), as to a pipe into gzip.
+    argv, rows_sha, dump_sha = RUNS[name]
+    fifo = tmp_path / "trials.fifo"
+    os.mkfifo(fifo)
+    digest = hashlib.sha256()
+
+    def read():
+        with open(fifo, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                digest.update(block)
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    rows = tmp_path / "rows"
+    assert cli.main([*argv, "--out", str(rows),
+                     "--dump-trials", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert _sha256(rows) == rows_sha
+    assert digest.hexdigest() == dump_sha
