@@ -14,12 +14,16 @@ run therefore reduces to integer counts of states (`state_counts`).
 those counts, in counter order and without keeping per-trial arrays.
 Both certify each flag from cheaper trig wherever the flag is provably
 that of the exact station law (`_station_flags`), and evaluate the
-exact law for the rest.  `run_cfd` and `run_noncfd` draw one chunk of
-the same pass, evaluate the exact law at every station and keep the
-chunk's per-trial arrays, for the trial dump.
+exact law for the rest (`_settle`).  A chunk runs in numpy or, where
+kernels.BACKEND is "c", in the compiled pass of _cpass.c (`_Compiled`),
+with the same float operations and so the same flags.  `run_cfd` and
+`run_noncfd` draw one chunk of the same pass, evaluate the exact law at
+every station and keep the chunk's per-trial arrays, for the trial
+dump.
 """
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 from dataclasses import dataclass
@@ -179,12 +183,17 @@ def _check_identities(counts: np.ndarray) -> None:
     _check_quadruple_identities(QUADRUPLES[seen])
 
 
-def _draws(seed: int, n: int, start: int = 0):
-    """Source angles and station uniforms of trials start..start+n-1."""
-    phi1, phi2 = source_phis(seed, n, start)
-    r_cols = [rng.uniforms(seed, s, n, start) for s in rng.R_STREAMS]
-    rhat_cols = [rng.uniforms(seed, s, n, start) for s in rng.RHAT_STREAMS]
-    return phi1, phi2, r_cols, rhat_cols
+def _draws(seed: int, n: int, start: int = 0, origins=None):
+    """Source angles and station uniforms of trials start..start+n-1.
+
+    origins is rng.stream_origins(seed, _CHUNK_STREAMS), computed here
+    when None.
+    """
+    if origins is None:
+        origins = rng.stream_origins(seed, _CHUNK_STREAMS)
+    u = kernels.fill_uniforms(origins, start, n)
+    phi1 = _phi1_of(u[0])
+    return phi1, _orthogonal(phi1), u[1:5], u[5:9]
 
 
 def _respond(params: ModelParams, quad: SettingsQuad, phi1, phi2, r_cols,
@@ -230,12 +239,16 @@ def _validate_run(n: int, seed: int) -> None:
 
 
 def run_cfd(params: ModelParams, quad: SettingsQuad, n: int, seed: int,
-            start: int = 0) -> CfdRun:
+            start: int = 0, origins=None) -> CfdRun:
     """Simulate CFD trials start..start+n-1; every station gets fresh
-    draws each trial, and the exact station law evaluates each one."""
+    draws each trial, and the exact station law evaluates each one.
+
+    A caller that runs a point chunk by chunk passes its origins,
+    rng.stream_origins(seed, _CHUNK_STREAMS), computed once.
+    """
     _validate_run(n, seed)
-    return cfd_from_inputs(params, quad, *_draws(seed, n, start), n=n,
-                           seed=seed, start=start)
+    return cfd_from_inputs(params, quad, *_draws(seed, n, start, origins),
+                           n=n, seed=seed, start=start)
 
 
 def _flag_bounds(params: ModelParams) -> tuple[float, float, float, float]:
@@ -367,6 +380,12 @@ def _states(bits, weights, weighted, out):
     return np.bitwise_or.reduce(weighted, axis=0, out=out)
 
 
+def _multiply_only(d: float) -> int:
+    """d, where |s|**d takes binary powering (an integer in [1, 32]);
+    else 0."""
+    return int(d) if 1.0 <= d <= 32.0 and d == int(d) else 0
+
+
 def _abs_power(s, d: float, spare):
     """|s|**d, in s or in spare (returned); s is overwritten.
 
@@ -375,10 +394,10 @@ def _abs_power(s, d: float, spare):
     result is within (d - 1) roundings of |s|**d (CHANGES.md).  Any
     other d takes np.power.
     """
-    if not (1.0 <= d <= 32.0 and d == int(d)):
+    k = _multiply_only(d)
+    if not k:
         np.abs(s, out=s)
         return np.power(s, d, out=s)
-    k = int(d)
     if k % 2:  # the last step multiplies by s, so s must be |s|
         np.abs(s, out=s)
     if k == 1:
@@ -394,6 +413,19 @@ def _abs_power(s, d: float, spare):
     return spare
 
 
+def _cfd_stations(quad: SettingsQuad):
+    """The four stations of a CFD trial, in STATION_NAMES order, as
+    _station_flags takes them."""
+    return [(col >= 2, (a,), None) for col, a in enumerate(quad.as_tuple())]
+
+
+def _noncfd_stations(quad: SettingsQuad, primed):
+    """Side 1 and side 2 of non-CFD trials, as _station_flags takes them;
+    primed holds each side's coin per trial."""
+    return [(False, (quad.a1, quad.a1p), primed[0]),
+            (True, (quad.a2, quad.a2p), primed[1])]
+
+
 def _station_flags(params: ModelParams, bounds, u, trig, turn, r, rhat,
                    stations, flags, work) -> None:
     """Flags x (x = +1) and w (photon identified) of k stations over a chunk.
@@ -407,8 +439,7 @@ def _station_flags(params: ModelParams, bounds, u, trig, turn, r, rhat,
     per station or (k, n) per trial; r and rhat are its uniforms; flags
     = (x, w) are written.  A flag is taken from the angle-addition
     values only where its decision value clears bounds (see
-    _flag_bounds); the other evaluations go through the exact kernel
-    with their own setting, at phi1 = _phi1_of(u) of their trials.
+    _flag_bounds); _settle takes the others from the exact law.
     """
     cos2, sin2 = trig
     ca, sa, hca, hsa = turn
@@ -436,6 +467,18 @@ def _station_flags(params: ModelParams, bounds, u, trig, turn, r, rhat,
     btmp |= w
     np.invert(btmp, out=btmp)
     unsure |= btmp
+    _settle(params, stations, u, r, rhat, unsure, x, w)
+
+
+def _settle(params: ModelParams, stations, u, r, rhat, unsure, x,
+            w) -> None:
+    """x and w where the bool array unsure is set, from the exact law.
+
+    The arrays and stations are those of _station_flags.  The uncertain
+    evaluations of each station go through kernels.station_response
+    with their own setting, at phi1 = _phi1_of(u) of their trials, and
+    station.identify_photon; both passes settle theirs here.
+    """
     for row in np.flatnonzero(unsure.any(axis=1)):
         side2, settings, primed = stations[row]
         idx = np.flatnonzero(unsure[row])
@@ -456,20 +499,105 @@ def _station_flags(params: ModelParams, bounds, u, trig, turn, r, rhat,
 _CFD_WEIGHTS = (1 << np.arange(8, dtype=np.uint8))[:, None]
 
 
-def _chunk_counts(params: ModelParams, turn, stations, bounds, seed: int,
+def _chunk_counts(params: ModelParams, turn, stations, bounds, origins,
                   start: int, buffers) -> np.ndarray:
     """The 256 state counts of trials start..start+n-1 (see cfd_counts).
 
-    n is the length of the arrays in buffers (see _chunk_buffers).
+    n is the length of the arrays in buffers (see _chunk_buffers), and
+    origins those of _CHUNK_STREAMS.
     """
     u, words, trig, index, work, flag_work, bits, weighted, states = buffers
     n = len(states)
-    rng.uniform_rows(seed, _CHUNK_STREAMS, n, start, out=u, work=words)
+    kernels.fill_uniforms(origins, start, n, out=u, work=words)
     _trig(u[0], trig, index, work[0])
     _station_flags(params, bounds, u[0], trig, turn, u[1:5], u[5:9],
                    stations, (bits[:4], bits[4:]), (work, flag_work))
     return np.bincount(_states(bits, _CFD_WEIGHTS, weighted, states),
                        minlength=256)
+
+
+# Weight of each state bit of a non-CFD trial: x of side 1 and 2, their
+# w, then the coins primed1 and primed2, so that a trial's state is
+# 16 * pair + its 16-state of pair_statistics, pair = 2 primed1 + primed2.
+_NONCFD_WEIGHTS = np.array([1, 2, 4, 8, 32, 16], np.uint8)[:, None]
+# Station (STATION_NAMES index) of each side's plain setting.
+_SIDE_STATIONS = np.array([[0], [2]])
+# Bit c of a pending trial's mask in the compiled pass: station c (CFD)
+# or side c (non-CFD) is uncertain.
+_STATION_BITS = (1 << np.arange(4, dtype=np.uint8))[:, None]
+
+
+class _Compiled:
+    """One point of the compiled pass (kernels.CPASS, see _cpass.c).
+
+    It holds the point's inputs, computed here as numpy's pass computes
+    them, and the arrays the pass writes, for chunks of up to capacity
+    trials.  The struct of pointers to them is built once per point, so
+    that a chunk costs one foreign call.
+    """
+
+    def __init__(self, cfd: bool, params: ModelParams, quad: SettingsQuad,
+                 bounds, origins: np.ndarray, capacity: int):
+        self.cfd, self.params, self.quad = cfd, params, quad
+        self.capacity = capacity
+        ca_sa = np.array(_turns(quad))  # STATION_NAMES rows
+        self.origins = np.ascontiguousarray(origins, np.uint64).ravel()
+        if self.origins.size != len(_CHUNK_STREAMS if cfd else
+                                    _NONCFD_STREAMS):
+            raise ValueError("the pass takes one origin per stream")
+        self.turns = np.ascontiguousarray(np.hstack([ca_sa, 0.5 * ca_sa]))
+        self.hist = np.zeros(256 if cfd else 64, np.int64)
+        self.codes = np.empty(0 if cfd else capacity, np.uint8)
+        self.pending = np.empty(capacity, np.int64)
+        self.pending_u = np.empty((self.origins.size, capacity))
+        self.pending_state = np.empty(capacity, np.uint8)
+        self.pending_unsure = np.empty(capacity, np.uint8)
+        x_lo, x_hi, q_lo, q_hi = bounds
+        self.point = kernels.CPassPoint(
+            cos_table=_COS_TABLE.ctypes.data,
+            sin_table=_SIN_TABLE.ctypes.data,
+            scale=2.0 ** (_TABLE_BITS + 1), step=_STEP, cos_4=_COS_4,
+            sin_3=_SIN_3, sin_5=_SIN_5, x_lo=x_lo, x_hi=x_hi, q_lo=q_lo,
+            q_hi=q_hi, d=params.d, power=_multiply_only(params.d),
+            capacity=capacity,
+            **{name: getattr(self, name).ctypes.data for name in (
+                "origins", "turns", "hist", "codes", "pending", "pending_u",
+                "pending_state", "pending_unsure")})
+        self._ref = ctypes.byref(self.point)
+        lib = kernels.CPASS
+        self._run = lib.cpass_cfd if cfd else lib.cpass_noncfd
+
+    def counts(self, start: int, n: int) -> np.ndarray:
+        """State counts of trials start..start+n-1: 256 for CFD, 64 (16 *
+        pair + state) for non-CFD, where codes[:n] then holds each
+        trial's state."""
+        if not 0 < n <= self.capacity:
+            raise ValueError(f"chunk of {n} trials, capacity {self.capacity}")
+        m = self._run(self._ref, start, n)
+        if not m:
+            return self.hist
+        states = self._settled(m)
+        if not self.cfd:
+            self.codes[self.pending[:m]] = states
+        return self.hist + np.bincount(states, minlength=self.hist.size)
+
+    def _settled(self, m: int) -> np.ndarray:
+        """States of the chunk's m pending trials, each uncertain station
+        settled by _settle, as numpy's pass settles it."""
+        u = self.pending_u[:, :m]
+        weights = _CFD_WEIGHTS if self.cfd else _NONCFD_WEIGHTS
+        k = 4 if self.cfd else 2
+        bits = (self.pending_state[:m] & weights) != 0
+        unsure = (self.pending_unsure[:m] & _STATION_BITS[:k]) != 0
+        if self.cfd:
+            stations, r, rhat = _cfd_stations(self.quad), u[1:5], u[5:9]
+        else:
+            stations = _noncfd_stations(self.quad, bits[4:])
+            r, rhat = u[3:5], u[5:7]
+        _settle(self.params, stations, u[0], r, rhat, unsure, bits[:k],
+                bits[k:2 * k])
+        return _states(bits, weights, np.empty(bits.shape, np.uint8),
+                       np.empty(m, np.uint8))
 
 
 def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
@@ -486,22 +614,29 @@ def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
     (mod 2pi), and |sin 2(a - phi)|**d from multiplications alone for an
     integer d up to 32 (_abs_power).  A flag is taken from them only
     where its decision value clears the bounds of _flag_bounds; the
-    other station evaluations go through the exact kernel.
+    other station evaluations go through the exact kernel (_settle).
+    kernels.BACKEND picks who runs a chunk: the compiled pass
+    (_Compiled) or numpy (_chunk_counts), with the same operations.
     """
     _validate_run(n, seed)
-    ca, sa = np.array(_turns(quad)).T[:, :, None]
-    turn = (ca, sa, 0.5 * ca, 0.5 * sa)
-    stations = [(col >= 2, (a,), None)
-                for col, a in enumerate(quad.as_tuple())]
     bounds = _flag_bounds(params)
-    buffers = _chunk_buffers(min(CHUNK, n), streams=len(_CHUNK_STREAMS),
-                             stations=4, bits=8)
+    origins = rng.stream_origins(seed, _CHUNK_STREAMS)
+    length = min(CHUNK, n)
+    if kernels.BACKEND == "c":
+        chunk = _Compiled(True, params, quad, bounds, origins, length).counts
+    else:
+        ca, sa = np.array(_turns(quad)).T[:, :, None]
+        turn = (ca, sa, 0.5 * ca, 0.5 * sa)
+        stations = _cfd_stations(quad)
+        buffers = _chunk_buffers(length, streams=len(_CHUNK_STREAMS),
+                                 stations=4, bits=8)
+
+        def chunk(start, size):
+            return _chunk_counts(params, turn, stations, bounds, origins,
+                                 start, [b[..., :size] for b in buffers])
     counts = np.zeros(256, np.int64)
     for start in range(0, n, CHUNK):
-        if n - start < CHUNK:
-            buffers = [b[..., :n - start] for b in buffers]
-        counts += _chunk_counts(params, turn, stations, bounds, seed, start,
-                                buffers)
+        counts += chunk(start, min(CHUNK, n - start))
     _check_identities(counts)
     return counts
 
@@ -512,24 +647,17 @@ def _validate_quota(quota: int, seed: int) -> None:
         raise ValueError("quota must be >= 1")
 
 
-# Weight of each state bit of a non-CFD trial: x of side 1 and 2, their
-# w, then the coins primed1 and primed2, so that a trial's state is
-# 16 * pair + its 16-state of pair_statistics, pair = 2 primed1 + primed2.
-_NONCFD_WEIGHTS = np.array([1, 2, 4, 8, 32, 16], np.uint8)[:, None]
-# Station (STATION_NAMES index) of each side's plain setting.
-_SIDE_STATIONS = np.array([[0], [2]])
-
-
 def _noncfd_chunk(params: ModelParams, quad: SettingsQuad, table, bounds,
-                  seed: int, start: int, buffers) -> np.ndarray:
+                  origins, start: int, buffers) -> np.ndarray:
     """16 * pair + state of trials start..start+n-1 (see noncfd_counts).
 
-    n is the length of the arrays in buffers.
+    n is the length of the arrays in buffers, and origins those of
+    _NONCFD_STREAMS.
     """
     u, words, trig, index, work, flag_work, bits, weighted, states, turn, \
         sel = buffers
     n = len(states)
-    rng.uniform_rows(seed, _NONCFD_STREAMS, n, start, out=u, work=words)
+    kernels.fill_uniforms(origins, start, n, out=u, work=words)
     _trig(u[0], trig, index, (*work[0], *work[1]))
     primed = bits[4:]
     np.less(u[1:3], 0.5, out=primed)
@@ -541,10 +669,9 @@ def _noncfd_chunk(params: ModelParams, quad: SettingsQuad, table, bounds,
     table[1].take(sel, out=sa, mode="wrap")
     np.multiply(ca, 0.5, out=hca)
     np.multiply(sa, 0.5, out=hsa)
-    stations = [(False, (quad.a1, quad.a1p), primed[0]),
-                (True, (quad.a2, quad.a2p), primed[1])]
     _station_flags(params, bounds, u[0], trig, turn, u[3:5], u[5:7],
-                   stations, (bits[:2], bits[2:4]), (work, flag_work))
+                   _noncfd_stations(quad, primed), (bits[:2], bits[2:4]),
+                   (work, flag_work))
     return _states(bits, _NONCFD_WEIGHTS, weighted, states)
 
 
@@ -579,30 +706,45 @@ def noncfd_counts(params: ModelParams, quad: SettingsQuad, quota: int,
     setting.  A trial is kept while its pair holds fewer than quota, and
     the pass stops after the chunk that fills the last pair, so memory
     does not grow with quota.  run_noncfd evaluates the same chunks
-    with the exact kernel throughout.
+    with the exact kernel throughout.  kernels.BACKEND picks who runs a
+    chunk, as in cfd_counts.
     """
     _validate_quota(quota, seed)
-    table = np.array(_turns(quad)).T  # rows ca, sa; STATION_NAMES columns
     bounds = _flag_bounds(params)
+    origins = rng.stream_origins(seed, _NONCFD_STREAMS)
     n = _noncfd_length(quota)
-    buffers = (*_chunk_buffers(n, streams=len(_NONCFD_STREAMS), stations=2,
-                               bits=6),
-               np.empty((4, 2, n)),         # per-trial turns
-               np.empty((2, n), np.intp))   # per-trial stations
+    if kernels.BACKEND == "c":
+        compiled = _Compiled(False, params, quad, bounds, origins, n)
+
+        def chunk(start):
+            hist = compiled.counts(start, n)
+            return compiled.codes, hist
+    else:
+        table = np.array(_turns(quad)).T  # rows ca, sa; STATION_NAMES columns
+        buffers = (*_chunk_buffers(n, streams=len(_NONCFD_STREAMS),
+                                   stations=2, bits=6),
+                   np.empty((4, 2, n)),         # per-trial turns
+                   np.empty((2, n), np.intp))   # per-trial stations
+
+        def chunk(start):
+            return _noncfd_chunk(params, quad, table, bounds, origins, start,
+                                 buffers), None
     counts = np.zeros((4, 16), np.int64)
     for start in itertools.count(0, n):
-        code = _noncfd_chunk(params, quad, table, bounds, seed, start,
-                             buffers)
+        code, hist = chunk(start)
         room = quota - counts.sum(axis=1)
         if room.min() < n:  # a pair may fill in this chunk
             code[_past_quota(code >> 4, room)] = 64  # dropped
-        counts += np.bincount(code, minlength=65)[:64].reshape(4, 16)
+            hist = None
+        if hist is None:
+            hist = np.bincount(code, minlength=65)[:64]
+        counts += hist.reshape(4, 16)
         if counts.sum() >= 4 * quota:
             return counts
 
 
 def run_noncfd(params: ModelParams, quad: SettingsQuad, quota: int,
-               seed: int, start: int, kept) -> NonCfdRun:
+               seed: int, start: int, kept, origins=None) -> NonCfdRun:
     """The records of one chunk of the non-CFD pass of noncfd_counts.
 
     The chunk holds the _noncfd_length(quota) trials from start, drawn
@@ -611,11 +753,14 @@ def run_noncfd(params: ModelParams, quad: SettingsQuad, quota: int,
     than quota records, kept[p] of them from earlier chunks for pair p.
     Every station of a kept trial goes through the exact kernel.  A
     point's pass runs chunks from start 0 until every pair holds quota
-    records.
+    records; it passes its origins, rng.stream_origins(seed,
+    _NONCFD_STREAMS), computed once (here when None).
     """
     _validate_quota(quota, seed)
+    if origins is None:
+        origins = rng.stream_origins(seed, _NONCFD_STREAMS)
     n = _noncfd_length(quota)
-    u = rng.uniform_rows(seed, _NONCFD_STREAMS, n, start)
+    u = kernels.fill_uniforms(origins, start, n)
     primed = u[1:3] < 0.5
     keep = np.ones(n, bool)
     keep[_past_quota(2 * primed[0] + primed[1],

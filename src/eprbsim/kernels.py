@@ -1,6 +1,4 @@
-"""Hot numeric kernels, in numpy.
-
-There is one backend; BACKEND names it for run reports.
+"""Hot numeric kernels: numpy, and the compiled chunk pass.
 
 Random numbers come from a counter-based generator: draw k of a stream
 is a pure function of (stream origin, k), so any chunking or parallel
@@ -13,12 +11,31 @@ passes (experiment.cfd_counts and experiment.noncfd_counts) certify most
 flags without it and call it only for the evaluations near a decision
 boundary; the trial dump's runs (experiment.run_cfd and
 experiment.run_noncfd) call it at every station.
+
+The streaming passes have two implementations of one chunk: numpy's, in
+experiment, and _cpass.c, which does the same float operations in the
+same order, a block of trials at a time, in one call per chunk, so that
+every value and every certified flag is numpy's, bit for bit.
+load_cpass compiles _cpass.c with the system's cc at first use, into
+the package's __pycache__ under a name keyed by its source, its flags
+and the interpreter, and later imports load it from there.  CPASS is
+the loaded library, or None where there is no compiler, the build or
+the load fails, or the library fails its known-answer check; BACKEND
+names the pass in use, "c" or "numpy", and the passes read it at each
+call.
 """
 from __future__ import annotations
 
+import ctypes
+import importlib.machinery
+import os
+
 import numpy as np
 
-BACKEND = "numpy"
+try:  # the builtin module: hashlib also loads OpenSSL, about 4 ms
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 GOLDEN = 0x9E3779B97F4A7C15  # odd increment of the counter sequence
 _M1 = 0xBF58476D1CE4E5B9
@@ -99,3 +116,98 @@ def station_response(a, phi, r, rhat, d, v_min_mag, v_max_mag):
     x = (1.0 + c - 2.0 * r > 0.0).view(np.int8) * np.int8(2) - np.int8(1)
     v = rhat * np.abs(s) ** float(d) * (v_max_mag - v_min_mag) - v_max_mag
     return x, v
+
+
+_SOURCE = os.path.join(os.path.dirname(__file__), "_cpass.c")
+_CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
+# No -ffast-math and no -march=native: each + - * must round as numpy's.
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_BUILD_TIMEOUT_S = 120
+
+
+class CPassPoint(ctypes.Structure):
+    """struct cpass_point of _cpass.c, field for field: one point's inputs
+    and the arrays the compiled pass writes."""
+
+    _fields_ = [
+        *[(name, ctypes.c_void_p) for name in (
+            "origins", "cos_table", "sin_table", "turns")],
+        *[(name, ctypes.c_double) for name in (
+            "scale", "step", "cos_4", "sin_3", "sin_5",
+            "x_lo", "x_hi", "q_lo", "q_hi", "d")],
+        ("power", ctypes.c_int64),
+        ("capacity", ctypes.c_int64),
+        *[(name, ctypes.c_void_p) for name in (
+            "hist", "codes", "pending", "pending_u", "pending_state",
+            "pending_unsure")],
+    ]
+
+
+def _compiled(source: str, cache: str) -> str | None:
+    """The library of source in cache, compiled there on a miss.
+
+    A build writes a temporary file and renames it into place, so
+    processes that build at once each load a whole library.  Returns
+    None where the build fails.
+    """
+    with open(source, "rb") as fh:
+        text = fh.read()
+    # The interpreter's EXT_SUFFIX names its version and platform.
+    key = sha256(b"\0".join([
+        text, " ".join(_CFLAGS).encode(),
+        importlib.machinery.EXTENSION_SUFFIXES[0].encode()])).hexdigest()
+    path = os.path.join(cache, f"_cpass-{key[:16]}.so")
+    if os.path.exists(path):
+        return path
+    import subprocess
+    import tempfile
+    try:
+        os.makedirs(cache, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(".so", "_cpass-", cache)
+    except OSError:
+        return None
+    os.close(fd)
+    try:
+        subprocess.run(["cc", *_CFLAGS, "-o", tmp, source, "-lm"],
+                       check=True, capture_output=True,
+                       timeout=_BUILD_TIMEOUT_S)
+        os.chmod(tmp, 0o755)  # mkstemp's 0o600 would hide it from others
+        os.replace(tmp, path)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return path
+
+
+def load_cpass(source: str = _SOURCE, cache: str = _CACHE):
+    """The compiled pass of source, built into cache at first use.
+
+    None where it cannot be built or loaded, or where its hash does not
+    reproduce fill_uniforms.
+    """
+    path = _compiled(source, cache)
+    if path is None:
+        return None
+    try:
+        lib = ctypes.CDLL(path)
+        for name in ("cpass_cfd", "cpass_noncfd"):
+            fn = getattr(lib, name)
+            fn.argtypes = (ctypes.POINTER(CPassPoint), ctypes.c_uint64,
+                           ctypes.c_int64)
+            fn.restype = ctypes.c_int64
+        lib.cpass_uniforms.argtypes = (ctypes.c_uint64, ctypes.c_uint64,
+                                       ctypes.c_int64, ctypes.c_void_p)
+        lib.cpass_uniforms.restype = None
+    except (OSError, AttributeError):
+        return None
+    start, got = 2 ** 40 - 5, np.empty(16)
+    lib.cpass_uniforms(GOLDEN, start, got.size, got.ctypes.data)
+    if not np.array_equal(got, fill_uniforms(_GOLDEN_U64, start, got.size)):
+        return None
+    return lib
+
+
+CPASS = load_cpass()
+BACKEND = "numpy" if CPASS is None else "c"

@@ -65,12 +65,10 @@ def uniforms(seed: int, stream: int, n: int, start: int = 0) -> np.ndarray:
     return kernels.fill_uniforms(stream_origin(seed, stream), start, n)
 
 
-def uniform_rows(seed: int, streams, n: int, start: int = 0, out=None,
-                 work=None) -> np.ndarray:
-    """uniforms(seed, s, n, start) of each stream s, one row per stream.
+def stream_origins(seed: int, streams) -> np.ndarray:
+    """stream_origin of each stream, as a (len(streams), 1) uint64 column.
 
-    out (float64) and work (uint64), of shape (len(streams), n), let a
-    caller reuse memory from call to call.
+    kernels.fill_uniforms of it fills one row per stream: a pass computes
+    it once per point and fills every chunk from it.
     """
-    origins = np.array([[stream_origin(seed, s)] for s in streams], np.uint64)
-    return kernels.fill_uniforms(origins, start, n, out=out, work=work)
+    return np.array([[stream_origin(seed, s)] for s in streams], np.uint64)

@@ -199,15 +199,17 @@ def _point_runs(mode: str, params: ModelParams, quad: SettingsQuad, n: int,
     """The runs of one point, chunk by chunk in counter order, drawn as
     _point_counts draws them: run_cfd over CHUNK trials at a time for
     mode "cfd", else run_noncfd until every setting pair holds n
-    records."""
+    records.  The point's stream origins are computed once."""
     if mode == "cfd":
+        origins = rng.stream_origins(point_seed, experiment._CHUNK_STREAMS)
         for start in range(0, n, experiment.CHUNK):
             yield run_cfd(params, quad, min(experiment.CHUNK, n - start),
-                          point_seed, start)
+                          point_seed, start, origins)
         return
+    origins = rng.stream_origins(point_seed, experiment._NONCFD_STREAMS)
     kept, start = np.zeros(4, np.int64), 0
     while kept.sum() < 4 * n:
-        run = run_noncfd(params, quad, n, point_seed, start, kept)
+        run = run_noncfd(params, quad, n, point_seed, start, kept, origins)
         yield run
         kept = kept + run.counts.sum(axis=1)
         start += run.n_trials

@@ -6,7 +6,9 @@ angle-addition values and send the evaluations near a decision boundary
 to the exact kernel.  Their counts must equal those of run_cfd and of
 the whole-point non-CFD reference (`reference.noncfd_point`), which
 evaluate every station with the exact kernel, whichever path each flag
-took.
+took.  Both passes run here: numpy's and, where it was built, the
+compiled one (kernels.CPASS); they must give the same counts, and for a
+multiply-only power the same evaluations of the exact kernel.
 """
 import math
 
@@ -21,17 +23,22 @@ from eprbsim.params import ModelParams, SettingsQuad
 
 THETAS = (0.0, 3.0 * math.pi / 8.0, math.pi)
 SEEDS = (1, 22, 333)
+# The chunk passes kernels.BACKEND selects: numpy's always, and the
+# compiled one where it loaded.
+PASSES = ("numpy",) if kernels.CPASS is None else ("numpy", "c")
 
 
 @pytest.fixture
 def exact_evals(monkeypatch):
-    """(setting, evaluations) of each call into the exact kernel."""
+    """(setting, evaluations, their inputs as bytes) of each call into
+    the exact kernel."""
     calls = []
     exact = kernels.station_response
 
-    def counted(*args):
-        out = exact(*args)
-        calls.append((args[0], out[1].size))
+    def counted(a, phi, r, rhat, *args):
+        out = exact(a, phi, r, rhat, *args)
+        calls.append((a, out[1].size,
+                      np.concatenate([phi, r, rhat]).tobytes()))
         return out
 
     monkeypatch.setattr(kernels, "station_response", counted)
@@ -62,20 +69,32 @@ def _widen_margin_and_skew(monkeypatch, skew):
         SettingsQuad(*(a + skew for a in quad.as_tuple()))))
 
 
+def _same_evaluations(params, evals):
+    """The passes' exact-kernel evaluations are the same, call for call,
+    where the power multiplies only: then both compute every certified
+    value with the same float operations."""
+    if experiment._multiply_only(params.d):
+        assert all(e == evals["numpy"] for e in evals.values())
+
+
 @pytest.mark.parametrize("skew", [0.0, 0.02])
 @pytest.mark.parametrize("params", _params_cases())
 def test_fallback_gives_the_exact_counts(params, skew, monkeypatch,
                                          exact_evals):
     _widen_margin_and_skew(monkeypatch, skew)
-    n, fallback = 3000, 0
+    n, evals = 3000, {}
     for theta in THETAS:
         quad = SettingsQuad.for_theta(theta)
         for seed in SEEDS:
-            exact_evals.clear()
-            streamed = cfd_counts(params, quad, n, seed)
-            fallback += sum(e for _, e in exact_evals)
-            assert np.array_equal(streamed, run_cfd(params, quad, n, seed).counts)
-    assert fallback > 5000  # of 108,000 station evaluations
+            exact = run_cfd(params, quad, n, seed).counts
+            for backend in PASSES:
+                monkeypatch.setattr(kernels, "BACKEND", backend)
+                exact_evals.clear()
+                assert np.array_equal(cfd_counts(params, quad, n, seed), exact)
+                evals.setdefault(backend, []).extend(exact_evals)
+    for backend in PASSES:  # of 108,000 station evaluations
+        assert sum(e for _, e, _ in evals[backend]) > 5000
+    _same_evaluations(params, evals)
 
 
 @pytest.mark.parametrize("skew", [0.0, 0.02])
@@ -83,17 +102,22 @@ def test_fallback_gives_the_exact_counts(params, skew, monkeypatch,
 def test_noncfd_fallback_gives_the_exact_counts(params, skew, monkeypatch,
                                                 exact_evals):
     _widen_margin_and_skew(monkeypatch, skew)
-    quota = 750
+    quota, evals = 750, {}
     for theta in THETAS:
         quad = SettingsQuad.for_theta(theta)
-        exact_evals.clear()
-        streamed = [noncfd_counts(params, quad, quota, seed) for seed in SEEDS]
-        # Every setting of each side sent evaluations to the exact kernel
-        # (at theta = 0, a1 = a2 and a1p = a2p).
-        assert {a for a, _ in exact_evals} == set(quad.as_tuple())
-        for seed, counts in zip(SEEDS, streamed):
-            point = reference.noncfd_point(params, quad, quota, seed)
-            assert np.array_equal(counts, point.counts)
+        points = [reference.noncfd_point(params, quad, quota, seed).counts
+                  for seed in SEEDS]
+        for backend in PASSES:
+            monkeypatch.setattr(kernels, "BACKEND", backend)
+            exact_evals.clear()
+            for seed, counts in zip(SEEDS, points):
+                assert np.array_equal(
+                    noncfd_counts(params, quad, quota, seed), counts)
+            # Every setting of each side sent evaluations to the exact
+            # kernel (at theta = 0, a1 = a2 and a1p = a2p).
+            assert {a for a, _, _ in exact_evals} == set(quad.as_tuple())
+            evals.setdefault(backend, []).extend(exact_evals)
+    _same_evaluations(params, evals)
 
 
 def _certified_flags(params, quad, u, r, rhat):
@@ -134,7 +158,7 @@ def test_fallback_flags_match_run_cfd_trial_by_trial(params, monkeypatch,
     r, rhat = np.array(r_cols), np.array(rhat_cols)
     x, w = _certified_flags(params, quad, u, r, rhat)
     assert np.array_equal(x, run.x == 1) and np.array_equal(w, run.w == 1)
-    assert sum(e for _, e in exact_evals) > 2000
+    assert sum(e for _, e, _ in exact_evals) > 2000
 
     for c, (a, phi) in enumerate(zip(quad.as_tuple(),
                                      (phi1, phi1, phi2, phi2))):
@@ -150,21 +174,23 @@ def test_fallback_flags_match_run_cfd_trial_by_trial(params, monkeypatch,
     x, w = _certified_flags(params, quad, u, r, rhat)
     near = experiment.cfd_from_inputs(params, quad, phi1, phi2, r, rhat)
     assert np.array_equal(x, near.x == 1) and np.array_equal(w, near.w == 1)
-    assert sum(e for _, e in exact_evals) >= 2 * n
+    assert sum(e for _, e, _ in exact_evals) >= 2 * n
 
 
 @pytest.mark.parametrize("quota", [
     1, 2, experiment.CHUNK // 2 - 1, experiment.CHUNK // 2,
     experiment.CHUNK // 2 + 1, experiment.CHUNK - 1, experiment.CHUNK,
     experiment.CHUNK + 1])
-def test_noncfd_counts_at_quota_edges(quota):
+def test_noncfd_counts_at_quota_edges(quota, monkeypatch):
     # A non-CFD chunk holds min(2 * CHUNK, 4 * quota) trials.
     for params in (ModelParams(), ModelParams(threshold=-0.5)):
         quad = SettingsQuad.for_theta(0.4)
         for seed in SEEDS:
             point = reference.noncfd_point(params, quad, quota, seed)
-            assert np.array_equal(noncfd_counts(params, quad, quota, seed),
-                                  point.counts)
+            for backend in PASSES:
+                monkeypatch.setattr(kernels, "BACKEND", backend)
+                assert np.array_equal(
+                    noncfd_counts(params, quad, quota, seed), point.counts)
 
 
 def test_noncfd_counts_when_pairs_fill_in_different_chunks(monkeypatch):
@@ -175,18 +201,24 @@ def test_noncfd_counts_when_pairs_fill_in_different_chunks(monkeypatch):
         point = reference.noncfd_point(ModelParams(), quad, quota, seed)
         fill_chunks = {int(p.k[-1]) // 64 for p in point.pairs}
         spread += len(fill_chunks) > 1
-        assert np.array_equal(noncfd_counts(ModelParams(), quad, quota, seed),
-                              point.counts)
+        for backend in PASSES:
+            monkeypatch.setattr(kernels, "BACKEND", backend)
+            assert np.array_equal(
+                noncfd_counts(ModelParams(), quad, quota, seed), point.counts)
     assert spread >= 2  # seeds where a pair fills a chunk before the last
 
 
-def test_default_point_rarely_needs_the_exact_kernel(exact_evals):
-    for d in (4.0, 3.0):  # the power by multiplications, even and odd
-        exact_evals.clear()
-        cfd_counts(ModelParams(d=d), SettingsQuad.for_theta(0.3), 200_000, 5)
-        noncfd_counts(ModelParams(d=d), SettingsQuad.for_theta(0.3), 50_000,
-                      5)
-        assert sum(e for _, e in exact_evals) <= 20
+def test_default_point_rarely_needs_the_exact_kernel(exact_evals,
+                                                     monkeypatch):
+    for backend in PASSES:
+        monkeypatch.setattr(kernels, "BACKEND", backend)
+        for d in (4.0, 3.0):  # the power by multiplications, even and odd
+            exact_evals.clear()
+            cfd_counts(ModelParams(d=d), SettingsQuad.for_theta(0.3), 200_000,
+                       5)
+            noncfd_counts(ModelParams(d=d), SettingsQuad.for_theta(0.3),
+                          50_000, 5)
+            assert sum(e for _, e, _ in exact_evals) <= 20
 
 
 def _trig(u):
@@ -195,6 +227,58 @@ def _trig(u):
     trig = np.empty((2, u.size))
     experiment._trig(u, trig, np.empty(u.size, np.intp), np.empty((4, u.size)))
     return trig
+
+
+def _decision_values(cfd, params, quad, u):
+    """(dx, q) of experiment._station_flags, (k, n) arrays of each
+    station's decision values, computed here with the same numpy
+    operations, for the uniforms u of a chunk of either pass."""
+    cos2, sin2 = _trig(u[0])
+    turns = np.array(experiment._turns(quad))  # rows ca, sa per station
+    if cfd:
+        station, r, rhat = np.arange(4)[:, None], u[1:5], u[5:9]
+    else:  # each side's station: 2 * side + primed
+        station, r, rhat = np.array([[0], [2]]) + (u[1:3] < 0.5), u[3:5], \
+            u[5:7]
+    ca, sa = turns[station, 0], turns[station, 1]
+    dx = cos2 * (0.5 * ca) + sin2 * (0.5 * sa) - r
+    s = cos2 * sa - sin2 * ca
+    q = experiment._abs_power(s, params.d, np.empty_like(s)) * rhat
+    return dx, q
+
+
+@pytest.mark.skipif(kernels.CPASS is None,
+                    reason="no compiled pass: no C compiler, or its build "
+                    "or load failed")
+@pytest.mark.parametrize("cfd", [True, False], ids=["cfd", "noncfd"])
+@pytest.mark.parametrize("d", [4.0, 3.0, 1.0])
+def test_compiled_decision_values_are_numpys_bit_for_bit(cfd, d):
+    """Bounds that close on one value v mark uncertain exactly the
+    evaluations whose decision value equals v.  With v taken from
+    numpy's values, the compiled pass's uncertain evaluations must be
+    numpy's matches of v: its values are numpy's, bit for bit."""
+    params, quad, n = ModelParams(d=d, threshold=-0.75), \
+        SettingsQuad.for_theta(0.4), 1000
+    streams = experiment._CHUNK_STREAMS if cfd else \
+        experiment._NONCFD_STREAMS
+    origins = rng.stream_origins(7, streams)
+    values = _decision_values(cfd, params, quad,
+                              kernels.fill_uniforms(origins, 0, n))
+    gen = np.random.default_rng(1)
+    inf = math.inf
+    for which, bounds_at in ((0, lambda v: (v, v, -inf, -inf)),
+                             (1, lambda v: (-inf, -inf, v, v))):
+        value = values[which]
+        for station, trial in zip(gen.integers(0, len(value), 12),
+                                  gen.integers(0, n, 12)):
+            v = value[station, trial]
+            compiled = experiment._Compiled(cfd, params, quad, bounds_at(v),
+                                            origins, n)
+            m = compiled._run(compiled._ref, 0, n)
+            got = {(c, int(t)) for t, mask in zip(compiled.pending[:m],
+                                                  compiled.pending_unsure[:m])
+                   for c in range(len(value)) if mask >> c & 1}
+            assert got == set(zip(*np.nonzero(value == v)))
 
 
 # Step (1) of the error argument in CHANGES.md: |C - cos 2phi1| and

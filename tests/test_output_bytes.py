@@ -1,9 +1,10 @@
 """Output bytes, pinned: sha256s of small CLI runs.
 
 Each run writes its rows with --out (and its trial dump, where it has
-one), in process, at one and at two worker processes.  The constants
-were recorded from the code as it stood before the dump was written
-chunk by chunk; any change to a row or a dump byte fails here.
+one), in process, at one and at two worker processes, under numpy's
+chunk pass and under the compiled one.  The constants were recorded
+from the code as it stood before the dump was written chunk by chunk;
+any change to a row or a dump byte fails here.
 """
 import hashlib
 import os
@@ -11,7 +12,7 @@ import threading
 
 import pytest
 
-from eprbsim import cli
+from eprbsim import cli, kernels
 
 # argv, then the sha256 of the rows and, for a dump run, of the dump.
 RUNS = {
@@ -45,9 +46,8 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("name", list(RUNS))
-def test_output_bytes_are_pinned(name, threads, tmp_path):
+def check_pinned(name, threads, tmp_path):
+    """Run RUNS[name] at this many worker processes; check its bytes."""
     argv, rows_sha, dump_sha = RUNS[name]
     rows, dump = tmp_path / "rows", tmp_path / "trials.csv"
     extra = [] if dump_sha is None else ["--dump-trials", str(dump)]
@@ -56,6 +56,25 @@ def test_output_bytes_are_pinned(name, threads, tmp_path):
     assert _sha256(rows) == rows_sha
     if dump_sha is not None:
         assert _sha256(dump) == dump_sha
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", list(RUNS))
+def test_output_bytes_are_pinned(name, threads, tmp_path, monkeypatch):
+    # Forked workers inherit the pass chosen here.
+    monkeypatch.setattr(kernels, "BACKEND", "numpy")
+    check_pinned(name, threads, tmp_path)
+
+
+@pytest.mark.skipif(kernels.CPASS is None,
+                    reason="no compiled pass: no C compiler, or its build "
+                    "or load failed")
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", list(RUNS))
+def test_compiled_pass_output_bytes_are_pinned(name, threads, tmp_path,
+                                               monkeypatch):
+    monkeypatch.setattr(kernels, "BACKEND", "c")
+    check_pinned(name, threads, tmp_path)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
