@@ -21,9 +21,14 @@
  *
  * Python computes every input (origins, turns, bounds, table, chunk
  * length); see experiment._Compiled.
+ *
+ * cpass_format writes the trial dump's CSV records: str of each integer
+ * and '%.17g' of each double, byte for byte as Python prints them.
  */
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <string.h>
 
 #define GOLDEN 0x9E3779B97F4A7C15ULL
@@ -314,4 +319,180 @@ void cpass_uniforms(uint64_t origin, uint64_t start, int64_t n, double *out)
 {
     for (int64_t i = 0; i < n; i++)
         out[i] = uniform(origin + (start + (uint64_t)i + 1) * GOLDEN);
+}
+
+/* A column of cpass_format.  Mirrored field for field by
+ * kernels.CPassColumn. */
+enum { COLUMN_TEXT, COLUMN_INT64, COLUMN_FLOAT64 };
+
+struct cpass_column {
+    int64_t kind;
+    const void *data;   /* the text, or the column's value in row 0 */
+    int64_t stride;     /* bytes from one row's value to the next */
+    int64_t length;     /* bytes of the text */
+};
+
+/* The decimal digits of m at p; returns their end. */
+static char *put_digits(char *p, uint64_t m)
+{
+    char digits[20];
+    int k = 0;
+    do {
+        digits[k++] = (char)('0' + m % 10);
+        m /= 10;
+    } while (m);
+    while (k)
+        *p++ = digits[--k];
+    return p;
+}
+
+/* str(v) */
+static char *put_int(char *p, int64_t v)
+{
+    uint64_t m = (uint64_t)v;
+    if (v < 0) {
+        *p++ = '-';
+        m = 0 - m;  /* -2**63 too */
+    }
+    return put_digits(p, m);
+}
+
+#if LDBL_MANT_DIG >= 64
+/* The eight decimal digits of m < 10**8 at p, zero padded. */
+static void put_8_digits(char *p, uint32_t m)
+{
+    static const char pairs[] =
+        "00010203040506070809101112131415161718192021222324"
+        "25262728293031323334353637383940414243444546474849"
+        "50515253545556575859606162636465666768697071727374"
+        "75767778798081828384858687888990919293949596979899";
+    uint32_t a = m / 10000, b = m % 10000;
+    memcpy(p, pairs + 2 * (a / 100), 2);
+    memcpy(p + 2, pairs + 2 * (a % 100), 2);
+    memcpy(p + 4, pairs + 2 * (b / 100), 2);
+    memcpy(p + 6, pairs + 2 * (b % 100), 2);
+}
+
+/* 10**k for 0 <= k <= 20, exact in a 64-bit significand. */
+static const long double POW10_LD[21] = {
+    1e0L, 1e1L, 1e2L, 1e3L, 1e4L, 1e5L, 1e6L, 1e7L, 1e8L, 1e9L, 1e10L,
+    1e11L, 1e12L, 1e13L, 1e14L, 1e15L, 1e16L, 1e17L, 1e18L, 1e19L, 1e20L,
+};
+/* 10**k for -4 <= k <= 17, as doubles: exact for k >= 0, and rounded up
+ * for k < 0, so that an e10 judged from them is never too high. */
+static const double POW10[22] = {
+    1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8,
+    1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17,
+};
+
+/* '%.17g' of a v that prints in fixed notation, with decimal exponent
+ * e10 in [-4, 16], taken from D = rint(|v| * 10**(16 - e10)) in long
+ * double.  The product lies below 10**17 < 2**57 and 10**(16 - e10) is
+ * exact, so the product's one rounding error is at most 2**-8, and D is
+ * the correctly rounded 17-digit significand that '%.17g' prints unless
+ * the product lies within 2**-7 of a .5 tie or D falls outside
+ * [10**16, 10**17) (rounding carried into an 18th digit, or e10 judged
+ * one too low).  Returns the end of the text, or NULL for those values
+ * and for any v outside [1e-4, 1e17) in magnitude, nan included. */
+static char *put_fixed(char *p, double v)
+{
+    double a = fabs(v);
+    if (!(a >= POW10[0] && a < POW10[21]))
+        return NULL;
+    int i = 0;  /* the largest i with POW10[i] <= a */
+    for (int step = 16; step; step >>= 1)
+        if (i + step <= 20 && a >= POW10[i + step])
+            i += step;
+    int e10 = i - 4;
+    long double scaled = (long double)a * POW10_LD[16 - e10];
+    long double d = rintl(scaled);
+    if (!(fabsl(scaled - d) < 0.5L - 0x1p-7L && d >= POW10_LD[16]
+          && d < POW10_LD[17]))
+        return NULL;
+    uint64_t sig = (uint64_t)d;
+    /* The 17 digits: one, then four pairs of the high nine, then four
+     * pairs of the low eight. */
+    char dg[40];
+    uint32_t hi = (uint32_t)(sig / 100000000), lo = (uint32_t)(sig % 100000000);
+    dg[0] = (char)('0' + hi / 100000000);
+    put_8_digits(dg + 1, hi % 100000000);
+    put_8_digits(dg + 9, lo);
+    int last = 16;  /* the last nonzero digit; the first is never zero */
+    while (dg[last] == '0')
+        last--;
+    /* e10 >= 0 prints e10 + 1 integer digits, then '.' and the rest;
+     * e10 < 0 prints '0.', -e10 - 1 zeros and the digits.  Trailing
+     * zeros, and a '.' they leave bare, are dropped.  The text is laid
+     * out in 24 bytes (copies of constant length, past its end too) and
+     * copied whole: the caller's buffer holds 24 bytes per double. */
+    char text[48];
+    char *q = text + (v < 0);
+    int length;
+    text[0] = '-';
+    if (e10 >= 0) {
+        memcpy(q, dg, 17);
+        q[e10 + 1] = '.';
+        memcpy(q + e10 + 2, dg + e10 + 1, 16);
+        length = e10 + 1 + (last > e10 ? 1 + last - e10 : 0);
+    } else {
+        memcpy(q, "0.000", 5);
+        memcpy(q + 1 - e10, dg, 17);
+        length = 2 - e10 + last;
+    }
+    memcpy(p, text, 24);
+    p += (v < 0) + length;
+    return p;
+}
+#endif
+
+/* '%.17g' % v as Python prints it: "nan" whatever its sign, where the C
+ * library prints "-nan" for a nan with its sign bit set. */
+static char *put_float(char *p, double v)
+{
+    if (isnan(v)) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+#if LDBL_MANT_DIG >= 64
+    char *end = put_fixed(p, v);
+    if (end)
+        return end;
+#endif
+    char text[32];
+    int k = snprintf(text, sizeof text, "%.17g", v);
+    memcpy(p, text, (size_t)k);
+    return p + k;
+}
+
+/* Rows 0..n-1 of the columns into out, each row its fields joined by
+ * ',' and ended by '\n': constant text, str of an int64, '%.17g' of a
+ * double.  out holds at least n times (1 + the sum over the columns of
+ * one more than the text's length, 20 for an int64 and 24 for a
+ * double) bytes.  Returns the bytes written. */
+int64_t cpass_format(const struct cpass_column *columns, int64_t ncolumns,
+                     int64_t n, char *out)
+{
+    char *p = out;
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t c = 0; c < ncolumns; c++) {
+            const struct cpass_column *col = columns + c;
+            const char *at = (const char *)col->data + i * col->stride;
+            if (c)
+                *p++ = ',';
+            if (col->kind == COLUMN_TEXT) {
+                memcpy(p, col->data, (size_t)col->length);
+                p += col->length;
+            } else if (col->kind == COLUMN_INT64) {
+                int64_t v;
+                memcpy(&v, at, sizeof v);
+                p = put_int(p, v);
+            } else {
+                double v;
+                memcpy(&v, at, sizeof v);
+                p = put_float(p, v);
+            }
+        }
+        *p++ = '\n';
+    }
+    return p - out;
 }

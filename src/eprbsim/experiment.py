@@ -19,7 +19,8 @@ kernels.BACKEND is "c", in the compiled pass of _cpass.c (`_Compiled`),
 with the same float operations and so the same flags.  `run_cfd` and
 `run_noncfd` draw one chunk of the same pass, evaluate the exact law at
 every station and keep the chunk's per-trial arrays, for the trial
-dump.
+dump, which sweep._TrialDumper writes a chunk at a time (formatted by
+the compiled library where kernels.BACKEND is "c").
 """
 from __future__ import annotations
 

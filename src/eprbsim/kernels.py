@@ -15,19 +15,24 @@ experiment.run_noncfd) call it at every station.
 The streaming passes have two implementations of one chunk: numpy's, in
 experiment, and _cpass.c, which does the same float operations in the
 same order, a block of trials at a time, in one call per chunk, so that
-every value and every certified flag is numpy's, bit for bit.
+every value and every certified flag is numpy's, bit for bit.  The same
+library formats the trial dump's records (format_csv), with the bytes
+of Python's str and '%.17g'.
 load_cpass compiles _cpass.c with the system's cc at first use, into
-the package's __pycache__ under a name keyed by its source, its flags
-and the interpreter, and later imports load it from there.  CPASS is
-the loaded library, or None where there is no compiler, the build or
-the load fails, or the library fails its known-answer check; BACKEND
-names the pass in use, "c" or "numpy", and the passes read it at each
-call.
+the package's __pycache__ as _cpass-<interpreter tag>-<key>.so, the key
+a hash of its source and its flags, and later imports load it from
+there; a build removes the libraries of the same tag that it replaces.
+CPASS is the loaded library, or None where there is no compiler, the
+build or the load fails, or the library fails its known-answer checks
+(its hash against fill_uniforms, its formatter against Python's);
+BACKEND names the pass in use, "c" or "numpy", and the passes and the
+trial dump read it at each call.
 """
 from __future__ import annotations
 
 import ctypes
 import importlib.machinery
+import math
 import os
 
 import numpy as np
@@ -121,8 +126,16 @@ def station_response(a, phi, r, rhat, d, v_min_mag, v_max_mag):
 _SOURCE = os.path.join(os.path.dirname(__file__), "_cpass.c")
 _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 # No -ffast-math and no -march=native: each + - * must round as numpy's.
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# Functions start on 64-byte boundaries, so that code added to the
+# library does not shift the passes' loops across cache lines (without
+# it, adding cpass_format slowed the passes by 2-3%).
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off",
+           "-falign-functions=64")
 _BUILD_TIMEOUT_S = 120
+# The interpreter's tag in its libraries' names: its EXT_SUFFIX without
+# the dots, e.g. "cpython-311-x86_64-linux-gnu", names its version,
+# build and platform.
+_TAG = importlib.machinery.EXTENSION_SUFFIXES[0].split(".")[1]
 
 
 class CPassPoint(ctypes.Structure):
@@ -143,6 +156,55 @@ class CPassPoint(ctypes.Structure):
     ]
 
 
+class CPassColumn(ctypes.Structure):
+    """struct cpass_column of _cpass.c: one column of format_csv."""
+
+    _fields_ = [("kind", ctypes.c_int64), ("data", ctypes.c_void_p),
+                ("stride", ctypes.c_int64), ("length", ctypes.c_int64)]
+
+
+_TEXT, _INT64, _FLOAT64 = 0, 1, 2
+# The widest field of each kind: str(-2**63), and '%.17g' of
+# -2.2250738585072014e-308.
+_WIDTH = {_INT64: 20, _FLOAT64: 24}
+
+
+def format_csv(lib, columns, buffer=None):
+    """The CSV lines of equal-length columns, formatted by lib's
+    cpass_format: one line per row, its fields joined by ',' and ended
+    by '\\n'.
+
+    A column is bytes (the same text in every row), an integer array
+    (written as str writes it) or a float array ('%.17g').  The lines go
+    into buffer, a uint8 array, replaced by a larger one when it is too
+    small.  Returns (buffer, the number of bytes written).
+    """
+    arrays = [c for c in columns if not isinstance(c, bytes)]
+    n = len(arrays[0])
+    fields = (CPassColumn * len(columns))()
+    keep = []  # the arrays that fields point into
+    width = 1
+    for field, col in zip(fields, columns):
+        if isinstance(col, bytes):
+            col = np.frombuffer(col, np.uint8)
+            field.kind, field.length = _TEXT, col.size
+            width += col.size + 1
+        else:
+            if len(col) != n:
+                raise ValueError("columns of different lengths")
+            floating = np.issubdtype(col.dtype, np.floating)
+            field.kind = _FLOAT64 if floating else _INT64
+            col = np.asarray(col, np.float64 if floating else np.int64)
+            field.stride = col.strides[0]
+            width += _WIDTH[field.kind] + 1
+        field.data = col.ctypes.data
+        keep.append(col)
+    if buffer is None or buffer.size < n * width:
+        buffer = np.empty(n * width, np.uint8)
+    return buffer, lib.cpass_format(fields, len(columns), n,
+                                    buffer.ctypes.data)
+
+
 def _compiled(source: str, cache: str) -> str | None:
     """The library of source in cache, compiled there on a miss.
 
@@ -152,11 +214,9 @@ def _compiled(source: str, cache: str) -> str | None:
     """
     with open(source, "rb") as fh:
         text = fh.read()
-    # The interpreter's EXT_SUFFIX names its version and platform.
-    key = sha256(b"\0".join([
-        text, " ".join(_CFLAGS).encode(),
-        importlib.machinery.EXTENSION_SUFFIXES[0].encode()])).hexdigest()
-    path = os.path.join(cache, f"_cpass-{key[:16]}.so")
+    key = sha256(b"\0".join([text, " ".join(_CFLAGS).encode(),
+                              _TAG.encode()])).hexdigest()[:16]
+    path = os.path.join(cache, f"_cpass-{_TAG}-{key}.so")
     if os.path.exists(path):
         return path
     import subprocess
@@ -178,14 +238,44 @@ def _compiled(source: str, cache: str) -> str | None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    _remove_stale(cache, path)
     return path
+
+
+def _remove_stale(cache: str, path: str) -> None:
+    """Remove this interpreter's libraries in cache other than path: those
+    of earlier sources or flags.  Another interpreter's stay."""
+    import re
+    stale = re.compile(rf"_cpass-{re.escape(_TAG)}-[0-9a-f]{{16}}\.so")
+    for name in os.listdir(cache):
+        if stale.fullmatch(name) and name != os.path.basename(path):
+            try:
+                os.remove(os.path.join(cache, name))
+            except FileNotFoundError:  # another process removed it
+                pass
+
+
+# The known-answer check of cpass_format: a tie that the fast path
+# leaves to the C library (1 + 2**-17), the smallest subnormal, both
+# ends of fixed notation and values past them, signed zeros, infinities
+# and nans, and the ends of int64.
+_CHECK_FLOATS = np.array([1 + 2.0 ** -17, 5e-324, 1e16, 1e17, 1e-4, 1e-5,
+                          0.0, -0.0, math.inf, -math.inf, math.nan,
+                          math.copysign(math.nan, -1.0), -0.7071067811865476,
+                          123456789.125])
+_CHECK_INTS = np.array([-2 ** 63, 2 ** 63 - 1, 0, -1, 7, 10 ** 18] +
+                       [0] * (len(_CHECK_FLOATS) - 6), np.int64)
+_CHECK_CSV = "".join(
+    "%.17g,t,%d\n" % row
+    for row in zip(_CHECK_FLOATS.tolist(), _CHECK_INTS.tolist())).encode()
 
 
 def load_cpass(source: str = _SOURCE, cache: str = _CACHE):
     """The compiled pass of source, built into cache at first use.
 
-    None where it cannot be built or loaded, or where its hash does not
-    reproduce fill_uniforms.
+    None where it cannot be built or loaded, where its hash does not
+    reproduce fill_uniforms, or where its formatter does not reproduce
+    Python's bytes of _CHECK_FLOATS and _CHECK_INTS.
     """
     path = _compiled(source, cache)
     if path is None:
@@ -200,11 +290,18 @@ def load_cpass(source: str = _SOURCE, cache: str = _CACHE):
         lib.cpass_uniforms.argtypes = (ctypes.c_uint64, ctypes.c_uint64,
                                        ctypes.c_int64, ctypes.c_void_p)
         lib.cpass_uniforms.restype = None
+        lib.cpass_format.argtypes = (ctypes.POINTER(CPassColumn),
+                                     ctypes.c_int64, ctypes.c_int64,
+                                     ctypes.c_void_p)
+        lib.cpass_format.restype = ctypes.c_int64
     except (OSError, AttributeError):
         return None
     start, got = 2 ** 40 - 5, np.empty(16)
     lib.cpass_uniforms(GOLDEN, start, got.size, got.ctypes.data)
     if not np.array_equal(got, fill_uniforms(_GOLDEN_U64, start, got.size)):
+        return None
+    buffer, size = format_csv(lib, [_CHECK_FLOATS, b"t", _CHECK_INTS])
+    if buffer[:size].tobytes() != _CHECK_CSV:
         return None
     return lib
 

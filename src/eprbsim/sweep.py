@@ -3,7 +3,11 @@
 A sweep evaluates one row per grid point (theta, or threshold at fixed
 theta).  Rows are emitted in grid order and all randomness is derived
 per point from the configured seed, so identical configurations yield
-byte-identical output files at any number of worker processes.
+byte-identical output files at any number of worker processes.  The
+trial dump (_TrialDumper) is written in this process, one chunk's
+records at a time, formatted by the compiled library
+(kernels.format_csv) or, where kernels.BACKEND is "numpy", line by line
+(_csv_lines), with the same bytes.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import csvblock, experiment, rng, stats
+from . import experiment, kernels, rng, stats
 from .experiment import (PAIR_NAMES, QUADRUPLES, CfdRun, cfd_counts,
                          noncfd_counts, pair_counts, run_cfd, run_noncfd)
 from .params import (DEFAULT_N, DEFAULT_SEED, DEFAULT_THETA_STEPS,
@@ -323,7 +327,12 @@ def write_rows(cfg: RunConfig, columns, rows, fh) -> None:
 
 
 class _TrialDumper:
-    """Raw per-trial record writer (comma separated, one line per record)."""
+    """Raw per-trial record writer (comma separated, one line per record).
+
+    A run's records are formatted in one call of the compiled library
+    (kernels.format_csv) where kernels.BACKEND is "c", and one line at a
+    time by _csv_lines otherwise, with the same bytes.
+    """
 
     CFD_HEADER = ("k,a1,a1p,a2,a2p,x1,x1p,x2,x2p,"
                   "v1,v1p,v2,v2p,w1,w1p,w2,w2p")
@@ -332,6 +341,7 @@ class _TrialDumper:
     def __init__(self, path: str, mode: str):
         self.fh = open(path, "wb")
         self.mode = mode
+        self.buffer = None  # format_csv's, reused from run to run
         self.fh.write((self.CFD_HEADER if mode == "cfd"
                        else self.NONCFD_HEADER).encode() + b"\n")
 
@@ -342,7 +352,24 @@ class _TrialDumper:
             head = [np.arange(run.start, run.start + run.n), settings.encode()]
         else:
             head = [run.k, *run.a.T]
-        csvblock.write_records(self.fh, [*head, *run.x.T, *run.v.T, *run.w.T])
+        columns = [*head, *run.x.T, *run.v.T, *run.w.T]
+        if kernels.BACKEND == "c":
+            self.buffer, size = kernels.format_csv(kernels.CPASS, columns,
+                                                   self.buffer)
+            self.fh.write(memoryview(self.buffer)[:size])
+        else:
+            self.fh.write(_csv_lines(columns))
 
     def close(self) -> None:
         self.fh.close()
+
+
+def _csv_lines(columns) -> bytes:
+    """The records of kernels.format_csv's columns, formatted line by line:
+    '%d' of each integer and '%.17g' of each float."""
+    line = ",".join(
+        c.decode().replace("%", "%%") if isinstance(c, bytes)
+        else "%.17g" if np.issubdtype(c.dtype, np.floating) else "%d"
+        for c in columns) + "\n"
+    rows = zip(*[c.tolist() for c in columns if not isinstance(c, bytes)])
+    return "".join(line % row for row in rows).encode()

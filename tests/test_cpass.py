@@ -137,3 +137,43 @@ def test_two_processes_that_build_at_once_both_load(tmp_path):
     assert outs == ["True", "True"]
     assert [p.returncode for p in procs] == [0, 0]
     assert len(os.listdir(cache)) == 1  # one library, no temporary files
+
+
+@needs_cc
+def test_a_new_build_removes_this_interpreters_stale_libraries(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    other = cache / "_cpass-cpython-399-other-platform-0123456789abcdef.so"
+    other.write_bytes(b"another interpreter's library")
+    first = tmp_path / "first.c"
+    second = tmp_path / "second.c"
+    text = open(kernels._SOURCE).read()
+    first.write_text(text)
+    second.write_text(text + "\n/* another source */\n")
+    for source in (first, second):
+        assert kernels.load_cpass(str(source), str(cache)) is not None
+    ours = [p for p in os.listdir(cache)
+            if p.startswith(f"_cpass-{kernels._TAG}-")]
+    assert len(ours) == 1
+    assert kernels._compiled(str(second), str(cache)) == str(cache / ours[0])
+    assert other.exists()
+
+
+@needs_cc
+def test_the_source_compiles_without_warnings(tmp_path):
+    out = subprocess.run(
+        ["cc", *kernels._CFLAGS, "-Wall", "-Wextra", "-Werror", "-o",
+         str(tmp_path / "lib.so"), kernels._SOURCE, "-lm"],
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
+@needs_cc
+def test_a_library_whose_formatter_disagrees_with_python(tmp_path):
+    # "-nan" for a nan with its sign bit set, as the C library prints it.
+    source = tmp_path / "_cpass.c"
+    text = open(kernels._SOURCE).read()
+    assert "if (isnan(v)) {" in text
+    source.write_text(text.replace("if (isnan(v)) {",
+                                   "if (isnan(v) && 0) {"))
+    assert kernels.load_cpass(str(source), str(tmp_path / "cache")) is None

@@ -4,8 +4,10 @@ The reference writer below formats one record per line with f-strings
 and '%.17g', as the dump was first written, from whole-point runs:
 `run_cfd` over all of a point's trials, and the non-CFD reference
 `reference.noncfd_point`, which selects and draws its trials its own
-way.  The dump, written chunk by chunk by `sweep._TrialDumper` through
-`csvblock`, must produce the same bytes.
+way.  The dump, written chunk by chunk by `sweep._TrialDumper`, must
+produce the same bytes, whether the compiled library formats it
+(`kernels.format_csv`) or the per-line fallback does.  The compiled
+formatter is checked against Python's '%.17g' and str on its own, too.
 """
 import io
 import math
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from eprbsim import cli, csvblock, experiment, rng, sweep
+from eprbsim import cli, experiment, kernels, rng, sweep
 from eprbsim.experiment import run_cfd
 from eprbsim.params import ModelParams, SettingsQuad
 
@@ -110,8 +112,8 @@ def _dump_and_reference(tmp_path, monkeypatch, *args):
     ("--threshold-sweep=-0.999:-0.9:3", "--n", "400", "--seed", "3"),
     ("--theta-steps", "2", "--n", "600", "--d", "0", "--vmin", "0.95"),
     ("--theta-steps", "1", "--n", "1"),
-    ("--theta-steps", "1", "--n", str(csvblock.BLOCK - 1), "--seed", "4"),
-    ("--theta-steps", "2", "--n", str(csvblock.BLOCK + 1), "--seed", "5"),
+    ("--theta-steps", "1", "--n", str(experiment.CHUNK - 1), "--seed", "4"),
+    ("--theta-steps", "2", "--n", str(experiment.CHUNK + 1), "--seed", "5"),
     ("--mode", "noncfd", "--theta-steps", "2", "--n", "300", "--seed", "6"),
     ("--mode", "noncfd", "--theta-steps", "1", "--n", "1", "--seed", "8"),
     ("--mode", "noncfd", "--theta-steps", "1", "--n", "5000", "--d", "0",
@@ -157,8 +159,15 @@ def test_dump_when_pairs_fill_in_different_chunks(tmp_path, monkeypatch):
     assert spread >= 2
 
 
-def test_dump_bytes_without_long_double_path(tmp_path, monkeypatch):
-    monkeypatch.setattr(csvblock, "LONGDOUBLE_EXACT", False)
+needs_cpass = pytest.mark.skipif(
+    kernels.CPASS is None,
+    reason="no compiled library: no C compiler, or its build or load failed")
+
+
+@pytest.mark.parametrize("backend", [
+    "numpy", pytest.param("c", marks=needs_cpass)])
+def test_dump_bytes_under_each_backend(tmp_path, monkeypatch, backend):
+    monkeypatch.setattr(kernels, "BACKEND", backend)
     for args in (("--theta-steps", "2", "--n", "300", "--seed", "10"),
                  ("--mode", "noncfd", "--theta-steps", "1", "--n", "100")):
         got, want, _ = _dump_and_reference(tmp_path, monkeypatch, *args)
@@ -168,8 +177,13 @@ def test_dump_bytes_without_long_double_path(tmp_path, monkeypatch):
 # ------------------------------------------------------------ the formatter
 
 
+def _format(columns) -> bytes:
+    buffer, size = kernels.format_csv(kernels.CPASS, columns)
+    return buffer[:size].tobytes()
+
+
 def _formatted(values):
-    return csvblock.format_records([np.asarray(values, np.float64)])
+    return _format([np.asarray(values, np.float64)])
 
 
 def _expected(values):
@@ -192,30 +206,44 @@ def _near_ties(rng, count):
 EDGE = [
     0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 0.1, 0.3, -0.995, 2.0 / 3.0,
     5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    -2.2250738585072014e-308,
     sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan,
+    math.copysign(math.nan, -1.0),
     1e-4, 9.9999999999999991e-05, 1e-5, 1.5e17, 1e17, 1e16, -1e16,
     9.9999999999999984e16, 1.2345678901234567e16, 123456789.125,
     1 + 2.0 ** -17, 0.5 + 2.0 ** -18, 2.0 ** 53, 2.0 ** 53 + 2.0,
     *(10.0 ** k for k in range(-10, 25)),
     *(-(10.0 ** k) for k in range(-6, 18)),
+    *(math.nextafter(10.0 ** k, 0.0) for k in range(-6, 18)),
+    *(math.nextafter(10.0 ** k, math.inf) for k in range(-6, 18)),
 ]
 
 
+@needs_cpass
 def test_float_edge_cases_match_percent_g():
     assert _formatted(EDGE) == _expected(EDGE)
 
 
+@needs_cpass
+def test_nan_with_its_sign_bit_set_prints_as_python_does():
+    # The C library prints "-nan"; Python prints "nan".
+    assert _formatted([math.copysign(math.nan, -1.0), -0.0]) == b"nan\n-0\n"
+
+
+@needs_cpass
 def test_float_near_ties_match_percent_g():
     values = _near_ties(np.random.default_rng(0), 300)
     assert _formatted(values) == _expected(values)
 
 
+@needs_cpass
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(), min_size=1, max_size=40))
 def test_float_column_matches_percent_g(values):
     assert _formatted(values) == _expected(values)
 
 
+@needs_cpass
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(min_value=1e-5, max_value=1e17)
                 | st.floats(min_value=-1.0, max_value=-0.5),
@@ -224,23 +252,34 @@ def test_fixed_notation_floats_match_percent_g(values):
     assert _formatted(values) == _expected(values)
 
 
-def test_floats_without_long_double_path(monkeypatch):
-    values = EDGE + list(np.random.default_rng(1).uniform(-1.0, -0.5, 500))
-    monkeypatch.setattr(csvblock, "LONGDOUBLE_EXACT", False)
-    assert _formatted(values) == _expected(values)
-
-
-@pytest.mark.skipif(not csvblock.LONGDOUBLE_EXACT,
-                    reason="no 64-bit long double significand")
-def test_voltages_take_the_array_path():
-    v = np.random.default_rng(2).uniform(-1.0, -0.5, 10_000)
-    fast, _e10, _sig = csvblock._significands(np.abs(v))
-    # Only products within 2**-7 of a tie, about 1.6%, fall back.
-    assert fast.mean() > 0.95
-
-
-@given(st.lists(st.integers(-2 ** 63 + 1, 2 ** 63 - 1), min_size=1,
+@needs_cpass
+@given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1,
                 max_size=40))
 def test_int_column_matches_str(values):
-    got = csvblock.format_records([np.array(values, np.int64), b"c,d"])
+    got = _format([np.array(values, np.int64), b"c,d"])
     assert got == "".join(f"{v},c,d\n" for v in values).encode()
+
+
+@needs_cpass
+def test_int64_ends_match_str():
+    values = [-2 ** 63, 2 ** 63 - 1, -2 ** 63 + 1, 0, -1]
+    assert _format([np.array(values, np.int64)]) == \
+        "".join(f"{v}\n" for v in values).encode()
+
+
+@needs_cpass
+def test_mixed_and_strided_columns():
+    # Columns of a (rows, 2) array are strided; int8 and uint8 columns
+    # print as integers.
+    v = np.array([[-0.5, 0.25], [1e-7, -3.0]])
+    x = np.array([[1, -1], [-1, 1]], np.int8)
+    w = np.array([[0, 1], [1, 0]], np.uint8)
+    got = _format([np.array([7, 8]), b"s", *v.T, *x.T, *w.T])
+    assert got == b"7,s,-0.5,0.25,1,-1,0,1\n8,s,9.9999999999999995e-08,-3,-1,1,1,0\n"
+
+
+@needs_cpass
+def test_zero_rows():
+    buffer, size = kernels.format_csv(
+        kernels.CPASS, [np.empty(0, np.int64), b"t", np.empty(0)])
+    assert size == 0
