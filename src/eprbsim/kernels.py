@@ -179,8 +179,7 @@ def format_csv(lib, columns, buffer=None):
     into buffer, a uint8 array, replaced by a larger one when it is too
     small.  Returns (buffer, the number of bytes written).
     """
-    arrays = [c for c in columns if not isinstance(c, bytes)]
-    n = len(arrays[0])
+    n = next(len(c) for c in columns if not isinstance(c, bytes))
     fields = (CPassColumn * len(columns))()
     keep = []  # the arrays that fields point into
     width = 1

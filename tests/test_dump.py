@@ -159,15 +159,8 @@ def test_dump_when_pairs_fill_in_different_chunks(tmp_path, monkeypatch):
     assert spread >= 2
 
 
-needs_cpass = pytest.mark.skipif(
-    kernels.CPASS is None,
-    reason="no compiled library: no C compiler, or its build or load failed")
-
-
-@pytest.mark.parametrize("backend", [
-    "numpy", pytest.param("c", marks=needs_cpass)])
-def test_dump_bytes_under_each_backend(tmp_path, monkeypatch, backend):
-    monkeypatch.setattr(kernels, "BACKEND", backend)
+def test_dump_bytes_without_the_compiled_formatter(tmp_path, monkeypatch):
+    monkeypatch.setattr(kernels, "BACKEND", "numpy")
     for args in (("--theta-steps", "2", "--n", "300", "--seed", "10"),
                  ("--mode", "noncfd", "--theta-steps", "1", "--n", "100")):
         got, want, _ = _dump_and_reference(tmp_path, monkeypatch, *args)
@@ -175,6 +168,10 @@ def test_dump_bytes_under_each_backend(tmp_path, monkeypatch, backend):
 
 
 # ------------------------------------------------------------ the formatter
+
+needs_cpass = pytest.mark.skipif(
+    kernels.CPASS is None,
+    reason="no compiled library: no C compiler, or its build or load failed")
 
 
 def _format(columns) -> bytes:
