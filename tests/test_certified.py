@@ -247,38 +247,90 @@ def _decision_values(cfd, params, quad, u):
     return dx, q
 
 
-@pytest.mark.skipif(kernels.CPASS is None,
-                    reason="no compiled pass: no C compiler, or its build "
-                    "or load failed")
-@pytest.mark.parametrize("cfd", [True, False], ids=["cfd", "noncfd"])
-@pytest.mark.parametrize("d", [4.0, 3.0, 1.0])
-def test_compiled_decision_values_are_numpys_bit_for_bit(cfd, d):
-    """Bounds that close on one value v mark uncertain exactly the
-    evaluations whose decision value equals v.  With v taken from
-    numpy's values, the compiled pass's uncertain evaluations must be
-    numpy's matches of v: its values are numpy's, bit for bit."""
-    params, quad, n = ModelParams(d=d, threshold=-0.75), \
-        SettingsQuad.for_theta(0.4), 1000
+# The decision-value checks: the first chunk of seed 7, of 1000 trials.
+DECISION_SEED, DECISION_N = 7, 1000
+
+
+def _closed_bounds(cfd, params, quad):
+    """Bounds that close on one decision value v, for 24 values v of the
+    reference (_decision_values), each with the (station, trial) of the
+    evaluations whose value equals v: the ones the bounds leave
+    uncertain.  Half close the outcome's bounds on a dx, half the
+    identification's on a q."""
     streams = experiment._CHUNK_STREAMS if cfd else \
         experiment._NONCFD_STREAMS
-    origins = rng.stream_origins(7, streams)
+    origins = rng.stream_origins(DECISION_SEED, streams)
     values = _decision_values(cfd, params, quad,
-                              kernels.fill_uniforms(origins, 0, n))
+                              kernels.fill_uniforms(origins, 0, DECISION_N))
     gen = np.random.default_rng(1)
     inf = math.inf
     for which, bounds_at in ((0, lambda v: (v, v, -inf, -inf)),
                              (1, lambda v: (-inf, -inf, v, v))):
         value = values[which]
         for station, trial in zip(gen.integers(0, len(value), 12),
-                                  gen.integers(0, n, 12)):
+                                  gen.integers(0, DECISION_N, 12)):
             v = value[station, trial]
-            compiled = experiment._Compiled(cfd, params, quad, bounds_at(v),
-                                            origins, n)
-            m = compiled._run(compiled._ref, 0, n)
-            got = {(c, int(t)) for t, mask in zip(compiled.pending[:m],
-                                                  compiled.pending_unsure[:m])
-                   for c in range(len(value)) if mask >> c & 1}
-            assert got == set(zip(*np.nonzero(value == v)))
+            yield bounds_at(v), set(zip(*np.nonzero(value == v)))
+
+
+DECISION_CASES = pytest.mark.parametrize(
+    "cfd,d", [(cfd, d) for d in (4.0, 3.0, 1.0) for cfd in (True, False)],
+    ids=[f"{d}-{mode}" for d in (4.0, 3.0, 1.0)
+         for mode in ("cfd", "noncfd")])
+
+
+@DECISION_CASES
+def test_numpy_decision_values_are_the_references_bit_for_bit(cfd, d,
+                                                              monkeypatch):
+    """Bounds that close on one value v mark uncertain exactly the
+    evaluations whose decision value equals v.  numpy's pass, given
+    such bounds, must send _settle exactly the reference's matches of
+    v: its values are the reference's, bit for bit.  (Values that stay
+    inside the margin give the same flags and counts, so no count
+    would see a reordered dx or q.)"""
+    params, quad = ModelParams(d=d, threshold=-0.75), \
+        SettingsQuad.for_theta(0.4)
+    monkeypatch.setattr(kernels, "BACKEND", "numpy")
+    settle, first = experiment._settle, []
+
+    def spy(params, stations, u, r, rhat, unsure, x, w):
+        if not first:  # the first chunk's
+            first.append(set(zip(*np.nonzero(unsure))))
+        settle(params, stations, u, r, rhat, unsure, x, w)
+
+    monkeypatch.setattr(experiment, "_settle", spy)
+    for bounds, expected in _closed_bounds(cfd, params, quad):
+        monkeypatch.setattr(experiment, "_flag_bounds",
+                            lambda params: bounds)
+        first.clear()
+        if cfd:
+            cfd_counts(params, quad, DECISION_N, DECISION_SEED)
+        else:  # a chunk of 4 * quota trials
+            noncfd_counts(params, quad, DECISION_N // 4, DECISION_SEED)
+        assert first == [expected]
+
+
+@pytest.mark.skipif(kernels.CPASS is None,
+                    reason="no compiled pass: no C compiler, or its build "
+                    "or load failed")
+@DECISION_CASES
+def test_compiled_decision_values_are_numpys_bit_for_bit(cfd, d):
+    """As for numpy's pass above: with v taken from the reference's
+    values, the compiled pass's uncertain evaluations must be the
+    reference's matches of v."""
+    params, quad = ModelParams(d=d, threshold=-0.75), \
+        SettingsQuad.for_theta(0.4)
+    streams = experiment._CHUNK_STREAMS if cfd else \
+        experiment._NONCFD_STREAMS
+    origins = rng.stream_origins(DECISION_SEED, streams)
+    for bounds, expected in _closed_bounds(cfd, params, quad):
+        compiled = experiment._Compiled(cfd, params, quad, bounds, origins,
+                                        DECISION_N)
+        m = compiled._run(compiled._ref, 0, DECISION_N)
+        got = {(c, int(t)) for t, mask in zip(compiled.pending[:m],
+                                              compiled.pending_unsure[:m])
+               for c in range(4 if cfd else 2) if mask >> c & 1}
+        assert got == expected
 
 
 # Step (1) of the error argument in CHANGES.md: |C - cos 2phi1| and
