@@ -108,7 +108,6 @@ def config_from_args(args) -> sweep.RunConfig:
         seed=args.seed,
         out=args.out,
         format=args.format,
-        angle_unit=args.angle_unit,
         dump_trials=args.dump_trials,
         threshold_sweep=threshold_sweep,
         threads=args.threads,

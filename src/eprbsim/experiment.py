@@ -14,9 +14,11 @@ run therefore reduces to integer counts of states (`state_counts`).
 those counts, in counter order and without keeping per-trial arrays.
 Both certify each flag from cheaper trig wherever the flag is provably
 that of the exact station law (`_station_flags`), and evaluate the
-exact law for the rest (`_settle`).  A chunk runs in numpy or, where
-kernels.BACKEND is "c", in the compiled pass of _cpass.c (`_Compiled`),
-with the same float operations and so the same flags.  `run_cfd` and
+exact law for the rest (`_settle`).  A chunk runs in the compiled pass
+of _cpass.c (`_Compiled`) where kernels.BACKEND is "c", and otherwise in
+numpy, in plain array expressions that are the compiled pass's readable
+reference: the same float operations in the same order, so the same
+values and flags, bit for bit.  `run_cfd` and
 `run_noncfd` draw one chunk of the same pass, evaluate the exact law at
 every station and keep the chunk's per-trial arrays, for the trial
 dump, which sweep._TrialDumper writes a chunk at a time (formatted by
@@ -298,25 +300,6 @@ def _turns(quad: SettingsQuad) -> list[tuple[float, float]]:
             for sign, a in zip((1.0, 1.0, -1.0, -1.0), quad.as_tuple())]
 
 
-def _chunk_buffers(n: int, streams: int, stations: int, bits: int):
-    """Arrays of a streaming pass for chunks of up to n trials.
-
-    They hold the uniforms of the streams and their hash words, the work
-    of the stations and the state bits of each trial.  A point allocates
-    them once and every chunk reuses them, so the pass does not
-    allocate, and page-fault, once per chunk.
-    """
-    return (np.empty((streams, n)),             # uniforms
-            np.empty((streams, n), np.uint64),  # their hash words
-            np.empty((2, n)),                   # cos 2phi1, sin 2phi1
-            np.empty(n, np.intp),               # their table indices
-            np.empty((3, stations, n)),         # float work
-            np.empty((2, stations, n), bool),   # bool work
-            np.empty((bits, n), bool),          # state bits
-            np.empty((bits, n), np.uint8),      # weighted state bits
-            np.empty(n, np.uint8))              # states
-
-
 # cos and sin of 2 pi k / 2**_TABLE_BITS for k < 2**(_TABLE_BITS + 1):
 # the nodes of _trig over two turns, since 2 phi1 / 2 pi = 2u lies in
 # [0, 2).  The second turn repeats the first.
@@ -333,8 +316,8 @@ _SIN_3 = -1.0 / 6.0
 _SIN_5 = 1.0 / 120.0
 
 
-def _trig(u, trig, index, work) -> None:
-    """trig = (cos 2phi1, sin 2phi1) of phi1 = _phi1_of(u), from a table.
+def _trig(u: np.ndarray):
+    """(cos 2phi1, sin 2phi1) of phi1 = _phi1_of(u), from a table.
 
     2phi1 is 2 pi (j + f) / 2**_TABLE_BITS up to the rounding of phi1,
     with j = floor(v), f = v - j and v = u * 2**(_TABLE_BITS + 1), all
@@ -343,42 +326,22 @@ def _trig(u, trig, index, work) -> None:
     T_s + (T_s (cos x - 1) + T_c sin x), where short Horner polynomials
     give cos x - 1 and sin x.  Each value is within 59 * 2**-53 of the
     exact one (CHANGES.md gives the argument), and there is no libm
-    call.  index (intp) and the four float arrays of work are scratch
-    of u's shape.
+    call.
     """
-    v, z, cm1, sx = work
-    np.multiply(u, 2.0 ** (_TABLE_BITS + 1), out=v)
-    np.copyto(index, v, casting="unsafe")  # floor, since v >= 0
-    v -= index
-    x = np.multiply(v, _STEP, out=v)
-    np.multiply(x, x, out=z)
-    np.multiply(z, _COS_4, out=cm1)
-    cm1 -= 0.5
-    cm1 *= z
-    np.multiply(z, _SIN_5, out=sx)
-    sx += _SIN_3
-    sx *= z
-    sx *= x
-    sx += x
-    # index < 2**(_TABLE_BITS + 1), so mode="wrap" never wraps; it skips
-    # the buffered bounds check of the default.
-    tc = _COS_TABLE.take(index, out=v, mode="wrap")
-    ts = _SIN_TABLE.take(index, out=z, mode="wrap")
-    cos2, sin2 = trig
-    np.multiply(tc, cm1, out=cos2)
-    np.multiply(ts, sx, out=sin2)
-    cos2 -= sin2
-    cos2 += tc
-    np.multiply(ts, cm1, out=sin2)
-    np.multiply(tc, sx, out=cm1)
-    sin2 += cm1
-    sin2 += ts
+    v = u * 2.0 ** (_TABLE_BITS + 1)
+    index = v.astype(np.intp)  # floor, since v >= 0
+    x = (v - index) * _STEP
+    z = x * x
+    cm1 = (z * _COS_4 - 0.5) * z
+    sx = (z * _SIN_5 + _SIN_3) * z * x + x
+    tc, ts = _COS_TABLE[index], _SIN_TABLE[index]
+    return (tc * cm1 - ts * sx) + tc, (ts * cm1 + tc * sx) + ts
 
 
-def _states(bits, weights, weighted, out):
-    """Each trial's state: the sum of the weights of its set bits."""
-    np.multiply(bits.view(np.uint8), weights, out=weighted)
-    return np.bitwise_or.reduce(weighted, axis=0, out=out)
+def _states(bits: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each trial's uint8 state from its bits, a (b, n) bool array: the
+    sum of the weights, a (b, 1) column, of the bits that are set."""
+    return np.bitwise_or.reduce(bits.view(np.uint8) * weights, axis=0)
 
 
 def _multiply_only(d: float) -> int:
@@ -387,31 +350,26 @@ def _multiply_only(d: float) -> int:
     return int(d) if 1.0 <= d <= 32.0 and d == int(d) else 0
 
 
-def _abs_power(s, d: float, spare):
-    """|s|**d, in s or in spare (returned); s is overwritten.
+def _abs_power(s: np.ndarray, d: float) -> np.ndarray:
+    """|s|**d.
 
     An integer d in [1, 32] takes left-to-right binary powering, which
     multiplies only: s * s first, so that only an odd d needs |s|.  Its
     result is within (d - 1) roundings of |s|**d (CHANGES.md).  Any
-    other d takes np.power.
+    other d takes np.power, never **, which numpy turns into sqrt or
+    square at d = 0.5 or 2.
     """
     k = _multiply_only(d)
     if not k:
-        np.abs(s, out=s)
-        return np.power(s, d, out=s)
+        return np.power(np.abs(s), d)
     if k % 2:  # the last step multiplies by s, so s must be |s|
-        np.abs(s, out=s)
-    if k == 1:
-        return s
-    digits = bin(k)[3:]  # the binary digits after the leading one
-    np.multiply(s, s, out=spare)
-    if digits[0] == "1":
-        spare *= s
-    for digit in digits[1:]:
-        spare *= spare
+        s = np.abs(s)
+    power = s
+    for digit in bin(k)[3:]:  # the binary digits after the leading one
+        power = power * power
         if digit == "1":
-            spare *= s
-    return spare
+            power = power * s
+    return power
 
 
 def _cfd_stations(quad: SettingsQuad):
@@ -428,47 +386,35 @@ def _noncfd_stations(quad: SettingsQuad, primed):
 
 
 def _station_flags(params: ModelParams, bounds, u, trig, turn, r, rhat,
-                   stations, flags, work) -> None:
-    """Flags x (x = +1) and w (photon identified) of k stations over a chunk.
+                   stations):
+    """Flags (x, w), x = +1 and photon identified, of k stations over a
+    chunk, as (k, n) bool arrays.
 
     Row i of every (k, n) array is station stations[i] = (side2,
     settings, primed): side2 says it sees phi2 = _orthogonal(phi1), and
     its setting is settings[1] where primed (a bool row, or None for a
     single setting) and settings[0] elsewhere.  u holds the source draws
     of the trials and trig = (cos 2phi1, sin 2phi1) (see _trig).  turn =
-    (ca, sa, ca / 2, sa / 2) of those settings (see _turns) is (k, 1)
-    per station or (k, n) per trial; r and rhat are its uniforms; flags
-    = (x, w) are written.  A flag is taken from the angle-addition
-    values only where its decision value clears bounds (see
-    _flag_bounds); _settle takes the others from the exact law.
+    (ca, sa) of those settings (see _turns) is (k, 1) per station or
+    (k, n) per trial; r and rhat are its uniforms.  A flag is taken from
+    the angle-addition values only where its decision value clears
+    bounds (see _flag_bounds); _settle takes the others from the exact
+    law.
     """
     cos2, sin2 = trig
-    ca, sa, hca, hsa = turn
-    x, w = flags
-    (dx, q, tmp), (unsure, btmp) = work
+    ca, sa = turn
     x_lo, x_hi, q_lo, q_hi = bounds
     # dx = (1 + c - 2r) / 2 - 1/2 with c = cos 2(a - phi)
-    np.multiply(cos2, hca, out=dx)
-    np.multiply(sin2, hsa, out=tmp)
-    dx += tmp
-    dx -= r
-    # unsure = x_lo <= dx <= x_hi, for now
-    np.greater(dx, x_hi, out=x)
-    np.greater_equal(dx, x_lo, out=unsure)
-    unsure ^= x
-    # q = rhat * |s|**d with s = sin 2(a - phi); dx is free scratch now
-    np.multiply(cos2, sa, out=q)
-    np.multiply(sin2, ca, out=tmp)
-    q -= tmp
-    q = _abs_power(q, params.d, dx)
-    q *= rhat
-    # unsure |= not (q < q_lo or q > q_hi), so that a nan q stays unsure
-    np.less(q, q_lo, out=w)
-    np.greater(q, q_hi, out=btmp)
-    btmp |= w
-    np.invert(btmp, out=btmp)
-    unsure |= btmp
+    dx = (cos2 * (0.5 * ca) + sin2 * (0.5 * sa)) - r
+    x = dx > x_hi
+    unsure = (dx >= x_lo) ^ x  # x_lo <= dx <= x_hi
+    del dx  # before q's arrays are allocated (see cfd_counts)
+    # q = rhat * |s|**d with s = sin 2(a - phi)
+    q = _abs_power(cos2 * sa - sin2 * ca, params.d) * rhat
+    w = q < q_lo
+    unsure |= ~(w | (q > q_hi))  # so that a nan q is uncertain
     _settle(params, stations, u, r, rhat, unsure, x, w)
+    return x, w
 
 
 def _settle(params: ModelParams, stations, u, r, rhat, unsure, x,
@@ -500,20 +446,14 @@ def _settle(params: ModelParams, stations, u, r, rhat, unsure, x,
 _CFD_WEIGHTS = (1 << np.arange(8, dtype=np.uint8))[:, None]
 
 
-def _chunk_counts(params: ModelParams, turn, stations, bounds, origins,
-                  start: int, buffers) -> np.ndarray:
-    """The 256 state counts of trials start..start+n-1 (see cfd_counts).
-
-    n is the length of the arrays in buffers (see _chunk_buffers), and
-    origins those of _CHUNK_STREAMS.
-    """
-    u, words, trig, index, work, flag_work, bits, weighted, states = buffers
-    n = len(states)
-    kernels.fill_uniforms(origins, start, n, out=u, work=words)
-    _trig(u[0], trig, index, work[0])
-    _station_flags(params, bounds, u[0], trig, turn, u[1:5], u[5:9],
-                   stations, (bits[:4], bits[4:]), (work, flag_work))
-    return np.bincount(_states(bits, _CFD_WEIGHTS, weighted, states),
+def _chunk_counts(params: ModelParams, quad: SettingsQuad, bounds,
+                  u: np.ndarray) -> np.ndarray:
+    """The 256 state counts of the chunk of trials whose uniforms, of
+    _CHUNK_STREAMS, u holds (see cfd_counts)."""
+    turn = np.array(_turns(quad)).T[:, :, None]  # ca, sa: a row per station
+    x, w = _station_flags(params, bounds, u[0], _trig(u[0]), turn, u[1:5],
+                          u[5:9], _cfd_stations(quad))
+    return np.bincount(_states(np.vstack((x, w)), _CFD_WEIGHTS),
                        minlength=256)
 
 
@@ -521,8 +461,6 @@ def _chunk_counts(params: ModelParams, turn, stations, bounds, origins,
 # w, then the coins primed1 and primed2, so that a trial's state is
 # 16 * pair + its 16-state of pair_statistics, pair = 2 primed1 + primed2.
 _NONCFD_WEIGHTS = np.array([1, 2, 4, 8, 32, 16], np.uint8)[:, None]
-# Station (STATION_NAMES index) of each side's plain setting.
-_SIDE_STATIONS = np.array([[0], [2]])
 # Bit c of a pending trial's mask in the compiled pass: station c (CFD)
 # or side c (non-CFD) is uncertain.
 _STATION_BITS = (1 << np.arange(4, dtype=np.uint8))[:, None]
@@ -597,8 +535,7 @@ class _Compiled:
             r, rhat = u[3:5], u[5:7]
         _settle(self.params, stations, u[0], r, rhat, unsure, bits[:k],
                 bits[k:2 * k])
-        return _states(bits, weights, np.empty(bits.shape, np.uint8),
-                       np.empty(m, np.uint8))
+        return _states(bits, weights)
 
 
 def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
@@ -626,15 +563,16 @@ def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
     if kernels.BACKEND == "c":
         chunk = _Compiled(True, params, quad, bounds, origins, length).counts
     else:
-        ca, sa = np.array(_turns(quad)).T[:, :, None]
-        turn = (ca, sa, 0.5 * ca, 0.5 * sa)
-        stations = _cfd_stations(quad)
-        buffers = _chunk_buffers(length, streams=len(_CHUNK_STREAMS),
-                                 stations=4, bits=8)
+        # The uniforms and their hash words are allocated once per point,
+        # the other arrays per chunk.  Those must peak below twice the
+        # uniforms' size, glibc's trim threshold, or every chunk faults
+        # its pages back in: like per-chunk uniforms, that is 2x slower.
+        u = np.empty((len(_CHUNK_STREAMS), length))
+        words = np.empty(u.shape, np.uint64)
 
         def chunk(start, size):
-            return _chunk_counts(params, turn, stations, bounds, origins,
-                                 start, [b[..., :size] for b in buffers])
+            return _chunk_counts(params, quad, bounds, kernels.fill_uniforms(
+                origins, start, size, out=u[:, :size], work=words[:, :size]))
     counts = np.zeros(256, np.int64)
     for start in range(0, n, CHUNK):
         counts += chunk(start, min(CHUNK, n - start))
@@ -648,32 +586,17 @@ def _validate_quota(quota: int, seed: int) -> None:
         raise ValueError("quota must be >= 1")
 
 
-def _noncfd_chunk(params: ModelParams, quad: SettingsQuad, table, bounds,
-                  origins, start: int, buffers) -> np.ndarray:
-    """16 * pair + state of trials start..start+n-1 (see noncfd_counts).
-
-    n is the length of the arrays in buffers, and origins those of
-    _NONCFD_STREAMS.
-    """
-    u, words, trig, index, work, flag_work, bits, weighted, states, turn, \
-        sel = buffers
-    n = len(states)
-    kernels.fill_uniforms(origins, start, n, out=u, work=words)
-    _trig(u[0], trig, index, (*work[0], *work[1]))
-    primed = bits[4:]
-    np.less(u[1:3], 0.5, out=primed)
-    # Each side's station: 2 * side + primed.  mode="wrap" skips the
-    # buffered bounds check of the default; sel is in range.
-    np.add(primed, _SIDE_STATIONS, out=sel)
-    ca, sa, hca, hsa = turn
-    table[0].take(sel, out=ca, mode="wrap")
-    table[1].take(sel, out=sa, mode="wrap")
-    np.multiply(ca, 0.5, out=hca)
-    np.multiply(sa, 0.5, out=hsa)
-    _station_flags(params, bounds, u[0], trig, turn, u[3:5], u[5:7],
-                   _noncfd_stations(quad, primed), (bits[:2], bits[2:4]),
-                   (work, flag_work))
-    return _states(bits, _NONCFD_WEIGHTS, weighted, states)
+def _noncfd_chunk(params: ModelParams, quad: SettingsQuad, bounds,
+                  u: np.ndarray) -> np.ndarray:
+    """16 * pair + state of each trial of the chunk whose uniforms, of
+    _NONCFD_STREAMS, u holds (see noncfd_counts)."""
+    trig = _trig(u[0])  # before turn is allocated (see cfd_counts)
+    primed = u[1:3] < 0.5
+    # ca, sa of each side's station, 2 * side + primed, per trial
+    turn = np.array(_turns(quad)).T.take(primed + [[0], [2]], axis=1)
+    x, w = _station_flags(params, bounds, u[0], trig, turn, u[3:5], u[5:7],
+                          _noncfd_stations(quad, primed))
+    return _states(np.vstack((x, w, primed)), _NONCFD_WEIGHTS)
 
 
 def _noncfd_length(quota: int) -> int:
@@ -720,16 +643,13 @@ def noncfd_counts(params: ModelParams, quad: SettingsQuad, quota: int,
         def chunk(start):
             hist = compiled.counts(start, n)
             return compiled.codes, hist
-    else:
-        table = np.array(_turns(quad)).T  # rows ca, sa; STATION_NAMES columns
-        buffers = (*_chunk_buffers(n, streams=len(_NONCFD_STREAMS),
-                                   stations=2, bits=6),
-                   np.empty((4, 2, n)),         # per-trial turns
-                   np.empty((2, n), np.intp))   # per-trial stations
+    else:  # u and words as in cfd_counts
+        u = np.empty((len(_NONCFD_STREAMS), n))
+        words = np.empty(u.shape, np.uint64)
 
         def chunk(start):
-            return _noncfd_chunk(params, quad, table, bounds, origins, start,
-                                 buffers), None
+            return _noncfd_chunk(params, quad, bounds, kernels.fill_uniforms(
+                origins, start, n, out=u, work=words)), None
     counts = np.zeros((4, 16), np.int64)
     for start in itertools.count(0, n):
         code, hist = chunk(start)

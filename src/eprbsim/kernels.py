@@ -21,7 +21,8 @@ of Python's str and '%.17g'.
 load_cpass compiles _cpass.c with the system's cc at first use, into
 the package's __pycache__ as _cpass-<interpreter tag>-<key>.so, the key
 a hash of its source and its flags, and later imports load it from
-there; a build removes the libraries of the same tag that it replaces.
+there; a build removes the libraries of the same tag that it replaces,
+and the untagged ones of earlier builds.
 CPASS is the loaded library, or None where there is no compiler, the
 build or the load fails, or the library fails its known-answer checks
 (its hash against fill_uniforms, its formatter against Python's);
@@ -243,9 +244,11 @@ def _compiled(source: str, cache: str) -> str | None:
 
 def _remove_stale(cache: str, path: str) -> None:
     """Remove this interpreter's libraries in cache other than path: those
-    of earlier sources or flags.  Another interpreter's stay."""
+    of earlier sources or flags, and those named _cpass-<key>.so, without
+    a tag, as builds named them before the tag.  Another interpreter's
+    stay."""
     import re
-    stale = re.compile(rf"_cpass-{re.escape(_TAG)}-[0-9a-f]{{16}}\.so")
+    stale = re.compile(rf"_cpass-({re.escape(_TAG)}-)?[0-9a-f]{{16}}\.so")
     for name in os.listdir(cache):
         if stale.fullmatch(name) and name != os.path.basename(path):
             try:

@@ -58,7 +58,6 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     out: str | None = None
     format: str = "csv"
-    angle_unit: str = "rad"
     dump_trials: str | None = None
     threshold_sweep: tuple[float, float, int] | None = None
     threads: int = 1
@@ -75,8 +74,6 @@ class RunConfig:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if self.angle_unit not in ("rad", "deg"):
-            raise ValueError(f"angle-unit must be rad or deg, got {self.angle_unit!r}")
         if self.delta_denominator not in ("max-pair", "setting-quota"):
             raise ValueError(
                 "delta-denominator must be max-pair or setting-quota, "

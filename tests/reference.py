@@ -4,7 +4,8 @@ Rows come from state counts (`eprbsim.stats`); the per-trial array
 estimators compute the same quantities from outcome and flag arrays
 without the package's formulas.  `noncfd_point` draws a whole non-CFD
 point by its own coin loop and quota cut, from gathered draws, for the
-package's chunked pass to be compared with.
+package's chunked pass to be compared with.  PASSES names the chunk
+passes that a test runs.
 """
 from __future__ import annotations
 
@@ -15,6 +16,10 @@ import numpy as np
 
 from eprbsim import kernels, rng
 from eprbsim.experiment import state_counts
+
+# The chunk passes kernels.BACKEND selects: numpy's always, and the
+# compiled one where it loaded.
+PASSES = ("numpy",) if kernels.CPASS is None else ("numpy", "c")
 
 
 @dataclass(frozen=True)

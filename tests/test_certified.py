@@ -20,12 +20,10 @@ from eprbsim import experiment, kernels, rng
 from eprbsim.experiment import (cfd_counts, noncfd_counts, run_cfd,
                                 source_phis)
 from eprbsim.params import ModelParams, SettingsQuad
+from reference import PASSES
 
 THETAS = (0.0, 3.0 * math.pi / 8.0, math.pi)
 SEEDS = (1, 22, 333)
-# The chunk passes kernels.BACKEND selects: numpy's always, and the
-# compiled one where it loaded.
-PASSES = ("numpy",) if kernels.CPASS is None else ("numpy", "c")
 
 
 @pytest.fixture
@@ -124,17 +122,13 @@ def _certified_flags(params, quad, u, r, rhat):
     """(x == +1, w) of experiment._station_flags at the four CFD stations,
     as (n, 4) arrays, for source draws u and (4, n) station draws r and
     rhat."""
-    _, _, trig, index, work, flag_work, bits, _, _ = \
-        experiment._chunk_buffers(u.size, streams=9, stations=4, bits=8)
-    experiment._trig(u, trig, index, work[0])
-    ca, sa = np.array(experiment._turns(quad)).T[:, :, None]
+    turn = np.array(experiment._turns(quad)).T[:, :, None]
     stations = [(col >= 2, (a,), None)
                 for col, a in enumerate(quad.as_tuple())]
-    experiment._station_flags(params, experiment._flag_bounds(params), u,
-                              trig, (ca, sa, 0.5 * ca, 0.5 * sa), r, rhat,
-                              stations, (bits[:4], bits[4:]),
-                              (work, flag_work))
-    return bits[:4].T, bits[4:].T
+    x, w = experiment._station_flags(
+        params, experiment._flag_bounds(params), u, experiment._trig(u),
+        turn, r, rhat, stations)
+    return x.T, w.T
 
 
 @pytest.mark.parametrize("params", [
@@ -223,10 +217,7 @@ def test_default_point_rarely_needs_the_exact_kernel(exact_evals,
 
 def _trig(u):
     """experiment._trig of the draws u: (cos 2phi1, sin 2phi1)."""
-    u = np.asarray(u, dtype=np.float64)
-    trig = np.empty((2, u.size))
-    experiment._trig(u, trig, np.empty(u.size, np.intp), np.empty((4, u.size)))
-    return trig
+    return experiment._trig(np.asarray(u, dtype=np.float64))
 
 
 def _decision_values(cfd, params, quad, u):
@@ -243,7 +234,7 @@ def _decision_values(cfd, params, quad, u):
     ca, sa = turns[station, 0], turns[station, 1]
     dx = cos2 * (0.5 * ca) + sin2 * (0.5 * sa) - r
     s = cos2 * sa - sin2 * ca
-    q = experiment._abs_power(s, params.d, np.empty_like(s)) * rhat
+    q = experiment._abs_power(s, params.d) * rhat
     return dx, q
 
 
@@ -397,7 +388,7 @@ def test_abs_power_matches_numpy(d):
     s = np.concatenate([rng.uniforms(3, rng.R_1, 100_000) * 2.0 - 1.0,
                         [0.0, -0.0, 1.0, -1.0, 1.0 + 2.0 ** -30, 1e-300]])
     expected = np.abs(s) ** d
-    got = experiment._abs_power(s.copy(), d, np.empty_like(s))
+    got = experiment._abs_power(s, d)
     if d in (0.5, 7.3, 33.0):
         assert np.array_equal(got, expected)
     else:

@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 
 import reference
-from eprbsim import experiment, stats, sweep
+from eprbsim import experiment, kernels, stats, sweep
 from eprbsim.experiment import (PAIR_COLUMNS, PAIR_NAMES, cfd_counts,
                                 noncfd_counts, pair_counts, run_cfd,
                                 run_noncfd, state_counts)
 from eprbsim.params import ModelParams, SettingsQuad
 from eprbsim.sweep import (RunConfig, _cfd_row, _noncfd_row, rows_to_csv,
                            sweep_theta)
+from reference import PASSES
 
 THETA_38 = 3.0 * math.pi / 8.0
 PARAMS = [
@@ -302,18 +303,22 @@ def _traced_peak(point) -> int:
         tracemalloc.stop()
 
 
-def test_streamed_point_memory_stays_bounded():
-    assert _traced_peak(lambda: sweep._point_counts(
-        "cfd", ModelParams(threshold=-0.999), THETA_38, 1_000_000,
-        3)) < 32 * 2**20
+def test_streamed_point_memory_stays_bounded(monkeypatch):
+    for backend in PASSES:
+        monkeypatch.setattr(kernels, "BACKEND", backend)
+        assert _traced_peak(lambda: sweep._point_counts(
+            "cfd", ModelParams(threshold=-0.999), THETA_38, 1_000_000,
+            3)) < 32 * 2**20
 
 
-def test_streamed_noncfd_point_memory_stays_bounded():
+def test_streamed_noncfd_point_memory_stays_bounded(monkeypatch):
     # 4e6 kept trials of about 4.1e6 drawn; a whole-point run of them
     # peaks at ~220 MB.
-    assert _traced_peak(lambda: sweep._point_counts(
-        "noncfd", ModelParams(threshold=-0.999), THETA_38, 1_000_000,
-        3)) < 32 * 2**20
+    for backend in PASSES:
+        monkeypatch.setattr(kernels, "BACKEND", backend)
+        assert _traced_peak(lambda: sweep._point_counts(
+            "noncfd", ModelParams(threshold=-0.999), THETA_38, 1_000_000,
+            3)) < 32 * 2**20
 
 
 @pytest.mark.parametrize("mode,n", [("cfd", 300_000), ("noncfd", 50_000)])

@@ -145,6 +145,9 @@ def test_a_new_build_removes_this_interpreters_stale_libraries(tmp_path):
     cache.mkdir()
     other = cache / "_cpass-cpython-399-other-platform-0123456789abcdef.so"
     other.write_bytes(b"another interpreter's library")
+    # named as builds named their libraries before the interpreter tag
+    untagged = cache / "_cpass-97719a62751a7c21.so"
+    untagged.write_bytes(b"an untagged library")
     first = tmp_path / "first.c"
     second = tmp_path / "second.c"
     text = open(kernels._SOURCE).read()
@@ -157,6 +160,7 @@ def test_a_new_build_removes_this_interpreters_stale_libraries(tmp_path):
     assert len(ours) == 1
     assert kernels._compiled(str(second), str(cache)) == str(cache / ours[0])
     assert other.exists()
+    assert not untagged.exists()
 
 
 @needs_cc
