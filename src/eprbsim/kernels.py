@@ -18,11 +18,17 @@ same order, a block of trials at a time, in one call per chunk, so that
 every value and every certified flag is numpy's, bit for bit.  The same
 library formats the trial dump's records (format_csv), with the bytes
 of Python's str and '%.17g'.
-load_cpass compiles _cpass.c with the system's cc at first use, into
-the package's __pycache__ as _cpass-<interpreter tag>-<key>.so, the key
-a hash of its source and its flags, and later imports load it from
-there; a build removes the libraries of the same tag that it replaces,
-and the untagged ones of earlier builds.
+load_cpass compiles _cpass.c with the system's cc at first use, for
+the host's own CPU (-O3 -march=native), into the package's __pycache__
+as _cpass-<interpreter tag>-<cpu>-<key>.so, and later imports load it
+from there.  <cpu> is a hash of the CPU features numpy found on the
+host, so a checkout shared by two machines keeps a library for each and
+neither loads the other's; the key is a hash of the source and the
+flags.  Where -march=native does not compile the build takes the
+portable flags, under the same name; where the features cannot be read
+it takes them under <cpu> "portable".  A build removes the libraries of
+the same tag and <cpu> that it replaces, and those named by earlier
+builds without a <cpu> or without a tag.
 CPASS is the loaded library, or None where there is no compiler, the
 build or the load fails, or the library fails its known-answer checks
 (its hash against fill_uniforms, its formatter against Python's);
@@ -126,12 +132,18 @@ def station_response(a, phi, r, rhat, d, v_min_mag, v_max_mag):
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_cpass.c")
 _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
-# No -ffast-math and no -march=native: each + - * must round as numpy's.
-# Functions start on 64-byte boundaries, so that code added to the
-# library does not shift the passes' loops across cache lines (without
-# it, adding cpass_format slowed the passes by 2-3%).
+# No -ffast-math and no contraction into fused multiply-adds, with either
+# flag set: each + - * must round once, as numpy's does.  Functions start
+# on 64-byte boundaries, so that code added to the library does not shift
+# the passes' loops across cache lines (without it, adding cpass_format
+# slowed the passes by 2-3%).  _NATIVE_CFLAGS let cc use every
+# instruction of the host's CPU: the counter hash, all integer, then runs
+# in the widest vectors, about twice as fast on a CPU with AVX-512.
+# _CFLAGS are the portable ones, where those do not compile or the CPU
+# is not known.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off",
            "-falign-functions=64")
+_NATIVE_CFLAGS = ("-O3", "-march=native", *_CFLAGS[1:])
 _BUILD_TIMEOUT_S = 120
 # The interpreter's tag in its libraries' names: its EXT_SUFFIX without
 # the dots, e.g. "cpython-311-x86_64-linux-gnu", names its version,
@@ -205,18 +217,40 @@ def format_csv(lib, columns, buffer=None):
                                     buffer.ctypes.data)
 
 
-def _compiled(source: str, cache: str) -> str | None:
-    """The library of source in cache, compiled there on a miss.
+def _cpu_key() -> str | None:
+    """A hash of the CPU features numpy found on this host (the names of
+    those that are present), or None where numpy names none or cannot
+    say.  numpy reads them once at its import, so this starts no
+    process.  An extension that numpy does not name is not in the hash:
+    two CPUs that differ only in one share a library."""
+    core = getattr(np, "_core", None) or np.core  # np.core before numpy 2
+    features = getattr(getattr(core, "_multiarray_umath", None),
+                       "__cpu_features__", None)
+    try:
+        present = sorted(name for name, on in features.items() if on)
+    except (AttributeError, TypeError):
+        return None
+    return sha256(" ".join(present).encode()).hexdigest()[:8] \
+        if present else None
 
-    A build writes a temporary file and renames it into place, so
+
+def _compiled(source: str, cache: str) -> str | None:
+    """The library of source for this host in cache, compiled there on a
+    miss.
+
+    A build tries _NATIVE_CFLAGS, then _CFLAGS; without a CPU key, only
+    _CFLAGS.  It writes a temporary file and renames it into place, so
     processes that build at once each load a whole library.  Returns
     None where the build fails.
     """
     with open(source, "rb") as fh:
         text = fh.read()
-    key = sha256(b"\0".join([text, " ".join(_CFLAGS).encode(),
+    cpu = _cpu_key()
+    builds = (_CFLAGS,) if cpu is None else (_NATIVE_CFLAGS, _CFLAGS)
+    cpu = cpu or "portable"
+    key = sha256(b"\0".join([text, *(" ".join(f).encode() for f in builds),
                               _TAG.encode()])).hexdigest()[:16]
-    path = os.path.join(cache, f"_cpass-{_TAG}-{key}.so")
+    path = os.path.join(cache, f"_cpass-{_TAG}-{cpu}-{key}.so")
     if os.path.exists(path):
         return path
     import subprocess
@@ -228,9 +262,13 @@ def _compiled(source: str, cache: str) -> str | None:
         return None
     os.close(fd)
     try:
-        subprocess.run(["cc", *_CFLAGS, "-o", tmp, source, "-lm"],
-                       check=True, capture_output=True,
-                       timeout=_BUILD_TIMEOUT_S)
+        for flags in builds:
+            if subprocess.run(["cc", *flags, "-o", tmp, source, "-lm"],
+                              capture_output=True,
+                              timeout=_BUILD_TIMEOUT_S).returncode == 0:
+                break
+        else:
+            return None
         os.chmod(tmp, 0o755)  # mkstemp's 0o600 would hide it from others
         os.replace(tmp, path)
     except (OSError, subprocess.SubprocessError):
@@ -238,17 +276,19 @@ def _compiled(source: str, cache: str) -> str | None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-    _remove_stale(cache, path)
+    _remove_stale(cache, path, cpu)
     return path
 
 
-def _remove_stale(cache: str, path: str) -> None:
-    """Remove this interpreter's libraries in cache other than path: those
-    of earlier sources or flags, and those named _cpass-<key>.so, without
-    a tag, as builds named them before the tag.  Another interpreter's
-    stay."""
+def _remove_stale(cache: str, path: str, cpu: str) -> None:
+    """Remove this interpreter's libraries for this cpu in cache other
+    than path: those of earlier sources or flags, and those named as
+    earlier builds named them, _cpass-<tag>-<key>.so without the cpu and
+    _cpass-<key>.so without the tag either.  Other interpreters' and
+    other CPUs' libraries stay."""
     import re
-    stale = re.compile(rf"_cpass-({re.escape(_TAG)}-)?[0-9a-f]{{16}}\.so")
+    tag, cpu = re.escape(_TAG), re.escape(cpu)
+    stale = re.compile(rf"_cpass-(({tag}-{cpu}|{tag})-)?[0-9a-f]{{16}}\.so")
     for name in os.listdir(cache):
         if stale.fullmatch(name) and name != os.path.basename(path):
             try:

@@ -220,10 +220,11 @@ def _trig(u):
     return experiment._trig(np.asarray(u, dtype=np.float64))
 
 
-def _decision_values(cfd, params, quad, u):
+def _decision_values(cfd, params, quad, u, power=None):
     """(dx, q) of experiment._station_flags, (k, n) arrays of each
     station's decision values, computed here with the same numpy
-    operations, for the uniforms u of a chunk of either pass."""
+    operations, for the uniforms u of a chunk of either pass.  power(s,
+    d) takes |s|**d, experiment._abs_power where None."""
     cos2, sin2 = _trig(u[0])
     turns = np.array(experiment._turns(quad))  # rows ca, sa per station
     if cfd:
@@ -234,7 +235,7 @@ def _decision_values(cfd, params, quad, u):
     ca, sa = turns[station, 0], turns[station, 1]
     dx = cos2 * (0.5 * ca) + sin2 * (0.5 * sa) - r
     s = cos2 * sa - sin2 * ca
-    q = experiment._abs_power(s, params.d) * rhat
+    q = (power or experiment._abs_power)(s, params.d) * rhat
     return dx, q
 
 
@@ -242,17 +243,18 @@ def _decision_values(cfd, params, quad, u):
 DECISION_SEED, DECISION_N = 7, 1000
 
 
-def _closed_bounds(cfd, params, quad):
+def closed_bounds(cfd, params, quad, power=None):
     """Bounds that close on one decision value v, for 24 values v of the
-    reference (_decision_values), each with the (station, trial) of the
-    evaluations whose value equals v: the ones the bounds leave
-    uncertain.  Half close the outcome's bounds on a dx, half the
+    reference (_decision_values, with power), each with the (station,
+    trial) of the evaluations whose value equals v: the ones the bounds
+    leave uncertain.  Half close the outcome's bounds on a dx, half the
     identification's on a q."""
     streams = experiment._CHUNK_STREAMS if cfd else \
         experiment._NONCFD_STREAMS
     origins = rng.stream_origins(DECISION_SEED, streams)
     values = _decision_values(cfd, params, quad,
-                              kernels.fill_uniforms(origins, 0, DECISION_N))
+                              kernels.fill_uniforms(origins, 0, DECISION_N),
+                              power)
     gen = np.random.default_rng(1)
     inf = math.inf
     for which, bounds_at in ((0, lambda v: (v, v, -inf, -inf)),
@@ -290,7 +292,7 @@ def test_numpy_decision_values_are_the_references_bit_for_bit(cfd, d,
         settle(params, stations, u, r, rhat, unsure, x, w)
 
     monkeypatch.setattr(experiment, "_settle", spy)
-    for bounds, expected in _closed_bounds(cfd, params, quad):
+    for bounds, expected in closed_bounds(cfd, params, quad):
         monkeypatch.setattr(experiment, "_flag_bounds",
                             lambda params: bounds)
         first.clear()
@@ -311,17 +313,22 @@ def test_compiled_decision_values_are_numpys_bit_for_bit(cfd, d):
     reference's matches of v."""
     params, quad = ModelParams(d=d, threshold=-0.75), \
         SettingsQuad.for_theta(0.4)
+    for bounds, expected in closed_bounds(cfd, params, quad):
+        assert compiled_uncertain(cfd, params, quad, bounds) == expected
+
+
+def compiled_uncertain(cfd, params, quad, bounds):
+    """The (station, trial) evaluations that kernels.CPASS leaves
+    uncertain under bounds, in the first chunk of seed DECISION_SEED."""
     streams = experiment._CHUNK_STREAMS if cfd else \
         experiment._NONCFD_STREAMS
     origins = rng.stream_origins(DECISION_SEED, streams)
-    for bounds, expected in _closed_bounds(cfd, params, quad):
-        compiled = experiment._Compiled(cfd, params, quad, bounds, origins,
-                                        DECISION_N)
-        m = compiled._run(compiled._ref, 0, DECISION_N)
-        got = {(c, int(t)) for t, mask in zip(compiled.pending[:m],
-                                              compiled.pending_unsure[:m])
-               for c in range(4 if cfd else 2) if mask >> c & 1}
-        assert got == expected
+    compiled = experiment._Compiled(cfd, params, quad, bounds, origins,
+                                    DECISION_N)
+    m = compiled._run(compiled._ref, 0, DECISION_N)
+    return {(c, int(t)) for t, mask in zip(compiled.pending[:m],
+                                           compiled.pending_unsure[:m])
+            for c in range(4 if cfd else 2) if mask >> c & 1}
 
 
 # Step (1) of the error argument in CHANGES.md: |C - cos 2phi1| and

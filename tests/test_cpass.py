@@ -1,20 +1,27 @@
 """Building and loading the compiled chunk pass (kernels.load_cpass).
 
-The pass is compiled at first use into the package's __pycache__ and
-loaded from there afterwards.  Wherever it cannot be built, loaded or
-checked, the package runs numpy's pass, with the same bytes.  Most cases
-here run the CLI in a fresh interpreter on a copy of the package, whose
-__pycache__ is a cache of its own.
+The pass is compiled at first use for the host's CPU into the package's
+__pycache__, under a name keyed by the CPU's features, and loaded from
+there afterwards; where that build fails it is compiled with portable
+flags.  Either build gives the same values, counts and bytes.  Wherever
+it cannot be built, loaded or checked, the package runs numpy's pass,
+with the same bytes.  Most cases here run the CLI in a fresh interpreter
+on a copy of the package, whose __pycache__ is a cache of its own.
 """
 import hashlib
+import math
 import os
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from eprbsim import kernels
+from eprbsim import experiment, kernels
+from eprbsim.experiment import cfd_counts, noncfd_counts
+from eprbsim.params import ModelParams, SettingsQuad
+from test_certified import closed_bounds, compiled_uncertain
 from test_output_bytes import RUNS
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
@@ -52,6 +59,33 @@ def _run_cli(root, tmp_path, path=None) -> str:
 def _cached(root):
     cache = root / "eprbsim" / "__pycache__"
     return sorted(p.name for p in cache.glob("_cpass*"))
+
+
+def _cc_calls(monkeypatch):
+    """The flags of each cc run that load_cpass starts from now on."""
+    calls, run = [], subprocess.run
+
+    def logged(args, **kwargs):
+        calls.append(tuple(args[1:-4]))  # cc, flags, -o, out, source, -lm
+        return run(args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", logged)
+    return calls
+
+
+def _cc_on_path(tmp_path, refuse_native):
+    """A PATH whose cc logs its flags, one run a line, to the file
+    returned with it and runs the system's cc; with refuse_native, a
+    run with -march=native exits 1 instead, as a compiler without that
+    flag would."""
+    bin_dir, log = tmp_path / "wrapped", tmp_path / "cc.log"
+    bin_dir.mkdir()
+    refuse = 'case " $* " in *" -march=native "*) exit 1;; esac\n'
+    (bin_dir / "cc").write_text(
+        f'#!/bin/sh\necho "$*" >> "{log}"\n'
+        f'{refuse if refuse_native else ""}exec "{shutil.which("cc")}" "$@"\n')
+    (bin_dir / "cc").chmod(0o755)
+    return f"{bin_dir}{os.pathsep}{os.environ['PATH']}", log
 
 
 def test_no_compiler_on_path(tmp_path):
@@ -143,11 +177,21 @@ def test_two_processes_that_build_at_once_both_load(tmp_path):
 def test_a_new_build_removes_this_interpreters_stale_libraries(tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()
-    other = cache / "_cpass-cpython-399-other-platform-0123456789abcdef.so"
-    other.write_bytes(b"another interpreter's library")
-    # named as builds named their libraries before the interpreter tag
-    untagged = cache / "_cpass-97719a62751a7c21.so"
-    untagged.write_bytes(b"an untagged library")
+    tag = kernels._TAG
+    kept = [cache / name for name in (
+        # another interpreter's, named before and after the CPU key
+        "_cpass-cpython-399-other-platform-0123456789abcdef.so",
+        "_cpass-cpython-399-other-platform-0f0f0f0f-0123456789abcdef.so",
+        # this interpreter's for another CPU, and for a host whose CPU
+        # features numpy could not read
+        f"_cpass-{tag}-0f0f0f0f-0123456789abcdef.so",
+        f"_cpass-{tag}-portable-0123456789abcdef.so")]
+    # named as builds named their libraries before the CPU key, and
+    # before the interpreter tag
+    removed = [cache / f"_cpass-{tag}-97719a62751a7c21.so",
+               cache / "_cpass-97719a62751a7c21.so"]
+    for library in kept + removed:
+        library.write_bytes(b"a library that this build does not replace")
     first = tmp_path / "first.c"
     second = tmp_path / "second.c"
     text = open(kernels._SOURCE).read()
@@ -156,20 +200,132 @@ def test_a_new_build_removes_this_interpreters_stale_libraries(tmp_path):
     for source in (first, second):
         assert kernels.load_cpass(str(source), str(cache)) is not None
     ours = [p for p in os.listdir(cache)
-            if p.startswith(f"_cpass-{kernels._TAG}-")]
+            if p.startswith(f"_cpass-{tag}-{kernels._cpu_key()}-")]
     assert len(ours) == 1
     assert kernels._compiled(str(second), str(cache)) == str(cache / ours[0])
-    assert other.exists()
-    assert not untagged.exists()
+    assert all(library.exists() for library in kept)
+    assert not any(library.exists() for library in removed)
+
+
+@needs_cc
+def test_a_library_for_other_cpu_features_is_neither_loaded_nor_removed(
+        tmp_path):
+    cache = tmp_path / "cache"
+    ours = kernels._compiled(kernels._SOURCE, str(cache))
+    name, cpu = os.path.basename(ours), kernels._cpu_key()
+    # Another host's builds of this source and of an earlier one: not
+    # libraries at all, so that loading one would fail.
+    other_cpu = [cache / name.replace(f"-{cpu}-", "-0f0f0f0f-"),
+                 cache / f"_cpass-{kernels._TAG}-0f0f0f0f-0123456789abcdef.so"]
+    for library in other_cpu:
+        library.write_bytes(b"a library for another CPU")
+    os.remove(ours)
+    lib = kernels.load_cpass(kernels._SOURCE, str(cache))
+    assert lib is not None and lib._name == ours
+    assert sorted(os.listdir(cache)) == sorted(
+        [name, *(library.name for library in other_cpu)])
+    assert all(library.read_bytes() == b"a library for another CPU"
+               for library in other_cpu)
+
+
+@needs_cc
+@pytest.mark.parametrize("features", [None, {"AVX2": False}],
+                         ids=["absent", "none-present"])
+def test_an_unreadable_feature_set_builds_with_the_portable_flags(
+        tmp_path, monkeypatch, features):
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+    if features is None:
+        monkeypatch.delattr(umath, "__cpu_features__")
+    else:
+        monkeypatch.setattr(umath, "__cpu_features__", features)
+    calls = _cc_calls(monkeypatch)
+    cache = tmp_path / "cache"
+    assert kernels.load_cpass(kernels._SOURCE, str(cache)) is not None
+    assert calls == [kernels._CFLAGS]
+    [name] = os.listdir(cache)
+    assert name.startswith(f"_cpass-{kernels._TAG}-portable-")
+
+
+@needs_cc
+@pytest.mark.parametrize("native", [True, False], ids=["native", "portable"])
+def test_the_pinned_run_with_each_flag_set(tmp_path, native):
+    """A copy of the package runs the compiled pass with the pinned bytes,
+    built for this CPU or, where cc refuses -march=native, with the
+    portable flags."""
+    root = _copy_package(tmp_path)
+    path, log = _cc_on_path(tmp_path, refuse_native=not native)
+    assert _run_cli(root, tmp_path, path=path) == "c"
+    tried = [kernels._NATIVE_CFLAGS] + ([] if native else [kernels._CFLAGS])
+    assert [line.split(" -o ")[0] for line in log.read_text().splitlines()] \
+        == [" ".join(flags) for flags in tried]
+    assert len(_cached(root)) == 1
+
+
+@pytest.fixture(scope="module")
+def builds(tmp_path_factory):
+    """The library built with the portable flags and with this CPU's,
+    each loaded from a cache of its own."""
+    libs = []
+    for flags in (kernels._CFLAGS, kernels._NATIVE_CFLAGS):
+        with pytest.MonkeyPatch.context() as mp:
+            if flags == kernels._CFLAGS:
+                mp.setattr(kernels, "_cpu_key", lambda: None)
+            calls = _cc_calls(mp)
+            libs.append(kernels.load_cpass(
+                kernels._SOURCE, str(tmp_path_factory.mktemp("cache"))))
+        assert libs[-1] is not None and calls == [flags]
+    return libs
+
+
+def _cpass_power(s, d):
+    """|s|**d as _cpass.c's abs_power takes it: experiment._abs_power
+    for an integer d in [1, 32], else the C library's pow, which
+    math.pow calls."""
+    if experiment._multiply_only(d):
+        return experiment._abs_power(s, d)
+    return np.vectorize(math.pow, otypes=[float])(np.abs(s), d)
+
+
+@needs_cc
+@pytest.mark.parametrize("d", [4.0, 3.0, 1.0, 0.5, 7.3])
+@pytest.mark.parametrize("cfd", [True, False], ids=["cfd", "noncfd"])
+def test_both_flag_sets_give_the_same_decision_values(builds, cfd, d,
+                                                      monkeypatch):
+    """As test_certified's test_compiled_decision_values_are_numpys_bit_for_bit,
+    for each build, and at d where the pass calls pow: bounds that close
+    on one of the reference's values must leave exactly its matches
+    uncertain."""
+    params, quad = ModelParams(d=d, threshold=-0.75), \
+        SettingsQuad.for_theta(0.4)
+    for bounds, expected in closed_bounds(cfd, params, quad, _cpass_power):
+        for lib in builds:
+            monkeypatch.setattr(kernels, "CPASS", lib)
+            assert compiled_uncertain(cfd, params, quad, bounds) == expected
+
+
+@needs_cc
+@pytest.mark.parametrize("d", [4.0, 0.5, 7.3])
+def test_both_flag_sets_give_the_same_counts(builds, d, monkeypatch):
+    params, quad = ModelParams(d=d, threshold=-0.9), \
+        SettingsQuad.for_theta(0.4)
+    got = []
+    for backend, lib in [("numpy", None)] + [("c", lib) for lib in builds]:
+        monkeypatch.setattr(kernels, "BACKEND", backend)
+        monkeypatch.setattr(kernels, "CPASS", lib)
+        got.append((cfd_counts(params, quad, 30_000, 3),
+                    noncfd_counts(params, quad, 5_000, 3)))
+    assert all(np.array_equal(a, b) for counts in got[1:]
+               for a, b in zip(counts, got[0]))
 
 
 @needs_cc
 def test_the_source_compiles_without_warnings(tmp_path):
-    out = subprocess.run(
-        ["cc", *kernels._CFLAGS, "-Wall", "-Wextra", "-Werror", "-o",
-         str(tmp_path / "lib.so"), kernels._SOURCE, "-lm"],
-        capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
+    for flags in (kernels._CFLAGS, kernels._NATIVE_CFLAGS):
+        out = subprocess.run(
+            ["cc", *flags, "-Wall", "-Wextra", "-Werror", "-o",
+             str(tmp_path / "lib.so"), kernels._SOURCE, "-lm"],
+            capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, (flags, out.stderr)
 
 
 @needs_cc
