@@ -1,26 +1,18 @@
-/* One chunk of the certified streaming pass of eprbsim.experiment.
+/* One chunk of the streaming pass of eprbsim: the station law.
  *
- * This is experiment._chunk_counts (CFD) and experiment._noncfd_chunk
- * (non-CFD) transliterated, operation for operation: the counter hash of
- * kernels.fill_uniforms, the table trig of experiment._trig, the
- * angle-addition decision values and the certification tests of
- * experiment._station_flags, and the binary powering of
- * experiment._abs_power.  Built with -ffp-contract=off and without
- * -ffast-math, every + - * rounds once, as numpy's does, so every value
- * and every certified flag is the numpy pass's, bit for bit.  Only a d
- * that is not an integer in [1, 32] calls libm pow where numpy calls
- * its own power; the bounds of experiment._flag_bounds cover either.
+ * This is kernels.numpy_chunk transliterated, operation for operation:
+ * the counter hash of kernels.fill_uniforms, the table trig of
+ * kernels.trig, the angle-addition values, the power of
+ * kernels.abs_power and the flags and voltages of kernels.station_law.
+ * Built with -ffp-contract=off and without -ffast-math, every + - *
+ * rounds once, as numpy's does, and rint, frexp and ldexp (the last two
+ * written out on the bits here) are exact, so every state and every
+ * voltage is numpy's, bit for bit.
  *
  * A chunk runs in blocks of BLOCK trials, each stage over the whole
  * block, as numpy runs each stage over the whole chunk; a block's arrays
- * stay in the L1 cache.  A (trial, station) evaluation that the bounds
- * cannot certify is handed back: the trial goes to the pending arrays
- * with its uniforms, its state as computed and a mask of its uncertain
- * stations, and stays out of the histogram.  Python settles it with the
- * exact station law.
- *
- * Python computes every input (origins, turns, bounds, table, chunk
- * length); see experiment._Compiled.
+ * stay in the L1 cache.  Python computes every input (origins, turns,
+ * tables, chunk length); see kernels.Compiled.
  *
  * cpass_format writes the trial dump's CSV records: str of each integer
  * and '%.17g' of each double, byte for byte as Python prints them.
@@ -35,25 +27,33 @@
 #define M1 0xBF58476D1CE4E5B9ULL
 #define M2 0x94D049BB133111EBULL
 #define BLOCK 128
+/* The lengths of kernels._LOG_POLY and _EXP_POLY: constants, so that the
+ * compiler unrolls the polynomials and vectorizes table_power's loop. */
+#define LOG_TERMS 5
+#define EXP_TERMS 4
 
 /* Mirrored field for field by kernels.CPassPoint. */
 struct cpass_point {
     const uint64_t *origins;    /* stream origins, in the pass's order */
-    const double *cos_table;    /* experiment._COS_TABLE */
-    const double *sin_table;    /* experiment._SIN_TABLE */
+    const double *cos_table;    /* kernels._COS_TABLE */
+    const double *sin_table;    /* kernels._SIN_TABLE */
+    const double *log_table;    /* kernels._LOG_TABLE */
+    const double *inv_table;    /* kernels._INV_TABLE */
+    const double *exp_table;    /* kernels._EXP_TABLE */
+    const double *log_poly;     /* kernels._LOG_POLY */
+    const double *exp_poly;     /* kernels._EXP_POLY */
     const double *turns;        /* ca, sa, ca / 2, sa / 2 per station */
     double scale;               /* 2**(_TABLE_BITS + 1) */
     double step, cos_4, sin_3, sin_5;
-    double x_lo, x_hi, q_lo, q_hi;
-    double d;
+    double log_scale;           /* 2**_LOG_BITS */
+    double exp_scale;           /* 2**_EXP_BITS */
+    double d, span, v_max, threshold;
+    int64_t exp_bits;
     int64_t power;              /* d, if an integer in [1, 32]; else 0 */
     int64_t capacity;           /* trials per chunk, at most */
-    int64_t *hist;              /* states of the chunk's certain trials */
-    uint8_t *codes;             /* non-CFD: each trial's state */
-    int64_t *pending;           /* trial of each pending trial */
-    double *pending_u;          /* its uniforms, row s at s * capacity */
-    uint8_t *pending_state;     /* its state, uncertain bits as computed */
-    uint8_t *pending_unsure;    /* bit c: station c is uncertain */
+    int64_t *hist;              /* the chunk's state counts */
+    uint8_t *codes;             /* each trial's state */
+    double *volts;              /* v, station s at s * capacity, or NULL */
 };
 
 /* One block of a chunk: the uniforms of each stream, and cos 2phi1 and
@@ -61,12 +61,6 @@ struct cpass_point {
 struct block {
     double u[9][BLOCK];
     double c[BLOCK], s[BLOCK];
-};
-
-/* Each trial's state and uncertain stations over a block, as int64
- * lanes of the doubles they come from. */
-struct flags {
-    int64_t state[BLOCK], unsure[BLOCK];
 };
 
 /* Two doubles, or two int64: the stations run two trials at a time in
@@ -141,7 +135,7 @@ static void fill(uint64_t origin, uint64_t first, double *restrict out)
         out[i] = uniform(origin + (first + (uint64_t)i + 1) * GOLDEN);
 }
 
-/* cos 2phi1 and sin 2phi1 of phi1 = 2 pi u: experiment._trig. */
+/* cos 2phi1 and sin 2phi1 of phi1 = 2 pi u: kernels.trig. */
 static void trig(const struct cpass_point *p, struct block *b)
 {
     double scale = p->scale, step = p->step;
@@ -163,14 +157,77 @@ static void trig(const struct cpass_point *p, struct block *b)
     }
 }
 
-/* q = |q|**d in place: experiment._abs_power. */
+/* x * (c[0] + x * (c[1] + ... + x * c[n - 1])): kernels._horner. */
+static inline double horner(const double *c, int64_t n, double x)
+{
+    double acc = c[n - 1];
+    for (int64_t k = n - 2; k >= 0; k--)
+        acc = acc * x + c[k];
+    return acc * x;
+}
+
+/* The double of bits u. */
+static inline double from_bits(uint64_t u)
+{
+    double x;
+    memcpy(&x, &u, sizeof x);
+    return x;
+}
+
+/* frexp(a, e) for a >= 0: m in [1/2, 1) and a = m * 2**e, or m = 0 for
+ * a = 0.  A subnormal a is scaled by 2**54 first, exactly. */
+static inline double mantissa(double a, int64_t *e)
+{
+    int small = a < 0x1p-1022;
+    double b = small ? a * 0x1p54 : a;
+    uint64_t u;
+    memcpy(&u, &b, sizeof u);
+    *e = (int64_t)(u >> 52) - 1022 - (small ? 54 : 0);
+    return a == 0.0 ? 0.0 : from_bits((u & 0xFFFFFFFFFFFFFULL)
+                                      | 0x3FE0000000000000ULL);
+}
+
+/* ldexp(x, n) for |n| <= 1100: x * 2**(n / 2) is exact, so the product
+ * rounds once, as ldexp does. */
+static inline double scale_by(double x, int64_t n)
+{
+    int64_t half = n / 2;
+    return x * from_bits((uint64_t)(half + 1023) << 52)
+             * from_bits((uint64_t)(n - half + 1023) << 52);
+}
+
+/* |s|**d by the tables, for d not an integer in [0, 32]: the last branch
+ * of kernels.abs_power, with frexp and ldexp written out. */
+static inline double table_power(const struct cpass_point *p, double s)
+{
+    int64_t e;
+    double scaled = mantissa(fabs(s), &e) * p->log_scale;
+    double node = rint(scaled);
+    int64_t j = (int64_t)node;
+    double r = (scaled - node) * p->inv_table[j];
+    double y = p->d * (((double)e + p->log_table[j])
+                       + horner(p->log_poly, LOG_TERMS, r));
+    y = y < -1100.0 ? -1100.0 : y > 1100.0 ? 1100.0 : y;
+    double t = y * p->exp_scale;
+    double k = rint(t);
+    int64_t i = (int64_t)k;
+    double tab = p->exp_table[i & (((int64_t)1 << p->exp_bits) - 1)];
+    return scale_by(tab + tab * horner(p->exp_poly, EXP_TERMS, t - k),
+                    i >> p->exp_bits);
+}
+
+/* q = |q|**d in place: kernels.abs_power. */
 static void abs_power(const struct cpass_point *p, double *restrict q)
 {
     int64_t k = p->power;
     double s[BLOCK];
     if (k == 0) {
-        for (int i = 0; i < BLOCK; i++)
-            q[i] = pow(fabs(q[i]), p->d);
+        if (p->d == 0.0)
+            for (int i = 0; i < BLOCK; i++)
+                q[i] = 1.0;
+        else
+            for (int i = 0; i < BLOCK; i++)
+                q[i] = table_power(p, q[i]);
         return;
     }
     if (k & 1)
@@ -190,16 +247,17 @@ static void abs_power(const struct cpass_point *p, double *restrict q)
     }
 }
 
-/* One station of experiment._station_flags over a block: x sets bit
- * xbit of state, w bit wbit, and an uncertain evaluation bit ubit of
- * unsure.  Its turn (ca, sa, ca / 2, sa / 2) is turn0, or turn1 where a
- * trial's coin is primed (coin NULL: turn0 throughout); r and rhat are
- * its uniforms.  Always inlined, so that a NULL coin is a constant. */
+/* One station of kernels.station_law over a block: x sets bit xbit of
+ * state and w bit wbit; volts, where not NULL, gets the v of the block's
+ * first len trials.  Its turn (ca, sa, ca / 2, sa / 2) is turn0, or turn1
+ * where a trial's coin is primed (coin NULL: turn0 throughout); r and
+ * rhat are its uniforms.  Always inlined, so that a NULL coin is a
+ * constant. */
 static inline __attribute__((always_inline)) void
-station(const struct cpass_point *p, const struct block *b,
-        struct flags *f, const double *coin, const double *turn0,
-        const double *turn1, const double *r, const double *rhat, int xbit,
-        int wbit, int ubit)
+station(const struct cpass_point *p, const struct block *b, int64_t *state,
+        const double *coin, const double *turn0, const double *turn1,
+        const double *r, const double *rhat, int xbit, int wbit,
+        double *volts, int64_t len)
 {
     double q[BLOCK];
     for (int i = 0; i < BLOCK; i += 2) {
@@ -208,45 +266,32 @@ station(const struct cpass_point *p, const struct block *b,
         store(q + i, load(b->c + i) * sa - load(b->s + i) * ca);
     }
     abs_power(p, q);
-    v2d x_lo = broadcast(p->x_lo), x_hi = broadcast(p->x_hi);
-    v2d q_lo = broadcast(p->q_lo), q_hi = broadcast(p->q_hi);
+    v2d half = broadcast(-0.5), span = broadcast(p->span);
+    v2d v_max = broadcast(p->v_max), threshold = broadcast(p->threshold);
     v2i bx = {(int64_t)1 << xbit, (int64_t)1 << xbit};
     v2i bw = {(int64_t)1 << wbit, (int64_t)1 << wbit};
-    v2i bu = {(int64_t)1 << ubit, (int64_t)1 << ubit};
     for (int i = 0; i < BLOCK; i += 2) {
         v2d hca = turn_of(coin, i, turn0, turn1, 2);
         v2d hsa = turn_of(coin, i, turn0, turn1, 3);
         v2d dx = (load(b->c + i) * hca + load(b->s + i) * hsa) - load(r + i);
-        v2d qr = load(q + i) * load(rhat + i);
-        v2i x = dx > x_hi, w = qr < q_lo;
-        /* unsure: x_lo <= dx <= x_hi, or not (qr < q_lo or qr > q_hi),
-         * so that a nan qr is uncertain */
-        v2i unsure = ((dx >= x_lo) ^ x) | ~(w | (qr > q_hi));
-        store_i(f->state + i, load_i(f->state + i) | (x & bx) | (w & bw));
-        store_i(f->unsure + i, load_i(f->unsure + i) | (unsure & bu));
+        v2d v = (load(q + i) * load(rhat + i)) * span - v_max;
+        v2i x = dx > half, w = v < threshold;
+        store_i(state + i, load_i(state + i) | (x & bx) | (w & bw));
+        store(q + i, v);
     }
+    if (volts)
+        memcpy(volts, q, (size_t)len * sizeof *q);
 }
 
-/* Counts the block's first n trials, from trial i0 of the chunk, into
- * hist, or hands them to the pending arrays from pending trial m.
- * Returns the new number of pending trials. */
-static int64_t count(const struct cpass_point *p, const struct block *b,
-                     const struct flags *f, int streams, int64_t i0,
-                     int64_t n, int64_t m)
+/* Counts the block's first n states, from trial i0 of the chunk, into
+ * hist, and writes them to codes. */
+static void count(const struct cpass_point *p, const int64_t *state,
+                  int64_t i0, int64_t n)
 {
     for (int64_t i = 0; i < n; i++) {
-        if (!f->unsure[i]) {
-            p->hist[f->state[i]]++;
-            continue;
-        }
-        p->pending[m] = i0 + i;
-        for (int st = 0; st < streams; st++)
-            p->pending_u[st * p->capacity + m] = b->u[st][i];
-        p->pending_state[m] = (uint8_t)f->state[i];
-        p->pending_unsure[m] = (uint8_t)f->unsure[i];
-        m++;
+        p->hist[state[i]]++;
+        p->codes[i0 + i] = (uint8_t)state[i];
     }
-    return m;
 }
 
 static int64_t block_length(int64_t i0, int64_t n)
@@ -254,71 +299,61 @@ static int64_t block_length(int64_t i0, int64_t n)
     return n - i0 < BLOCK ? n - i0 : BLOCK;
 }
 
-/* Trials start..start+n-1 of a CFD point: hist gets the 256 state counts
- * of its certain trials (experiment._CFD_WEIGHTS).  Streams: the source,
- * then r of each station, then rhat of each.  Returns the number of
- * pending trials. */
-int64_t cpass_cfd(const struct cpass_point *p, uint64_t start, int64_t n)
+/* Station st's voltages of the block from trial i0, or NULL. */
+static double *volts_at(const struct cpass_point *p, int st, int64_t i0)
+{
+    return p->volts ? p->volts + st * p->capacity + i0 : 0;
+}
+
+/* Trials start..start+n-1 of a CFD point: codes gets every trial's state
+ * (kernels._CFD_WEIGHTS) and hist their 256 counts.  Streams: the
+ * source, then r of each station, then rhat of each. */
+void cpass_cfd(const struct cpass_point *p, uint64_t start, int64_t n)
 {
     struct block b;
-    struct flags f;
-    int64_t m = 0;
+    int64_t state[BLOCK];
     for (int i = 0; i < 256; i++)
         p->hist[i] = 0;
     for (int64_t i0 = 0; i0 < n; i0 += BLOCK) {
         for (int st = 0; st < 9; st++)
             fill(p->origins[st], start + (uint64_t)i0, b.u[st]);
         trig(p, &b);
+        int64_t len = block_length(i0, n);
         for (int i = 0; i < BLOCK; i++)
-            f.state[i] = f.unsure[i] = 0;
+            state[i] = 0;
         for (int st = 0; st < 4; st++)
-            station(p, &b, &f, 0, p->turns + 4 * st, 0, b.u[1 + st],
-                    b.u[5 + st], st, 4 + st, st);
-        m = count(p, &b, &f, 9, i0, block_length(i0, n), m);
+            station(p, &b, state, 0, p->turns + 4 * st, 0, b.u[1 + st],
+                    b.u[5 + st], st, 4 + st, volts_at(p, st, i0), len);
+        count(p, state, i0, len);
     }
-    return m;
 }
 
 /* Trials start..start+n-1 of a non-CFD point: codes gets every trial's
- * 16 * pair + state (experiment._NONCFD_WEIGHTS) and hist the 64 counts
- * of the certain trials.  Streams: the source, each side's coin, then r
- * of each side, then rhat of each.  Returns the number of pending
- * trials. */
-int64_t cpass_noncfd(const struct cpass_point *p, uint64_t start, int64_t n)
+ * 16 * pair + state (kernels._NONCFD_WEIGHTS) and hist their 64 counts.
+ * Streams: the source, each side's coin, then r of each side, then rhat
+ * of each. */
+void cpass_noncfd(const struct cpass_point *p, uint64_t start, int64_t n)
 {
     struct block b;
-    struct flags f;
-    int64_t m = 0, primed1 = 32, primed2 = 16;
+    int64_t state[BLOCK], primed1 = 32, primed2 = 16;
     for (int i = 0; i < 64; i++)
         p->hist[i] = 0;
     for (int64_t i0 = 0; i0 < n; i0 += BLOCK) {
         for (int st = 0; st < 7; st++)
             fill(p->origins[st], start + (uint64_t)i0, b.u[st]);
         trig(p, &b);
-        for (int i = 0; i < BLOCK; i++) {
-            f.state[i] = (b.u[1][i] < 0.5 ? primed1 : 0)
-                         | (b.u[2][i] < 0.5 ? primed2 : 0);
-            f.unsure[i] = 0;
-        }
+        for (int i = 0; i < BLOCK; i++)
+            state[i] = (b.u[1][i] < 0.5 ? primed1 : 0)
+                       | (b.u[2][i] < 0.5 ? primed2 : 0);
+        int64_t len = block_length(i0, n);
         for (int side = 0; side < 2; side++) {
             const double *turn0 = p->turns + 8 * side;
-            station(p, &b, &f, b.u[1 + side], turn0, turn0 + 4,
-                    b.u[3 + side], b.u[5 + side], side, 2 + side, side);
+            station(p, &b, state, b.u[1 + side], turn0, turn0 + 4,
+                    b.u[3 + side], b.u[5 + side], side, 2 + side,
+                    volts_at(p, side, i0), len);
         }
-        int64_t len = block_length(i0, n);
-        for (int64_t i = 0; i < len; i++)
-            p->codes[i0 + i] = (uint8_t)f.state[i];
-        m = count(p, &b, &f, 7, i0, len, m);
+        count(p, state, i0, len);
     }
-    return m;
-}
-
-/* Draws start..start+n-1 of the stream at origin: kernels.fill_uniforms,
- * for the known-answer check at load. */
-void cpass_uniforms(uint64_t origin, uint64_t start, int64_t n, double *out)
-{
-    for (int64_t i = 0; i < n; i++)
-        out[i] = uniform(origin + (start + (uint64_t)i + 1) * GOLDEN);
 }
 
 /* A column of cpass_format.  Mirrored field for field by

@@ -117,13 +117,15 @@ def config_from_args(args) -> sweep.RunConfig:
     return cfg
 
 
-def _run_oracles() -> int:
+def _run_oracles(out) -> int:
+    """Write the oracles' report to out; 2 where one found a violation."""
     reports = oracle.run_all_enumerations()
     violations = 0
     for rep in reports:
-        print(f"{rep.name}: {rep.cases} cases, {len(rep.violations)} violations")
+        print(f"{rep.name}: {rep.cases} cases, "
+              f"{len(rep.violations)} violations", file=out)
         for item in rep.violations:
-            print(f"  counterexample: {item}")
+            print(f"  counterexample: {item}", file=out)
         violations += len(rep.violations)
 
     # Closed-form quadrature spot checks.
@@ -138,13 +140,13 @@ def _run_oracles() -> int:
     closed = ModelParams(d=4.0, v_min_mag=0.5, v_max_mag=1.0, threshold=-1.0)
     if oracle.pass_probability(closed) != 0.0:
         spot_failures.append("threshold at -v_max_mag should pass nothing")
-    print(f"quadrature spot checks: {len(spot_failures)} failures")
+    print(f"quadrature spot checks: {len(spot_failures)} failures", file=out)
     for msg in spot_failures:
-        print(f"  {msg}")
+        print(f"  {msg}", file=out)
     violations += len(spot_failures)
 
     total = "+".join(str(rep.cases) for rep in reports)
-    print(f"{total} cases, {violations} violations")
+    print(f"{total} cases, {violations} violations", file=out)
     return 0 if violations == 0 else 2
 
 
@@ -157,15 +159,14 @@ def main(argv=None) -> int:
         print(f"eprbsim: config error: {exc}", file=sys.stderr)
         return 1
 
-    if cfg.mode == "oracles":
-        return _run_oracles()
-
     run = sweep.sweep_theta if cfg.threshold_sweep is None \
         else sweep.sweep_threshold
     try:
         # Opened before any point runs, as the trial dump is.
         with (contextlib.nullcontext(sys.stdout) if cfg.out is None
               else open(cfg.out, "w", newline="")) as out:
+            if cfg.mode == "oracles":
+                return _run_oracles(out)
             columns, rows = run(cfg)
             sweep.write_rows(cfg, columns, rows, out)
     except OSError as exc:

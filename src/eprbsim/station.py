@@ -32,7 +32,9 @@ class StationOutcome(NamedTuple):
 
 def station_respond(setting: float, phi: float, pair: RandomPair,
                     params: ModelParams) -> StationOutcome:
-    """Scalar reference implementation of the station law.
+    """The station law with libm's cos, sin and pow, one evaluation at a
+    time: the tests' scalar reference, as kernels.station_response is
+    their array one.  The package evaluates kernels.station_law.
 
     x follows the cos^2 channel rule with the tie 1 + c - 2r = 0 broken
     toward -1; v = r_hat * |sin 2(a-phi)|^d * (v_max_mag - v_min_mag)

@@ -80,6 +80,8 @@ class RunConfig:
                 f"got {self.delta_denominator!r}"
             )
         rng.validate_seed(self.seed)
+        if self.mode == "oracles" and self.dump_trials is not None:
+            raise ValueError("dump-trials: mode oracles runs no trials")
         if (self.out is not None and self.dump_trials is not None
                 and os.path.realpath(self.out)
                 == os.path.realpath(self.dump_trials)):
@@ -197,8 +199,8 @@ def _process_pool(workers: int):
 
 def _point_runs(mode: str, params: ModelParams, quad: SettingsQuad, n: int,
                 point_seed: int):
-    """The runs of one point, chunk by chunk in counter order, drawn as
-    _point_counts draws them: run_cfd over CHUNK trials at a time for
+    """The runs of one point, chunk by chunk in counter order, the chunks
+    of _point_counts' pass: run_cfd over CHUNK trials at a time for
     mode "cfd", else run_noncfd until every setting pair holds n
     records.  The point's stream origins are computed once."""
     if mode == "cfd":
@@ -224,10 +226,11 @@ def _sweep(cfg: RunConfig, points) -> list:
     _point_counts, on worker processes when there is more than one worker
     (see _worker_count) and here otherwise, and this process builds every
     row from them in grid order.  A trial dump, opened before any point
-    runs, then runs each point again here, in point order, with the
-    station law at every trial (_point_runs), and writes each chunk's
-    records as it comes.  The chunks' counts must add up to the streamed
-    ones; if they do not, the sweep stops, and a dump that can seek is
+    runs, then runs each point again here, in point order, through the
+    same pass with each chunk's per-trial states and voltages kept
+    (_point_runs), and writes each chunk's records as it comes.  The
+    bincount of the dumped states must equal the streamed counts; if it
+    does not, the sweep stops, and a dump that can seek is
     first cut back to the end of the previous point (a pipe or FIFO
     keeps what was written).
     """

@@ -2,10 +2,14 @@
 
 Rows come from state counts (`eprbsim.stats`); the per-trial array
 estimators compute the same quantities from outcome and flag arrays
-without the package's formulas.  `noncfd_point` draws a whole non-CFD
-point by its own coin loop and quota cut, from gathered draws, for the
-package's chunked pass to be compared with.  PASSES names the chunk
-passes that a test runs.
+without the package's formulas.  `cfd_point` draws a whole CFD point in
+one piece, and `noncfd_point` a whole non-CFD point by its own coin loop
+and quota cut, from gathered draws, for the package's chunked passes to
+be compared with.  Both evaluate each station with a station law:
+`libm_station`, the law with libm's cos, sin and pow
+(`kernels.station_response`), or `package_station`, the package's own
+(`kernels.station_law`), whose voltages the trial dump prints.  PASSES
+names the chunk passes that a test runs.
 """
 from __future__ import annotations
 
@@ -14,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eprbsim import kernels, rng
-from eprbsim.experiment import state_counts
+from eprbsim import experiment, kernels, rng
+from eprbsim.experiment import PAIR_COLUMNS, state_counts
 
 # The chunk passes kernels.BACKEND selects: numpy's always, and the
 # compiled one where it loaded.
@@ -116,7 +120,7 @@ def eberhard_total_selected(records) -> int:
             + c["12"]["n_oo"] - c["21"]["n_oo"])
 
 
-# ------------------------------------------- whole-point non-CFD reference
+# ----------------------------------------------- whole-point references
 
 # A stream id of the tests' own, for draws no run makes.
 MALUS_STREAM = 11
@@ -127,6 +131,52 @@ def malus_frequency(setting: float, phi: float, n: int, seed: int) -> float:
     r = rng.uniforms(seed, MALUS_STREAM, n)
     c = math.cos(2.0 * (setting - phi))
     return float(np.count_nonzero(1.0 + c - 2.0 * r > 0.0) / n)
+
+
+def libm_station(params, quad, col, u, r, rhat):
+    """(x, v, w) of station col (STATION_NAMES order) for source draws u
+    and its draws r and rhat, by kernels.station_response."""
+    phi = 2.0 * math.pi * u
+    if col >= 2:
+        phi = np.mod(phi + 0.5 * math.pi, 2.0 * math.pi)
+    x, v = kernels.station_response(quad.as_tuple()[col], phi, r, rhat,
+                                    params.d, params.v_min_mag,
+                                    params.v_max_mag)
+    return x, v, (v < params.threshold).astype(np.uint8)
+
+
+def package_station(params, quad, col, u, r, rhat):
+    """libm_station's (x, v, w) by the package's law, kernels.station_law,
+    at (ca, sa) = experiment._turns(quad)[col]."""
+    x, w, v = kernels.station_law(params, kernels.trig(u),
+                                  experiment._turns(quad)[col], r, rhat)
+    return 2 * x.astype(np.int8) - 1, v, w.astype(np.uint8)
+
+
+@dataclass
+class CfdPoint:
+    """CFD trials 0..n-1: (n, 4) outcomes, voltages and flags in
+    STATION_NAMES order, and their 256 state counts."""
+
+    quad: object
+    n: int
+    x: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    counts: np.ndarray
+
+
+def cfd_point(params, quad, n: int, seed: int,
+              station=libm_station) -> CfdPoint:
+    """A CFD point's trials, every draw of every stream taken in one
+    piece, each station by station()."""
+    u = rng.uniforms(seed, rng.SOURCE, n)
+    x, v, w = (np.stack(cols, axis=1) for cols in zip(*[
+        station(params, quad, col, u, rng.uniforms(seed, r_stream, n),
+                rng.uniforms(seed, rhat_stream, n))
+        for col, (r_stream, rhat_stream) in enumerate(
+            zip(rng.R_STREAMS, rng.RHAT_STREAMS))]))
+    return CfdPoint(quad, n, x, v, w, state_counts(x.T, w.T))
 
 
 @dataclass
@@ -153,21 +203,14 @@ class NonCfdPoint:
     counts: np.ndarray
 
 
-def _station(seed, setting, phi, r_stream, rhat_stream, ks, params):
-    r = kernels.gather_uniforms(rng.stream_origin(seed, r_stream), ks)
-    rhat = kernels.gather_uniforms(rng.stream_origin(seed, rhat_stream), ks)
-    x, v = kernels.station_response(setting, phi, r, rhat, params.d,
-                                    params.v_min_mag, params.v_max_mag)
-    return x, v, (v < params.threshold).astype(np.uint8)
-
-
-def noncfd_point(params, quad, quota: int, seed: int) -> NonCfdPoint:
+def noncfd_point(params, quad, quota: int, seed: int,
+                 station=libm_station) -> NonCfdPoint:
     """A non-CFD point from the trial indices each pair keeps.
 
     Coins are drawn in chunks of their own size, each pair keeps the
     first quota trials that chose it, and every kept trial's draws are
-    gathered at its index.  It shares neither chunks nor the quota cut
-    with the package's pass.
+    gathered at its index, each station by station().  It shares neither
+    chunks nor the quota cut with the package's pass.
     """
     kept = [[], [], [], []]
     counts = [0, 0, 0, 0]
@@ -182,16 +225,20 @@ def noncfd_point(params, quad, quota: int, seed: int) -> NonCfdPoint:
             kept[p].append(take)
             counts[p] += take.size
         k0 += chunk
+
+    def at(stream, ks):
+        return kernels.gather_uniforms(rng.stream_origin(seed, stream), ks)
+
     pairs = []
-    for p, (a1, a2) in enumerate(((quad.a1, quad.a2), (quad.a1, quad.a2p),
-                                  (quad.a1p, quad.a2), (quad.a1p, quad.a2p))):
+    for p, (c1, c2) in enumerate(PAIR_COLUMNS):
         ks = np.concatenate(kept[p])
-        u = kernels.gather_uniforms(rng.stream_origin(seed, rng.SOURCE), ks)
-        phi1 = 2.0 * math.pi * u
-        phi2 = np.mod(phi1 + 0.5 * math.pi, 2.0 * math.pi)
-        side1 = _station(seed, a1, phi1, rng.R_1, rng.RHAT_1, ks, params)
-        side2 = _station(seed, a2, phi2, rng.R_2, rng.RHAT_2, ks, params)
-        pairs.append(NonCfdPair(a1, a2, ks, *side1, *side2))
+        u = at(rng.SOURCE, ks)
+        side1 = station(params, quad, c1, u, at(rng.R_1, ks),
+                        at(rng.RHAT_1, ks))
+        side2 = station(params, quad, c2, u, at(rng.R_2, ks),
+                        at(rng.RHAT_2, ks))
+        pairs.append(NonCfdPair(quad.as_tuple()[c1], quad.as_tuple()[c2], ks,
+                                *side1, *side2))
     counts = np.stack([state_counts((p.x1, p.x2), (p.w1, p.w2))
                        for p in pairs])
     return NonCfdPoint(tuple(pairs), counts)

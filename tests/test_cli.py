@@ -254,6 +254,22 @@ def test_oracle_mode_reports_and_exits_zero(capsys):
     assert "16+256+81+16 cases, 0 violations" in out
 
 
+def test_oracle_mode_writes_its_report_to_out(tmp_path, capsys):
+    out = tmp_path / "o.txt"
+    assert cli.main(["--mode", "oracles", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert "16+256+81+16 cases, 0 violations" in out.read_text()
+
+
+def test_oracle_mode_with_a_trial_dump_is_config_error(tmp_path, capsys):
+    dump = tmp_path / "d.csv"
+    rc = cli.main(["--mode", "oracles", "--out", str(tmp_path / "o.txt"),
+                   "--dump-trials", str(dump)])
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
+    assert not dump.exists() and not (tmp_path / "o.txt").exists()
+
+
 def test_oracle_mode_flags_violations(monkeypatch, capsys):
     def broken():
         return EnumerationReport(name="quadruple identities", cases=16,

@@ -9,7 +9,7 @@ with the same bytes.  Most cases here run the CLI in a fresh interpreter
 on a copy of the package, whose __pycache__ is a cache of its own.
 """
 import hashlib
-import math
+import json
 import os
 import shutil
 import subprocess
@@ -18,10 +18,10 @@ import sys
 import numpy as np
 import pytest
 
-from eprbsim import experiment, kernels
+from eprbsim import kernels
 from eprbsim.experiment import cfd_counts, noncfd_counts
 from eprbsim.params import ModelParams, SettingsQuad
-from test_certified import closed_bounds, compiled_uncertain
+from test_certified import chunk_values, decision_params
 from test_output_bytes import RUNS
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
@@ -261,6 +261,81 @@ def test_the_pinned_run_with_each_flag_set(tmp_path, native):
     assert len(_cached(root)) == 1
 
 
+# Runs every pinned run of test_output_bytes in a fresh interpreter and
+# prints, as JSON, the pass in use, the CPU features of REDUCED that numpy
+# dispatches to, and each run's rows and dump sha256.
+MATRIX_CLI = """
+import hashlib, json, os, sys
+import numpy as np
+from eprbsim import cli, kernels
+umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+work, runs = sys.argv[1], json.loads(sys.argv[2])
+shas = {}
+for name, (argv, dump) in runs.items():
+    out = [os.path.join(work, name + ext) for ext in (".rows", ".dump")]
+    extra = ["--dump-trials", out[1]] if dump else []
+    assert cli.main(argv + ["--out", out[0]] + extra) == 0
+    shas[name] = [hashlib.sha256(open(path, "rb").read()).hexdigest()
+                  for path in out[:1 + dump]]
+print(json.dumps({"backend": kernels.BACKEND, "runs": shas,
+                  "features": [f for f in json.loads(sys.argv[3])
+                               if umath.__cpu_features__.get(f)]}))
+"""
+# numpy's AVX-512 dispatch targets, which set float64 power apart.
+REDUCED = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def _dispatched(features):
+    """Those of features that numpy dispatches to on this host."""
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+    return [f for f in features
+            if f in getattr(umath, "__cpu_dispatch__", ())
+            and umath.__cpu_features__.get(f)]
+
+
+@pytest.mark.parametrize("dispatch", ["full", "reduced"])
+@pytest.mark.parametrize("build", ["numpy", "native", "portable"])
+def test_every_pinned_run_on_each_host_leg(build, dispatch, tmp_path):
+    """The host matrix: every pinned run gives its pinned bytes under
+    numpy's pass (no compiler on PATH) and under the compiled one built
+    with this CPU's flags and with the portable ones, each with numpy's
+    full CPU dispatch and with its AVX-512 targets disabled.  Each leg
+    runs a copy of the package, with a cache of its own."""
+    env = {**os.environ, "PYTHONPATH": str(_copy_package(tmp_path))}
+    if dispatch == "reduced":
+        disabled = _dispatched(REDUCED)
+        if not disabled:
+            pytest.skip(f"numpy dispatches to none of {REDUCED} here: the "
+                        "full-dispatch leg is this leg")
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+    if build == "numpy":
+        (tmp_path / "bin").mkdir()
+        env["PATH"] = str(tmp_path / "bin")
+    elif shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    else:
+        env["PATH"], log = _cc_on_path(tmp_path,
+                                       refuse_native=build == "portable")
+    runs = {name: (argv, dump is not None)
+            for name, (argv, _, dump) in RUNS.items()}
+    out = subprocess.run(
+        [sys.executable, "-c", MATRIX_CLI, str(tmp_path), json.dumps(runs),
+         json.dumps(REDUCED)], env=env, capture_output=True, text=True,
+        check=True, timeout=600)
+    got = json.loads(out.stdout)
+    if build != "numpy":
+        flags = log.read_text().splitlines()
+        if build == "native" and len(flags) > 1:
+            pytest.skip("cc cannot build for this CPU (-march=native)")
+        assert flags[-1].split(" -o ")[0] == " ".join(
+            kernels._NATIVE_CFLAGS if build == "native" else kernels._CFLAGS)
+    assert got["backend"] == ("numpy" if build == "numpy" else "c")
+    assert got["features"] == ([] if dispatch == "reduced"
+                               else _dispatched(REDUCED))
+    assert got["runs"] == {name: [rows] + ([dump] if dump else [])
+                           for name, (_, rows, dump) in RUNS.items()}
+
+
 @pytest.fixture(scope="module")
 def builds(tmp_path_factory):
     """The library built with the portable flags and with this CPU's,
@@ -277,30 +352,22 @@ def builds(tmp_path_factory):
     return libs
 
 
-def _cpass_power(s, d):
-    """|s|**d as _cpass.c's abs_power takes it: experiment._abs_power
-    for an integer d in [1, 32], else the C library's pow, which
-    math.pow calls."""
-    if experiment._multiply_only(d):
-        return experiment._abs_power(s, d)
-    return np.vectorize(math.pow, otypes=[float])(np.abs(s), d)
-
-
 @needs_cc
 @pytest.mark.parametrize("d", [4.0, 3.0, 1.0, 0.5, 7.3])
 @pytest.mark.parametrize("cfd", [True, False], ids=["cfd", "noncfd"])
 def test_both_flag_sets_give_the_same_decision_values(builds, cfd, d,
                                                       monkeypatch):
-    """As test_certified's test_compiled_decision_values_are_numpys_bit_for_bit,
-    for each build, and at d where the pass calls pow: bounds that close
-    on one of the reference's values must leave exactly its matches
-    uncertain."""
-    params, quad = ModelParams(d=d, threshold=-0.75), \
-        SettingsQuad.for_theta(0.4)
-    for bounds, expected in closed_bounds(cfd, params, quad, _cpass_power):
-        for lib in builds:
-            monkeypatch.setattr(kernels, "CPASS", lib)
-            assert compiled_uncertain(cfd, params, quad, bounds) == expected
+    """Each build's per-trial states and voltages are numpy's, bit for
+    bit, for both powers: binary (d = 4, 3, 1) and the table's."""
+    params, quad = decision_params(d), SettingsQuad.for_theta(0.4)
+    monkeypatch.setattr(kernels, "BACKEND", "numpy")
+    states, v = chunk_values(cfd, params, quad)
+    monkeypatch.setattr(kernels, "BACKEND", "c")
+    for lib in builds:
+        monkeypatch.setattr(kernels, "CPASS", lib)
+        got_states, got_v = chunk_values(cfd, params, quad)
+        assert np.array_equal(got_states, states)
+        assert np.array_equal(got_v, v)
 
 
 @needs_cc
@@ -337,3 +404,23 @@ def test_a_library_whose_formatter_disagrees_with_python(tmp_path):
     source.write_text(text.replace("if (isnan(v)) {",
                                    "if (isnan(v) && 0) {"))
     assert kernels.load_cpass(str(source), str(tmp_path / "cache")) is None
+
+
+@needs_cc
+@pytest.mark.parametrize("old,new", [
+    ("v2d v = (load(q + i) * load(rhat + i)) * span - v_max;",
+     "v2d v = load(q + i) * (load(rhat + i) * span) - v_max;"),
+    ("(((double)e + p->log_table[j])\n"
+     "                       + horner(p->log_poly, LOG_TERMS, r));",
+     "((double)e + (p->log_table[j]\n"
+     "                       + horner(p->log_poly, LOG_TERMS, r)));"),
+], ids=["voltage", "table-power"])
+def test_a_library_whose_pass_disagrees_with_numpy(tmp_path, old, new):
+    # One operation reordered: each + - * still rounds once, but the
+    # values are no longer numpy's.  The source still builds.
+    source, cache = tmp_path / "_cpass.c", str(tmp_path / "cache")
+    text = open(kernels._SOURCE).read()
+    assert old in text
+    source.write_text(text.replace(old, new))
+    assert kernels._compiled(str(source), cache) is not None
+    assert kernels.load_cpass(str(source), cache) is None

@@ -1,11 +1,12 @@
 """Trial dump bytes: the chunked dump against a per-line reference.
 
 The reference writer below formats one record per line with f-strings
-and '%.17g', as the dump was first written, from whole-point runs:
-`run_cfd` over all of a point's trials, and the non-CFD reference
-`reference.noncfd_point`, which selects and draws its trials its own
-way.  The dump, written chunk by chunk by `sweep._TrialDumper`, must
-produce the same bytes, whether the compiled library formats it
+and '%.17g', as the dump was first written, from the tests' whole-point
+references `reference.cfd_point` and `reference.noncfd_point`, which
+draw their trials their own way and evaluate each station with the
+package's law (`reference.package_station`).  The dump, written chunk
+by chunk by `sweep._TrialDumper` from the streaming pass, must produce
+the same bytes, whether the compiled library formats it
 (`kernels.format_csv`) or the per-line fallback does.  The compiled
 formatter is checked against Python's '%.17g' and str on its own, too.
 """
@@ -21,7 +22,6 @@ from hypothesis import strategies as st
 
 import reference
 from eprbsim import cli, experiment, kernels, rng, sweep
-from eprbsim.experiment import run_cfd
 from eprbsim.params import ModelParams, SettingsQuad
 
 # ------------------------------------------------------- per-line reference
@@ -79,10 +79,11 @@ def _reference_dump(cfg):
         quad = SettingsQuad.for_theta(theta)
         seed = rng.derive_seed(cfg.seed, index)
         if cfg.mode == "cfd":
-            _reference_cfd(fh, run_cfd(params, quad, cfg.n, seed))
+            _reference_cfd(fh, reference.cfd_point(
+                params, quad, cfg.n, seed, reference.package_station))
         else:
-            _reference_noncfd(fh, reference.noncfd_point(params, quad, cfg.n,
-                                                         seed))
+            _reference_noncfd(fh, reference.noncfd_point(
+                params, quad, cfg.n, seed, reference.package_station))
     return fh.getvalue().encode()
 
 

@@ -16,8 +16,7 @@ from scipy import stats as sps
 
 import reference
 from eprbsim import kernels, rng, station, stats, sweep
-from eprbsim.experiment import (PAIR_COLUMNS, cfd_from_inputs, run_cfd,
-                                run_noncfd, source_phis)
+from eprbsim.experiment import PAIR_COLUMNS, run_cfd, run_noncfd, source_phis
 from eprbsim.params import ModelParams, SettingsQuad
 
 P = ModelParams()  # d=4, Vmin=0.5, Vmax=1, threshold=-0.995
@@ -69,21 +68,23 @@ def test_cfd_flags_match_threshold_rule():
 
 
 def test_forced_inputs_reproduce_scalar_station_law():
-    phi1 = np.array([0.0, 0.3, 2.0])
-    phi2 = np.mod(phi1 + math.pi / 2, 2 * math.pi)
-    r = [np.array([0.1, 0.5, 0.9])] * 4
-    rhat = [np.array([0.2, 0.6, 0.8])] * 4
+    # The package's law (kernels.station_law) against the scalar one with
+    # libm's cos, sin and pow: equal outcomes away from their boundary,
+    # and voltages within the law's few units of 1e-15.
+    u = np.array([0.0, 0.3, 2.0]) / (2 * math.pi)
+    r, rhat = np.array([0.1, 0.5, 0.9]), np.array([0.2, 0.6, 0.8])
     q = SettingsQuad.for_theta(0.7)
-    run = cfd_from_inputs(P, q, phi1, phi2, r, rhat)
-    settings = q.as_tuple()
-    phis = (phi1, phi1, phi2, phi2)
+    phi1 = 2 * math.pi * u
+    phi2 = np.mod(phi1 + math.pi / 2, 2 * math.pi)
     for col in range(4):
+        x, v, w = reference.package_station(P, q, col, u, r, rhat)
         for k in range(3):
             ref = station.station_respond(
-                settings[col], phis[col][k],
-                station.RandomPair(r[col][k], rhat[col][k]), P)
-            assert run.x[k, col] == ref.x
-            assert run.v[k, col] == pytest.approx(ref.v, abs=5e-16)
+                q.as_tuple()[col], (phi1 if col < 2 else phi2)[k],
+                station.RandomPair(r[k], rhat[k]), P)
+            assert x[k] == ref.x
+            assert v[k] == pytest.approx(ref.v, abs=1e-14)
+            assert w[k] == (v[k] < P.threshold)
 
 
 def test_changing_far_setting_leaves_near_side_untouched():
@@ -185,18 +186,20 @@ def test_noncfd_records_reproducible_from_trial_index():
     def at(stream):
         return kernels.gather_uniforms(rng.stream_origin(16, stream), k)
 
-    phi1 = 2 * math.pi * at(rng.SOURCE)
-    phi2 = np.mod(phi1 + math.pi / 2, 2 * math.pi)
-    for side, (phi, choice, r, rhat, plain, primed) in enumerate((
-            (phi1, rng.CHOICE_1, rng.R_1, rng.RHAT_1, quad.a1, quad.a1p),
-            (phi2, rng.CHOICE_2, rng.R_2, rng.RHAT_2, quad.a2, quad.a2p))):
-        setting = np.where(at(choice) < 0.5, primed, plain)
-        assert np.array_equal(a[:, side], setting)
-        xs, vs = kernels.station_response(setting, phi, at(r), at(rhat),
-                                          P.d, P.v_min_mag, P.v_max_mag)
-        assert np.array_equal(x[:, side], xs)
-        assert np.array_equal(v[:, side], vs)
-        assert np.array_equal(w[:, side], vs < P.threshold)
+    u = at(rng.SOURCE)
+    for side, (choice, r, rhat) in enumerate((
+            (rng.CHOICE_1, rng.R_1, rng.RHAT_1),
+            (rng.CHOICE_2, rng.R_2, rng.RHAT_2))):
+        primed = at(choice) < 0.5
+        assert np.array_equal(a[:, side], np.where(
+            primed, quad.as_tuple()[2 * side + 1], quad.as_tuple()[2 * side]))
+        plain, prime = (reference.package_station(P, quad, 2 * side + p, u,
+                                                  at(r), at(rhat))
+                        for p in (0, 1))
+        for got, want_plain, want_prime in zip(
+                (x[:, side], v[:, side], w[:, side]), plain, prime):
+            assert np.array_equal(got, np.where(primed, want_prime,
+                                                want_plain))
 
 
 def test_noncfd_choice_marginals_are_fair():

@@ -2,9 +2,12 @@
 
 Each run writes its rows with --out (and its trial dump, where it has
 one), in process, at one and at two worker processes, under numpy's
-chunk pass and under the compiled one.  The constants were recorded
-from the code as it stood before the dump was written chunk by chunk;
-any change to a row or a dump byte fails here.
+chunk pass and under the compiled one; tests/test_cpass.py runs them on
+every host leg it can (pass, numpy's CPU dispatch, compiler flags).  The
+row constants were recorded from the code as it stood before the dump
+was written chunk by chunk, the dump constants when the dump's voltages
+became those of the streaming pass's own law (CHANGES.md); any change
+to a row or a dump byte fails here.
 """
 import hashlib
 import os
@@ -34,11 +37,16 @@ RUNS = {
     # 20,000 trials per point: a dump over several chunks.
     "cfd-dump": (["--theta-steps", "2", "--n", "20000", "--seed", "5"],
                  "0dfeb88c387f584d443df4e0e95a4f5ad49177a5b99bd1fc9daa3347dcca23f8",
-                 "373f582f6b27da9c3f31c12fe54fded4ff4e360ef4c7f23c37d2c1074481eec6"),
+                 "8b60a4b409f5711701b458833f49ce6a6b6f471a805721a4f505c58adfaeed61"),
     "noncfd-dump": (["--mode", "noncfd", "--theta-steps", "2", "--n", "5000",
                      "--seed", "6"],
                     "7c63fde250f50b5ca9eed868b8630ca15779efed09bf292c385fe17d2b36bc24",
-                    "8a840eef80bf838439edb49ea99e515887b479f9006f8f229c13e5469352ff67"),
+                    "3206a12241eb15929508cb35a3dc6c33b928a67b210d6ccffb0b3b0fe67143c0"),
+    # The table power, with a span that is not a power of two.
+    "cfd-dump-d0.5": (["--theta-steps", "2", "--n", "3000", "--d", "0.5",
+                       "--vmin", "0.3", "--threshold", "-0.65", "--seed", "7"],
+                      "4e7281dc25888d06cda1d0aaadc7ab23f0bab526d463ff94725f58f633153809",
+                      "6b5e3015e1974d19ffce82d5abdbbb3b09c94a7dbb31a3d72dd3dc900668549d"),
 }
 
 
