@@ -8,16 +8,17 @@ counter-based streams keyed by trial index, so runs are bit-reproducible
 for a given seed regardless of chunking or worker count.
 
 Every statistic a sweep reports depends on a trial only through its
-state: the outcome signs and identification flags of its stations.  A
-run therefore reduces to integer counts of states (`state_counts`).
-`cfd_counts` and `noncfd_counts` stream a point chunk by chunk into
-those counts, in counter order and without keeping per-trial arrays.
-Each chunk goes through the station law of kernels.station_law
-(`_pass`): in the compiled pass (kernels.Compiled) where
-kernels.BACKEND is "c", and otherwise in numpy (kernels.numpy_chunk),
-with the same values, bit for bit.  `run_cfd` and `run_noncfd` take one
-chunk of the same pass and keep its per-trial states and voltages, for
-the trial dump, which sweep._TrialDumper writes a chunk at a time.
+state: the outcome signs and identification flags of its stations (see
+QUADRUPLES), so a run reduces to integer counts of states.  One walk,
+`_point_chunks`, runs a point chunk by chunk in counter order, and owns
+its chunk length, the non-CFD quota cut and the stop rule.  Each chunk
+goes through the station law of kernels.station_law (`_pass`): in the
+compiled pass (kernels.Compiled) where kernels.BACKEND is "c", and
+otherwise in numpy (kernels.numpy_chunk), with the same values, bit for
+bit.  `cfd_counts` and `noncfd_counts` sum the walk's counts without
+keeping per-trial arrays.  For the trial dump, which sweep._TrialDumper
+writes a chunk at a time, `run_noncfd` yields the records of each chunk
+of the walk, and `run_cfd` gives any range of CFD trials.
 """
 from __future__ import annotations
 
@@ -110,7 +111,7 @@ class CfdRun:
 @dataclass
 class NonCfdRun:
     """The records of non-CFD trials start..start+n_trials-1: the n
-    trials that their setting pair kept (see run_noncfd), in counter
+    trials that their setting pair kept (see _point_chunks), in counter
     order.
 
     k holds their trial indices; a, x, v, w are (n, 2) arrays of the
@@ -140,24 +141,6 @@ def _check_quadruple_identities(x: np.ndarray) -> None:
     for b in stats.quadruple_b(*x.T):
         if not np.all((b == -1) | (b == 3)):
             raise RuntimeError("CFD identity violated: b outside {-1, +3}")
-
-
-def state_counts(x_cols, w_cols) -> np.ndarray:
-    """Counts of the 4**k trial states of k stations' outcomes and flags.
-
-    x_cols and w_cols are k same-length columns of outcomes and 0/1
-    identification flags.  Every outcome must be -1 or +1, since the
-    state keeps only whether it is +1.
-    """
-    k = len(x_cols)
-    state = np.zeros(len(x_cols[0]), np.uint8)
-    for c, (xc, wc) in enumerate(zip(x_cols, w_cols)):
-        plus = xc == 1
-        if not np.all(plus | (xc == -1)):
-            raise RuntimeError("outcome outside {-1, +1}")
-        state |= plus.view(np.uint8) << c
-        state |= np.asarray(wc, np.uint8) << (k + c)
-    return np.bincount(state, minlength=4 ** k)
 
 
 def pair_counts(counts: np.ndarray) -> np.ndarray:
@@ -193,16 +176,18 @@ def _turns(quad: SettingsQuad) -> np.ndarray:
     return np.column_stack((cos2a, sin2a)) * [[1.0], [1.0], [-1.0], [-1.0]]
 
 
-def _pass(cfd: bool, params: ModelParams, quad: SettingsQuad, origins,
+def _pass(cfd: bool, params: ModelParams, quad: SettingsQuad, seed: int,
           capacity: int, trials: bool = False):
     """chunk(start, n) -> (state counts, each trial's state, the (k, n)
     voltages) of chunks of up to capacity trials of a point's pass,
     compiled or numpy's as kernels.BACKEND says.
 
-    origins are the point's rng.stream_origins of _CHUNK_STREAMS (CFD) or
-    of _NONCFD_STREAMS.  The voltages come only with trials, and the
+    The pass draws from this seed's streams _CHUNK_STREAMS (CFD) or
+    _NONCFD_STREAMS.  The voltages come only with trials, and the
     compiled pass's arrays are overwritten by the next chunk.
     """
+    origins = rng.stream_origins(seed, _CHUNK_STREAMS if cfd
+                                 else _NONCFD_STREAMS)
     turns = _turns(quad)
     if kernels.BACKEND == "c":
         return kernels.Compiled(kernels.CPASS, cfd, params, turns, origins,
@@ -222,20 +207,54 @@ def _pass(cfd: bool, params: ModelParams, quad: SettingsQuad, origins,
     return chunk
 
 
+def _point_chunks(cfd: bool, params: ModelParams, quad: SettingsQuad, n: int,
+                  seed: int, trials: bool = False):
+    """(start, counts, states, volts) of each chunk of a point's pass, in
+    counter order: the walk that both the rows and the trial dump take.
+
+    A CFD point is trials 0..n-1, CHUNK at a time.  A non-CFD point runs
+    chunks of up to 2 * CHUNK trials, which evaluate as many stations as
+    a CFD chunk does, and keeps a trial while its setting pair holds
+    fewer than n (the quota); a trial past that gets state 64 and is left
+    out of the counts.  The walk ends with the chunk whose counts bring
+    every pair to n, so memory does not grow with n.
+
+    counts are the chunk's 256 (CFD) or 64 state counts, states each
+    trial's state and volts, with trials, the voltages of its stations,
+    as _pass gives them: the compiled pass overwrites them in the next
+    chunk.
+    """
+    _validate_run(n, seed, "n" if cfd else "quota")
+    # Every pair holds n at the earliest after 4 * n non-CFD trials.
+    length = min(CHUNK, n) if cfd else min(2 * CHUNK, 4 * n)
+    chunk = _pass(cfd, params, quad, seed, length, trials)
+    held = np.zeros(4, np.int64)  # kept trials per setting pair
+    for start in range(0, n, length) if cfd else itertools.count(0, length):
+        counts, states, volts = chunk(start, min(length, n - start) if cfd
+                                      else length)
+        if not cfd:
+            room = n - held
+            if room.min() < length:  # a pair may fill in this chunk
+                pair = states >> 4
+                for p in range(4):  # pair p keeps its first room[p] trials
+                    states[np.flatnonzero(pair == p)[room[p]:]] = 64
+                counts = np.bincount(states, minlength=65)[:64]
+            held += counts.reshape(4, 16).sum(axis=1)
+        yield start, counts, states, volts
+        if not cfd and held.min() == n:
+            return
+
+
 def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
                seed: int) -> np.ndarray:
     """The 256 state counts of CFD trials 0..n-1 of this seed: every
     station gets fresh draws each trial.
 
-    Trials are drawn and counted CHUNK at a time, so memory does not grow
-    with n; the counts do not depend on the chunking.
+    They are summed over _point_chunks, so memory does not grow with n;
+    the counts do not depend on the chunking.
     """
-    _validate_run(n, seed)
-    origins = rng.stream_origins(seed, _CHUNK_STREAMS)
-    chunk = _pass(True, params, quad, origins, min(CHUNK, n))
-    counts = np.zeros(256, np.int64)
-    for start in range(0, n, CHUNK):
-        counts += chunk(start, min(CHUNK, n - start))[0]
+    counts = sum(c for _, c, _, _ in _point_chunks(True, params, quad, n,
+                                                   seed))
     _check_identities(counts)
     return counts
 
@@ -247,94 +266,48 @@ def _bits(states: np.ndarray, count: int) -> np.ndarray:
 
 
 def run_cfd(params: ModelParams, quad: SettingsQuad, n: int, seed: int,
-            start: int = 0, origins=None) -> CfdRun:
+            start: int = 0) -> CfdRun:
     """CFD trials start..start+n-1 of cfd_counts' pass, with each trial's
-    outcomes, voltages and flags.
-
-    A caller that runs a point chunk by chunk passes its origins,
-    rng.stream_origins(seed, _CHUNK_STREAMS), computed once.
-    """
+    outcomes, voltages and flags.  A CFD trial depends on its index
+    alone, so any range of a point stands on its own."""
     _validate_run(n, seed)
-    if origins is None:
-        origins = rng.stream_origins(seed, _CHUNK_STREAMS)
-    _, states, v = _pass(True, params, quad, origins, n, trials=True)(start, n)
-    counts = np.bincount(states, minlength=256)
+    counts, states, v = _pass(True, params, quad, seed, n, trials=True)(start,
+                                                                         n)
     _check_identities(counts)
-    phi1 = _phi1_of(kernels.fill_uniforms(origins[0], start, n))
+    phi1, phi2 = source_phis(seed, n, start)
     bits = _bits(states, 8)  # x then w of each station
     return CfdRun(params=params, quad=quad, n=n, seed=seed, phi1=phi1,
-                  phi2=_orthogonal(phi1), x=2 * bits[:, :4] - 1, v=v.T,
-                  w=bits[:, 4:], counts=counts, start=start)
-
-
-def _noncfd_length(quota: int) -> int:
-    """Trials per chunk of the non-CFD pass at this quota.
-
-    A chunk of 2 * CHUNK trials evaluates as many stations as a CFD
-    chunk does; no pair can fill before trial 4 * quota.
-    """
-    return min(2 * CHUNK, 4 * quota)
-
-
-def _past_quota(pair: np.ndarray, room) -> np.ndarray:
-    """Trials of a chunk that fall past their setting pair's quota.
-
-    pair holds the setting pair of each trial of the chunk, in counter
-    order, and room[p] how many more trials pair p keeps.  Pair p keeps
-    its first room[p] trials; the indices of the others are returned.
-    """
-    return np.concatenate([np.flatnonzero(pair == p)[room[p]:]
-                           for p in range(4)])
+                  phi2=phi2, x=2 * bits[:, :4] - 1, v=v.T, w=bits[:, 4:],
+                  counts=counts, start=start)
 
 
 def noncfd_counts(params: ModelParams, quad: SettingsQuad, quota: int,
                   seed: int) -> np.ndarray:
-    """The (4, 16) pair state counts of the non-CFD pass at this quota.
+    """The (4, 16) pair state counts of the non-CFD pass at this quota,
+    summed over _point_chunks.
 
-    Trials are drawn in counter order, a chunk at a time, and each side's
-    coin selects the (ca, sa) of its setting per trial.  A trial is kept
-    while its pair holds fewer than quota, and the pass stops after the
-    chunk that fills the last pair, so memory does not grow with quota.
+    Trials are drawn in counter order, and each side's coin selects the
+    (ca, sa) of its setting per trial.
     """
-    _validate_run(quota, seed, "quota")
-    n = _noncfd_length(quota)
-    chunk = _pass(False, params, quad,
-                  rng.stream_origins(seed, _NONCFD_STREAMS), n)
-    counts = np.zeros((4, 16), np.int64)
-    for start in itertools.count(0, n):
-        hist, code, _ = chunk(start, n)
-        room = quota - counts.sum(axis=1)
-        if room.min() < n:  # a pair may fill in this chunk
-            code[_past_quota(code >> 4, room)] = 64  # dropped
-            hist = np.bincount(code, minlength=65)[:64]
-        counts += hist.reshape(4, 16)
-        if counts.sum() >= 4 * quota:
-            return counts
+    return sum(c for _, c, _, _ in _point_chunks(False, params, quad, quota,
+                                                 seed)).reshape(4, 16)
 
 
 def run_noncfd(params: ModelParams, quad: SettingsQuad, quota: int,
-               seed: int, start: int, kept, origins=None) -> NonCfdRun:
-    """The records of one chunk of the non-CFD pass of noncfd_counts.
-
-    The chunk holds the _noncfd_length(quota) trials from start, and a
-    trial is kept while its setting pair holds fewer than quota records,
-    kept[p] of them from earlier chunks for pair p.  A point's pass runs
-    chunks from start 0 until every pair holds quota records; it passes
-    its origins, rng.stream_origins(seed, _NONCFD_STREAMS), computed once
-    (here when None).
+               seed: int):
+    """The records of noncfd_counts' pass, one NonCfdRun per chunk of
+    _point_chunks, in counter order.  A chunk's records depend on the
+    chunks before it, through the quota; each run owns its arrays.
     """
-    _validate_run(quota, seed, "quota")
-    if origins is None:
-        origins = rng.stream_origins(seed, _NONCFD_STREAMS)
-    n = _noncfd_length(quota)
-    _, code, v = _pass(False, params, quad, origins, n, trials=True)(start, n)
-    keep = np.ones(n, bool)
-    keep[_past_quota(code >> 4, quota - np.asarray(kept))] = False
-    code, v = code[keep], v[:, keep]
-    bits = _bits(code, 6)  # x1, x2, w1, w2, primed2, primed1
-    a = np.where(bits[:, [5, 4]], [quad.a1p, quad.a2p], [quad.a1, quad.a2])
-    return NonCfdRun(params=params, quad=quad, quota=quota, seed=seed,
-                     start=start, n_trials=n, n=len(code),
-                     k=start + np.flatnonzero(keep), a=a,
-                     x=2 * bits[:, :2] - 1, v=v.T, w=bits[:, 2:4],
-                     counts=np.bincount(code, minlength=64).reshape(4, 16))
+    for start, counts, code, v in _point_chunks(False, params, quad, quota,
+                                                seed, trials=True):
+        keep = code < 64
+        code, v = code[keep], v[:, keep]
+        bits = _bits(code, 6)  # x1, x2, w1, w2, primed2, primed1
+        a = np.where(bits[:, [5, 4]], [quad.a1p, quad.a2p],
+                     [quad.a1, quad.a2])
+        yield NonCfdRun(params=params, quad=quad, quota=quota, seed=seed,
+                        start=start, n_trials=len(keep), n=len(code),
+                        k=start + np.flatnonzero(keep), a=a,
+                        x=2 * bits[:, :2] - 1, v=v.T, w=bits[:, 2:4],
+                        counts=counts.reshape(4, 16).copy())

@@ -79,8 +79,8 @@ def eberhard_selected(n_oo, n_oe, n_eo) -> int:
 
 # ------------------------------------------------------------ state counts
 #
-# A setting pair's trials reduce to counts of 16 states, as
-# experiment.state_counts encodes them: bit 0 set for x1 = +1, bit 1 for
+# A setting pair's trials reduce to counts of 16 states, encoded as the
+# comment on experiment.QUADRUPLES says: bit 0 set for x1 = +1, bit 1 for
 # x2 = +1, bit 2 for w1, bit 3 for w2.  Every sum an estimator needs is
 # an integer linear function of those counts.
 

@@ -5,9 +5,10 @@ theta).  Rows are emitted in grid order and all randomness is derived
 per point from the configured seed, so identical configurations yield
 byte-identical output files at any number of worker processes.  The
 trial dump (_TrialDumper) is written in this process, one chunk's
-records at a time, formatted by the compiled library
-(kernels.format_csv) or, where kernels.BACKEND is "numpy", line by line
-(_csv_lines), with the same bytes.
+records at a time, from the same walk of each point's chunks that its
+row's counts come from (experiment._point_chunks).  It is formatted by
+the compiled library (kernels.format_csv) or, where kernels.BACKEND is
+"numpy", line by line (_csv_lines), with the same bytes.
 """
 from __future__ import annotations
 
@@ -96,9 +97,11 @@ class RunConfig:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         # Each raises with a message naming the offending field; that
-        # rejects a threshold outside the finite window, nan included.
-        self.model_params()
-        if self.threshold_sweep is not None:
+        # rejects a threshold outside the finite window, nan included.  A
+        # threshold sweep's ends take the place of the threshold.
+        if self.threshold_sweep is None:
+            self.model_params()
+        else:
             self.model_params(self.threshold_sweep[0])
             self.model_params(self.threshold_sweep[1])
 
@@ -197,27 +200,6 @@ def _process_pool(workers: int):
     return ProcessPoolExecutor(workers, mp_context=context)
 
 
-def _point_runs(mode: str, params: ModelParams, quad: SettingsQuad, n: int,
-                point_seed: int):
-    """The runs of one point, chunk by chunk in counter order, the chunks
-    of _point_counts' pass: run_cfd over CHUNK trials at a time for
-    mode "cfd", else run_noncfd until every setting pair holds n
-    records.  The point's stream origins are computed once."""
-    if mode == "cfd":
-        origins = rng.stream_origins(point_seed, experiment._CHUNK_STREAMS)
-        for start in range(0, n, experiment.CHUNK):
-            yield run_cfd(params, quad, min(experiment.CHUNK, n - start),
-                          point_seed, start, origins)
-        return
-    origins = rng.stream_origins(point_seed, experiment._NONCFD_STREAMS)
-    kept, start = np.zeros(4, np.int64), 0
-    while kept.sum() < 4 * n:
-        run = run_noncfd(params, quad, n, point_seed, start, kept, origins)
-        yield run
-        kept = kept + run.counts.sum(axis=1)
-        start += run.n_trials
-
-
 def _sweep(cfg: RunConfig, points) -> list:
     """Rows of the (params, theta) points, in order; writes the trial dump.
 
@@ -226,13 +208,14 @@ def _sweep(cfg: RunConfig, points) -> list:
     _point_counts, on worker processes when there is more than one worker
     (see _worker_count) and here otherwise, and this process builds every
     row from them in grid order.  A trial dump, opened before any point
-    runs, then runs each point again here, in point order, through the
-    same pass with each chunk's per-trial states and voltages kept
-    (_point_runs), and writes each chunk's records as it comes.  The
-    bincount of the dumped states must equal the streamed counts; if it
-    does not, the sweep stops, and a dump that can seek is
-    first cut back to the end of the previous point (a pipe or FIFO
-    keeps what was written).
+    runs, then walks each point's chunks again here, in point order, and
+    writes each chunk's records as it comes: run_cfd over each CHUNK of
+    trials, which stands alone, or the runs run_noncfd yields, since a
+    non-CFD chunk's records depend on the chunks before it.  The summed
+    counts of the dumped runs must equal the streamed counts; if they do
+    not, the sweep stops, and a dump that can seek is first cut back to
+    the end of the previous point (a pipe or FIFO keeps what was
+    written).
     """
     dump = _TrialDumper(cfg.dump_trials, cfg.mode) if cfg.dump_trials else None
     try:
@@ -260,10 +243,14 @@ def _sweep(cfg: RunConfig, points) -> list:
             for index, (p, theta, seed, c) in enumerate(
                     zip(params, thetas, seeds, counts)):
                 point_start = dump.fh.tell() if dump.fh.seekable() else None
+                quad, chunk = SettingsQuad.for_theta(theta), experiment.CHUNK
+                if cfg.mode == "cfd":
+                    runs = (run_cfd(p, quad, min(chunk, cfg.n - start), seed,
+                                    start) for start in range(0, cfg.n, chunk))
+                else:
+                    runs = run_noncfd(p, quad, cfg.n, seed)
                 total = np.zeros_like(c)
-                for run in _point_runs(cfg.mode, p,
-                                       SettingsQuad.for_theta(theta), cfg.n,
-                                       seed):
+                for run in runs:
                     dump.write_run(run)
                     total += run.counts
                 if not np.array_equal(total, c):

@@ -2,10 +2,10 @@
 
 Rows come from state counts (`eprbsim.stats`); the per-trial array
 estimators compute the same quantities from outcome and flag arrays
-without the package's formulas.  `cfd_point` draws a whole CFD point in
-one piece, and `noncfd_point` a whole non-CFD point by its own coin loop
-and quota cut, from gathered draws, for the package's chunked passes to
-be compared with.  Both evaluate each station with a station law:
+without the package's formulas, and `state_counts` counts their states.
+`cfd_point` draws a whole CFD point in one piece, and `noncfd_point` a
+whole non-CFD point by its own coin loop and quota cut, from gathered
+draws, for the package's chunked passes to be compared with.  Both evaluate each station with a station law:
 `libm_station`, the law with libm's cos, sin and pow
 (`kernels.station_response`), or `package_station`, the package's own
 (`kernels.station_law`), whose voltages the trial dump prints.  PASSES
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from eprbsim import experiment, kernels, rng
-from eprbsim.experiment import PAIR_COLUMNS, state_counts
+from eprbsim.experiment import PAIR_COLUMNS
 
 # The chunk passes kernels.BACKEND selects: numpy's always, and the
 # compiled one where it loaded.
@@ -151,6 +151,25 @@ def package_station(params, quad, col, u, r, rhat):
     x, w, v = kernels.station_law(params, kernels.trig(u),
                                   experiment._turns(quad)[col], r, rhat)
     return 2 * x.astype(np.int8) - 1, v, w.astype(np.uint8)
+
+
+def state_counts(x_cols, w_cols) -> np.ndarray:
+    """Counts of the 4**k trial states of k stations' outcomes and flags,
+    encoded as experiment.QUADRUPLES' comment says.
+
+    x_cols and w_cols are k same-length columns of outcomes and 0/1
+    identification flags.  Every outcome must be -1 or +1, since the
+    state keeps only whether it is +1.
+    """
+    k = len(x_cols)
+    state = np.zeros(len(x_cols[0]), np.uint8)
+    for c, (xc, wc) in enumerate(zip(x_cols, w_cols)):
+        plus = xc == 1
+        if not np.all(plus | (xc == -1)):
+            raise RuntimeError("outcome outside {-1, +1}")
+        state |= plus.view(np.uint8) << c
+        state |= np.asarray(wc, np.uint8) << (k + c)
+    return np.bincount(state, minlength=4 ** k)
 
 
 @dataclass

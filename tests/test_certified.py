@@ -149,7 +149,7 @@ def chunk_values(cfd, params, quad):
     """(each trial's state, the (k, n) voltages) of the first chunk of
     DECISION_N trials of seed DECISION_SEED, by the pass kernels.BACKEND
     picks."""
-    _, states, v = experiment._pass(cfd, params, quad, _origins(cfd),
+    _, states, v = experiment._pass(cfd, params, quad, DECISION_SEED,
                                     DECISION_N, trials=True)(0, DECISION_N)
     return states.copy(), v.copy()
 

@@ -173,6 +173,17 @@ def test_threshold_sweep_schema(tmp_path):
                for r in rows)
 
 
+def test_threshold_sweep_ignores_the_unused_threshold(tmp_path):
+    # The default threshold, -0.995, lies outside this window; the sweep's
+    # ends replace it.
+    out = tmp_path / "thr.csv"
+    rc = cli.main(["--n", "10", "--vmin", "0.999",
+                   "--threshold-sweep=-0.9999:-0.9995:2", "--out", str(out)])
+    assert rc == 0
+    assert [float(r["threshold"]) for r in read_rows(out)] == [-0.9999,
+                                                                -0.9995]
+
+
 def test_trial_dump_cfd(tmp_path):
     dump = tmp_path / "trials.csv"
     rc, _ = run_main(tmp_path, "--theta-steps", "2", "--n", "100",

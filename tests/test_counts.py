@@ -19,11 +19,11 @@ import reference
 from eprbsim import experiment, kernels, stats, sweep
 from eprbsim.experiment import (PAIR_COLUMNS, PAIR_NAMES, cfd_counts,
                                 noncfd_counts, pair_counts, run_cfd,
-                                run_noncfd, state_counts)
+                                run_noncfd)
 from eprbsim.params import ModelParams, SettingsQuad
 from eprbsim.sweep import (RunConfig, _cfd_row, _noncfd_row, rows_to_csv,
                            sweep_theta)
-from reference import PASSES
+from reference import PASSES, state_counts
 
 THETA_38 = 3.0 * math.pi / 8.0
 PARAMS = [
@@ -234,8 +234,7 @@ def test_dump_rejects_a_run_whose_counts_differ(mode, tmp_path, monkeypatch):
     name = "run_cfd" if mode == "cfd" else "run_noncfd"
     runner, calls = getattr(sweep, name), []
 
-    def off_by_one(*args):
-        run = runner(*args)
+    def first_off_by_one(run):
         if run.start == 0:  # a point's first chunk
             calls.append(run)
             if len(calls) == 2:
@@ -244,6 +243,11 @@ def test_dump_rejects_a_run_whose_counts_differ(mode, tmp_path, monkeypatch):
                 run.counts.flat[at] -= 1
                 run.counts.flat[(at + 1) % run.counts.size] += 1
         return run
+
+    def off_by_one(*args):
+        if mode == "cfd":
+            return first_off_by_one(runner(*args))
+        return map(first_off_by_one, runner(*args))  # run_noncfd yields runs
 
     monkeypatch.setattr(sweep, name, off_by_one)
     # Several chunks per point, so that point 1 writes records before its
@@ -348,6 +352,42 @@ def test_noncfd_counts_hold_every_record():
                           point.counts)
 
 
+def _walked(backend, monkeypatch):
+    """Short chunks of the pass backend, so that a point runs many."""
+    monkeypatch.setattr(kernels, "BACKEND", backend)
+    monkeypatch.setattr(experiment, "CHUNK", 64)
+
+
+@pytest.mark.parametrize("backend", PASSES)
+def test_noncfd_runs_walk_the_chunks_of_noncfd_counts(backend, monkeypatch):
+    _walked(backend, monkeypatch)
+    quad, quota, seed = SettingsQuad.for_theta(0.4), 300, 17
+    runs = list(run_noncfd(ModelParams(), quad, quota, seed))
+    assert len(runs) > 2
+    for run in runs:  # each run's counts are its own records' states
+        pair = 2 * (run.a[:, 0] == quad.a1p) + (run.a[:, 1] == quad.a2p)
+        own = [state_counts(run.x[pair == p].T, run.w[pair == p].T)
+               for p in range(4)]
+        assert np.array_equal(run.counts, own)
+    assert np.array_equal(sum(run.counts for run in runs),
+                          noncfd_counts(ModelParams(), quad, quota, seed))
+    assert np.all(np.diff(np.concatenate([run.k for run in runs])) > 0)
+    # The walk stops at the chunk that fills the last pair.
+    held = np.cumsum([run.counts.sum(axis=1) for run in runs], axis=0)
+    assert held[-1].tolist() == [quota] * 4
+    assert np.all(held[:-1].min(axis=1) < quota)
+
+
+@pytest.mark.parametrize("backend", PASSES)
+def test_cfd_counts_are_the_runs_of_the_dump(backend, monkeypatch):
+    _walked(backend, monkeypatch)
+    quad, n, seed = SettingsQuad.for_theta(0.4), 300, 17
+    runs = [run_cfd(ModelParams(), quad, min(64, n - start), seed, start)
+            for start in range(0, n, 64)]
+    assert np.array_equal(sum(run.counts for run in runs),
+                          cfd_counts(ModelParams(), quad, n, seed))
+
+
 def test_cfd_counts_validate_arguments():
     q = SettingsQuad.for_theta(0.0)
     with pytest.raises(ValueError):
@@ -359,4 +399,4 @@ def test_cfd_counts_validate_arguments():
         with pytest.raises(ValueError):
             noncfd_counts(ModelParams(), q, quota, seed)
         with pytest.raises(ValueError):
-            run_noncfd(ModelParams(), q, quota, seed, 0, (0, 0, 0, 0))
+            list(run_noncfd(ModelParams(), q, quota, seed))

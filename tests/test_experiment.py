@@ -15,7 +15,7 @@ import pytest
 from scipy import stats as sps
 
 import reference
-from eprbsim import kernels, rng, station, stats, sweep
+from eprbsim import kernels, rng, station, stats
 from eprbsim.experiment import PAIR_COLUMNS, run_cfd, run_noncfd, source_phis
 from eprbsim.params import ModelParams, SettingsQuad
 
@@ -143,7 +143,7 @@ def test_photon_singles_are_centered():
 
 def _noncfd_records(quad, quota, seed):
     """(k, a, x, v, w) of a whole non-CFD point, joined from its chunks."""
-    runs = list(sweep._point_runs("noncfd", P, quad, quota, seed))
+    runs = list(run_noncfd(P, quad, quota, seed))
     return tuple(np.concatenate([getattr(run, name) for run in runs])
                  for name in ("k", "a", "x", "v", "w"))
 
@@ -282,6 +282,6 @@ def test_run_rejects_bad_arguments():
     with pytest.raises(ValueError):
         run_cfd(P, q, 0, 1)
     with pytest.raises(ValueError):
-        run_noncfd(P, q, 0, 1, 0, (0, 0, 0, 0))
+        list(run_noncfd(P, q, 0, 1))
     with pytest.raises(ValueError):
         run_cfd(P, q, 10, -3)
