@@ -11,8 +11,9 @@
  *
  * A chunk runs in blocks of BLOCK trials, each stage over the whole
  * block, as numpy runs each stage over the whole chunk; a block's arrays
- * stay in the L1 cache.  Python computes every input (origins, turns,
- * tables, chunk length); see kernels.Compiled.
+ * stay in the L1 cache.  The stations run LANES trials at a time, as many
+ * doubles as the build target's vectors hold.  Python computes every
+ * input (origins, turns, tables, chunk length); see kernels.Compiled.
  *
  * cpass_format writes the trial dump's CSV records: str of each integer
  * and '%.17g' of each double, byte for byte as Python prints them.
@@ -63,53 +64,73 @@ struct block {
     double c[BLOCK], s[BLOCK];
 };
 
-/* Two doubles, or two int64: the stations run two trials at a time in
- * these vector types, because compilers do not vectorize their
- * comparisons on their own.  A comparison of two v2d gives a v2i of -1
- * (true) or 0. */
-typedef double v2d __attribute__((vector_size(16)));
-typedef int64_t v2i __attribute__((vector_size(16)));
+/* LANES doubles, or LANES int64: the stations run LANES trials at a time
+ * in these vector types, because compilers do not vectorize their
+ * comparisons on their own.  LANES fills the build target's vectors (a
+ * vector wider than the target's is split, and runs slower than two
+ * lanes); each lane rounds as a scalar does.  A comparison of two vd
+ * gives a vi of -1 (true) or 0, and a scalar operand of a vi operation
+ * stands for itself in every lane. */
+#if defined(__AVX512F__)
+#define LANES 8
+#elif defined(__AVX__)
+#define LANES 4
+#else
+#define LANES 2
+#endif
+_Static_assert(BLOCK % LANES == 0, "a block is whole vectors");
 
-static inline v2d broadcast(double x)
+typedef double vd __attribute__((vector_size(8 * LANES)));
+typedef int64_t vi __attribute__((vector_size(8 * LANES)));
+
+/* LANES, so that a test can tell a build's width from its flags. */
+int cpass_lanes(void)
 {
-    v2d v = {x, x};
-    return v;
+    return LANES;
 }
 
-static inline v2d load(const double *a)
+/* x in every lane: its bits, as an int64 operand of a vi operation */
+static inline vd broadcast(double x)
 {
-    v2d v;
+    int64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    return (vd)((vi){0} + bits);
+}
+
+static inline vd load(const double *a)
+{
+    vd v;
     memcpy(&v, a, sizeof v);
     return v;
 }
 
-static inline v2i load_i(const int64_t *a)
+static inline vi load_i(const int64_t *a)
 {
-    v2i v;
+    vi v;
     memcpy(&v, a, sizeof v);
     return v;
 }
 
-static inline void store(double *a, v2d v)
+static inline void store(double *a, vd v)
 {
     memcpy(a, &v, sizeof v);
 }
 
-static inline void store_i(int64_t *a, v2i v)
+static inline void store_i(int64_t *a, vi v)
 {
     memcpy(a, &v, sizeof v);
 }
 
 /* a where mask is -1, b where it is 0 */
-static inline v2d blend(v2i mask, v2d a, v2d b)
+static inline vd blend(vi mask, vd a, vd b)
 {
-    return (v2d)((mask & (v2i)a) | (~mask & (v2i)b));
+    return (vd)((mask & (vi)a) | (~mask & (vi)b));
 }
 
 /* Entry k of each trial's turn: turn0[k], or turn1[k] where its coin is
  * primed (below 0.5); no coin, turn0[k]. */
-static inline v2d turn_of(const double *coin, int i, const double *turn0,
-                          const double *turn1, int k)
+static inline vd turn_of(const double *coin, int i, const double *turn0,
+                         const double *turn1, int k)
 {
     if (!coin)
         return broadcast(turn0[k]);
@@ -260,22 +281,21 @@ station(const struct cpass_point *p, const struct block *b, int64_t *state,
         double *volts, int64_t len)
 {
     double q[BLOCK];
-    for (int i = 0; i < BLOCK; i += 2) {
-        v2d ca = turn_of(coin, i, turn0, turn1, 0);
-        v2d sa = turn_of(coin, i, turn0, turn1, 1);
+    for (int i = 0; i < BLOCK; i += LANES) {
+        vd ca = turn_of(coin, i, turn0, turn1, 0);
+        vd sa = turn_of(coin, i, turn0, turn1, 1);
         store(q + i, load(b->c + i) * sa - load(b->s + i) * ca);
     }
     abs_power(p, q);
-    v2d half = broadcast(-0.5), span = broadcast(p->span);
-    v2d v_max = broadcast(p->v_max), threshold = broadcast(p->threshold);
-    v2i bx = {(int64_t)1 << xbit, (int64_t)1 << xbit};
-    v2i bw = {(int64_t)1 << wbit, (int64_t)1 << wbit};
-    for (int i = 0; i < BLOCK; i += 2) {
-        v2d hca = turn_of(coin, i, turn0, turn1, 2);
-        v2d hsa = turn_of(coin, i, turn0, turn1, 3);
-        v2d dx = (load(b->c + i) * hca + load(b->s + i) * hsa) - load(r + i);
-        v2d v = (load(q + i) * load(rhat + i)) * span - v_max;
-        v2i x = dx > half, w = v < threshold;
+    vd half = broadcast(-0.5), span = broadcast(p->span);
+    vd v_max = broadcast(p->v_max), threshold = broadcast(p->threshold);
+    int64_t bx = (int64_t)1 << xbit, bw = (int64_t)1 << wbit;
+    for (int i = 0; i < BLOCK; i += LANES) {
+        vd hca = turn_of(coin, i, turn0, turn1, 2);
+        vd hsa = turn_of(coin, i, turn0, turn1, 3);
+        vd dx = (load(b->c + i) * hca + load(b->s + i) * hsa) - load(r + i);
+        vd v = (load(q + i) * load(rhat + i)) * span - v_max;
+        vi x = dx > half, w = v < threshold;
         store_i(state + i, load_i(state + i) | (x & bx) | (w & bw));
         store(q + i, v);
     }

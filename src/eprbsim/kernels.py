@@ -385,9 +385,11 @@ _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 # the passes' loops across cache lines (without it, adding cpass_format
 # slowed the passes by 2-3%).  _NATIVE_CFLAGS let cc use every
 # instruction of the host's CPU: the counter hash, all integer, then runs
-# in the widest vectors, about twice as fast on a CPU with AVX-512.
-# _CFLAGS are the portable ones, where those do not compile or the CPU
-# is not known.
+# in the widest vectors, about twice as fast on a CPU with AVX-512, and
+# the stations run as many trials at a time as those vectors hold
+# (_cpass.c's LANES: 8 with AVX-512, 4 with AVX, else 2).  _CFLAGS are
+# the portable ones, where those do not compile or the CPU is not known;
+# they run the stations 2 trials at a time.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off",
            "-falign-functions=64")
 _NATIVE_CFLAGS = ("-O3", "-march=native", *_CFLAGS[1:])

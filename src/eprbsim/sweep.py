@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,11 +84,10 @@ class RunConfig:
         rng.validate_seed(self.seed)
         if self.mode == "oracles" and self.dump_trials is not None:
             raise ValueError("dump-trials: mode oracles runs no trials")
-        if (self.out is not None and self.dump_trials is not None
-                and os.path.realpath(self.out)
-                == os.path.realpath(self.dump_trials)):
-            raise ValueError(
-                f"out and dump-trials name the same file: {self.out!r}")
+        if self.dump_trials is not None and _same_file(self.out,
+                                                        self.dump_trials):
+            raise ValueError("dump-trials names the rows' file: "
+                             f"{self.dump_trials!r}")
         if self.threshold_sweep is not None and self.threshold_sweep[2] < 1:
             raise ValueError(
                 f"threshold-sweep steps must be >= 1, got {self.threshold_sweep[2]}"
@@ -112,6 +112,19 @@ class RunConfig:
             v_max_mag=self.v_max_mag,
             threshold=self.threshold if threshold is None else threshold,
         )
+
+
+def _same_file(out: str | None, dump: str) -> bool:
+    """Whether the path dump names the file the rows go to: out, or
+    stdout where out is None.  Files that both exist are compared by
+    device and inode, which sees hard links, /dev/stdout and the like;
+    otherwise two paths are compared by their real paths."""
+    try:
+        rows = os.fstat(sys.stdout.fileno()) if out is None else os.stat(out)
+        return os.path.samestat(rows, os.stat(dump))
+    except (OSError, ValueError, AttributeError):  # no such file or fd
+        return out is not None \
+            and os.path.realpath(out) == os.path.realpath(dump)
 
 
 # ----------------------------------------------------------- row assembly

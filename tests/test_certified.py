@@ -145,12 +145,11 @@ def _origins(cfd):
     return rng.stream_origins(DECISION_SEED, streams)
 
 
-def chunk_values(cfd, params, quad):
-    """(each trial's state, the (k, n) voltages) of the first chunk of
-    DECISION_N trials of seed DECISION_SEED, by the pass kernels.BACKEND
-    picks."""
-    _, states, v = experiment._pass(cfd, params, quad, DECISION_SEED,
-                                    DECISION_N, trials=True)(0, DECISION_N)
+def chunk_values(cfd, params, quad, n=DECISION_N):
+    """(each trial's state, the (k, n) voltages) of a first chunk of n
+    trials of seed DECISION_SEED, by the pass kernels.BACKEND picks."""
+    _, states, v = experiment._pass(cfd, params, quad, DECISION_SEED, n,
+                                    trials=True)(0, n)
     return states.copy(), v.copy()
 
 

@@ -243,6 +243,36 @@ def test_out_and_dump_naming_one_file_is_config_error(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_a_dump_to_a_hard_link_of_out_is_config_error(tmp_path, capsys):
+    rows, link = tmp_path / "a.csv", tmp_path / "b.csv"
+    rows.write_text("kept\n")
+    os.link(rows, link)
+    rc = cli.main(["--theta-steps", "1", "--n", "5", "--out", str(rows),
+                   "--dump-trials", str(link)])
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
+    assert rows.read_text() == "kept\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                    reason="no /dev/stdout")
+def test_a_dump_to_the_rows_stdout_is_config_error(tmp_path):
+    # The rows go to stdout, here a file, and the dump to /dev/stdout:
+    # the dump would truncate the file and write over the rows.
+    rows = tmp_path / "F"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with open(rows, "wb") as fh:
+        out = subprocess.run(
+            [sys.executable, "-m", "eprbsim.cli", "--n", "5",
+             "--theta-steps", "1", "--dump-trials", "/dev/stdout"],
+            stdout=fh, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 1
+    assert "config error" in out.stderr
+    assert rows.read_bytes() == b""
+
+
 @pytest.mark.parametrize("flag", ["--out", "--dump-trials"])
 def test_output_that_cannot_be_opened_fails_before_any_point(
         flag, tmp_path, monkeypatch, capsys):

@@ -3,10 +3,11 @@
 The pass is compiled at first use for the host's CPU into the package's
 __pycache__, under a name keyed by the CPU's features, and loaded from
 there afterwards; where that build fails it is compiled with portable
-flags.  Either build gives the same values, counts and bytes.  Wherever
-it cannot be built, loaded or checked, the package runs numpy's pass,
-with the same bytes.  Most cases here run the CLI in a fresh interpreter
-on a copy of the package, whose __pycache__ is a cache of its own.
+flags.  Every build, whatever the width of its vectors, gives the same
+values, counts and bytes.  Wherever it cannot be built, loaded or
+checked, the package runs numpy's pass, with the same bytes.  Most cases
+here run the CLI in a fresh interpreter on a copy of the package, whose
+__pycache__ is a cache of its own.
 """
 import hashlib
 import json
@@ -21,7 +22,7 @@ import pytest
 from eprbsim import kernels
 from eprbsim.experiment import cfd_counts, noncfd_counts
 from eprbsim.params import ModelParams, SettingsQuad
-from test_certified import chunk_values, decision_params
+from test_certified import DECISION_N, chunk_values, decision_params
 from test_output_bytes import RUNS
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
@@ -285,12 +286,17 @@ print(json.dumps({"backend": kernels.BACKEND, "runs": shas,
 REDUCED = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 
+def _has(feature):
+    """Whether numpy found feature on this host's CPU."""
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+    return bool(getattr(umath, "__cpu_features__", {}).get(feature))
+
+
 def _dispatched(features):
     """Those of features that numpy dispatches to on this host."""
     umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
     return [f for f in features
-            if f in getattr(umath, "__cpu_dispatch__", ())
-            and umath.__cpu_features__.get(f)]
+            if f in getattr(umath, "__cpu_dispatch__", ()) and _has(f)]
 
 
 @pytest.mark.parametrize("dispatch", ["full", "reduced"])
@@ -336,20 +342,45 @@ def test_every_pinned_run_on_each_host_leg(build, dispatch, tmp_path):
                            for name, (_, rows, dump) in RUNS.items()}
 
 
+# This CPU's flags without AVX-512: where the CPU has it, the build whose
+# vectors are AVX's, 4 lanes of _cpass.c's LANES against native's 8.
+NO_AVX512_CFLAGS = (*kernels._NATIVE_CFLAGS, "-mno-avx512f")
+
+
 @pytest.fixture(scope="module")
 def builds(tmp_path_factory):
-    """The library built with the portable flags and with this CPU's,
-    each loaded from a cache of its own."""
-    libs = []
-    for flags in (kernels._CFLAGS, kernels._NATIVE_CFLAGS):
+    """The library built with each flag set, by name, each loaded from a
+    cache of its own: the portable flags, this CPU's and, on a CPU with
+    AVX-512 whose cc takes them, NO_AVX512_CFLAGS."""
+    libs = {}
+    for name, flags in (("portable", kernels._CFLAGS),
+                        ("native", kernels._NATIVE_CFLAGS),
+                        ("no-avx512", NO_AVX512_CFLAGS)):
+        if name == "no-avx512" and not _has("AVX512F"):
+            continue
         with pytest.MonkeyPatch.context() as mp:
-            if flags == kernels._CFLAGS:
+            if name == "portable":
                 mp.setattr(kernels, "_cpu_key", lambda: None)
+            else:
+                mp.setattr(kernels, "_NATIVE_CFLAGS", flags)
             calls = _cc_calls(mp)
-            libs.append(kernels.load_cpass(
-                kernels._SOURCE, str(tmp_path_factory.mktemp("cache"))))
-        assert libs[-1] is not None and calls == [flags]
+            lib = kernels.load_cpass(
+                kernels._SOURCE, str(tmp_path_factory.mktemp("cache")))
+        if name == "no-avx512" and len(calls) > 1:
+            continue  # cc refused them, and the build took _CFLAGS
+        assert lib is not None and calls == [flags]
+        libs[name] = lib
     return libs
+
+
+@needs_cc
+def test_each_build_runs_as_many_lanes_as_its_target_holds(builds):
+    """8 lanes with AVX-512, 4 with AVX, else 2: a build that fell back
+    to 2 lanes on this CPU fails here."""
+    native = 8 if _has("AVX512F") else 4 if _has("AVX") else 2
+    want = {"portable": 2, "native": native, "no-avx512": 4}
+    assert {name: lib.cpass_lanes() for name, lib in builds.items()} \
+        == {name: want[name] for name in builds}
 
 
 @needs_cc
@@ -359,13 +390,31 @@ def test_both_flag_sets_give_the_same_decision_values(builds, cfd, d,
                                                       monkeypatch):
     """Each build's per-trial states and voltages are numpy's, bit for
     bit, for both powers: binary (d = 4, 3, 1) and the table's."""
-    params, quad = decision_params(d), SettingsQuad.for_theta(0.4)
+    _assert_builds_give_numpys_values(builds, cfd, decision_params(d),
+                                      monkeypatch)
+
+
+@needs_cc
+@pytest.mark.parametrize("n", [1, 7, 127, 129, 1001])
+@pytest.mark.parametrize("d", [4.0, 0.5])
+@pytest.mark.parametrize("cfd", [True, False], ids=["cfd", "noncfd"])
+def test_chunk_tails_give_numpys_decision_values(builds, cfd, d, n,
+                                                 monkeypatch):
+    """Chunks whose last block ends in a part of a vector of each
+    build's lanes, and a chunk shorter than one vector."""
+    _assert_builds_give_numpys_values(builds, cfd, decision_params(d),
+                                      monkeypatch, n)
+
+
+def _assert_builds_give_numpys_values(builds, cfd, params, monkeypatch,
+                                      n=DECISION_N):
+    quad = SettingsQuad.for_theta(0.4)
     monkeypatch.setattr(kernels, "BACKEND", "numpy")
-    states, v = chunk_values(cfd, params, quad)
+    states, v = chunk_values(cfd, params, quad, n)
     monkeypatch.setattr(kernels, "BACKEND", "c")
-    for lib in builds:
+    for lib in builds.values():
         monkeypatch.setattr(kernels, "CPASS", lib)
-        got_states, got_v = chunk_values(cfd, params, quad)
+        got_states, got_v = chunk_values(cfd, params, quad, n)
         assert np.array_equal(got_states, states)
         assert np.array_equal(got_v, v)
 
@@ -376,7 +425,8 @@ def test_both_flag_sets_give_the_same_counts(builds, d, monkeypatch):
     params, quad = ModelParams(d=d, threshold=-0.9), \
         SettingsQuad.for_theta(0.4)
     got = []
-    for backend, lib in [("numpy", None)] + [("c", lib) for lib in builds]:
+    for backend, lib in [("numpy", None)] + [("c", lib)
+                                             for lib in builds.values()]:
         monkeypatch.setattr(kernels, "BACKEND", backend)
         monkeypatch.setattr(kernels, "CPASS", lib)
         got.append((cfd_counts(params, quad, 30_000, 3),
@@ -387,7 +437,8 @@ def test_both_flag_sets_give_the_same_counts(builds, d, monkeypatch):
 
 @needs_cc
 def test_the_source_compiles_without_warnings(tmp_path):
-    for flags in (kernels._CFLAGS, kernels._NATIVE_CFLAGS):
+    for flags in (kernels._CFLAGS, kernels._NATIVE_CFLAGS,
+                  *([NO_AVX512_CFLAGS] if _has("AVX512F") else [])):
         out = subprocess.run(
             ["cc", *flags, "-Wall", "-Wextra", "-Werror", "-o",
              str(tmp_path / "lib.so"), kernels._SOURCE, "-lm"],
@@ -408,8 +459,8 @@ def test_a_library_whose_formatter_disagrees_with_python(tmp_path):
 
 @needs_cc
 @pytest.mark.parametrize("old,new", [
-    ("v2d v = (load(q + i) * load(rhat + i)) * span - v_max;",
-     "v2d v = load(q + i) * (load(rhat + i) * span) - v_max;"),
+    ("vd v = (load(q + i) * load(rhat + i)) * span - v_max;",
+     "vd v = load(q + i) * (load(rhat + i) * span) - v_max;"),
     ("(((double)e + p->log_table[j])\n"
      "                       + horner(p->log_poly, LOG_TERMS, r));",
      "((double)e + (p->log_table[j]\n"
