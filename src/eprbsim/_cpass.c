@@ -16,9 +16,10 @@
  * input (origins, turns, tables, chunk length); see kernels.Compiled.
  *
  * cpass_format writes the trial dump's CSV records: str of each integer
- * and '%.17g' of each double, byte for byte as Python prints them.
+ * and '%.17g' of each double, byte for byte as Python prints them.  A
+ * double in fixed notation gets its 17 digits exactly, in 128-bit integer
+ * arithmetic (put_fixed); any other goes to the C library's snprintf.
  */
-#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -378,7 +379,7 @@ void cpass_noncfd(const struct cpass_point *p, uint64_t start, int64_t n)
 
 /* A column of cpass_format.  Mirrored field for field by
  * kernels.CPassColumn. */
-enum { COLUMN_TEXT, COLUMN_INT64, COLUMN_FLOAT64 };
+enum { COLUMN_TEXT, COLUMN_INT64, COLUMN_FLOAT64, COLUMN_INT8 };
 
 struct cpass_column {
     int64_t kind;
@@ -401,102 +402,121 @@ static char *put_digits(char *p, uint64_t m)
     return p;
 }
 
-/* str(v) */
+/* str(v).  The sign is written without a branch: the dump's outcomes
+ * are -1 and +1 at random. */
 static char *put_int(char *p, int64_t v)
 {
-    uint64_t m = (uint64_t)v;
-    if (v < 0) {
-        *p++ = '-';
-        m = 0 - m;  /* -2**63 too */
+    uint64_t m = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;  /* -2**63 too */
+    *p = '-';
+    p += v < 0;
+    if (m < 10) {
+        *p = (char)('0' + m);
+        return p + 1;
     }
     return put_digits(p, m);
 }
 
-#if LDBL_MANT_DIG >= 64
-/* The eight decimal digits of m < 10**8 at p, zero padded. */
-static void put_8_digits(char *p, uint32_t m)
-{
-    static const char pairs[] =
-        "00010203040506070809101112131415161718192021222324"
-        "25262728293031323334353637383940414243444546474849"
-        "50515253545556575859606162636465666768697071727374"
-        "75767778798081828384858687888990919293949596979899";
-    uint32_t a = m / 10000, b = m % 10000;
-    memcpy(p, pairs + 2 * (a / 100), 2);
-    memcpy(p + 2, pairs + 2 * (a % 100), 2);
-    memcpy(p + 4, pairs + 2 * (b / 100), 2);
-    memcpy(p + 6, pairs + 2 * (b % 100), 2);
-}
+#if defined(__SIZEOF_INT128__)
+typedef unsigned __int128 u128;
 
-/* 10**k for 0 <= k <= 20, exact in a 64-bit significand. */
-static const long double POW10_LD[21] = {
-    1e0L, 1e1L, 1e2L, 1e3L, 1e4L, 1e5L, 1e6L, 1e7L, 1e8L, 1e9L, 1e10L,
-    1e11L, 1e12L, 1e13L, 1e14L, 1e15L, 1e16L, 1e17L, 1e18L, 1e19L, 1e20L,
-};
 /* 10**k for -4 <= k <= 17, as doubles: exact for k >= 0, and rounded up
- * for k < 0, so that an e10 judged from them is never too high. */
+ * for k < 0, yet no double lies in [10**k, POW10[k + 4]), so a double a
+ * >= POW10[k + 4] exactly where a >= 10**k. */
 static const double POW10[22] = {
     1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8,
     1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17,
 };
+/* 10**k for 0 <= k <= 20, exact. */
+static const u128 POW10_INT[21] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL,
+    10000000ULL, 100000000ULL, 1000000000ULL, 10000000000ULL,
+    100000000000ULL, 1000000000000ULL, 10000000000000ULL,
+    100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL,
+    100000000000000000ULL, 1000000000000000000ULL,
+    10000000000000000000ULL, (u128)10000000000000000000ULL * 10,
+};
 
-/* '%.17g' of a v that prints in fixed notation, with decimal exponent
- * e10 in [-4, 16], taken from D = rint(|v| * 10**(16 - e10)) in long
- * double.  The product lies below 10**17 < 2**57 and 10**(16 - e10) is
- * exact, so the product's one rounding error is at most 2**-8, and D is
- * the correctly rounded 17-digit significand that '%.17g' prints unless
- * the product lies within 2**-7 of a .5 tie or D falls outside
- * [10**16, 10**17) (rounding carried into an 18th digit, or e10 judged
- * one too low).  Returns the end of the text, or NULL for those values
- * and for any v outside [1e-4, 1e17) in magnitude, nan included. */
+/* The eight decimal digits of m < 10**8, zero padded, one a byte (0 to
+ * 9, not yet text), the first in the lowest byte: m splits into two
+ * halves of four digits, each half into two pairs, each pair into two
+ * digits, all lanes of a word at once.  Each lane's product stays
+ * inside the lane, and (y * 5243) >> 19 = y / 100 for y < 10**4, (y *
+ * 103) >> 10 = y / 10 for y < 100. */
+static inline uint64_t digits_8(uint32_t m)
+{
+    uint64_t x = (uint64_t)(m / 10000) | (uint64_t)(m % 10000) << 32;
+    uint64_t high = (x * 5243 >> 19) & 0x0000007F0000007FULL;
+    x = high | (x - high * 100) << 16;
+    high = (x * 103 >> 10) & 0x000F000F000F000FULL;
+    return high | (x - high * 10) << 8;
+}
+
+static inline void store_text(char *p, uint64_t digits)
+{
+    digits |= 0x3030303030303030ULL;  /* '0' in every byte */
+    memcpy(p, &digits, sizeof digits);
+}
+
+/* '%.17g' of a v that prints in fixed notation, decimal exponent e10 in
+ * [-4, 16].  The digits are those of D = |v| * 10**(16 - e10) rounded
+ * half to even, '%.17g''s own rounding, computed exactly: |v| = m *
+ * 2**-r with an integer m < 2**53, and m * 10**(16 - e10) < 2**120, so
+ * D is that product shifted right by r bits, rounded.  Returns the end
+ * of the text, or NULL where D falls outside [10**16, 10**17) (its
+ * rounding carried into an 18th digit, and the exponent with it) and for
+ * any v outside [1e-4, 1e17) in magnitude, nan included.  The text is at
+ * most 23 bytes, and no store reaches past them: the caller's buffer
+ * holds 24 bytes per double. */
 static char *put_fixed(char *p, double v)
 {
     double a = fabs(v);
     if (!(a >= POW10[0] && a < POW10[21]))
         return NULL;
-    int i = 0;  /* the largest i with POW10[i] <= a */
-    for (int step = 16; step; step >>= 1)
-        if (i + step <= 20 && a >= POW10[i + step])
-            i += step;
-    int e10 = i - 4;
-    long double scaled = (long double)a * POW10_LD[16 - e10];
-    long double d = rintl(scaled);
-    if (!(fabsl(scaled - d) < 0.5L - 0x1p-7L && d >= POW10_LD[16]
-          && d < POW10_LD[17]))
+    uint64_t bits;
+    memcpy(&bits, &a, sizeof bits);  /* a is normal: a >= 1e-4 */
+    int e2 = (int)(bits >> 52) - 1023;  /* floor(log2 a), in [-14, 56] */
+    /* e10 = floor(log10 a) is floor(e2 log10 2) or one more.  (e2 * 1233)
+     * >> 12 is floor(e2 log10 2) for every e2 here (>> of a negative int
+     * floors, in gcc and clang). */
+    int e10 = (e2 * 1233) >> 12;
+    e10 += a >= POW10[e10 + 5];
+    u128 n = (u128)((bits & 0xFFFFFFFFFFFFFULL) | 1ULL << 52)
+             * POW10_INT[16 - e10];
+    int r = 52 - e2;  /* a = m 2**-r, r in [-4, 66] */
+    u128 d;
+    if (r > 0)  /* + 2**(r - 1) - 1, and 1 more where D's last bit is 1 */
+        d = (n + ((u128)1 << (r - 1)) - 1 + (n >> r & 1)) >> r;
+    else
+        d = n << -r;
+    if (!(d >= POW10_INT[16] && d < POW10_INT[17]))
         return NULL;
-    uint64_t sig = (uint64_t)d;
-    /* The 17 digits: one, then four pairs of the high nine, then four
-     * pairs of the low eight. */
-    char dg[40];
-    uint32_t hi = (uint32_t)(sig / 100000000), lo = (uint32_t)(sig % 100000000);
-    dg[0] = (char)('0' + hi / 100000000);
-    put_8_digits(dg + 1, hi % 100000000);
-    put_8_digits(dg + 9, lo);
-    int last = 16;  /* the last nonzero digit; the first is never zero */
-    while (dg[last] == '0')
-        last--;
-    /* e10 >= 0 prints e10 + 1 integer digits, then '.' and the rest;
-     * e10 < 0 prints '0.', -e10 - 1 zeros and the digits.  Trailing
-     * zeros, and a '.' they leave bare, are dropped.  The text is laid
-     * out in 24 bytes (copies of constant length, past its end too) and
-     * copied whole: the caller's buffer holds 24 bytes per double. */
-    char text[48];
-    char *q = text + (v < 0);
-    int length;
-    text[0] = '-';
-    if (e10 >= 0) {
-        memcpy(q, dg, 17);
-        q[e10 + 1] = '.';
-        memcpy(q + e10 + 2, dg + e10 + 1, 16);
-        length = e10 + 1 + (last > e10 ? 1 + last - e10 : 0);
-    } else {
-        memcpy(q, "0.000", 5);
-        memcpy(q + 1 - e10, dg, 17);
-        length = 2 - e10 + last;
+    /* The 17 digits: one, then the eight of mid, then the eight of low. */
+    uint64_t sig = (uint64_t)d, top = sig / 100000000;
+    uint64_t mid = digits_8((uint32_t)(top % 100000000));
+    uint64_t low = digits_8((uint32_t)(sig % 100000000));
+    /* the last nonzero digit; the first is never zero */
+    int last = low ? 16 - (__builtin_clzll(low) >> 3)
+               : mid ? 8 - (__builtin_clzll(mid) >> 3) : 0;
+    *p = '-';
+    p += v < 0;
+    /* e10 < 0 prints '0.', -e10 - 1 zeros and the digits; e10 >= 0 prints
+     * e10 + 1 integer digits, then '.' and the rest.  Trailing zeros, and
+     * a '.' they leave bare, are dropped. */
+    char *q = p;
+    if (e10 < 0) {
+        memcpy(p, "0.000000", 8);
+        q = p + 1 - e10;
     }
-    memcpy(p, text, 24);
-    p += (v < 0) + length;
-    return p;
+    q[0] = (char)('0' + top / 100000000);
+    store_text(q + 1, mid);
+    store_text(q + 9, low);
+    if (e10 < 0)
+        return q + last + 1;
+    if (last <= e10)
+        return p + e10 + 1;
+    memmove(p + e10 + 2, p + e10 + 1, (size_t)(16 - e10));
+    p[e10 + 1] = '.';
+    return p + last + 2;
 }
 #endif
 
@@ -508,7 +528,7 @@ static char *put_float(char *p, double v)
         memcpy(p, "nan", 3);
         return p + 3;
     }
-#if LDBL_MANT_DIG >= 64
+#if defined(__SIZEOF_INT128__)
     char *end = put_fixed(p, v);
     if (end)
         return end;
@@ -520,10 +540,10 @@ static char *put_float(char *p, double v)
 }
 
 /* Rows 0..n-1 of the columns into out, each row its fields joined by
- * ',' and ended by '\n': constant text, str of an int64, '%.17g' of a
- * double.  out holds at least n times (1 + the sum over the columns of
- * one more than the text's length, 20 for an int64 and 24 for a
- * double) bytes.  Returns the bytes written. */
+ * ',' and ended by '\n': constant text, str of an int64 or an int8,
+ * '%.17g' of a double.  out holds at least n times (1 + the sum over the
+ * columns of one more than the text's length, 20 for an int64, 4 for an
+ * int8 and 24 for a double) bytes.  Returns the bytes written. */
 int64_t cpass_format(const struct cpass_column *columns, int64_t ncolumns,
                      int64_t n, char *out)
 {
@@ -541,6 +561,8 @@ int64_t cpass_format(const struct cpass_column *columns, int64_t ncolumns,
                 int64_t v;
                 memcpy(&v, at, sizeof v);
                 p = put_int(p, v);
+            } else if (col->kind == COLUMN_INT8) {
+                p = put_int(p, *(const int8_t *)at);
             } else {
                 double v;
                 memcpy(&v, at, sizeof v);

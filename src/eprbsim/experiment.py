@@ -22,6 +22,7 @@ of the walk, and `run_cfd` gives any range of CFD trials.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -92,20 +93,32 @@ class CfdRun:
     """CFD trials start..start+n-1: all four stations observed per trial.
 
     x, v, w are (n, 4) arrays in STATION_NAMES column order; counts
-    holds the 256 state counts of those trials.
+    holds the 256 state counts of those trials.  phi1 and phi2, the
+    trials' polarization angles (source_phis), are computed at the first
+    access: the trial dump does not print them.
     """
 
     params: ModelParams
     quad: SettingsQuad
     n: int
     seed: int
-    phi1: np.ndarray
-    phi2: np.ndarray
     x: np.ndarray
     v: np.ndarray
     w: np.ndarray
     counts: np.ndarray
     start: int = 0
+
+    @functools.cached_property
+    def _phis(self):
+        return source_phis(self.seed, self.n, self.start)
+
+    @property
+    def phi1(self) -> np.ndarray:
+        return self._phis[0]
+
+    @property
+    def phi2(self) -> np.ndarray:
+        return self._phis[1]
 
 
 @dataclass
@@ -260,9 +273,9 @@ def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
 
 
 def _bits(states: np.ndarray, count: int) -> np.ndarray:
-    """Bits 0..count-1 of each trial's state, as (n, count) int8."""
-    bits = (states[:, None] >> np.arange(count, dtype=np.uint8)) & 1
-    return bits.astype(np.int8)
+    """Bits 0..count-1 of each trial's uint8 state, as (n, count) int8."""
+    return np.unpackbits(states[:, None], axis=1, count=count,
+                         bitorder="little").view(np.int8)
 
 
 def run_cfd(params: ModelParams, quad: SettingsQuad, n: int, seed: int,
@@ -274,11 +287,10 @@ def run_cfd(params: ModelParams, quad: SettingsQuad, n: int, seed: int,
     counts, states, v = _pass(True, params, quad, seed, n, trials=True)(start,
                                                                          n)
     _check_identities(counts)
-    phi1, phi2 = source_phis(seed, n, start)
     bits = _bits(states, 8)  # x then w of each station
-    return CfdRun(params=params, quad=quad, n=n, seed=seed, phi1=phi1,
-                  phi2=phi2, x=2 * bits[:, :4] - 1, v=v.T, w=bits[:, 4:],
-                  counts=counts, start=start)
+    return CfdRun(params=params, quad=quad, n=n, seed=seed,
+                  x=2 * bits[:, :4] - 1, v=v.T, w=bits[:, 4:], counts=counts,
+                  start=start)
 
 
 def noncfd_counts(params: ModelParams, quad: SettingsQuad, quota: int,

@@ -417,6 +417,19 @@ class CPassPoint(ctypes.Structure):
     ]
 
 
+# The fields of CPassPoint that are the same at every point: the tables'
+# addresses, read once, and the constants of trig and abs_power.
+_POINT_CONSTANTS = {
+    **{name: table.ctypes.data for name, table in (
+        ("cos_table", _COS_TABLE), ("sin_table", _SIN_TABLE),
+        ("log_table", _LOG_TABLE), ("inv_table", _INV_TABLE),
+        ("exp_table", _EXP_TABLE), ("log_poly", _LOG_POLY),
+        ("exp_poly", _EXP_POLY))},
+    "scale": 2.0 ** (_TABLE_BITS + 1), "step": _STEP, "cos_4": _COS_4,
+    "sin_3": _SIN_3, "sin_5": _SIN_5, "log_scale": float(1 << _LOG_BITS),
+    "exp_scale": float(1 << _EXP_BITS), "exp_bits": _EXP_BITS}
+
+
 class Compiled:
     """One point of lib's compiled pass, numpy_chunk's counterpart.
 
@@ -438,19 +451,13 @@ class Compiled:
         self.hist = np.zeros(256 if cfd else 64, np.int64)
         self.codes = np.empty(capacity, np.uint8)
         self.volts = np.empty((4 if cfd else 2, capacity)) if trials else None
-        arrays = {"origins": self.origins, "cos_table": _COS_TABLE,
-                  "sin_table": _SIN_TABLE, "log_table": _LOG_TABLE,
-                  "inv_table": _INV_TABLE, "exp_table": _EXP_TABLE,
-                  "log_poly": _LOG_POLY, "exp_poly": _EXP_POLY,
-                  "turns": self.turns, "hist": self.hist, "codes": self.codes,
+        arrays = {"origins": self.origins, "turns": self.turns,
+                  "hist": self.hist, "codes": self.codes,
                   **({"volts": self.volts} if trials else {})}
         self.point = CPassPoint(
-            scale=2.0 ** (_TABLE_BITS + 1), step=_STEP, cos_4=_COS_4,
-            sin_3=_SIN_3, sin_5=_SIN_5, log_scale=float(1 << _LOG_BITS),
-            exp_scale=float(1 << _EXP_BITS), d=params.d, span=params.span,
-            v_max=params.v_max_mag, threshold=params.threshold,
-            exp_bits=_EXP_BITS, power=multiply_only(params.d),
-            capacity=capacity,
+            d=params.d, span=params.span, v_max=params.v_max_mag,
+            threshold=params.threshold, power=multiply_only(params.d),
+            capacity=capacity, **_POINT_CONSTANTS,
             **{name: a.ctypes.data for name, a in arrays.items()})
         self._ref = ctypes.byref(self.point)
         self._run = lib.cpass_cfd if cfd else lib.cpass_noncfd
@@ -473,10 +480,26 @@ class CPassColumn(ctypes.Structure):
                 ("stride", ctypes.c_int64), ("length", ctypes.c_int64)]
 
 
-_TEXT, _INT64, _FLOAT64 = 0, 1, 2
-# The widest field of each kind: str(-2**63), and '%.17g' of
-# -2.2250738585072014e-308.
-_WIDTH = {_INT64: 20, _FLOAT64: 24}
+_TEXT, _INT64, _FLOAT64, _INT8 = 0, 1, 2, 3
+# The widest field of each kind: str(-2**63), '%.17g' of
+# -2.2250738585072014e-308, and str(-128).
+_WIDTH = {_INT64: 20, _FLOAT64: 24, _INT8: 4}
+
+
+def integer_column(col: np.ndarray) -> np.ndarray:
+    """An integer column of the trial dump as its writers take it: int8
+    and int64 as they are, any other integer dtype as int64.
+
+    Raises ValueError where a value does not fit in int64 (a uint64 of
+    2**63 or more), so that neither writer prints a wrapped value.
+    """
+    if col.dtype == np.int8 or col.dtype == np.int64:
+        return col
+    if not np.can_cast(col.dtype, np.int64) and col.size \
+            and col.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"a {col.dtype} column holds {col.max()}, "
+                         "which does not fit in int64")
+    return col.astype(np.int64)
 
 
 def format_csv(lib, columns, buffer=None):
@@ -485,9 +508,10 @@ def format_csv(lib, columns, buffer=None):
     by '\\n'.
 
     A column is bytes (the same text in every row), an integer array
-    (written as str writes it) or a float array ('%.17g').  The lines go
-    into buffer, a uint8 array, replaced by a larger one when it is too
-    small.  Returns (buffer, the number of bytes written).
+    (written as str writes it; see integer_column: int8 and int64 are
+    read in place, strided or not) or a float array ('%.17g').  The lines
+    go into buffer, a uint8 array, replaced by a larger one when it is
+    too small.  Returns (buffer, the number of bytes written).
     """
     n = next(len(c) for c in columns if not isinstance(c, bytes))
     fields = (CPassColumn * len(columns))()
@@ -501,9 +525,11 @@ def format_csv(lib, columns, buffer=None):
         else:
             if len(col) != n:
                 raise ValueError("columns of different lengths")
-            floating = np.issubdtype(col.dtype, np.floating)
-            field.kind = _FLOAT64 if floating else _INT64
-            col = np.asarray(col, np.float64 if floating else np.int64)
+            if np.issubdtype(col.dtype, np.floating):
+                field.kind, col = _FLOAT64, np.asarray(col, np.float64)
+            else:
+                col = integer_column(col)
+                field.kind = _INT8 if col.dtype == np.int8 else _INT64
             field.stride = col.strides[0]
             width += _WIDTH[field.kind] + 1
         field.data = col.ctypes.data
@@ -594,19 +620,24 @@ def _remove_stale(cache: str, path: str, cpu: str) -> None:
                 pass
 
 
-# The known-answer check of cpass_format: a tie that the fast path
-# leaves to the C library (1 + 2**-17), the smallest subnormal, both
-# ends of fixed notation and values past them, signed zeros, infinities
-# and nans, and the ends of int64.
-_CHECK_FLOATS = np.array([1 + 2.0 ** -17, 5e-324, 1e16, 1e17, 1e-4, 1e-5,
-                          0.0, -0.0, math.inf, -math.inf, math.nan,
+# The known-answer check of cpass_format: exact ties at 17 digits, whose
+# rounding goes to the even digit (1 + 2**-17 down, and in the voltages'
+# decade 26215 * 2**-18 up and -26217 * 2**-18 down), the smallest
+# subnormal, both ends of fixed notation and values past them, signed
+# zeros, infinities and nans, and the ends of int64 and of int8.
+_CHECK_FLOATS = np.array([1 + 2.0 ** -17, 26215 * 2.0 ** -18,
+                          -26217 * 2.0 ** -18, 5e-324, 1e16, 1e17, 1e-4,
+                          1e-5, 0.0, -0.0, math.inf, -math.inf, math.nan,
                           math.copysign(math.nan, -1.0), -0.7071067811865476,
                           123456789.125])
 _CHECK_INTS = np.array([-2 ** 63, 2 ** 63 - 1, 0, -1, 7, 10 ** 18] +
                        [0] * (len(_CHECK_FLOATS) - 6), np.int64)
+_CHECK_INT8S = np.resize(np.array([-128, 127, -1, 0, 1, 9, 10, -10],
+                                  np.int8), len(_CHECK_FLOATS))
 _CHECK_CSV = "".join(
-    "%.17g,t,%d\n" % row
-    for row in zip(_CHECK_FLOATS.tolist(), _CHECK_INTS.tolist())).encode()
+    "%.17g,t,%d,%d\n" % row
+    for row in zip(_CHECK_FLOATS.tolist(), _CHECK_INTS.tolist(),
+                   _CHECK_INT8S.tolist())).encode()
 
 
 def _pass_agrees(lib) -> bool:
@@ -638,8 +669,8 @@ def load_cpass(source: str = _SOURCE, cache: str = _CACHE):
 
     None where it cannot be built or loaded, where its pass, counter hash
     included, does not reproduce numpy_chunk (_pass_agrees), or where its
-    formatter does not reproduce Python's bytes of _CHECK_FLOATS and
-    _CHECK_INTS.
+    formatter does not reproduce Python's bytes of _CHECK_FLOATS,
+    _CHECK_INTS and _CHECK_INT8S.
     """
     path = _compiled(source, cache)
     if path is None:
@@ -659,7 +690,8 @@ def load_cpass(source: str = _SOURCE, cache: str = _CACHE):
         return None
     if not _pass_agrees(lib):
         return None
-    buffer, size = format_csv(lib, [_CHECK_FLOATS, b"t", _CHECK_INTS])
+    buffer, size = format_csv(lib, [_CHECK_FLOATS, b"t", _CHECK_INTS,
+                                    _CHECK_INT8S])
     if buffer[:size].tobytes() != _CHECK_CSV:
         return None
     return lib

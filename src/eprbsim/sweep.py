@@ -366,10 +366,13 @@ class _TrialDumper:
 
 def _csv_lines(columns) -> bytes:
     """The records of kernels.format_csv's columns, formatted line by line:
-    '%d' of each integer and '%.17g' of each float."""
+    '%d' of each integer and '%.17g' of each float.  An integer column
+    with a value outside int64 raises ValueError, as it does there."""
     line = ",".join(
         c.decode().replace("%", "%%") if isinstance(c, bytes)
         else "%.17g" if np.issubdtype(c.dtype, np.floating) else "%d"
         for c in columns) + "\n"
-    rows = zip(*[c.tolist() for c in columns if not isinstance(c, bytes)])
+    rows = zip(*[(c if np.issubdtype(c.dtype, np.floating)
+                  else kernels.integer_column(c)).tolist()
+                 for c in columns if not isinstance(c, bytes)])
     return "".join(line % row for row in rows).encode()

@@ -19,10 +19,11 @@ import sys
 import numpy as np
 import pytest
 
-from eprbsim import kernels
+from eprbsim import cli, kernels
 from eprbsim.experiment import cfd_counts, noncfd_counts
 from eprbsim.params import ModelParams, SettingsQuad
 from test_certified import DECISION_N, chunk_values, decision_params
+from test_dump import EDGE
 from test_output_bytes import RUNS
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
@@ -447,13 +448,18 @@ def test_the_source_compiles_without_warnings(tmp_path):
 
 
 @needs_cc
-def test_a_library_whose_formatter_disagrees_with_python(tmp_path):
-    # "-nan" for a nan with its sign bit set, as the C library prints it.
+@pytest.mark.parametrize("old,new", [
+    ("if (isnan(v)) {", "if (isnan(v) && 0) {"),
+    ("- 1 + (n >> r & 1)) >> r;", ") >> r;"),
+], ids=["nan", "ties-up"])
+def test_a_library_whose_formatter_disagrees_with_python(tmp_path, old, new):
+    # "-nan" for a nan with its sign bit set, as the C library prints it;
+    # a 17-digit rounding that takes every tie up, where '%.17g' rounds
+    # half to even.
     source = tmp_path / "_cpass.c"
     text = open(kernels._SOURCE).read()
-    assert "if (isnan(v)) {" in text
-    source.write_text(text.replace("if (isnan(v)) {",
-                                   "if (isnan(v) && 0) {"))
+    assert old in text
+    source.write_text(text.replace(old, new))
     assert kernels.load_cpass(str(source), str(tmp_path / "cache")) is None
 
 
@@ -475,3 +481,84 @@ def test_a_library_whose_pass_disagrees_with_numpy(tmp_path, old, new):
     source.write_text(text.replace(old, new))
     assert kernels._compiled(str(source), cache) is not None
     assert kernels.load_cpass(str(source), cache) is None
+
+
+SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+# Loads the library built with SANITIZE added to both flag sets from the
+# cache given, which runs its known-answer checks.  Then it formats each
+# value of the float64 bytes read from stdin, and the ends of int64 and
+# int8, each the last field of a buffer of the size format_csv allocates
+# for it, and runs a CFD and a non-CFD CLI point of 1001 trials at d = 0.5
+# with a trial dump, whose rows' and dump's sha256 it prints.  A
+# sanitizer that finds a fault ends the process.
+SANITIZED_RUN = """
+import hashlib, os, sys
+import numpy as np
+from eprbsim import cli, kernels
+work, extra = sys.argv[1], tuple(sys.argv[2:])
+kernels._NATIVE_CFLAGS += extra
+kernels._CFLAGS += extra
+lib = kernels.load_cpass(kernels._SOURCE, os.path.join(work, "cache"))
+assert lib is not None
+floats = np.frombuffer(bytes.fromhex(sys.stdin.read()))
+for column in (*floats[:, None], *np.array([[-2 ** 63], [2 ** 63 - 1]]),
+               *np.array([[-128], [127], [-1], [0]], np.int8)):
+    value = ("%.17g" % column[0] if column.dtype == np.float64
+             else str(column[0])).encode()
+    for row in ([column], [b"t", column]):
+        buffer, size = kernels.format_csv(lib, row)
+        assert buffer[:size].tobytes() == b",".join(row[:-1] + [value]) \\
+            + b"\\n"
+kernels.CPASS = lib
+shas = []
+for mode in ("cfd", "noncfd"):
+    out = [os.path.join(work, mode + ext) for ext in (".rows", ".dump")]
+    assert cli.main(["--mode", mode, "--n", "1001", "--d", "0.5",
+                     "--theta-steps", "1", "--out", out[0],
+                     "--dump-trials", out[1]]) == 0
+    shas += [hashlib.sha256(open(p, "rb").read()).hexdigest() for p in out]
+print(kernels.BACKEND, *shas)
+"""
+
+
+def _sanitized_shas(work):
+    """SANITIZED_RUN's sha256s, from this process's library."""
+    shas = []
+    for mode in ("cfd", "noncfd"):
+        out = [work / (mode + ext) for ext in (".rows", ".dump")]
+        assert cli.main(["--mode", mode, "--n", "1001", "--d", "0.5",
+                         "--theta-steps", "1", "--out", str(out[0]),
+                         "--dump-trials", str(out[1])]) == 0
+        shas += [hashlib.sha256(p.read_bytes()).hexdigest() for p in out]
+    return shas
+
+
+@needs_cc
+def test_the_library_runs_clean_under_the_sanitizers(tmp_path):
+    """Built with AddressSanitizer and UndefinedBehaviorSanitizer, the
+    library reads and writes nothing outside its arrays and buffers and
+    does nothing undefined, in its load checks, in the formatter's widest
+    fields and in a point of each pass with its trial dump, and gives
+    this process's bytes.  It runs in a fresh interpreter with the
+    sanitizer's runtime preloaded; the library is built here, without
+    it, so that the compiler does not run under it."""
+    libasan = subprocess.run(["cc", "-print-file-name=libasan.so"],
+                             capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(libasan):
+        pytest.skip("cc has no AddressSanitizer runtime (libasan)")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_NATIVE_CFLAGS",
+                   (*kernels._NATIVE_CFLAGS, *SANITIZE))
+        mp.setattr(kernels, "_CFLAGS", (*kernels._CFLAGS, *SANITIZE))
+        calls = _cc_calls(mp)
+        assert kernels._compiled(kernels._SOURCE,
+                                 str(tmp_path / "cache")) is not None
+    assert calls and all(flags[-2:] == SANITIZE for flags in calls)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(PACKAGE),
+           "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"}
+    out = subprocess.run(
+        [sys.executable, "-c", SANITIZED_RUN, str(tmp_path), *SANITIZE],
+        input=np.array(EDGE).tobytes().hex(), env=env, capture_output=True,
+        text=True, timeout=600)
+    assert out.returncode == 0, out.stderr[-4000:]
+    assert out.stdout.split() == ["c", *_sanitized_shas(tmp_path)]

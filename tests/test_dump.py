@@ -12,6 +12,7 @@ formatter is checked against Python's '%.17g' and str on its own, too.
 """
 import io
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -189,8 +190,7 @@ def _expected(values):
 
 
 def _near_ties(rng, count):
-    """Doubles whose 17-digit scaled value lies within 2**-5 of a .5 tie,
-    on both sides of the formatter's 2**-7 fallback margin."""
+    """Doubles whose 17-digit scaled value lies within 2**-5 of a .5 tie."""
     out = []
     while len(out) < count:
         v = float(rng.uniform(1e-4, 1e16) ** rng.choice([0.25, 0.5, 1.0]))
@@ -248,6 +248,95 @@ def test_float_column_matches_percent_g(values):
                 min_size=1, max_size=40))
 def test_fixed_notation_floats_match_percent_g(values):
     assert _formatted(values) == _expected(values)
+
+
+def _ties(e10, rng):
+    """Doubles in [10**e10, 10**(e10 + 1)) exactly halfway between two
+    17-digit decimals, for e10 <= 15, two that '%.17g' rounds down and
+    two that it rounds up.
+
+    j * 2**-(17 - e10), j odd, has 18 significant digits, the last a 5:
+    scaled by 10**(16 - e10) it is j * 5**(16 - e10) / 2, whose integer
+    part is even where j = 1 (mod 4) and odd where j = 3 (mod 4).
+    """
+    t = 17 - e10
+    low = math.ceil(Fraction(10) ** e10 * 2 ** t)
+    high = min(math.ceil(Fraction(10) ** (e10 + 1) * 2 ** t), 2 ** 53)
+    out = []
+    for _ in range(2):
+        j = rng.randrange(low, high - 8) // 4 * 4 + 5  # 1 (mod 4)
+        out += [j * 2.0 ** -t, (j + 2) * 2.0 ** -t]
+    for x in out:
+        scaled = Fraction(x) * Fraction(10) ** (16 - e10)
+        assert scaled - math.floor(scaled) == Fraction(1, 2)
+    return out
+
+
+@needs_cpass
+@pytest.mark.parametrize("e10", range(-4, 17))
+def test_exact_rounding_at_each_decimal_exponent(e10):
+    """Ties round half to even, in both directions and with both signs
+    (none exist at e10 = 16, where doubles are even integers), and the
+    two neighbours of 10**e10 print as '%.17g' prints them."""
+    ten = float(10 ** e10) if e10 >= 0 else 10.0 ** e10
+    values = [math.nextafter(ten, 0.0), ten, math.nextafter(ten, math.inf)]
+    if e10 <= 15:
+        values += _ties(e10, random.Random(e10))
+    values += [-v for v in values]
+    assert _formatted(values) == _expected(values)
+
+
+@needs_cpass
+def test_roundings_that_carry_to_the_next_power_of_ten():
+    """The largest double below each power of ten that doubles reach.
+    For some, the 17-digit rounding carries into an 18th digit, so that
+    '%.17g' prints the power itself; none of those lies in fixed
+    notation's [1e-4, 1e17), where the formatter's digits come from
+    integer arithmetic, so its check on the carry only guards."""
+    below = []
+    for k in range(-307, 309):
+        x = float(Fraction(10) ** k)
+        below.append(x if Fraction(x) < Fraction(10) ** k
+                     else math.nextafter(x, 0.0))
+    carried = [x for x in below if ("%.17g" % x).startswith("1")]
+    assert carried and not any(1e-4 <= x < 1e17 for x in carried)
+    assert _formatted(below) == _expected(below)
+
+
+@needs_cpass
+def test_small_integers_match_str_and_percent_g():
+    values = list(range(-10, 11))
+    assert _formatted(values) == _expected(values)
+    for dtype in (np.int8, np.int64):
+        assert _format([np.array(values, dtype)]) == \
+            "".join(f"{v}\n" for v in values).encode()
+
+
+def test_both_writers_print_other_integer_dtypes_as_str():
+    columns = [np.array([0, 2 ** 63 - 1], np.uint64),
+               np.array([-128, 127], np.int8),
+               np.array([7, 65535], np.uint16), b"t",
+               np.array([-2 ** 31, 2 ** 31 - 1], np.int32)]
+    want = (b"0,-128,7,t,-2147483648\n"
+            b"9223372036854775807,127,65535,t,2147483647\n")
+    assert sweep._csv_lines(columns) == want
+    if kernels.CPASS is not None:
+        assert _format(columns) == want
+
+
+@pytest.mark.parametrize("compiled", [True, False],
+                         ids=["format_csv", "csv_lines"])
+def test_both_writers_refuse_integers_past_int64(compiled):
+    """A uint64 of 2**63 or more has no int64 value: neither writer
+    prints it wrapped (the compiled one did, as -9223372036854775808)."""
+    if compiled and kernels.CPASS is None:
+        pytest.skip("no compiled library")
+    columns = [np.array([2 ** 63, 2 ** 64 - 1], np.uint64)]
+    with pytest.raises(ValueError, match="does not fit in int64"):
+        if compiled:
+            kernels.format_csv(kernels.CPASS, columns)
+        else:
+            sweep._csv_lines(columns)
 
 
 @needs_cpass
