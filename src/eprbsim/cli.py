@@ -66,9 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of sweeping theta; values are negative, so "
                         "use the --threshold-sweep=START:STOP:STEPS form")
     p.add_argument("--threads", type=int, default=1,
-                   help="up to this many worker processes across grid "
-                        "points, no more than the points or the usable "
-                        "CPUs (results are identical for any value)")
+                   help="up to this many threads, the calling one "
+                        "included, over grid points and blocks of a CFD "
+                        "point's trials, no more than the usable CPUs "
+                        "(results are identical for any value)")
     p.add_argument("--delta-denominator", choices=("max-pair", "setting-quota"),
                    default="max-pair",
                    help="denominator convention for the pair-selection "

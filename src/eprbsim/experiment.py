@@ -221,11 +221,13 @@ def _pass(cfd: bool, params: ModelParams, quad: SettingsQuad, seed: int,
 
 
 def _point_chunks(cfd: bool, params: ModelParams, quad: SettingsQuad, n: int,
-                  seed: int, trials: bool = False):
+                  seed: int, trials: bool = False, span=None):
     """(start, counts, states, volts) of each chunk of a point's pass, in
     counter order: the walk that both the rows and the trial dump take.
 
-    A CFD point is trials 0..n-1, CHUNK at a time.  A non-CFD point runs
+    A CFD point is trials 0..n-1, CHUNK at a time; span = (lo, hi) walks
+    trials lo..hi-1 alone, CHUNK at a time from lo, as a CFD trial
+    depends on its index alone.  A non-CFD point runs
     chunks of up to 2 * CHUNK trials, which evaluate as many stations as
     a CFD chunk does, and keeps a trial while its setting pair holds
     fewer than n (the quota); a trial past that gets state 64 and is left
@@ -240,10 +242,11 @@ def _point_chunks(cfd: bool, params: ModelParams, quad: SettingsQuad, n: int,
     _validate_run(n, seed, "n" if cfd else "quota")
     # Every pair holds n at the earliest after 4 * n non-CFD trials.
     length = min(CHUNK, n) if cfd else min(2 * CHUNK, 4 * n)
+    lo, hi = span or (0, n)
     chunk = _pass(cfd, params, quad, seed, length, trials)
     held = np.zeros(4, np.int64)  # kept trials per setting pair
-    for start in range(0, n, length) if cfd else itertools.count(0, length):
-        counts, states, volts = chunk(start, min(length, n - start) if cfd
+    for start in range(lo, hi, length) if cfd else itertools.count(0, length):
+        counts, states, volts = chunk(start, min(length, hi - start) if cfd
                                       else length)
         if not cfd:
             room = n - held
@@ -259,16 +262,20 @@ def _point_chunks(cfd: bool, params: ModelParams, quad: SettingsQuad, n: int,
 
 
 def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
-               seed: int) -> np.ndarray:
+               seed: int, span=None) -> np.ndarray:
     """The 256 state counts of CFD trials 0..n-1 of this seed: every
     station gets fresh draws each trial.
 
     They are summed over _point_chunks, so memory does not grow with n;
-    the counts do not depend on the chunking.
+    the counts do not depend on the chunking.  With span = (lo, hi) they
+    are the counts of trials lo..hi-1 alone, whose quadruples the caller
+    checks on the point's sum (_check_identities); a point's are checked
+    here.
     """
     counts = sum(c for _, c, _, _ in _point_chunks(True, params, quad, n,
-                                                   seed))
-    _check_identities(counts)
+                                                   seed, span=span))
+    if span is None:
+        _check_identities(counts)
     return counts
 
 

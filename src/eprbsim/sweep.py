@@ -3,8 +3,8 @@
 A sweep evaluates one row per grid point (theta, or threshold at fixed
 theta).  Rows are emitted in grid order and all randomness is derived
 per point from the configured seed, so identical configurations yield
-byte-identical output files at any number of worker processes.  The
-trial dump (_TrialDumper) is written in this process, one chunk's
+byte-identical output files at any number of threads (see _sweep).  The
+trial dump (_TrialDumper) is written in the calling thread, one chunk's
 records at a time, from the same walk of each point's chunks that its
 row's counts come from (experiment._point_chunks).  It is formatted by
 the compiled library (kernels.format_csv) or, where kernels.BACKEND is
@@ -12,10 +12,12 @@ the compiled library (kernels.format_csv) or, where kernels.BACKEND is
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,11 @@ THRESHOLD_COLUMNS = ["threshold"] + THETA_COLUMNS
 THRESHOLD_SWEEP_THETA = 3.0 * math.pi / 8.0
 
 _TOL = 1e-9
+
+# CHUNKs of CFD trials per task of a sweep's pool (see _sweep): 2^18
+# trials.  Each task builds its own pass, which costs about as much as
+# 5,000 trials of it; blocks of 8 or 16 CHUNKs ran tight sweeps slower.
+BLOCK_CHUNKS = 32
 
 
 @dataclass
@@ -137,18 +144,20 @@ def _row(theta: float, pair_counts, n: int, cfg_seed: int) -> dict:
 
 
 def _point_counts(mode: str, params: ModelParams, theta: float, n: int,
-                  point_seed: int) -> np.ndarray:
-    """State counts of one point: cfd_counts for mode "cfd", else
-    noncfd_counts.  Module-level, so that a worker process can run it."""
+                  point_seed: int, span=None) -> np.ndarray:
+    """State counts of one point: cfd_counts for mode "cfd", of trials
+    lo..hi-1 alone where span = (lo, hi) is given, else noncfd_counts.
+    One task of a sweep's pool (see _sweep)."""
     quad = SettingsQuad.for_theta(theta)
     if mode == "cfd":
-        return cfd_counts(params, quad, n, point_seed)
+        return cfd_counts(params, quad, n, point_seed, span)
     return noncfd_counts(params, quad, n, point_seed)
 
 
 def _cfd_row(theta: float, counts: np.ndarray, n: int, cfg_seed: int,
              delta_denominator: str) -> dict:
     """The row of one CFD point, from its 256 state counts."""
+    experiment._check_identities(counts)
     row = _row(theta, pair_counts(counts), n, cfg_seed)
     s, s_hat = row["S"], row["S_hat"]
     if s_hat is None or abs(s_hat) > 2.0 + _TOL:
@@ -192,60 +201,103 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_count(threads: int, points: int, cpus: int) -> int:
-    """Worker processes of a sweep: no more than requested, than points to
-    evaluate, or than CPUs to run them on."""
-    return max(1, min(threads, points, cpus))
+def _pool_map(tasks, workers: int) -> list:
+    """[task() for task in tasks], on up to workers threads: the calling
+    thread and workers - 1 started here.
 
-
-def _process_pool(workers: int):
-    """A pool of worker processes, forked where the platform can fork.
-
-    Forked workers start with the modules this process has imported.
-    The fork happens before the pool starts its own thread, and a sweep
-    starts no other.  The pool modules are imported here, so that a run
-    without a pool does not import them.
+    Each thread takes the next task in order until none is left.  Once a
+    task raises, on any thread, no task starts; every thread is joined,
+    and then the first exception raises here as it was raised.  A
+    KeyboardInterrupt in the calling thread stops the pool the same way,
+    between tasks or while it waits for the others.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    context = (multiprocessing.get_context("fork")
-               if "fork" in multiprocessing.get_all_start_methods() else None)
-    return ProcessPoolExecutor(workers, mp_context=context)
+    results, errors = [None] * len(tasks), []
+    pending, lock = iter(range(len(tasks))), threading.Lock()
+    ended = threading.Semaphore(0)  # released by each started thread
+
+    def stop(exc):
+        with lock:
+            errors.append(exc)
+
+    def take():
+        with lock:
+            return None if errors else next(pending, None)
+
+    def work():
+        for index in iter(take, None):
+            try:
+                results[index] = tasks[index]()
+            except BaseException as exc:
+                stop(exc)
+
+    def started():
+        try:
+            work()
+        finally:
+            ended.release()
+
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=started)
+            thread.start()
+            threads.append(thread)
+        work()
+    except BaseException as exc:  # outside a task: a Ctrl-C
+        stop(exc)
+    # Not Thread.join: interrupted, it can mark a running thread as ended
+    # (Python before 3.13).
+    for _ in threads:
+        while True:
+            try:
+                ended.acquire()
+                break
+            except BaseException as exc:  # a Ctrl-C while waiting
+                stop(exc)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _sweep(cfg: RunConfig, points) -> list:
     """Rows of the (params, theta) points, in order; writes the trial dump.
 
     Point i draws from its own sub-seed, so its counts do not depend on
-    which process computes them.  The points' state counts come from
-    _point_counts, on worker processes when there is more than one worker
-    (see _worker_count) and here otherwise, and this process builds every
-    row from them in grid order.  A trial dump, opened before any point
-    runs, then walks each point's chunks again here, in point order, and
-    writes each chunk's records as it comes: run_cfd over each CHUNK of
-    trials, which stands alone, or the runs run_noncfd yields, since a
-    non-CFD chunk's records depend on the chunks before it.  The summed
-    counts of the dumped runs must equal the streamed counts; if they do
-    not, the sweep stops, and a dump that can seek is first cut back to
-    the end of the previous point (a pipe or FIFO keeps what was
-    written).
+    which thread computes them.  The tasks, CFD blocks of BLOCK_CHUNKS
+    CHUNKs of a point's trials, or whole non-CFD points, whose quota cut
+    takes their chunks in trial order, run on min(--threads, usable CPUs,
+    tasks) threads, the calling one among them (_pool_map): the compiled
+    pass drops the interpreter lock for each chunk.  A CFD point's counts
+    are the sum of its blocks' integer counts, whatever order they finish
+    in.  This thread builds every row from the points' counts in grid
+    order.  A trial dump, opened before any point runs, then walks each
+    point's chunks again here, in point order, and writes each chunk's
+    records as it comes: run_cfd over each CHUNK of trials, which stands
+    alone, or the runs run_noncfd yields, since a non-CFD chunk's records
+    depend on the chunks before it.  The summed counts of the dumped runs
+    must equal the streamed counts; if they do not, the sweep stops, and a
+    dump that can seek is first cut back to the end of the previous point
+    (a pipe or FIFO keeps what was written).
     """
     dump = _TrialDumper(cfg.dump_trials, cfg.mode) if cfg.dump_trials else None
     try:
         seeds = [rng.derive_seed(cfg.seed, index)
                  for index in range(len(points))]
         params, thetas = zip(*points)
-        args = ([cfg.mode] * len(points), params, thetas,
-                [cfg.n] * len(points), seeds)
-        workers = _worker_count(cfg.threads, len(points), _usable_cpus())
-        if workers > 1:
-            pool = _process_pool(workers)
-            try:
-                counts = list(pool.map(_point_counts, *args))
-            finally:
-                pool.shutdown(cancel_futures=True)
-        else:
-            counts = list(map(_point_counts, *args))
+        block = BLOCK_CHUNKS * experiment.CHUNK
+        spans = ([(lo, min(lo + block, cfg.n))
+                  for lo in range(0, cfg.n, block)]
+                 if cfg.mode == "cfd" else [None])
+        tasks = [(i, span) for i in range(len(points)) for span in spans]
+        workers = min(cfg.threads, _usable_cpus(), len(tasks))
+        results = _pool_map([functools.partial(
+            _point_counts, cfg.mode, params[i], thetas[i], cfg.n, seeds[i],
+            span) for i, span in tasks], workers)
+        counts = [0] * len(points)
+        for (i, _), c in zip(tasks, results):
+            counts[i] = counts[i] + c
         if cfg.mode == "cfd":
             rows = [_cfd_row(theta, c, cfg.n, cfg.seed, cfg.delta_denominator)
                     for theta, c in zip(thetas, counts)]

@@ -6,17 +6,18 @@ array estimators of `reference`, the way rows were computed before
 counts.
 """
 import math
-import multiprocessing
 import os
+import pathlib
+import signal
 import threading
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import reference
-from eprbsim import experiment, kernels, stats, sweep
+from eprbsim import experiment, kernels, rng, stats, sweep
 from eprbsim.experiment import (PAIR_COLUMNS, PAIR_NAMES, cfd_counts,
                                 noncfd_counts, pair_counts, run_cfd,
                                 run_noncfd)
@@ -24,6 +25,7 @@ from eprbsim.params import ModelParams, SettingsQuad
 from eprbsim.sweep import (RunConfig, _cfd_row, _noncfd_row, rows_to_csv,
                            sweep_theta)
 from reference import PASSES, state_counts
+from test_oracle import _run_python
 
 THETA_38 = 3.0 * math.pi / 8.0
 PARAMS = [
@@ -114,86 +116,180 @@ def test_rows_do_not_depend_on_chunk_size(chunk, monkeypatch):
     assert [rows_to_csv(*sweep_theta(cfg)) for cfg in cfgs] == expected
 
 
-def test_worker_count_is_capped_by_points_and_cpus():
-    assert sweep._worker_count(10**6, 40, 2) == 2
-    assert sweep._worker_count(10**6, 1, 2) == 1
-    assert sweep._worker_count(3, 40, 64) == 3
-    assert sweep._worker_count(1, 40, 64) == 1
+def _spy_pools(monkeypatch, cpus):
+    """Worker counts of the pools a sweep runs on cpus CPUs, and the
+    threads they start."""
+    pools, started = [], []
+    run, start = sweep._pool_map, threading.Thread.start
+
+    def spy_pool(tasks, workers):
+        pools.append(workers)
+        return run(tasks, workers)
+
+    def spy_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(sweep, "_pool_map", spy_pool)
+    monkeypatch.setattr(threading.Thread, "start", spy_start)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+    return pools, started
 
 
 def test_sweep_asks_for_no_more_workers_than_cpus(monkeypatch):
-    # A thread pool stands in for the process pool: no process starts.
-    pools = []
-
-    def thread_pool(workers):
-        pools.append(workers)
-        return ThreadPoolExecutor(workers)
-
-    monkeypatch.setattr(sweep, "_process_pool", thread_pool)
-    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    pools, started = _spy_pools(monkeypatch, cpus=2)
     cfg = RunConfig(n=500, theta_steps=40)
     expected = rows_to_csv(*sweep_theta(cfg))
-    assert pools == []
+    assert (pools, started) == ([1], [])  # --threads 1 starts no thread
     cfg.threads = 10**6
     assert rows_to_csv(*sweep_theta(cfg)) == expected
-    assert pools == [2]
+    assert pools == [1, 2]
+    assert len(started) == 1
+    assert not started[0].is_alive()
 
 
-def _spy_pools(monkeypatch, cpus):
-    """Worker counts of the process pools a sweep starts, on cpus CPUs."""
-    pools = []
-    start = sweep._process_pool
-
-    def spy(workers):
-        pools.append(workers)
-        return start(workers)
-
-    monkeypatch.setattr(sweep, "_process_pool", spy)
-    monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
-    return pools
+def test_sweep_asks_for_no_more_workers_than_tasks(monkeypatch):
+    # One non-CFD point is one task; one CFD point of a block is too.
+    pools, started = _spy_pools(monkeypatch, cpus=3)
+    for mode in ("cfd", "noncfd"):
+        sweep_theta(RunConfig(mode=mode, n=500, theta_steps=1, threads=3))
+    assert (pools, started) == ([1, 1], [])
 
 
 @pytest.mark.parametrize("mode", ["cfd", "noncfd"])
 def test_pool_rows_are_built_here_in_grid_order(mode, monkeypatch):
-    # Workers compute counts; this process builds each row from them.
+    # Threads compute counts; the calling thread builds each row from them.
     name = "_cfd_row" if mode == "cfd" else "_noncfd_row"
     build, seen = getattr(sweep, name), []
 
     def spy(theta, counts, *args):
-        seen.append((theta, isinstance(counts, np.ndarray)))
+        seen.append((theta, isinstance(counts, np.ndarray),
+                     threading.current_thread()))
         return build(theta, counts, *args)
 
     monkeypatch.setattr(sweep, name, spy)
-    pools = _spy_pools(monkeypatch, cpus=2)
+    pools, started = _spy_pools(monkeypatch, cpus=2)
     cfg = RunConfig(mode=mode, n=600, theta_steps=7, threads=2)
     sweep_theta(cfg)
     assert pools == [2]
-    assert seen == [(theta, True) for theta in sweep.theta_grid(cfg)]
+    assert len(started) == 1
+    here = threading.current_thread()
+    assert seen == [(theta, True, here) for theta in sweep.theta_grid(cfg)]
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the failing pass reaches workers by fork")
+def _await(condition, what):
+    """Wait for condition() to hold, at most a minute."""
+    for _ in range(60_000):
+        if condition():
+            return
+        time.sleep(0.001)
+    raise AssertionError(f"no {what} within a minute")
+
+
 def test_worker_error_surfaces_with_its_type_and_message(monkeypatch):
-    parent = os.getpid()
+    # The first task on the started thread raises once the calling
+    # thread is in a task, which then waits until the started thread has
+    # ended: no task may start after the error.
+    here, before = threading.current_thread(), threading.active_count()
+    run, started, busy = sweep._point_counts, [], threading.Event()
 
-    def broken(params, quad, n, seed):
-        if os.getpid() != parent:
+    def broken(*args):
+        started.append(threading.current_thread())
+        if threading.current_thread() is not here:
+            _await(busy.is_set, "task in the calling thread")
             raise RuntimeError("CFD identity violated: s outside {-2, +2}")
-        return cfd_counts(params, quad, n, seed)
+        busy.set()
+        _await(lambda: threading.active_count() == before, "failed thread")
+        return run(*args)
 
-    monkeypatch.setattr(sweep, "cfd_counts", broken)
-    pools = _spy_pools(monkeypatch, cpus=2)
+    monkeypatch.setattr(sweep, "_point_counts", broken)
+    pools, _ = _spy_pools(monkeypatch, cpus=2)
     with pytest.raises(RuntimeError) as exc:
-        sweep_theta(RunConfig(n=300, theta_steps=3, threads=2))
+        sweep_theta(RunConfig(mode="noncfd", n=300, theta_steps=6,
+                              threads=2))
+    assert type(exc.value) is RuntimeError
     assert str(exc.value) == "CFD identity violated: s outside {-2, +2}"
-    assert type(exc.value.__cause__).__name__ == "_RemoteTraceback"
+    assert exc.value.__cause__ is None
+    assert exc.traceback[-1].name == "broken"
     assert pools == [2]
+    assert len(started) == 2 and here in started
+    assert threading.active_count() == before
+
+
+def test_ctrl_c_in_the_calling_thread_stops_the_pool(monkeypatch):
+    # The started thread's task waits for the interrupt; the calling
+    # thread then joins it, and no task starts after.
+    here, before = threading.current_thread(), threading.active_count()
+    run, started, interrupted = sweep._point_counts, [], threading.Event()
+
+    def interrupt(*args):
+        started.append(threading.current_thread())
+        if threading.current_thread() is here:
+            interrupted.set()
+            raise KeyboardInterrupt
+        _await(interrupted.is_set, "interrupt")
+        time.sleep(0.05)
+        return run(*args)
+
+    monkeypatch.setattr(sweep, "_point_counts", interrupt)
+    _spy_pools(monkeypatch, cpus=2)
+    with pytest.raises(KeyboardInterrupt):
+        sweep_theta(RunConfig(mode="noncfd", n=300, theta_steps=6,
+                              threads=2))
+    assert threading.active_count() == before
+    assert len(started) == 2 and here in started
+
+
+def test_ctrl_c_while_the_calling_thread_waits_still_joins(monkeypatch):
+    # The calling thread's task ends once the started thread's has begun,
+    # so it waits for that one, which sends it SIGINT and ends 0.1 s later.
+    here, before = threading.current_thread(), threading.active_count()
+    run, ended, begun = sweep._point_counts, [], threading.Event()
+
+    def late(*args):
+        if threading.current_thread() is here:
+            _await(begun.is_set, "task on the started thread")
+        else:
+            begun.set()
+            time.sleep(0.1)
+            signal.pthread_kill(here.ident, signal.SIGINT)
+            time.sleep(0.1)
+            ended.append(threading.current_thread())
+        return run(*args)
+
+    monkeypatch.setattr(sweep, "_point_counts", late)
+    _spy_pools(monkeypatch, cpus=2)
+    with pytest.raises(KeyboardInterrupt):
+        sweep_theta(RunConfig(mode="noncfd", n=300, theta_steps=2,
+                              threads=2))
+    assert len(ended) == 1
+    assert threading.active_count() == before
+
+
+def test_a_threaded_sweep_loads_no_process_pool():
+    # Importing multiprocessing and concurrent.futures would cost a
+    # --threads run more than its second worker gains on a short sweep.
+    proc = _run_python(
+        "import os, sys, threading\n"
+        "from eprbsim import cli, sweep\n"
+        "sweep._usable_cpus = lambda: 2\n"
+        "pool, pools = sweep._pool_map, []\n"
+        "sweep._pool_map = lambda tasks, workers: pools.append(workers) \\\n"
+        "    or pool(tasks, workers)\n"
+        "assert cli.main(['--n', '1000', '--theta-steps', '2', '--threads',\n"
+        "                 '2', '--out', os.devnull]) == 0\n"
+        "assert pools == [2], pools\n"
+        "loaded = {'multiprocessing', 'concurrent.futures'} \\\n"
+        "    & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "assert threading.enumerate() == [threading.main_thread()]\n")
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("mode,sweep_range", [
     ("cfd", None), ("noncfd", None), ("cfd", (-0.9995, -0.99, 4))])
 def test_rows_do_not_depend_on_worker_count(mode, sweep_range, monkeypatch):
-    pools = _spy_pools(monkeypatch, cpus=3)
+    pools, _ = _spy_pools(monkeypatch, cpus=3)
     outputs = []
     for threads in (1, 2, 3):
         cfg = RunConfig(mode=mode, n=1500, theta_steps=5, threads=threads,
@@ -201,7 +297,7 @@ def test_rows_do_not_depend_on_worker_count(mode, sweep_range, monkeypatch):
         run = sweep.sweep_theta if sweep_range is None \
             else sweep.sweep_threshold
         outputs.append(rows_to_csv(*run(cfg)))
-    assert pools == [2, 3]
+    assert pools == [1, 2, 3]
     assert outputs == [outputs[0]] * 3
 
 
@@ -212,7 +308,7 @@ SWEEPS = [("cfd", None), ("noncfd", None), ("cfd", (-0.9995, -0.99, 4))]
                          ids=["cfd", "noncfd", "threshold-sweep"])
 def test_dump_changes_neither_rows_nor_worker_count(mode, sweep_range,
                                                     tmp_path, monkeypatch):
-    pools = _spy_pools(monkeypatch, cpus=2)
+    pools, _ = _spy_pools(monkeypatch, cpus=2)
     rows, dumps = set(), set()
     for threads in (1, 2):
         for dump in (None, tmp_path / f"trials{threads}.csv"):
@@ -223,9 +319,67 @@ def test_dump_changes_neither_rows_nor_worker_count(mode, sweep_range,
             rows.add(rows_to_csv(*run(cfg)))
             if dump is not None:
                 dumps.add(dump.read_bytes())
-    assert pools == [2, 2]
+    assert pools == [1, 1, 2, 2]
     assert len(rows) == 1
     assert len(dumps) == 1
+
+
+# Trials of a CFD point split into blocks (sweep.BLOCK_CHUNKS CHUNKs each)
+# at their edges; CHUNK is 64 here.
+SPLITS = [1, 63, 64, 65, 3 * sweep.BLOCK_CHUNKS * 64 + 5]
+
+
+def _split_outputs(cfg, run, points, backend, monkeypatch):
+    """The rows, and the trial dump where cfg has one, of run(cfg), a
+    sweep of points, at --threads 1, 2 and 3 under the pass backend, with
+    CHUNK = 64."""
+    monkeypatch.setattr(kernels, "BACKEND", backend)
+    monkeypatch.setattr(experiment, "CHUNK", 64)
+    pools, _ = _spy_pools(monkeypatch, cpus=3)
+    outputs = []
+    for threads in (1, 2, 3):
+        cfg.threads = threads
+        rows = rows_to_csv(*run(cfg))
+        outputs.append((rows, cfg.dump_trials
+                        and pathlib.Path(cfg.dump_trials).read_bytes()))
+    tasks = points * -(-cfg.n // (64 * sweep.BLOCK_CHUNKS))
+    assert pools == [min(t, tasks) for t in (1, 2, 3)]
+    return outputs
+
+
+@pytest.mark.parametrize("dump", [False, True], ids=["rows", "dump"])
+@pytest.mark.parametrize("backend", PASSES)
+@pytest.mark.parametrize("n", SPLITS)
+def test_a_split_point_gives_the_bytes_of_the_whole(n, backend, dump,
+                                                    tmp_path, monkeypatch):
+    cfg = RunConfig(n=n, theta_steps=1, theta_start=THETA_38,
+                    theta_end=THETA_38, dump_trials=dump and str(
+                        tmp_path / "trials.csv") or None)
+    outputs = _split_outputs(cfg, sweep_theta, 1, backend, monkeypatch)
+    counts = cfd_counts(cfg.model_params(), SettingsQuad.for_theta(THETA_38),
+                        n, rng.derive_seed(cfg.seed, 0))
+    whole = rows_to_csv(sweep.THETA_COLUMNS, [
+        _cfd_row(THETA_38, counts, n, cfg.seed, cfg.delta_denominator)])
+    assert outputs[0][0] == whole
+    assert outputs == [outputs[0]] * 3
+    if dump:
+        assert len(outputs[0][1].splitlines()) == 1 + n
+
+
+@pytest.mark.parametrize("dump", [False, True], ids=["rows", "dump"])
+@pytest.mark.parametrize("backend", PASSES)
+def test_a_sweep_of_fewer_points_than_workers_splits_them(backend, dump,
+                                                          tmp_path,
+                                                          monkeypatch):
+    cfg = RunConfig(n=SPLITS[-1], threshold_sweep=(-0.9995, -0.99, 2),
+                    dump_trials=dump and str(tmp_path / "trials.csv")
+                    or None)
+    outputs = _split_outputs(cfg, sweep.sweep_threshold, 2, backend,
+                             monkeypatch)
+    assert outputs == [outputs[0]] * 3
+    monkeypatch.setattr(sweep, "BLOCK_CHUNKS", 10**6)  # a task per point
+    cfg.threads = 1
+    assert rows_to_csv(*sweep.sweep_threshold(cfg)) == outputs[0][0]
 
 
 @pytest.mark.parametrize("mode", ["cfd", "noncfd"])

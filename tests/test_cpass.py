@@ -19,7 +19,7 @@ import sys
 import numpy as np
 import pytest
 
-from eprbsim import cli, kernels
+from eprbsim import cli, experiment, kernels, sweep
 from eprbsim.experiment import cfd_counts, noncfd_counts
 from eprbsim.params import ModelParams, SettingsQuad
 from test_certified import DECISION_N, chunk_values, decision_params
@@ -489,12 +489,14 @@ SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 # value of the float64 bytes read from stdin, and the ends of int64 and
 # int8, each the last field of a buffer of the size format_csv allocates
 # for it, and runs a CFD and a non-CFD CLI point of 1001 trials at d = 0.5
-# with a trial dump, whose rows' and dump's sha256 it prints.  A
-# sanitizer that finds a fault ends the process.
+# with a trial dump, and a CFD point of two blocks (sweep.BLOCK_CHUNKS
+# CHUNKs each) and 5 trials on two threads, so that two passes run at
+# once; it prints the sha256 of each rows' and dump's file.  A sanitizer that
+# finds a fault ends the process.
 SANITIZED_RUN = """
 import hashlib, os, sys
 import numpy as np
-from eprbsim import cli, kernels
+from eprbsim import cli, experiment, kernels, sweep
 work, extra = sys.argv[1], tuple(sys.argv[2:])
 kernels._NATIVE_CFLAGS += extra
 kernels._CFLAGS += extra
@@ -517,12 +519,23 @@ for mode in ("cfd", "noncfd"):
                      "--theta-steps", "1", "--out", out[0],
                      "--dump-trials", out[1]]) == 0
     shas += [hashlib.sha256(open(p, "rb").read()).hexdigest() for p in out]
+pool, pools = sweep._pool_map, []
+sweep._pool_map = lambda tasks, workers: pools.append(workers) \\
+    or pool(tasks, workers)
+sweep._usable_cpus = lambda: 2
+rows = os.path.join(work, "threaded.rows")
+n = 2 * sweep.BLOCK_CHUNKS * experiment.CHUNK + 5
+assert cli.main(["--n", str(n), "--theta-steps", "1", "--threads", "2",
+                 "--out", rows]) == 0
+assert pools == [2]
+shas.append(hashlib.sha256(open(rows, "rb").read()).hexdigest())
 print(kernels.BACKEND, *shas)
 """
 
 
 def _sanitized_shas(work):
-    """SANITIZED_RUN's sha256s, from this process's library."""
+    """SANITIZED_RUN's sha256s, from this process's library, the
+    threaded point's at --threads 1."""
     shas = []
     for mode in ("cfd", "noncfd"):
         out = [work / (mode + ext) for ext in (".rows", ".dump")]
@@ -530,7 +543,11 @@ def _sanitized_shas(work):
                          "--theta-steps", "1", "--out", str(out[0]),
                          "--dump-trials", str(out[1])]) == 0
         shas += [hashlib.sha256(p.read_bytes()).hexdigest() for p in out]
-    return shas
+    rows = work / "threaded.rows"
+    n = 2 * sweep.BLOCK_CHUNKS * experiment.CHUNK + 5
+    assert cli.main(["--n", str(n), "--theta-steps", "1", "--threads", "1",
+                     "--out", str(rows)]) == 0
+    return shas + [hashlib.sha256(rows.read_bytes()).hexdigest()]
 
 
 @needs_cc
