@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 configuration error or an output that cannot be
-written, 2 oracle violation.
+written, 2 an oracle's violation or a sweep's failed invariant check
+(experiment.InvariantError).
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import contextlib
 import math
 import sys
 
-from . import oracle, sweep
+from . import experiment, oracle, sweep
 from .params import (DEFAULT_N, DEFAULT_SEED, DEFAULT_THETA_STEPS,
                      DEFAULT_THRESHOLD, DEFAULT_V_MAX_MAG, DEFAULT_V_MIN_MAG,
                      DEFAULT_D, ModelParams)
@@ -68,8 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1,
                    help="up to this many threads, the calling one "
                         "included, over grid points and blocks of a CFD "
-                        "point's trials, no more than the usable CPUs "
-                        "(results are identical for any value)")
+                        "point's trials, no more than the usable CPUs; a "
+                        "--dump-trials run walks its points in the calling "
+                        "thread (results are identical for any value)")
     p.add_argument("--delta-denominator", choices=("max-pair", "setting-quota"),
                    default="max-pair",
                    help="denominator convention for the pair-selection "
@@ -170,9 +172,9 @@ def main(argv=None) -> int:
                 return _run_oracles(out)
             columns, rows = run(cfg)
             sweep.write_rows(cfg, columns, rows, out)
-    except OSError as exc:
+    except (OSError, experiment.InvariantError) as exc:
         print(f"eprbsim: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, OSError) else 2
     return 0
 
 

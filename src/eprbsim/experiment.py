@@ -16,9 +16,9 @@ goes through the station law of kernels.station_law (`_pass`): in the
 compiled pass (kernels.Compiled) where kernels.BACKEND is "c", and
 otherwise in numpy (kernels.numpy_chunk), with the same values, bit for
 bit.  `cfd_counts` and `noncfd_counts` sum the walk's counts without
-keeping per-trial arrays.  For the trial dump, which sweep._TrialDumper
-writes a chunk at a time, `run_noncfd` yields the records of each chunk
-of the walk, and `run_cfd` gives any range of CFD trials.
+keeping per-trial arrays.  A trial dump (sweep._TrialDumper) sums the
+counts of runs that also hold each trial's records instead: `run_cfd`
+of any range of CFD trials, or the chunks of the walk `run_noncfd` yields.
 """
 from __future__ import annotations
 
@@ -147,13 +147,18 @@ class NonCfdRun:
     counts: np.ndarray
 
 
+class InvariantError(RuntimeError):
+    """A runtime check of the model's invariants failed: the quadruple
+    identities here, or a row's |S_hat| <= 2, J >= 0 or |S| <= bound."""
+
+
 def _check_quadruple_identities(x: np.ndarray) -> None:
     """Per-trial algebraic identities of +-1 quadruples; hard errors."""
     if not np.all(np.abs(stats.quadruple_s(*x.T)) == 2):
-        raise RuntimeError("CFD identity violated: s outside {-2, +2}")
+        raise InvariantError("CFD identity violated: s outside {-2, +2}")
     for b in stats.quadruple_b(*x.T):
         if not np.all((b == -1) | (b == 3)):
-            raise RuntimeError("CFD identity violated: b outside {-1, +3}")
+            raise InvariantError("CFD identity violated: b outside {-1, +3}")
 
 
 def pair_counts(counts: np.ndarray) -> np.ndarray:

@@ -3,12 +3,12 @@
 A sweep evaluates one row per grid point (theta, or threshold at fixed
 theta).  Rows are emitted in grid order and all randomness is derived
 per point from the configured seed, so identical configurations yield
-byte-identical output files at any number of threads (see _sweep).  The
-trial dump (_TrialDumper) is written in the calling thread, one chunk's
-records at a time, from the same walk of each point's chunks that its
-row's counts come from (experiment._point_chunks).  It is formatted by
-the compiled library (kernels.format_csv) or, where kernels.BACKEND is
-"numpy", line by line (_csv_lines), with the same bytes.
+byte-identical output files at any number of threads (see _sweep).  A
+run with a trial dump (_TrialDumper) walks each point once, in the
+calling thread, one chunk's records at a time, and its rows are the
+counts of the dumped trials.  The dump is formatted by the compiled
+library (kernels.format_csv) or, where kernels.BACKEND is "numpy", line
+by line (_csv_lines), with the same bytes.
 """
 from __future__ import annotations
 
@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import experiment, kernels, rng, stats
-from .experiment import (PAIR_NAMES, QUADRUPLES, CfdRun, cfd_counts,
-                         noncfd_counts, pair_counts, run_cfd, run_noncfd)
+from .experiment import (PAIR_NAMES, QUADRUPLES, CfdRun, InvariantError,
+                         cfd_counts, noncfd_counts, pair_counts, run_cfd,
+                         run_noncfd)
 from .params import (DEFAULT_N, DEFAULT_SEED, DEFAULT_THETA_STEPS,
                      DEFAULT_THRESHOLD, DEFAULT_V_MAX_MAG, DEFAULT_V_MIN_MAG,
                      DEFAULT_D, ModelParams, SettingsQuad)
@@ -146,8 +147,8 @@ def _row(theta: float, pair_counts, n: int, cfg_seed: int) -> dict:
 def _point_counts(mode: str, params: ModelParams, theta: float, n: int,
                   point_seed: int, span=None) -> np.ndarray:
     """State counts of one point: cfd_counts for mode "cfd", of trials
-    lo..hi-1 alone where span = (lo, hi) is given, else noncfd_counts.
-    One task of a sweep's pool (see _sweep)."""
+    lo..hi-1 alone where span = (lo, hi) is given, else noncfd_counts of
+    the whole point, whatever span is.  One task of a sweep's pool."""
     quad = SettingsQuad.for_theta(theta)
     if mode == "cfd":
         return cfd_counts(params, quad, n, point_seed, span)
@@ -161,13 +162,13 @@ def _cfd_row(theta: float, counts: np.ndarray, n: int, cfg_seed: int,
     row = _row(theta, pair_counts(counts), n, cfg_seed)
     s, s_hat = row["S"], row["S_hat"]
     if s_hat is None or abs(s_hat) > 2.0 + _TOL:
-        raise RuntimeError(f"detection-event |S| exceeded 2: {s_hat}")
+        raise InvariantError(f"detection-event |S| exceeded 2: {s_hat}")
 
     by_flags = counts.reshape(16, 16)  # [flag bits, outcome bits]
     outcomes = by_flags.sum(axis=0)
     j_det = int(outcomes @ stats.eberhard_j_terms(*QUADRUPLES.T))
     if j_det < 0:
-        raise RuntimeError(
+        raise InvariantError(
             f"detection-event count combination went negative: J={j_det}")
 
     n_prime = int(by_flags[15].sum())
@@ -175,7 +176,7 @@ def _cfd_row(theta: float, counts: np.ndarray, n: int, cfg_seed: int,
     delta, bound = stats.delta_ratio(n_prime, n_passes, delta_denominator,
                                      per_setting_total=n)
     if s is not None and bound is not None and abs(s) > bound + _TOL:
-        raise RuntimeError(f"photon |S|={abs(s)} exceeded bound {bound}")
+        raise InvariantError(f"photon |S|={abs(s)} exceeded bound {bound}")
     row.update(delta=delta, bound=bound)
     return row
 
@@ -201,9 +202,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_map(tasks, workers: int) -> list:
-    """[task() for task in tasks], on up to workers threads: the calling
-    thread and workers - 1 started here.
+def _pool_map(tasks, workers: int) -> None:
+    """Run each task() of the iterable tasks, for its effect, on up to
+    workers threads: the calling thread and workers - 1 started here.
 
     Each thread takes the next task in order until none is left.  Once a
     task raises, on any thread, no task starts; every thread is joined,
@@ -211,8 +212,7 @@ def _pool_map(tasks, workers: int) -> list:
     KeyboardInterrupt in the calling thread stops the pool the same way,
     between tasks or while it waits for the others.
     """
-    results, errors = [None] * len(tasks), []
-    pending, lock = iter(range(len(tasks))), threading.Lock()
+    errors, pending, lock = [], iter(tasks), threading.Lock()
     ended = threading.Semaphore(0)  # released by each started thread
 
     def stop(exc):
@@ -224,9 +224,9 @@ def _pool_map(tasks, workers: int) -> list:
             return None if errors else next(pending, None)
 
     def work():
-        for index in iter(take, None):
+        for task in iter(take, None):
             try:
-                results[index] = tasks[index]()
+                task()
             except BaseException as exc:
                 stop(exc)
 
@@ -258,77 +258,51 @@ def _pool_map(tasks, workers: int) -> list:
         thread.join()
     if errors:
         raise errors[0]
-    return results
 
 
 def _sweep(cfg: RunConfig, points) -> list:
     """Rows of the (params, theta) points, in order; writes the trial dump.
 
     Point i draws from its own sub-seed, so its counts do not depend on
-    which thread computes them.  The tasks, CFD blocks of BLOCK_CHUNKS
-    CHUNKs of a point's trials, or whole non-CFD points, whose quota cut
-    takes their chunks in trial order, run on min(--threads, usable CPUs,
-    tasks) threads, the calling one among them (_pool_map): the compiled
-    pass drops the interpreter lock for each chunk.  A CFD point's counts
-    are the sum of its blocks' integer counts, whatever order they finish
-    in.  This thread builds every row from the points' counts in grid
-    order.  A trial dump, opened before any point runs, then walks each
-    point's chunks again here, in point order, and writes each chunk's
-    records as it comes: run_cfd over each CHUNK of trials, which stands
-    alone, or the runs run_noncfd yields, since a non-CFD chunk's records
-    depend on the chunks before it.  The summed counts of the dumped runs
-    must equal the streamed counts; if they do not, the sweep stops, and a
-    dump that can seek is first cut back to the end of the previous point
-    (a pipe or FIFO keeps what was written).
+    which thread computes them.  With a trial dump, this thread walks
+    each point once, in order, and its counts are those of the runs the
+    dump writes (_TrialDumper.write_point).  Otherwise the tasks, CFD
+    blocks of BLOCK_CHUNKS CHUNKs of a point's trials, or whole non-CFD
+    points, whose quota cut takes their chunks in trial order, run on
+    min(--threads, usable CPUs, tasks) threads, the calling one among
+    them (_pool_map): the compiled pass drops the interpreter lock for
+    each chunk.  Each task adds its integer counts to its point's as it
+    ends, in any order, and no task or block's counts outlive it.  This
+    thread builds every row from the points' counts in grid order.
     """
-    dump = _TrialDumper(cfg.dump_trials, cfg.mode) if cfg.dump_trials else None
-    try:
-        seeds = [rng.derive_seed(cfg.seed, index)
-                 for index in range(len(points))]
-        params, thetas = zip(*points)
-        block = BLOCK_CHUNKS * experiment.CHUNK
-        spans = ([(lo, min(lo + block, cfg.n))
-                  for lo in range(0, cfg.n, block)]
-                 if cfg.mode == "cfd" else [None])
-        tasks = [(i, span) for i in range(len(points)) for span in spans]
-        workers = min(cfg.threads, _usable_cpus(), len(tasks))
-        results = _pool_map([functools.partial(
-            _point_counts, cfg.mode, params[i], thetas[i], cfg.n, seeds[i],
-            span) for i, span in tasks], workers)
-        counts = [0] * len(points)
-        for (i, _), c in zip(tasks, results):
-            counts[i] = counts[i] + c
-        if cfg.mode == "cfd":
-            rows = [_cfd_row(theta, c, cfg.n, cfg.seed, cfg.delta_denominator)
-                    for theta, c in zip(thetas, counts)]
-        else:
-            rows = [_noncfd_row(theta, c, cfg.n, cfg.seed)
-                    for theta, c in zip(thetas, counts)]
-        if dump is not None:
-            for index, (p, theta, seed, c) in enumerate(
-                    zip(params, thetas, seeds, counts)):
-                point_start = dump.fh.tell() if dump.fh.seekable() else None
-                quad, chunk = SettingsQuad.for_theta(theta), experiment.CHUNK
-                if cfg.mode == "cfd":
-                    runs = (run_cfd(p, quad, min(chunk, cfg.n - start), seed,
-                                    start) for start in range(0, cfg.n, chunk))
-                else:
-                    runs = run_noncfd(p, quad, cfg.n, seed)
-                total = np.zeros_like(c)
-                for run in runs:
-                    dump.write_run(run)
-                    total += run.counts
-                if not np.array_equal(total, c):
-                    if point_start is not None:
-                        dump.fh.truncate(point_start)
-                    raise RuntimeError(
-                        f"trial dump, point {index} (theta={theta!r}, "
-                        f"threshold={p.threshold!r}): the dumped trials' "
-                        "counts differ from the streamed counts")
-    finally:
-        if dump is not None:
+    seeds = [rng.derive_seed(cfg.seed, i) for i in range(len(points))]
+    params, thetas = zip(*points)
+    if cfg.dump_trials:
+        dump = _TrialDumper(cfg.dump_trials, cfg.mode)
+        try:
+            counts = [dump.write_point(*point, cfg.n, seed)
+                      for point, seed in zip(points, seeds)]
+        finally:
             dump.close()
-    return rows
+    else:
+        counts, lock = [0] * len(points), threading.Lock()
+        block = BLOCK_CHUNKS * experiment.CHUNK if cfg.mode == "cfd" else cfg.n
+        starts = range(0, cfg.n, block)
+
+        def add(i, lo):
+            c = _point_counts(cfg.mode, params[i], thetas[i], cfg.n, seeds[i],
+                              (lo, min(lo + block, cfg.n)))
+            with lock:
+                counts[i] = counts[i] + c
+
+        _pool_map((functools.partial(add, i, lo)
+                   for i in range(len(points)) for lo in starts),
+                  min(cfg.threads, _usable_cpus(), len(points) * len(starts)))
+    if cfg.mode == "cfd":
+        return [_cfd_row(theta, c, cfg.n, cfg.seed, cfg.delta_denominator)
+                for theta, c in zip(thetas, counts)]
+    return [_noncfd_row(theta, c, cfg.n, cfg.seed)
+            for theta, c in zip(thetas, counts)]
 
 
 def sweep_theta(cfg: RunConfig):
@@ -396,6 +370,24 @@ class _TrialDumper:
         self.buffer = None  # format_csv's, reused from run to run
         self.fh.write((self.CFD_HEADER if mode == "cfd"
                        else self.NONCFD_HEADER).encode() + b"\n")
+
+    def write_point(self, params: ModelParams, theta: float, n: int,
+                    seed: int) -> np.ndarray:
+        """Write a point's records a run at a time, in counter order, and
+        return the sum of the runs' state counts: run_cfd over each CHUNK
+        of trials, or the runs of run_noncfd, whose quota ties each chunk
+        to the chunks before it."""
+        quad, chunk = SettingsQuad.for_theta(theta), experiment.CHUNK
+        if self.mode == "cfd":
+            runs = (run_cfd(params, quad, min(chunk, n - start), seed, start)
+                    for start in range(0, n, chunk))
+        else:
+            runs = run_noncfd(params, quad, n, seed)
+        counts = 0
+        for run in runs:
+            self.write_run(run)
+            counts = counts + run.counts
+        return counts
 
     def write_run(self, run) -> None:
         """Write the records of a CfdRun or a NonCfdRun, in counter order."""

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from eprbsim import cli, oracle, sweep
+from eprbsim import cli, oracle, stats, sweep
 from eprbsim.oracle import EnumerationReport
 from eprbsim.sweep import THETA_COLUMNS, THRESHOLD_COLUMNS
 
@@ -320,3 +320,35 @@ def test_oracle_mode_flags_violations(monkeypatch, capsys):
     assert cli.main(["--mode", "oracles"]) == 2
     out = capsys.readouterr().out
     assert "counterexample" in out
+
+
+def _s_without_its_minus(x1, x1p, x2, x2p):
+    """stats.quadruple_s with a sign error, as test_oracle makes one."""
+    return x1 * x2 + x1 * x2p + x1p * x2 + x1p * x2p
+
+
+@pytest.mark.parametrize("dump", [False, True], ids=["rows", "dump"])
+@pytest.mark.parametrize("broken,message", [
+    ((stats, "quadruple_s", _s_without_its_minus),
+     "CFD identity violated: s outside {-2, +2}"),
+    ((sweep, "_TOL", -3.0), "detection-event |S| exceeded 2: "),
+], ids=["identity", "row"])
+def test_an_invariant_failure_exits_two_with_one_line(broken, message, dump,
+                                                      tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.setattr(*broken)
+    extra = ["--dump-trials", str(tmp_path / "d.csv")] if dump else []
+    rc, _ = run_main(tmp_path, *extra)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eprbsim: " + message)
+    assert err.count("\n") == 1
+
+
+def test_other_errors_keep_their_traceback(tmp_path, monkeypatch):
+    def fails(*args):
+        raise RuntimeError("not an invariant")
+
+    monkeypatch.setattr(sweep, "_cfd_row", fails)
+    with pytest.raises(RuntimeError, match="not an invariant"):
+        run_main(tmp_path)

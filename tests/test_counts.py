@@ -6,7 +6,6 @@ array estimators of `reference`, the way rows were computed before
 counts.
 """
 import math
-import os
 import pathlib
 import signal
 import threading
@@ -308,7 +307,9 @@ SWEEPS = [("cfd", None), ("noncfd", None), ("cfd", (-0.9995, -0.99, 4))]
                          ids=["cfd", "noncfd", "threshold-sweep"])
 def test_dump_changes_neither_rows_nor_worker_count(mode, sweep_range,
                                                     tmp_path, monkeypatch):
-    pools, _ = _spy_pools(monkeypatch, cpus=2)
+    # A dump run walks its points in this thread: it calls no pool and
+    # starts no thread.
+    pools, started = _spy_pools(monkeypatch, cpus=2)
     rows, dumps = set(), set()
     for threads in (1, 2):
         for dump in (None, tmp_path / f"trials{threads}.csv"):
@@ -316,10 +317,13 @@ def test_dump_changes_neither_rows_nor_worker_count(mode, sweep_range,
                             threshold_sweep=sweep_range, dump_trials=dump)
             run = sweep.sweep_theta if sweep_range is None \
                 else sweep.sweep_threshold
+            pooled = len(pools), len(started)
             rows.add(rows_to_csv(*run(cfg)))
             if dump is not None:
+                assert (len(pools), len(started)) == pooled
                 dumps.add(dump.read_bytes())
-    assert pools == [1, 1, 2, 2]
+    assert pools == [1, 2]
+    assert len(started) == 1
     assert len(rows) == 1
     assert len(dumps) == 1
 
@@ -332,18 +336,21 @@ SPLITS = [1, 63, 64, 65, 3 * sweep.BLOCK_CHUNKS * 64 + 5]
 def _split_outputs(cfg, run, points, backend, monkeypatch):
     """The rows, and the trial dump where cfg has one, of run(cfg), a
     sweep of points, at --threads 1, 2 and 3 under the pass backend, with
-    CHUNK = 64."""
+    CHUNK = 64.  A dump run must call no pool and start no thread."""
     monkeypatch.setattr(kernels, "BACKEND", backend)
     monkeypatch.setattr(experiment, "CHUNK", 64)
-    pools, _ = _spy_pools(monkeypatch, cpus=3)
+    pools, started = _spy_pools(monkeypatch, cpus=3)
     outputs = []
     for threads in (1, 2, 3):
         cfg.threads = threads
         rows = rows_to_csv(*run(cfg))
         outputs.append((rows, cfg.dump_trials
                         and pathlib.Path(cfg.dump_trials).read_bytes()))
-    tasks = points * -(-cfg.n // (64 * sweep.BLOCK_CHUNKS))
-    assert pools == [min(t, tasks) for t in (1, 2, 3)]
+    if cfg.dump_trials:
+        assert (pools, started) == ([], [])
+    else:
+        tasks = points * -(-cfg.n // (64 * sweep.BLOCK_CHUNKS))
+        assert pools == [min(t, tasks) for t in (1, 2, 3)]
     return outputs
 
 
@@ -383,73 +390,31 @@ def test_a_sweep_of_fewer_points_than_workers_splits_them(backend, dump,
 
 
 @pytest.mark.parametrize("mode", ["cfd", "noncfd"])
-def test_dump_rejects_a_run_whose_counts_differ(mode, tmp_path, monkeypatch):
-    # The first chunk of the second point moves one trial to another state.
-    name = "run_cfd" if mode == "cfd" else "run_noncfd"
-    runner, calls = getattr(sweep, name), []
+def test_a_dumped_sweep_passes_each_trial_once(mode, tmp_path, monkeypatch):
+    # Trials through experiment._pass per point seed: a dump run's rows
+    # are the counts of the trials it dumps, with no second pass.
+    make, passed = experiment._pass, {}
 
-    def first_off_by_one(run):
-        if run.start == 0:  # a point's first chunk
-            calls.append(run)
-            if len(calls) == 2:
-                run.counts = run.counts.copy()
-                at = int(np.flatnonzero(run.counts)[0])
-                run.counts.flat[at] -= 1
-                run.counts.flat[(at + 1) % run.counts.size] += 1
+    def counted(cfd, params, quad, seed, *args, **kwargs):
+        chunk = make(cfd, params, quad, seed, *args, **kwargs)
+
+        def run(start, n):
+            passed[seed] = passed.get(seed, 0) + n
+            return chunk(start, n)
         return run
 
-    def off_by_one(*args):
-        if mode == "cfd":
-            return first_off_by_one(runner(*args))
-        return map(first_off_by_one, runner(*args))  # run_noncfd yields runs
-
-    monkeypatch.setattr(sweep, name, off_by_one)
-    # Several chunks per point, so that point 1 writes records before its
-    # counts are checked.
+    monkeypatch.setattr(experiment, "_pass", counted)
     monkeypatch.setattr(experiment, "CHUNK", 64)
-    dump = tmp_path / "trials.csv"
-    cfg = RunConfig(mode=mode, n=300, theta_steps=3, dump_trials=str(dump))
-    theta = repr(float(sweep.theta_grid(cfg)[1]))
-    with pytest.raises(RuntimeError, match=rf"point 1 \(theta={theta}, "):
-        sweep_theta(cfg)
-    assert len(calls) == 2
-    records = 300 if mode == "cfd" else 4 * 300
-    assert len(dump.read_bytes().splitlines()) == 1 + records
-
-
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-def test_dump_to_a_pipe_stops_on_a_count_mismatch(tmp_path, monkeypatch):
-    # A pipe cannot be cut back: it keeps point 1's records up to the
-    # check, and the run still stops with the error naming point 1.
-    runner, calls = sweep.run_cfd, []
-
-    def off_by_one(*args):
-        run = runner(*args)
-        calls.append(run)
-        if len(calls) == 4:  # point 1's second and last chunk
-            run.counts = run.counts.copy()
-            run.counts.flat[int(np.flatnonzero(run.counts)[0])] -= 1
-        return run
-
-    monkeypatch.setattr(sweep, "run_cfd", off_by_one)
-    monkeypatch.setattr(experiment, "CHUNK", 64)
-    fifo = tmp_path / "trials.fifo"
-    os.mkfifo(fifo)
-    received = []
-
-    def read():
-        with open(fifo, "rb") as fh:
-            received.append(fh.read())
-
-    reader = threading.Thread(target=read, daemon=True)
-    reader.start()
-    cfg = RunConfig(n=100, theta_steps=2, dump_trials=str(fifo))
-    with pytest.raises(RuntimeError, match=r"point 1 \(theta="):
-        sweep_theta(cfg)
-    reader.join(timeout=60)
-    assert not reader.is_alive()
-    assert len(calls) == 4
-    assert len(received[0].splitlines()) == 1 + 100 + 100
+    cfg = RunConfig(mode=mode, n=300, theta_steps=3)
+    rows = rows_to_csv(*sweep_theta(cfg))
+    walked, passed = passed, {}
+    cfg.dump_trials = str(tmp_path / "trials.csv")
+    assert rows_to_csv(*sweep_theta(cfg)) == rows
+    seeds = [rng.derive_seed(cfg.seed, i) for i in range(3)]
+    assert sorted(passed) == sorted(seeds)
+    assert passed == walked
+    if mode == "cfd":
+        assert passed == dict.fromkeys(seeds, 300)
 
 
 def _traced_peak(point) -> int:
@@ -477,6 +442,21 @@ def test_streamed_noncfd_point_memory_stays_bounded(monkeypatch):
         assert _traced_peak(lambda: sweep._point_counts(
             "noncfd", ModelParams(threshold=-0.999), THETA_38, 1_000_000,
             3)) < 32 * 2**20
+
+
+def test_sweep_bookkeeping_does_not_grow_with_n(monkeypatch):
+    # 4 points of 1e9 CFD trials are 15,260 blocks of 2^18 trials: the
+    # sweep holds neither a task nor counts per block.  Each block's
+    # counts are its trials at state 255, all +1 and all identified.
+    def block(mode, params, theta, n, seed, span):
+        counts = np.zeros(256, np.int64)
+        counts[255] = span[1] - span[0]
+        return counts
+
+    monkeypatch.setattr(sweep, "_point_counts", block)
+    peaks = [_traced_peak(lambda: sweep_theta(RunConfig(n=n, theta_steps=4)))
+             for n in (10**8, 10**9)]
+    assert peaks[1] < peaks[0] + 2**15, peaks
 
 
 @pytest.mark.parametrize("mode,n", [("cfd", 300_000), ("noncfd", 50_000)])

@@ -12,6 +12,7 @@ __pycache__ is a cache of its own.
 import hashlib
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -196,7 +197,7 @@ def test_a_new_build_removes_this_interpreters_stale_libraries(tmp_path):
         library.write_bytes(b"a library that this build does not replace")
     first = tmp_path / "first.c"
     second = tmp_path / "second.c"
-    text = open(kernels._SOURCE).read()
+    text = pathlib.Path(kernels._SOURCE).read_text()
     first.write_text(text)
     second.write_text(text + "\n/* another source */\n")
     for source in (first, second):
@@ -457,7 +458,7 @@ def test_a_library_whose_formatter_disagrees_with_python(tmp_path, old, new):
     # a 17-digit rounding that takes every tie up, where '%.17g' rounds
     # half to even.
     source = tmp_path / "_cpass.c"
-    text = open(kernels._SOURCE).read()
+    text = pathlib.Path(kernels._SOURCE).read_text()
     assert old in text
     source.write_text(text.replace(old, new))
     assert kernels.load_cpass(str(source), str(tmp_path / "cache")) is None
@@ -476,7 +477,7 @@ def test_a_library_whose_pass_disagrees_with_numpy(tmp_path, old, new):
     # One operation reordered: each + - * still rounds once, but the
     # values are no longer numpy's.  The source still builds.
     source, cache = tmp_path / "_cpass.c", str(tmp_path / "cache")
-    text = open(kernels._SOURCE).read()
+    text = pathlib.Path(kernels._SOURCE).read_text()
     assert old in text
     source.write_text(text.replace(old, new))
     assert kernels._compiled(str(source), cache) is not None
