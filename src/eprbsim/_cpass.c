@@ -388,6 +388,27 @@ struct cpass_column {
     int64_t length;     /* bytes of the text */
 };
 
+/* The eight decimal digits of m < 10**8, zero padded, one a byte (0 to
+ * 9, not yet text), the first in the lowest byte: m splits into two
+ * halves of four digits, each half into two pairs, each pair into two
+ * digits, all lanes of a word at once.  Each lane's product stays
+ * inside the lane, and (y * 5243) >> 19 = y / 100 for y < 10**4, (y *
+ * 103) >> 10 = y / 10 for y < 100. */
+static inline uint64_t digits_8(uint32_t m)
+{
+    uint64_t x = (uint64_t)(m / 10000) | (uint64_t)(m % 10000) << 32;
+    uint64_t high = (x * 5243 >> 19) & 0x0000007F0000007FULL;
+    x = high | (x - high * 100) << 16;
+    high = (x * 103 >> 10) & 0x000F000F000F000FULL;
+    return high | (x - high * 10) << 8;
+}
+
+static inline void store_text(char *p, uint64_t digits)
+{
+    digits |= 0x3030303030303030ULL;  /* '0' in every byte */
+    memcpy(p, &digits, sizeof digits);
+}
+
 /* The decimal digits of m at p; returns their end. */
 static char *put_digits(char *p, uint64_t m)
 {
@@ -402,9 +423,12 @@ static char *put_digits(char *p, uint64_t m)
     return p;
 }
 
-/* str(v).  The sign is written without a branch: the dump's outcomes
- * are -1 and +1 at random. */
-static char *put_int(char *p, int64_t v)
+/* str(v), digit by digit past the first: an int8 column's writer, whose
+ * fields hold 4 bytes.  The sign is written without a branch: the dump's
+ * outcomes are -1 and +1 at random.  Always inlined, so that an int8
+ * field takes no call. */
+static inline __attribute__((always_inline)) char *
+put_small(char *p, int64_t v)
 {
     uint64_t m = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;  /* -2**63 too */
     *p = '-';
@@ -414,6 +438,22 @@ static char *put_int(char *p, int64_t v)
         return p + 1;
     }
     return put_digits(p, m);
+}
+
+/* str(v) of an int64, whose field holds 20 bytes.  A value of 2 to 8
+ * digits (the dump's trial index) is one word of digits_8 without its
+ * leading zeros, stored whole: the store stays inside the field. */
+static char *put_int(char *p, int64_t v)
+{
+    uint64_t m = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    if (m < 10 || m >= 100000000)
+        return put_small(p, v);
+    uint64_t digits = digits_8((uint32_t)m);
+    int zeros = __builtin_ctzll(digits) >> 3;  /* m >= 10: at most 6 */
+    *p = '-';
+    p += v < 0;
+    store_text(p, digits >> 8 * zeros);
+    return p + 8 - zeros;
 }
 
 #if defined(__SIZEOF_INT128__)
@@ -436,37 +476,27 @@ static const u128 POW10_INT[21] = {
     10000000000000000000ULL, (u128)10000000000000000000ULL * 10,
 };
 
-/* The eight decimal digits of m < 10**8, zero padded, one a byte (0 to
- * 9, not yet text), the first in the lowest byte: m splits into two
- * halves of four digits, each half into two pairs, each pair into two
- * digits, all lanes of a word at once.  Each lane's product stays
- * inside the lane, and (y * 5243) >> 19 = y / 100 for y < 10**4, (y *
- * 103) >> 10 = y / 10 for y < 100. */
-static inline uint64_t digits_8(uint32_t m)
-{
-    uint64_t x = (uint64_t)(m / 10000) | (uint64_t)(m % 10000) << 32;
-    uint64_t high = (x * 5243 >> 19) & 0x0000007F0000007FULL;
-    x = high | (x - high * 100) << 16;
-    high = (x * 103 >> 10) & 0x000F000F000F000FULL;
-    return high | (x - high * 10) << 8;
-}
+/* digits_8(i) >> 32 for each i < 10**4: its four digits, one a byte,
+ * the first in the lowest.  Filled when the library is loaded. */
+static uint32_t DIGITS_4[10000];
 
-static inline void store_text(char *p, uint64_t digits)
+__attribute__((constructor)) static void fill_digits_4(void)
 {
-    digits |= 0x3030303030303030ULL;  /* '0' in every byte */
-    memcpy(p, &digits, sizeof digits);
+    for (uint32_t i = 0; i < 10000; i++)
+        DIGITS_4[i] = (uint32_t)(digits_8(i) >> 32);
 }
 
 /* '%.17g' of a v that prints in fixed notation, decimal exponent e10 in
  * [-4, 16].  The digits are those of D = |v| * 10**(16 - e10) rounded
  * half to even, '%.17g''s own rounding, computed exactly: |v| = m *
  * 2**-r with an integer m < 2**53, and m * 10**(16 - e10) < 2**120, so
- * D is that product shifted right by r bits, rounded.  Returns the end
- * of the text, or NULL where D falls outside [10**16, 10**17) (its
- * rounding carried into an 18th digit, and the exponent with it) and for
- * any v outside [1e-4, 1e17) in magnitude, nan included.  The text is at
- * most 23 bytes, and no store reaches past them: the caller's buffer
- * holds 24 bytes per double. */
+ * D is that product shifted right by r bits, rounded: 2**(r - 1) - 1 is
+ * added to it, and 1 more where D's last bit is 1.  Returns the end of
+ * the text, or NULL where D falls outside [10**16, 10**17) (its rounding
+ * carried into an 18th digit, and the exponent with it) and for any v
+ * outside [1e-4, 1e17) in magnitude, nan included.  The text is at most
+ * 23 bytes, and no store reaches past them: the caller's buffer holds 24
+ * bytes per double. */
 static char *put_fixed(char *p, double v)
 {
     double a = fabs(v);
@@ -479,21 +509,44 @@ static char *put_fixed(char *p, double v)
      * >> 12 is floor(e2 log10 2) for every e2 here (>> of a negative int
      * floors, in gcc and clang). */
     int e10 = (e2 * 1233) >> 12;
-    e10 += a >= POW10[e10 + 5];
-    u128 n = (u128)((bits & 0xFFFFFFFFFFFFFULL) | 1ULL << 52)
-             * POW10_INT[16 - e10];
+    uint64_t m = (bits & 0xFFFFFFFFFFFFFULL) | 1ULL << 52;
     int r = 52 - e2;  /* a = m 2**-r, r in [-4, 66] */
-    u128 d;
-    if (r > 0)  /* + 2**(r - 1) - 1, and 1 more where D's last bit is 1 */
-        d = (n + ((u128)1 << (r - 1)) - 1 + (n >> r & 1)) >> r;
-    else
-        d = n << -r;
-    if (!(d >= POW10_INT[16] && d < POW10_INT[17]))
-        return NULL;
-    /* The 17 digits: one, then the eight of mid, then the eight of low. */
-    uint64_t sig = (uint64_t)d, top = sig / 100000000;
-    uint64_t mid = digits_8((uint32_t)(top % 100000000));
-    uint64_t low = digits_8((uint32_t)(sig % 100000000));
+    uint64_t sig;
+    if (e2 >= -9 && e2 <= 51
+        && (e10 == ((e2 + 1) * 1233) >> 12 || e2 == -1)) {
+        /* The binade [2**e2, 2**(e2 + 1)) lies inside decade e10: no power
+         * of ten falls in it, and 1 = 10**0 ends [1/2, 1).  So e10 is
+         * floor(e2 log10 2), 10**(16 - e10) < 2**64 and r is in [1, 61]:
+         * the product is one 64 x 64 -> 128-bit multiply, and D its words
+         * shifted right by r.  D lies in [10**16, 10**17): a >= 10**e10,
+         * and a's ulp scaled by 10**(16 - e10) exceeds 1, so no rounding
+         * reaches 10**17. */
+        u128 n = (u128)m * (uint64_t)POW10_INT[16 - e10];
+        uint64_t lo = (uint64_t)n, hi = (uint64_t)(n >> 64);
+        uint64_t q = lo >> r | hi << (64 - r);
+        uint64_t rest = lo & ((1ULL << r) - 1);
+        sig = q + ((rest + (1ULL << (r - 1)) - 1 + (q & 1)) >> r);
+    } else {
+        e10 += a >= POW10[e10 + 5];
+        u128 n = (u128)m * POW10_INT[16 - e10], d;
+        if (r > 0)
+            d = (n + ((u128)1 << (r - 1)) - 1 + (n >> r & 1)) >> r;
+        else
+            d = n << -r;
+        if (!(d >= POW10_INT[16] && d < POW10_INT[17]))
+            return NULL;
+        sig = (uint64_t)d;
+    }
+    /* The 17 digits: the first, then four groups of four, each group
+     * from the quotients of sig by powers of 10**4 at once, and its
+     * digits one word of DIGITS_4.  mid holds the first two groups, low
+     * the last two. */
+    uint64_t q1 = sig / 10000, q2 = sig / 100000000;
+    uint64_t q3 = sig / 1000000000000ULL, top = sig / 10000000000000000ULL;
+    uint64_t mid = (uint64_t)DIGITS_4[q3 - top * 10000]
+                   | (uint64_t)DIGITS_4[q2 - q3 * 10000] << 32;
+    uint64_t low = (uint64_t)DIGITS_4[q1 - q2 * 10000]
+                   | (uint64_t)DIGITS_4[sig - q1 * 10000] << 32;
     /* the last nonzero digit; the first is never zero */
     int last = low ? 16 - (__builtin_clzll(low) >> 3)
                : mid ? 8 - (__builtin_clzll(mid) >> 3) : 0;
@@ -507,7 +560,7 @@ static char *put_fixed(char *p, double v)
         memcpy(p, "0.000000", 8);
         q = p + 1 - e10;
     }
-    q[0] = (char)('0' + top / 100000000);
+    q[0] = (char)('0' + top);
     store_text(q + 1, mid);
     store_text(q + 9, low);
     if (e10 < 0)
@@ -562,7 +615,7 @@ int64_t cpass_format(const struct cpass_column *columns, int64_t ncolumns,
                 memcpy(&v, at, sizeof v);
                 p = put_int(p, v);
             } else if (col->kind == COLUMN_INT8) {
-                p = put_int(p, *(const int8_t *)at);
+                p = put_small(p, *(const int8_t *)at);
             } else {
                 double v;
                 memcpy(&v, at, sizeof v);

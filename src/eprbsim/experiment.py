@@ -18,7 +18,8 @@ otherwise in numpy (kernels.numpy_chunk), with the same values, bit for
 bit.  `cfd_counts` and `noncfd_counts` sum the walk's counts without
 keeping per-trial arrays.  A trial dump (sweep._TrialDumper) sums the
 counts of runs that also hold each trial's records instead: `run_cfd`
-of any range of CFD trials, or the chunks of the walk `run_noncfd` yields.
+of each CHUNK of CFD trials, all through one pass of the point, or the
+chunks of the walk `run_noncfd` yields.
 """
 from __future__ import annotations
 
@@ -225,6 +226,16 @@ def _pass(cfd: bool, params: ModelParams, quad: SettingsQuad, seed: int,
     return chunk
 
 
+def _quota_cut(states: np.ndarray, room: np.ndarray) -> np.ndarray:
+    """Cut a non-CFD chunk at its pairs' quotas: pair p keeps its first
+    room[p] trials, and each trial past them gets state 64, in place.
+    Returns the 64 state counts of the trials kept."""
+    pair = states >> 4
+    for p in range(4):
+        states[np.flatnonzero(pair == p)[room[p]:]] = 64
+    return np.bincount(states, minlength=65)[:64]
+
+
 def _point_chunks(cfd: bool, params: ModelParams, quad: SettingsQuad, n: int,
                   seed: int, trials: bool = False, span=None):
     """(start, counts, states, volts) of each chunk of a point's pass, in
@@ -236,8 +247,9 @@ def _point_chunks(cfd: bool, params: ModelParams, quad: SettingsQuad, n: int,
     chunks of up to 2 * CHUNK trials, which evaluate as many stations as
     a CFD chunk does, and keeps a trial while its setting pair holds
     fewer than n (the quota); a trial past that gets state 64 and is left
-    out of the counts.  The walk ends with the chunk whose counts bring
-    every pair to n, so memory does not grow with n.
+    out of the counts (_quota_cut, only in a chunk where some pair drew
+    more trials than its room).  The walk ends with the chunk whose
+    counts bring every pair to n, so memory does not grow with n.
 
     counts are the chunk's 256 (CFD) or 64 state counts, states each
     trial's state and volts, with trials, the voltages of its stations,
@@ -254,13 +266,10 @@ def _point_chunks(cfd: bool, params: ModelParams, quad: SettingsQuad, n: int,
         counts, states, volts = chunk(start, min(length, hi - start) if cfd
                                       else length)
         if not cfd:
-            room = n - held
-            if room.min() < length:  # a pair may fill in this chunk
-                pair = states >> 4
-                for p in range(4):  # pair p keeps its first room[p] trials
-                    states[np.flatnonzero(pair == p)[room[p]:]] = 64
-                counts = np.bincount(states, minlength=65)[:64]
-            held += counts.reshape(4, 16).sum(axis=1)
+            room, drawn = n - held, counts.reshape(4, 16).sum(axis=1)
+            if np.any(drawn > room):  # a pair passes its quota here
+                counts = _quota_cut(states, room)
+            held += np.minimum(drawn, room)
         yield start, counts, states, volts
         if not cfd and held.min() == n:
             return
@@ -291,14 +300,26 @@ def _bits(states: np.ndarray, count: int) -> np.ndarray:
 
 
 def run_cfd(params: ModelParams, quad: SettingsQuad, n: int, seed: int,
-            start: int = 0) -> CfdRun:
+            start: int = 0, chunk=None) -> CfdRun:
     """CFD trials start..start+n-1 of cfd_counts' pass, with each trial's
     outcomes, voltages and flags.  A CFD trial depends on its index
-    alone, so any range of a point stands on its own."""
+    alone, so any range of a point stands on its own.
+
+    chunk is the point's pass, _pass(True, params, quad, seed, capacity,
+    trials=True) with capacity >= n, or None for a pass of this run
+    alone.  Handed the point's pass, the run's v and counts are its
+    arrays, overwritten by the pass's next chunk, and the quadruple
+    identities are left to the caller, who checks them on the point's
+    summed counts (_check_identities, as sweep._cfd_row does); otherwise
+    they are checked here.
+    """
     _validate_run(n, seed)
-    counts, states, v = _pass(True, params, quad, seed, n, trials=True)(start,
-                                                                         n)
-    _check_identities(counts)
+    if chunk is None:
+        counts, states, v = _pass(True, params, quad, seed, n,
+                                  trials=True)(start, n)
+        _check_identities(counts)
+    else:
+        counts, states, v = chunk(start, n)
     bits = _bits(states, 8)  # x then w of each station
     return CfdRun(params=params, quad=quad, n=n, seed=seed,
                   x=2 * bits[:, :4] - 1, v=v.T, w=bits[:, 4:], counts=counts,

@@ -621,17 +621,22 @@ def _remove_stale(cache: str, path: str, cpu: str) -> None:
 
 
 # The known-answer check of cpass_format: exact ties at 17 digits, whose
-# rounding goes to the even digit (1 + 2**-17 down, and in the voltages'
-# decade 26215 * 2**-18 up and -26217 * 2**-18 down), the smallest
-# subnormal, both ends of fixed notation and values past them, signed
-# zeros, infinities and nans, and the ends of int64 and of int8.
+# rounding goes to the even digit (1 + 2**-17 down; 26215 * 2**-18 up and
+# -26217 * 2**-18 down, in a binade that holds 0.1; 196611 * 2**-18 up
+# and -196609 * 2**-18 down, in the voltages' binade [1/2, 1)), the
+# smallest subnormal, both ends of fixed notation and values past them,
+# signed zeros, infinities and nans; the ends of int64, int64s of 7, 8
+# and 9 digits (the last two on either side of put_int's one-word path),
+# and the ends of int8.
 _CHECK_FLOATS = np.array([1 + 2.0 ** -17, 26215 * 2.0 ** -18,
-                          -26217 * 2.0 ** -18, 5e-324, 1e16, 1e17, 1e-4,
+                          -26217 * 2.0 ** -18, 196611 * 2.0 ** -18,
+                          -196609 * 2.0 ** -18, 5e-324, 1e16, 1e17, 1e-4,
                           1e-5, 0.0, -0.0, math.inf, -math.inf, math.nan,
                           math.copysign(math.nan, -1.0), -0.7071067811865476,
                           123456789.125])
-_CHECK_INTS = np.array([-2 ** 63, 2 ** 63 - 1, 0, -1, 7, 10 ** 18] +
-                       [0] * (len(_CHECK_FLOATS) - 6), np.int64)
+_CHECK_INTS = np.array([-2 ** 63, 2 ** 63 - 1, 0, -1, 7, 10 ** 18, -1234567,
+                        99999999, 100000000] +
+                       [0] * (len(_CHECK_FLOATS) - 9), np.int64)
 _CHECK_INT8S = np.resize(np.array([-128, 127, -1, 0, 1, 9, 10, -10],
                                   np.int8), len(_CHECK_FLOATS))
 _CHECK_CSV = "".join(

@@ -375,12 +375,16 @@ class _TrialDumper:
                     seed: int) -> np.ndarray:
         """Write a point's records a run at a time, in counter order, and
         return the sum of the runs' state counts: run_cfd over each CHUNK
-        of trials, or the runs of run_noncfd, whose quota ties each chunk
-        to the chunks before it."""
-        quad, chunk = SettingsQuad.for_theta(theta), experiment.CHUNK
+        of trials, all from one pass of the point, whose quadruples the
+        row checks on the sum (_cfd_row), or the runs of run_noncfd,
+        whose quota ties each chunk to the chunks before it."""
+        quad, length = SettingsQuad.for_theta(theta), experiment.CHUNK
         if self.mode == "cfd":
-            runs = (run_cfd(params, quad, min(chunk, n - start), seed, start)
-                    for start in range(0, n, chunk))
+            chunk = experiment._pass(True, params, quad, seed,
+                                     min(length, n), trials=True)
+            runs = (run_cfd(params, quad, min(length, n - start), seed, start,
+                            chunk)
+                    for start in range(0, n, length))
         else:
             runs = run_noncfd(params, quad, n, seed)
         counts = 0

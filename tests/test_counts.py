@@ -512,6 +512,42 @@ def test_noncfd_runs_walk_the_chunks_of_noncfd_counts(backend, monkeypatch):
     assert np.all(held[:-1].min(axis=1) < quota)
 
 
+@pytest.mark.parametrize("chunk,theta,quota,seeds", [
+    (32, 1.1, 300, range(1, 6)),  # pairs that fill in different chunks
+    (experiment.CHUNK, 0.5, 100_000, range(3)),  # theta-noncfd's shape
+], ids=["short-chunks", "theta-noncfd"])
+def test_a_noncfd_chunk_is_cut_only_where_a_pair_overflows(
+        chunk, theta, quota, seeds, monkeypatch):
+    """experiment._quota_cut runs on exactly the chunks that drop a trial:
+    those in which some pair drew more trials than its room.  At
+    theta-noncfd's quota that is one chunk per point, where cutting each
+    chunk in which some pair's room was below the chunk's length cut
+    four."""
+    monkeypatch.setattr(experiment, "CHUNK", chunk)
+    cut, cuts = experiment._quota_cut, []
+
+    def counted(states, room):
+        cuts.append(room.copy())
+        return cut(states, room)
+
+    monkeypatch.setattr(experiment, "_quota_cut", counted)
+    quad, length = SettingsQuad.for_theta(theta), 2 * chunk
+    per_point = []
+    for seed in seeds:
+        cuts.clear()
+        runs = list(run_noncfd(ModelParams(), quad, quota, seed))
+        held = np.cumsum([[0] * 4] + [run.counts.sum(axis=1)
+                                      for run in runs], axis=0)
+        assert len(cuts) == sum(run.n < run.n_trials for run in runs)
+        per_point.append((len(cuts),
+                          int(np.sum((quota - held[:-1]).min(axis=1)
+                                     < length))))
+    if quota == 100_000:
+        assert per_point == [(1, 4)] * len(seeds)
+    else:
+        assert max(c for c, _ in per_point) > 1
+
+
 @pytest.mark.parametrize("backend", PASSES)
 def test_cfd_counts_are_the_runs_of_the_dump(backend, monkeypatch):
     _walked(backend, monkeypatch)

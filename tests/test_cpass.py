@@ -24,7 +24,7 @@ from eprbsim import cli, experiment, kernels, sweep
 from eprbsim.experiment import cfd_counts, noncfd_counts
 from eprbsim.params import ModelParams, SettingsQuad
 from test_certified import DECISION_N, chunk_values, decision_params
-from test_dump import EDGE
+from test_dump import EDGE, FAST_EDGE, INT_EDGE
 from test_output_bytes import RUNS
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None,
@@ -439,8 +439,11 @@ def test_both_flag_sets_give_the_same_counts(builds, d, monkeypatch):
 
 @needs_cc
 def test_the_source_compiles_without_warnings(tmp_path):
+    # The last build is that of a target without 128-bit integers, whose
+    # floats all go to snprintf.
     for flags in (kernels._CFLAGS, kernels._NATIVE_CFLAGS,
-                  *([NO_AVX512_CFLAGS] if _has("AVX512F") else [])):
+                  *([NO_AVX512_CFLAGS] if _has("AVX512F") else []),
+                  (*kernels._CFLAGS, "-U__SIZEOF_INT128__")):
         out = subprocess.run(
             ["cc", *flags, "-Wall", "-Wextra", "-Werror", "-o",
              str(tmp_path / "lib.so"), kernels._SOURCE, "-lm"],
@@ -452,11 +455,16 @@ def test_the_source_compiles_without_warnings(tmp_path):
 @pytest.mark.parametrize("old,new", [
     ("if (isnan(v)) {", "if (isnan(v) && 0) {"),
     ("- 1 + (n >> r & 1)) >> r;", ") >> r;"),
-], ids=["nan", "ties-up"])
+    ("(rest + (1ULL << (r - 1)) - 1 + (q & 1)) >> r",
+     "(rest + (1ULL << (r - 1))) >> r"),
+    ("m < 10 || m >= 100000000", "m < 10 || m > 100000000"),
+], ids=["nan", "ties-up", "binade-ties-up", "int-word-edge"])
 def test_a_library_whose_formatter_disagrees_with_python(tmp_path, old, new):
     # "-nan" for a nan with its sign bit set, as the C library prints it;
     # a 17-digit rounding that takes every tie up, where '%.17g' rounds
-    # half to even.
+    # half to even, in a binade that holds a power of ten and in one
+    # inside a decade; 10**8, of 9 digits, through the one-word path of
+    # 2 to 8 digits.
     source = tmp_path / "_cpass.c"
     text = pathlib.Path(kernels._SOURCE).read_text()
     assert old in text
@@ -487,9 +495,10 @@ def test_a_library_whose_pass_disagrees_with_numpy(tmp_path, old, new):
 SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 # Loads the library built with SANITIZE added to both flag sets from the
 # cache given, which runs its known-answer checks.  Then it formats each
-# value of the float64 bytes read from stdin, and the ends of int64 and
-# int8, each the last field of a buffer of the size format_csv allocates
-# for it, and runs a CFD and a non-CFD CLI point of 1001 trials at d = 0.5
+# value of the float64 and the int64 bytes read from stdin, and the ends
+# of int8, each the last field of a buffer of the size format_csv
+# allocates for it, so that no store of a field reaches past it, and
+# runs a CFD and a non-CFD CLI point of 1001 trials at d = 0.5
 # with a trial dump, and a CFD point of two blocks (sweep.BLOCK_CHUNKS
 # CHUNKs each) and 5 trials on two threads, so that two passes run at
 # once; it prints the sha256 of each rows' and dump's file.  A sanitizer that
@@ -503,8 +512,10 @@ kernels._NATIVE_CFLAGS += extra
 kernels._CFLAGS += extra
 lib = kernels.load_cpass(kernels._SOURCE, os.path.join(work, "cache"))
 assert lib is not None
-floats = np.frombuffer(bytes.fromhex(sys.stdin.read()))
-for column in (*floats[:, None], *np.array([[-2 ** 63], [2 ** 63 - 1]]),
+floats, ints = sys.stdin.read().split()
+floats = np.frombuffer(bytes.fromhex(floats))
+ints = np.frombuffer(bytes.fromhex(ints), np.int64)
+for column in (*floats[:, None], *ints[:, None],
                *np.array([[-128], [127], [-1], [0]], np.int8)):
     value = ("%.17g" % column[0] if column.dtype == np.float64
              else str(column[0])).encode()
@@ -556,7 +567,8 @@ def test_the_library_runs_clean_under_the_sanitizers(tmp_path):
     """Built with AddressSanitizer and UndefinedBehaviorSanitizer, the
     library reads and writes nothing outside its arrays and buffers and
     does nothing undefined, in its load checks, in the formatter's widest
-    fields and in a point of each pass with its trial dump, and gives
+    fields, at the edges of its one-word paths (test_dump's FAST_EDGE and
+    INT_EDGE) and in a point of each pass with its trial dump, and gives
     this process's bytes.  It runs in a fresh interpreter with the
     sanitizer's runtime preloaded; the library is built here, without
     it, so that the compiler does not run under it."""
@@ -576,7 +588,9 @@ def test_the_library_runs_clean_under_the_sanitizers(tmp_path):
            "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"}
     out = subprocess.run(
         [sys.executable, "-c", SANITIZED_RUN, str(tmp_path), *SANITIZE],
-        input=np.array(EDGE).tobytes().hex(), env=env, capture_output=True,
-        text=True, timeout=600)
+        input=" ".join(np.array(values, dtype).tobytes().hex() for values,
+                       dtype in ((EDGE + FAST_EDGE, np.float64),
+                                 (INT_EDGE + [2 ** 63 - 1], np.int64))),
+        env=env, capture_output=True, text=True, timeout=600)
     assert out.returncode == 0, out.stderr[-4000:]
     assert out.stdout.split() == ["c", *_sanitized_shas(tmp_path)]

@@ -161,6 +161,23 @@ def test_dump_when_pairs_fill_in_different_chunks(tmp_path, monkeypatch):
     assert spread >= 2
 
 
+def test_a_dumped_cfd_point_runs_one_pass_and_one_identity_check(
+        tmp_path, monkeypatch):
+    # Its runs, one a CHUNK, share the point's pass, and the row checks
+    # the quadruples of their summed counts.
+    passes, checks = [], []
+    make_pass, check = experiment._pass, experiment._check_identities
+    monkeypatch.setattr(experiment, "_pass", lambda *args, **kwargs:
+                        passes.append(args[4]) or make_pass(*args, **kwargs))
+    monkeypatch.setattr(experiment, "_check_identities", lambda counts:
+                        checks.append(int(counts.sum())) or check(counts))
+    n = 2 * experiment.CHUNK + 5
+    got, want, chunks = _dump_and_reference(
+        tmp_path, monkeypatch, "--theta-steps", "2", "--n", str(n))
+    assert got == want and chunks == 6
+    assert passes == [experiment.CHUNK] * 2 and checks == [n, n]
+
+
 def test_dump_bytes_without_the_compiled_formatter(tmp_path, monkeypatch):
     monkeypatch.setattr(kernels, "BACKEND", "numpy")
     for args in (("--theta-steps", "2", "--n", "300", "--seed", "10"),
@@ -215,6 +232,78 @@ EDGE = [
     *(math.nextafter(10.0 ** k, 0.0) for k in range(-6, 18)),
     *(math.nextafter(10.0 ** k, math.inf) for k in range(-6, 18)),
 ]
+
+
+def _binades_in_one_decade():
+    """(e2, e10) of each binade [2**e2, 2**(e2 + 1)) of fixed notation's
+    [1e-4, 1e17) that lies inside one decade [10**e10, 10**(e10 + 1)).
+    put_fixed takes those of e2 in [-9, 51] on its one-word path."""
+    out = []
+    for e2 in range(-14, 57):
+        low, high = Fraction(2) ** e2, Fraction(2) ** (e2 + 1)
+        e10 = 0
+        while Fraction(10) ** e10 > low:
+            e10 -= 1
+        while Fraction(10) ** (e10 + 1) <= low:
+            e10 += 1
+        if low >= Fraction(1, 10 ** 4) and high <= Fraction(10) ** 17 \
+                and high <= Fraction(10) ** (e10 + 1):
+            out.append((e2, e10))
+    return out
+
+
+def _binade_edges(e2, e10):
+    """Both ends of the binade and, where doubles reach them, two exact
+    17-digit ties in it: j * 2**-(17 - e10) with j odd is a tie, which
+    '%.17g' rounds down (to even) where j = 1 (mod 4) and up where j = 3
+    (mod 4) (see _ties)."""
+    out = [2.0 ** e2, math.nextafter(2.0 ** (e2 + 1), 0.0)]
+    t = 17 - e10
+    if e2 + t < 53:  # j < 2**53
+        mid = 3 << (e2 + t - 1)  # the binade's middle, a multiple of 4
+        for j in (mid + 1, mid + 3):
+            x = j * 2.0 ** -t
+            scaled = Fraction(x) * Fraction(10) ** (16 - e10)
+            assert scaled - math.floor(scaled) == Fraction(1, 2)
+            assert math.floor(scaled) % 2 == (j % 4 == 3)
+            out.append(x)
+    return out
+
+
+# Doubles of each binade inside one decade (both ends, and ties rounding
+# down and up), with both signs, and the ends of the voltages' range;
+# int64s at the ends of each decimal length (put_int writes 2 to 8 digits
+# in one word), either side of 10**8 and at -2**63.
+FAST_EDGE = [sign * x for e2, e10 in _binades_in_one_decade()
+             for x in _binade_edges(e2, e10) for sign in (1.0, -1.0)] \
+    + [-0.5, -1.0, math.nextafter(1.0, 0.0)]
+INT_EDGE = [sign * (10 ** k + d) for k in range(1, 19) for d in (-1, 0)
+            for sign in (1, -1)] + [10 ** 8 - 1, 10 ** 8, -2 ** 63]
+
+
+def test_the_binades_inside_one_decade():
+    # 50 of fixed notation's 70 binades: [1/2, 1), the default voltages'
+    # binade, and [1, 2) among them, not [2**-10, 2**-9), which holds
+    # 10**-3.  Doubles reach ties in each but the last four.
+    binades = _binades_in_one_decade()
+    assert len(binades) == 50
+    assert (-1, -1) in binades and (0, 0) in binades
+    assert -10 not in dict(binades)
+    assert [len(_binade_edges(*b)) for b in binades] == [4] * 46 + [2] * 4
+
+
+@pytest.mark.parametrize("compiled", [True, False],
+                         ids=["format_csv", "csv_lines"])
+def test_both_writers_print_the_one_word_paths_edges_as_python(compiled):
+    if compiled and kernels.CPASS is None:
+        pytest.skip("no compiled library")
+    floats, ints = np.array(FAST_EDGE), np.array(INT_EDGE, np.int64)
+    want = [("%.17g\n" % v).encode() for v in FAST_EDGE] \
+        + [f"{v},t\n".encode() for v in INT_EDGE]
+    for columns, lines in (([floats], want[:len(floats)]),
+                           ([ints, b"t"], want[len(floats):])):
+        got = _format(columns) if compiled else sweep._csv_lines(columns)
+        assert got == b"".join(lines)
 
 
 @needs_cpass
