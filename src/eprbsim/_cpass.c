@@ -1,9 +1,9 @@
 /* One chunk of the streaming pass of eprbsim: the station law.
  *
- * This is kernels.numpy_chunk transliterated, operation for operation:
- * the counter hash of kernels.fill_uniforms, the table trig of
- * kernels.trig, the angle-addition values, the power of
- * kernels.abs_power and the flags and voltages of kernels.station_law.
+ * This is law.numpy_chunk transliterated, operation for operation:
+ * the counter hash of law.fill_uniforms, the table trig of
+ * law.trig, the angle-addition values, the power of
+ * law.abs_power and the flags and voltages of law.station_law.
  * Built with -ffp-contract=off and without -ffast-math, every + - *
  * rounds once, as numpy's does, and rint, frexp and ldexp (the last two
  * written out on the bits here) are exact, so every state and every
@@ -14,6 +14,11 @@
  * stay in the L1 cache.  The stations run LANES trials at a time, as many
  * doubles as the build target's vectors hold.  Python computes every
  * input (origins, turns, tables, chunk length); see kernels.Compiled.
+ * A pass adds its trials' state counts to the point's, and writes each
+ * trial's state and voltages only where the caller gives it arrays for
+ * them; a non-CFD pass with a quota cuts its trials at it in trial order,
+ * as experiment._quota_cut does, and stops at the trial that fills the
+ * last pair.  cpass_trig is the table trig alone, for the settings.
  *
  * cpass_format writes the trial dump's CSV records: str of each integer
  * and '%.17g' of each double, byte for byte as Python prints them.  A
@@ -53,8 +58,10 @@ struct cpass_point {
     int64_t exp_bits;
     int64_t power;              /* d, if an integer in [1, 32]; else 0 */
     int64_t capacity;           /* trials per chunk, at most */
-    int64_t *hist;              /* the chunk's state counts */
-    uint8_t *codes;             /* each trial's state */
+    int64_t quota;              /* non-CFD trials kept per pair, or 0 */
+    int64_t *hist;              /* the state counts, added to */
+    int64_t *held;              /* with a quota: each pair's kept trials */
+    uint8_t *codes;             /* each trial's state, or NULL */
     double *volts;              /* v, station s at s * capacity, or NULL */
 };
 
@@ -157,7 +164,7 @@ static void fill(uint64_t origin, uint64_t first, double *restrict out)
         out[i] = uniform(origin + (first + (uint64_t)i + 1) * GOLDEN);
 }
 
-/* cos 2phi1 and sin 2phi1 of phi1 = 2 pi u: kernels.trig. */
+/* cos 2phi1 and sin 2phi1 of phi1 = 2 pi u: law.trig. */
 static void trig(const struct cpass_point *p, struct block *b)
 {
     double scale = p->scale, step = p->step;
@@ -219,7 +226,7 @@ static inline double scale_by(double x, int64_t n)
 }
 
 /* |s|**d by the tables, for d not an integer in [0, 32]: the last branch
- * of kernels.abs_power, with frexp and ldexp written out. */
+ * of law.abs_power, with frexp and ldexp written out. */
 static inline double table_power(const struct cpass_point *p, double s)
 {
     int64_t e;
@@ -238,7 +245,7 @@ static inline double table_power(const struct cpass_point *p, double s)
                     i >> p->exp_bits);
 }
 
-/* q = |q|**d in place: kernels.abs_power. */
+/* q = |q|**d in place: law.abs_power. */
 static void abs_power(const struct cpass_point *p, double *restrict q)
 {
     int64_t k = p->power;
@@ -269,7 +276,7 @@ static void abs_power(const struct cpass_point *p, double *restrict q)
     }
 }
 
-/* One station of kernels.station_law over a block: x sets bit xbit of
+/* One station of law.station_law over a block: x sets bit xbit of
  * state and w bit wbit; volts, where not NULL, gets the v of the block's
  * first len trials.  Its turn (ca, sa, ca / 2, sa / 2) is turn0, or turn1
  * where a trial's coin is primed (coin NULL: turn0 throughout); r and
@@ -304,15 +311,43 @@ station(const struct cpass_point *p, const struct block *b, int64_t *state,
         memcpy(volts, q, (size_t)len * sizeof *q);
 }
 
-/* Counts the block's first n states, from trial i0 of the chunk, into
- * hist, and writes them to codes. */
+/* Adds the block's first n states, from trial i0 of the chunk, to hist,
+ * and writes them to codes where it is not NULL. */
 static void count(const struct cpass_point *p, const int64_t *state,
                   int64_t i0, int64_t n)
 {
-    for (int64_t i = 0; i < n; i++) {
+    for (int64_t i = 0; i < n; i++)
         p->hist[state[i]]++;
-        p->codes[i0 + i] = (uint8_t)state[i];
+    if (p->codes)
+        for (int64_t i = 0; i < n; i++)
+            p->codes[i0 + i] = (uint8_t)state[i];
+}
+
+/* Whether each of the four pairs holds its quota. */
+static int full(const struct cpass_point *p)
+{
+    for (int k = 0; k < 4; k++)
+        if (p->held[k] < p->quota)
+            return 0;
+    return 1;
+}
+
+/* The quota cut over the block's first n non-CFD states, in trial order:
+ * a trial's state is added to hist while its pair (state >> 4) holds
+ * fewer than quota trials, and held counts them.  Returns the trials
+ * walked: n, or fewer where one filled the last pair. */
+static int64_t count_quota(const struct cpass_point *p, const int64_t *state,
+                           int64_t n)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int64_t pair = state[i] >> 4;
+        if (p->held[pair] < p->quota) {
+            p->hist[state[i]]++;
+            if (++p->held[pair] == p->quota && full(p))
+                return i + 1;
+        }
     }
+    return n;
 }
 
 static int64_t block_length(int64_t i0, int64_t n)
@@ -326,15 +361,14 @@ static double *volts_at(const struct cpass_point *p, int st, int64_t i0)
     return p->volts ? p->volts + st * p->capacity + i0 : 0;
 }
 
-/* Trials start..start+n-1 of a CFD point: codes gets every trial's state
- * (kernels._CFD_WEIGHTS) and hist their 256 counts.  Streams: the
- * source, then r of each station, then rhat of each. */
-void cpass_cfd(const struct cpass_point *p, uint64_t start, int64_t n)
+/* Trials start..start+n-1 of a CFD point: their 256 state counts
+ * (law._CFD_WEIGHTS) are added to hist, and codes gets every trial's
+ * state.  Streams: the source, then r of each station, then rhat of
+ * each.  Returns n. */
+int64_t cpass_cfd(const struct cpass_point *p, uint64_t start, int64_t n)
 {
     struct block b;
     int64_t state[BLOCK];
-    for (int i = 0; i < 256; i++)
-        p->hist[i] = 0;
     for (int64_t i0 = 0; i0 < n; i0 += BLOCK) {
         for (int st = 0; st < 9; st++)
             fill(p->origins[st], start + (uint64_t)i0, b.u[st]);
@@ -347,18 +381,22 @@ void cpass_cfd(const struct cpass_point *p, uint64_t start, int64_t n)
                     b.u[5 + st], st, 4 + st, volts_at(p, st, i0), len);
         count(p, state, i0, len);
     }
+    return n;
 }
 
-/* Trials start..start+n-1 of a non-CFD point: codes gets every trial's
- * 16 * pair + state (kernels._NONCFD_WEIGHTS) and hist their 64 counts.
- * Streams: the source, each side's coin, then r of each side, then rhat
- * of each. */
-void cpass_noncfd(const struct cpass_point *p, uint64_t start, int64_t n)
+/* Trials start..start+n-1 of a non-CFD point: their 64 counts of 16 *
+ * pair + state (law._NONCFD_WEIGHTS) are added to hist, and codes
+ * gets every trial's.  With a quota, only the trials that the quota cut
+ * keeps are counted (count_quota; codes is not written), and the pass
+ * ends at the trial that fills the last pair.  Streams: the source, each
+ * side's coin, then r of each side, then rhat of each.  Returns the
+ * trials walked. */
+int64_t cpass_noncfd(const struct cpass_point *p, uint64_t start, int64_t n)
 {
     struct block b;
     int64_t state[BLOCK], primed1 = 32, primed2 = 16;
-    for (int i = 0; i < 64; i++)
-        p->hist[i] = 0;
+    if (p->quota && full(p))
+        return 0;
     for (int64_t i0 = 0; i0 < n; i0 += BLOCK) {
         for (int st = 0; st < 7; st++)
             fill(p->origins[st], start + (uint64_t)i0, b.u[st]);
@@ -373,7 +411,30 @@ void cpass_noncfd(const struct cpass_point *p, uint64_t start, int64_t n)
                     b.u[3 + side], b.u[5 + side], side, 2 + side,
                     volts_at(p, side, i0), len);
         }
-        count(p, state, i0, len);
+        if (!p->quota) {
+            count(p, state, i0, len);
+        } else {
+            int64_t walked = count_quota(p, state, len);
+            if (full(p))
+                return i0 + walked;
+        }
+    }
+    return n;
+}
+
+/* cos 2phi1 and sin 2phi1 of phi1 = 2 pi u for each of the n draws u, into
+ * c and s: law.trig. */
+void cpass_trig(const struct cpass_point *p, const double *u, int64_t n,
+                double *c, double *s)
+{
+    struct block b;
+    for (int64_t i0 = 0; i0 < n; i0 += BLOCK) {
+        int64_t len = block_length(i0, n);
+        for (int64_t i = 0; i < BLOCK; i++)
+            b.u[0][i] = i < len ? u[i0 + i] : 0.0;
+        trig(p, &b);
+        memcpy(c + i0, b.c, (size_t)len * sizeof *c);
+        memcpy(s + i0, b.s, (size_t)len * sizeof *s);
     }
 }
 

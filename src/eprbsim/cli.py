@@ -11,7 +11,7 @@ import contextlib
 import math
 import sys
 
-from . import experiment, oracle, sweep
+from . import experiment, kernels, oracle, sweep
 from .params import (DEFAULT_N, DEFAULT_SEED, DEFAULT_THETA_STEPS,
                      DEFAULT_THRESHOLD, DEFAULT_V_MAX_MAG, DEFAULT_V_MIN_MAG,
                      DEFAULT_D, ModelParams)
@@ -117,6 +117,11 @@ def config_from_args(args) -> sweep.RunConfig:
         delta_denominator=args.delta_denominator,
     )
     cfg.validate()
+    if cfg.mode != "oracles" and (cfg.dump_trials is not None
+                                  or kernels.BACKEND != "c"):
+        # numpy's pass, or a trial dump's records: numpy is imported here,
+        # while the run starts up, and not within its first point.
+        from . import law  # noqa: F401
     return cfg
 
 

@@ -9,28 +9,35 @@ for a given seed regardless of chunking or worker count.
 
 Every statistic a sweep reports depends on a trial only through its
 state: the outcome signs and identification flags of its stations (see
-QUADRUPLES), so a run reduces to integer counts of states.  One walk,
-`_point_chunks`, runs a point chunk by chunk in counter order, and owns
-its chunk length, the non-CFD quota cut and the stop rule.  Each chunk
-goes through the station law of kernels.station_law (`_pass`): in the
-compiled pass (kernels.Compiled) where kernels.BACKEND is "c", and
-otherwise in numpy (kernels.numpy_chunk), with the same values, bit for
-bit.  `cfd_counts` and `noncfd_counts` sum the walk's counts without
-keeping per-trial arrays.  A trial dump (sweep._TrialDumper) sums the
-counts of runs that also hold each trial's records instead: `run_cfd`
+QUADRUPLES), so a run reduces to integer counts of states, kept as
+lists of Python ints.  `cfd_counts` and `noncfd_counts` count them in
+one of two passes, with the same values, bit for bit:
+- where kernels.BACKEND is "c", the compiled pass (kernels.Compiled)
+  adds a span's counts in one foreign call and applies the non-CFD quota
+  cut itself, without numpy;
+- otherwise numpy's pass (law.numpy_chunk) runs over one walk,
+  `_point_chunks`, which takes a point chunk by chunk in counter order
+  and owns its chunk length, its non-CFD quota cut (`_quota_cut`) and
+  its stop rule.
+A trial dump (sweep._TrialDumper) sums the counts of runs that also hold
+each trial's records, numpy arrays from either pass (`_pass`): `run_cfd`
 of each CHUNK of CFD trials, all through one pass of the point, or the
-chunks of the walk `run_noncfd` yields.
+chunks of the walk `run_noncfd` yields.  The functions that need numpy
+import it when they run.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import kernels, rng, stats
 from .params import HALF_PI, TWO_PI, ModelParams, SettingsQuad
+
+if TYPE_CHECKING:  # the records' arrays: numpy is imported where they are
+    import numpy as np
 
 # Column order of the per-trial station arrays in CFD runs.
 STATION_NAMES = ("a1", "a1p", "a2", "a2p")
@@ -42,6 +49,10 @@ PAIR_NAMES = ("11", "12", "21", "22")
 # Trials per chunk of the streaming passes: memory per point is O(CHUNK),
 # and a chunk's arrays fit a core's 2 MB L2 cache.
 CHUNK = 1 << 13
+
+# Trials per foreign call of the compiled counts, at most: about 2 ms, so
+# that a Ctrl-C is seen between calls.
+_CALL_TRIALS = 1 << 18
 
 # Streams of one chunk of the streaming CFD pass: the source, then the r
 # and the rhat stream of each station in STATION_NAMES order.
@@ -57,29 +68,39 @@ _NONCFD_STREAMS = (rng.SOURCE, rng.CHOICE_1, rng.CHOICE_2, rng.R_1, rng.R_2,
 # 256 states, counts[16 * flag_bits + outcome_bits]; a setting pair
 # (k = 2) has the 16 that stats.pair_statistics reads.
 # Outcome quadruple (STATION_NAMES order) of each of the 16 outcome_bits.
-QUADRUPLES = 2 * ((np.arange(16)[:, None] >> np.arange(4)) & 1) - 1
+QUADRUPLES = tuple(tuple(2 * (bits >> c & 1) - 1 for c in range(4))
+                   for bits in range(16))
 
 
-def _fold_matrix():
-    """(4, 256, 16) 0/1 map from CFD states to each pair's states."""
-    s = np.arange(256)
-    fold = np.zeros((4, 256, 16), np.int64)
-    for p, (i, j) in enumerate(PAIR_COLUMNS):
-        bits = [(s >> b) & 1 for b in (i, j, 4 + i, 4 + j)]
-        fold[p, s, bits[0] | bits[1] << 1 | bits[2] << 2 | bits[3] << 3] = 1
+def _fold():
+    """For each setting pair, a getter of the CFD states that fold into
+    each of its 16 states."""
+    fold = []
+    for i, j in PAIR_COLUMNS:
+        sources = [[] for _ in range(16)]
+        for s in range(256):
+            bits = [(s >> b) & 1 for b in (i, j, 4 + i, 4 + j)]
+            sources[bits[0] | bits[1] << 1 | bits[2] << 2
+                    | bits[3] << 3].append(s)
+        fold.append([operator.itemgetter(*states) for states in sources])
     return fold
 
 
-_PAIR_FOLD = _fold_matrix()
+_PAIR_FOLD = _fold()
+# A getter of the 16 CFD states (one per flag_bits) of each outcome_bits.
+_OUTCOME_STATES = [operator.itemgetter(*range(o, 256, 16))
+                   for o in range(16)]
 
 
 def _phi1_of(u: np.ndarray) -> np.ndarray:
     """Side-1 polarization angles, uniform on [0, 2 pi), of draws u."""
+    import numpy as np
     return np.multiply(TWO_PI, u)
 
 
 def _orthogonal(phi1: np.ndarray) -> np.ndarray:
     """Side-2 polarization angles of the pairs whose side-1 angles are phi1."""
+    import numpy as np
     return np.mod(phi1 + HALF_PI, TWO_PI)
 
 
@@ -153,28 +174,35 @@ class InvariantError(RuntimeError):
     identities here, or a row's |S_hat| <= 2, J >= 0 or |S| <= bound."""
 
 
-def _check_quadruple_identities(x: np.ndarray) -> None:
+def _check_quadruple_identities(quadruples) -> None:
     """Per-trial algebraic identities of +-1 quadruples; hard errors."""
-    if not np.all(np.abs(stats.quadruple_s(*x.T)) == 2):
+    if any(abs(stats.quadruple_s(*q)) != 2 for q in quadruples):
         raise InvariantError("CFD identity violated: s outside {-2, +2}")
-    for b in stats.quadruple_b(*x.T):
-        if not np.all((b == -1) | (b == 3)):
-            raise InvariantError("CFD identity violated: b outside {-1, +3}")
+    if any(b not in (-1, 3) for q in quadruples
+           for b in stats.quadruple_b(*q)):
+        raise InvariantError("CFD identity violated: b outside {-1, +3}")
 
 
-def pair_counts(counts: np.ndarray) -> np.ndarray:
-    """Fold 256 CFD state counts into (4, 16) setting-pair state counts."""
-    return counts @ _PAIR_FOLD
+def pair_counts(counts) -> list:
+    """Fold 256 CFD state counts into each setting pair's 16, a (4, 16)
+    list of ints."""
+    return [[sum(states(counts)) for states in pair] for pair in _PAIR_FOLD]
 
 
-def _check_identities(counts: np.ndarray) -> None:
+def outcome_counts(counts) -> list:
+    """The trials of each of the 16 outcome quadruples (QUADRUPLES), from
+    256 CFD state counts."""
+    return [sum(states(counts)) for states in _OUTCOME_STATES]
+
+
+def _check_identities(counts) -> None:
     """The quadruple identities over every quadruple the counts hold.
 
     They depend on the quadruple alone, so checking each distinct one
     that occurs is the per-trial check.
     """
-    seen = counts.reshape(16, 16).sum(axis=0) > 0
-    _check_quadruple_identities(QUADRUPLES[seen])
+    _check_quadruple_identities([q for q, seen in zip(
+        QUADRUPLES, outcome_counts(counts)) if seen])
 
 
 def _validate_run(n: int, seed: int, name: str = "n") -> None:
@@ -183,34 +211,60 @@ def _validate_run(n: int, seed: int, name: str = "n") -> None:
         raise ValueError(f"{name} must be >= 1")
 
 
-def _turns(quad: SettingsQuad) -> np.ndarray:
-    """(ca, sa) per station, a (4, 2) array in STATION_NAMES order, such
-    that cos 2(a - phi) = ca cos 2phi1 + sa sin 2phi1 and sin 2(a - phi)
-    = sa cos 2phi1 - ca sin 2phi1.
+def _turns(quad: SettingsQuad):
+    """(ca, sa) per station, in STATION_NAMES order, such that
+    cos 2(a - phi) = ca cos 2phi1 + sa sin 2phi1 and sin 2(a - phi) =
+    sa cos 2phi1 - ca sin 2phi1.
 
-    On side 1 they are cos 2a and sin 2a, from kernels.trig at u = a /
-    TWO_PI; side 2 negates both, because 2phi2 = 2phi1 + pi (mod 2pi).
+    On side 1 they are cos 2a and sin 2a, from law.trig (by its compiled
+    twin, kernels.trig_of) at u = a / TWO_PI; side 2 negates both,
+    because 2phi2 = 2phi1 + pi (mod 2pi).
     """
-    cos2a, sin2a = kernels.trig(np.array(quad.as_tuple()) / TWO_PI)
-    return np.column_stack((cos2a, sin2a)) * [[1.0], [1.0], [-1.0], [-1.0]]
+    cos2a, sin2a = kernels.trig_of([a / TWO_PI for a in quad.as_tuple()])
+    return tuple((c * sign, s * sign) for c, s, sign
+                 in zip(cos2a, sin2a, (1.0, 1.0, -1.0, -1.0)))
+
+
+def _origins(cfd: bool, seed: int) -> list:
+    """The origins of this seed's streams _CHUNK_STREAMS (CFD) or
+    _NONCFD_STREAMS, the pass's draws."""
+    return [rng.stream_origin(seed, s)
+            for s in (_CHUNK_STREAMS if cfd else _NONCFD_STREAMS)]
+
+
+def _compiled(cfd: bool, params: ModelParams, quad: SettingsQuad, seed: int,
+              quota: int = 0) -> kernels.Compiled:
+    """The compiled pass of a point, counts only."""
+    return kernels.Compiled(kernels.CPASS, cfd, params, _turns(quad),
+                            _origins(cfd, seed), quota)
 
 
 def _pass(cfd: bool, params: ModelParams, quad: SettingsQuad, seed: int,
           capacity: int, trials: bool = False):
     """chunk(start, n) -> (state counts, each trial's state, the (k, n)
-    voltages) of chunks of up to capacity trials of a point's pass,
-    compiled or numpy's as kernels.BACKEND says.
+    voltages), numpy arrays, of chunks of up to capacity trials of a
+    point's pass, compiled or numpy's as kernels.BACKEND says.
 
-    The pass draws from this seed's streams _CHUNK_STREAMS (CFD) or
-    _NONCFD_STREAMS.  The voltages come only with trials, and the
-    compiled pass's arrays are overwritten by the next chunk.
+    The voltages come only with trials, and the compiled pass's arrays
+    are overwritten by the next chunk.
     """
-    origins = rng.stream_origins(seed, _CHUNK_STREAMS if cfd
-                                 else _NONCFD_STREAMS)
-    turns = _turns(quad)
+    import numpy as np
+    origins, turns = _origins(cfd, seed), _turns(quad)
     if kernels.BACKEND == "c":
-        return kernels.Compiled(kernels.CPASS, cfd, params, turns, origins,
-                                capacity, trials).run
+        codes = np.empty(capacity, np.uint8)
+        volts = np.empty((4 if cfd else 2, capacity)) if trials else None
+        point = kernels.Compiled(
+            kernels.CPASS, cfd, params, turns, origins, capacity=capacity,
+            codes=codes.ctypes.data, volts=volts.ctypes.data if trials else 0)
+        counts = np.frombuffer(point.hist, np.int64)
+
+        def compiled(start, n):
+            counts[:] = 0
+            point.add(start, n)
+            return counts, codes[:n], volts[:, :n] if trials else None
+        return compiled
+    turns = np.array(turns)
+    origins = np.array(origins, np.uint64)[:, None]
     # The uniforms and their hash words are allocated once per point, the
     # other arrays per chunk.  Those must peak below twice the uniforms'
     # size, glibc's trim threshold, or every chunk faults its pages back
@@ -229,7 +283,9 @@ def _pass(cfd: bool, params: ModelParams, quad: SettingsQuad, seed: int,
 def _quota_cut(states: np.ndarray, room: np.ndarray) -> np.ndarray:
     """Cut a non-CFD chunk at its pairs' quotas: pair p keeps its first
     room[p] trials, and each trial past them gets state 64, in place.
-    Returns the 64 state counts of the trials kept."""
+    Returns the 64 state counts of the trials kept.  The compiled pass
+    cuts its counts itself (kernels.Compiled)."""
+    import numpy as np
     pair = states >> 4
     for p in range(4):
         states[np.flatnonzero(pair == p)[room[p]:]] = 64
@@ -239,7 +295,7 @@ def _quota_cut(states: np.ndarray, room: np.ndarray) -> np.ndarray:
 def _point_chunks(cfd: bool, params: ModelParams, quad: SettingsQuad, n: int,
                   seed: int, trials: bool = False, span=None):
     """(start, counts, states, volts) of each chunk of a point's pass, in
-    counter order: the walk that both the rows and the trial dump take.
+    counter order: the walk of the trial dump, and of numpy's pass.
 
     A CFD point is trials 0..n-1, CHUNK at a time; span = (lo, hi) walks
     trials lo..hi-1 alone, CHUNK at a time from lo, as a CFD trial
@@ -256,6 +312,7 @@ def _point_chunks(cfd: bool, params: ModelParams, quad: SettingsQuad, n: int,
     as _pass gives them: the compiled pass overwrites them in the next
     chunk.
     """
+    import numpy as np
     _validate_run(n, seed, "n" if cfd else "quota")
     # Every pair holds n at the earliest after 4 * n non-CFD trials.
     length = min(CHUNK, n) if cfd else min(2 * CHUNK, 4 * n)
@@ -276,18 +333,27 @@ def _point_chunks(cfd: bool, params: ModelParams, quad: SettingsQuad, n: int,
 
 
 def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
-               seed: int, span=None) -> np.ndarray:
-    """The 256 state counts of CFD trials 0..n-1 of this seed: every
-    station gets fresh draws each trial.
+               seed: int, span=None) -> list:
+    """The 256 state counts of CFD trials 0..n-1 of this seed, a list of
+    ints: every station gets fresh draws each trial.
 
-    They are summed over _point_chunks, so memory does not grow with n;
-    the counts do not depend on the chunking.  With span = (lo, hi) they
-    are the counts of trials lo..hi-1 alone, whose quadruples the caller
+    The compiled pass adds them up in calls of up to _CALL_TRIALS trials,
+    numpy's over _point_chunks, so memory does not grow with n; the
+    counts do not depend on the chunking.  With span = (lo, hi) they are
+    the counts of trials lo..hi-1 alone, whose quadruples the caller
     checks on the point's sum (_check_identities); a point's are checked
     here.
     """
-    counts = sum(c for _, c, _, _ in _point_chunks(True, params, quad, n,
-                                                   seed, span=span))
+    if kernels.BACKEND == "c":
+        _validate_run(n, seed)
+        point = _compiled(True, params, quad, seed)
+        lo, hi = span or (0, n)
+        for start in range(lo, hi, _CALL_TRIALS):
+            point.add(start, min(_CALL_TRIALS, hi - start))
+        counts = point.hist[:]
+    else:
+        counts = sum(c for _, c, _, _ in _point_chunks(
+            True, params, quad, n, seed, span=span)).tolist()
     if span is None:
         _check_identities(counts)
     return counts
@@ -295,6 +361,7 @@ def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
 
 def _bits(states: np.ndarray, count: int) -> np.ndarray:
     """Bits 0..count-1 of each trial's uint8 state, as (n, count) int8."""
+    import numpy as np
     return np.unpackbits(states[:, None], axis=1, count=count,
                          bitorder="little").view(np.int8)
 
@@ -327,15 +394,26 @@ def run_cfd(params: ModelParams, quad: SettingsQuad, n: int, seed: int,
 
 
 def noncfd_counts(params: ModelParams, quad: SettingsQuad, quota: int,
-                  seed: int) -> np.ndarray:
+                  seed: int) -> list:
     """The (4, 16) pair state counts of the non-CFD pass at this quota,
-    summed over _point_chunks.
+    lists of ints: those of each pair's first quota trials.
 
     Trials are drawn in counter order, and each side's coin selects the
-    (ca, sa) of its setting per trial.
+    (ca, sa) of its setting per trial.  The compiled pass cuts them at
+    the quota itself, in calls of up to _CALL_TRIALS trials until every
+    pair holds it; numpy's sums them over _point_chunks.
     """
-    return sum(c for _, c, _, _ in _point_chunks(False, params, quad, quota,
-                                                 seed)).reshape(4, 16)
+    if kernels.BACKEND == "c":
+        _validate_run(quota, seed, "quota")
+        point = _compiled(False, params, quad, seed, quota)
+        start = 0
+        while min(point.held) < quota:
+            start += point.add(start, _CALL_TRIALS)
+        counts = point.hist[:]
+    else:
+        counts = sum(c for _, c, _, _ in _point_chunks(
+            False, params, quad, quota, seed)).tolist()
+    return [counts[16 * p:16 * p + 16] for p in range(4)]
 
 
 def run_noncfd(params: ModelParams, quad: SettingsQuad, quota: int,
@@ -344,6 +422,7 @@ def run_noncfd(params: ModelParams, quad: SettingsQuad, quota: int,
     _point_chunks, in counter order.  A chunk's records depend on the
     chunks before it, through the quota; each run owns its arrays.
     """
+    import numpy as np
     for start, counts, code, v in _point_chunks(False, params, quad, quota,
                                                 seed, trials=True):
         keep = code < 64

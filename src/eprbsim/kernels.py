@@ -1,5 +1,5 @@
-"""Hot numeric kernels: the counter hash, the station law in numpy and
-compiled, and the trial dump's formatter.
+"""Hot numeric kernels: the station law's tables, its compiled pass, and
+the trial dump's formatter, all without numpy.
 
 Random numbers come from a counter-based generator: draw k of a stream
 is a pure function of (stream origin, k), so any chunking or parallel
@@ -7,40 +7,41 @@ schedule reproduces the same values.  The mixing function is the
 standard 64-bit xorshift-multiply finalizer used by splitmix-style
 generators.
 
-The station law is the arithmetic of station_law, with no libm call.
-cos 2phi1 and sin 2phi1 come from a table and two short polynomials
-(trig), cos 2(a - phi) and sin 2(a - phi) = s from them by angle
-addition with each setting's (cos 2a, sin 2a), and |s|**d from binary
-powering or a table-driven log2 and exp2 (abs_power).  Then x = +1
-where (1 + c)/2 - r > 0, v = (|s|**d * rhat) * span - v_max and w =
-[v < threshold].  The tables are computed in decimal arithmetic, and
-every other step is one IEEE + - * or an exact operation (frexp, ldexp,
-rint, a comparison), so every IEEE host computes the same values.
-station_response is the law as first written, with libm's cos, sin and
-pow; the tests compare the two.
+The station law is the arithmetic of law.station_law, with no libm
+call.  cos 2phi1 and sin 2phi1 come from a table and two short
+polynomials (law.trig), cos 2(a - phi) and sin 2(a - phi) = s from them
+by angle addition with each setting's (cos 2a, sin 2a), and |s|**d from
+binary powering or a table-driven log2 and exp2 (law.abs_power).  Then
+x = +1 where (1 + c)/2 - r > 0, v = (|s|**d * rhat) * span - v_max and
+w = [v < threshold].  The tables are computed here once, in decimal
+arithmetic, as Python floats, and every other step is one IEEE + - * or
+an exact operation (frexp, ldexp, rint, a comparison), so every IEEE
+host computes the same values.
 
-A chunk of trials runs through the law one of two ways.  numpy_chunk
-is plain array expressions; _cpass.c does the same float operations in
-the same order (Compiled), a block of trials at a time, in one call per
-chunk, so that every state and every voltage is numpy's, bit for bit.
-The same library formats the trial dump's records (format_csv), with
-the bytes of Python's str and '%.17g'.
+A chunk of trials runs through the law one of two ways.  law.numpy_chunk
+is plain numpy array expressions; _cpass.c does the same float
+operations in the same order (Compiled), a block of trials at a time, in
+one foreign call per span of trials, so that every state and every
+voltage is numpy's, bit for bit.  The same library formats the trial
+dump's records (format_csv), with the bytes of Python's str and '%.17g'.
+This module imports no numpy: its names of law's functions (fill_uniforms
+among them) import law, and numpy, at their first use.
 load_cpass compiles _cpass.c with the system's cc at first use, for
 the host's own CPU (-O3 -march=native), into the package's __pycache__
 as _cpass-<interpreter tag>-<cpu>-<key>.so, and later imports load it
-from there.  <cpu> is a hash of the CPU features numpy found on the
-host, so a checkout shared by two machines keeps a library for each and
-neither loads the other's; the key is a hash of the source and the
-flags.  Where -march=native does not compile the build takes the
-portable flags, under the same name; where the features cannot be read
-it takes them under <cpu> "portable".  A build removes the libraries of
-the same tag and <cpu> that it replaces, and those named by earlier
-builds without a <cpu> or without a tag.
+from there.  <cpu> is a hash of the CPU's feature flags (_cpu_key), so a
+checkout shared by two machines keeps a library for each and neither
+loads the other's; the key is a hash of the source and the flags.  Where
+-march=native does not compile the build takes the portable flags, under
+the same name; where the features cannot be read it takes them under
+<cpu> "portable".  A build removes the libraries of the same tag and
+<cpu> that it replaces, and those named by earlier builds without a
+<cpu> or without a tag.
 CPASS is the loaded library, or None where there is no compiler, the
 build or the load fails, or the library fails its known-answer checks
-(a chunk of its pass against numpy_chunk, its formatter against
-Python's); BACKEND names the pass in use, "c" or
-"numpy", and the passes and the trial dump read it at each call.
+(a chunk of its pass against numpy_chunk's pinned digests, its formatter
+against Python's bytes); BACKEND names the pass in use, "c" or "numpy",
+and the passes and the trial dump read it at each call.
 """
 from __future__ import annotations
 
@@ -51,8 +52,6 @@ import math
 import operator
 import os
 from decimal import Decimal, localcontext
-
-import numpy as np
 
 from .params import TWO_PI, ModelParams
 
@@ -66,82 +65,19 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _U53 = 2.0 ** -53
 
-_GOLDEN_U64 = np.uint64(GOLDEN)
-_M1_U64 = np.uint64(_M1)
-_M2_U64 = np.uint64(_M2)
+# law's functions, which need numpy: module attributes of this one from
+# their first use (__getattr__).
+_LAW = frozenset({"fill_uniforms", "gather_uniforms", "station_response",
+                  "trig", "abs_power", "station_law", "numpy_chunk",
+                  "integer_column", "_hash_to_uniforms"})
 
 
-def _hash_to_uniforms(z, out=None):
-    """Uniforms in [0, 1) from the words z = origin + GOLDEN * counter.
-
-    Mixes z (uint64, overwritten) and scales its top 53 bits into out
-    (float64 of z's shape, allocated when None).
-    """
-    if out is None:
-        out = np.empty(z.shape)
-    t = out.view(np.uint64)  # scratch until the last step writes out
-    np.right_shift(z, np.uint64(30), out=t)
-    z ^= t
-    z *= _M1_U64
-    np.right_shift(z, np.uint64(27), out=t)
-    z ^= t
-    z *= _M2_U64
-    np.right_shift(z, np.uint64(31), out=t)
-    z ^= t
-    z >>= np.uint64(11)
-    # z < 2**53 now, so its int64 view converts to the same float as the
-    # uint64 itself, and faster: x86 before AVX-512 converts only signed
-    # integers to float in one instruction.
-    return np.multiply(z.view(np.int64), _U53, out=out)
-
-
-def fill_uniforms(origin, start: int, n: int, out=None,
-                  work=None) -> np.ndarray:
-    """Uniforms in [0, 1) for counters start..start+n-1 of one stream.
-
-    origin may also be a (k, 1) array of stream origins, for one row of
-    n uniforms per stream.  out (float64) and work (uint64 scratch), of
-    the result's shape, let a caller reuse memory from call to call.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    k = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    k *= _GOLDEN_U64
-    return _hash_to_uniforms(
-        np.add(np.asarray(origin, dtype=np.uint64), k, out=work), out)
-
-
-def gather_uniforms(origin: int, indices: np.ndarray) -> np.ndarray:
-    """Uniforms for an explicit array of counter values.
-
-    The package draws in counter order; the tests' whole-point
-    references gather their draws at trial indices with this.
-    """
-    k = np.ascontiguousarray(indices, dtype=np.uint64) + np.uint64(1)
-    k *= _GOLDEN_U64
-    k += np.uint64(origin)
-    return _hash_to_uniforms(k)
-
-
-def station_response(a, phi, r, rhat, d, v_min_mag, v_max_mag):
-    """The station law with libm's cos, sin and pow, as
-    station.station_respond writes it; the tests' reference for
-    station_law.
-
-    a is one setting, or an array of settings of phi's shape.  Returns x
-    as int8 (+1 or -1) and v as float64.
-    """
-    phi = np.ascontiguousarray(phi, dtype=np.float64)
-    r = np.ascontiguousarray(r, dtype=np.float64)
-    rhat = np.ascontiguousarray(rhat, dtype=np.float64)
-    v_min_mag, v_max_mag = float(v_min_mag), float(v_max_mag)
-    arg = 2.0 * (np.asarray(a, dtype=np.float64) - phi)
-    c = np.cos(arg)
-    s = np.sin(arg)
-    # +1 where the bool is 1, -1 where it is 0, computed in int8 throughout.
-    x = (1.0 + c - 2.0 * r > 0.0).view(np.int8) * np.int8(2) - np.int8(1)
-    v = rhat * np.abs(s) ** float(d) * (v_max_mag - v_min_mag) - v_max_mag
-    return x, v
+def __getattr__(name):
+    if name in _LAW:
+        from . import law
+        value = globals()[name] = getattr(law, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ------------------------------------------------------------ the station law
@@ -150,7 +86,7 @@ _PI = Decimal("3.14159265358979323846264338327950288419717")
 
 
 def _trig_table(bits: int):
-    """cos and sin of 2 pi k / 2**bits for k < 2**bits.
+    """cos and sin of 2 pi k / 2**bits for k < 2**bits, as lists.
 
     The first quarter turn comes from repeated rotation by 2 pi / 2**bits,
     whose cos and sin are their Taylor series, the other quarters from
@@ -168,16 +104,16 @@ def _trig_table(bits: int):
         for _ in range(1 << (bits - 2)):
             quarter.append((float(c), float(s)))
             c, s = c * cos_step - s * sin_step, s * cos_step + c * sin_step
-    c, s = np.array(quarter).T
-    return (np.concatenate([c, -s, -c, s]) + 0.0,  # + 0.0: no -0.0
-            np.concatenate([s, c, -s, -c]) + 0.0)
+    c, s = zip(*quarter)
+    minus_c, minus_s = [-x + 0.0 for x in c], [-x + 0.0 for x in s]  # no -0.0
+    return [*c, *minus_s, *minus_c, *s], [*s, *c, *minus_s, *minus_c]
 
 
 # cos and sin of 2 pi k / 2**_TABLE_BITS for k < 2**(_TABLE_BITS + 1):
 # the nodes of trig over two turns, since 2 phi1 / 2 pi = 2u lies in
 # [0, 2).  The second turn repeats the first.
 _TABLE_BITS = 10
-_COS_TABLE, _SIN_TABLE = (np.tile(t, 2) for t in _trig_table(_TABLE_BITS))
+_COS_TABLE, _SIN_TABLE = (t * 2 for t in _trig_table(_TABLE_BITS))
 # Spacing of the nodes, exactly TWO_PI / 2**_TABLE_BITS, and the Taylor
 # coefficients of cos x - 1 (to x**4) and sin x (to x**5) for the offset
 # 0 <= x < _STEP from a node.
@@ -185,28 +121,6 @@ _STEP = TWO_PI * 2.0 ** -_TABLE_BITS
 _COS_4 = 1.0 / 24.0
 _SIN_3 = -1.0 / 6.0
 _SIN_5 = 1.0 / 120.0
-
-
-def trig(u: np.ndarray):
-    """(cos 2phi1, sin 2phi1) of phi1 = TWO_PI * u, u in [0, 1), from a
-    table.
-
-    2phi1 is 2 pi (j + f) / 2**_TABLE_BITS up to rounding, with j =
-    floor(v), f = v - j and v = u * 2**(_TABLE_BITS + 1), all three
-    exact.  With x = f * _STEP and the node values T_c[j], T_s[j],
-    cos 2phi1 = T_c + (T_c (cos x - 1) - T_s sin x) and sin 2phi1 =
-    T_s + (T_s (cos x - 1) + T_c sin x), where short Horner polynomials
-    give cos x - 1 and sin x.  Each value is within 59 * 2**-53 of the
-    exact one (CHANGES.md gives the argument).
-    """
-    v = u * 2.0 ** (_TABLE_BITS + 1)
-    index = v.astype(np.intp)  # floor, since v >= 0
-    x = (v - index) * _STEP
-    z = x * x
-    cm1 = (z * _COS_4 - 0.5) * z
-    sx = (z * _SIN_5 + _SIN_3) * z * x + x
-    tc, ts = _COS_TABLE[index], _SIN_TABLE[index]
-    return (tc * cm1 - ts * sx) + tc, (ts * cm1 + tc * sx) + ts
 
 
 def multiply_only(d: float) -> int:
@@ -232,7 +146,8 @@ def _horner(x, coeffs):
 
 def _power_tables():
     """(log2 of each node j / 2**_LOG_BITS, 1 / j, 2**(i / 2**_EXP_BITS),
-    the polynomials of log2(1 + r) and of 2**(g / 2**_EXP_BITS) - 1).
+    the polynomials of log2(1 + r) and of 2**(g / 2**_EXP_BITS) - 1), as
+    lists.
 
     Node j = 0 stands for s = 0: log2 -inf, and 1 / j taken as 0 so that
     r = 0.  Nodes 1 to 2**(_LOG_BITS - 1) - 1 are never used (nan).
@@ -251,131 +166,21 @@ def _power_tables():
             z = Decimal(1) / (2 * j + 1)  # below 2**-9: z**13 / 13 < 1e-36
             logs.append(logs[-1] - 2 * z * (1 + _horner(z * z, odd)))
         root = Decimal(2) ** (Decimal(1) / (1 << _EXP_BITS))
-        tables = ([-math.inf, *unused, *(float(x / ln2) for x in logs[::-1])],
-                  [0.0, *unused, *(1.0 / np.arange(n // 2, n + 1))],
-                  [float(x) for x in itertools.accumulate(
-                      [root] * ((1 << _EXP_BITS) - 1), operator.mul,
-                      initial=Decimal(1))],
-                  [float((-1) ** (k + 1) / (k * ln2)) for k in range(1, 6)],
-                  [float((ln2 / (1 << _EXP_BITS)) ** k / math.factorial(k))
-                   for k in range(1, 5)])
-    return tuple(np.array(t) for t in tables)
+        return ([-math.inf, *unused, *(float(x / ln2) for x in logs[::-1])],
+                [0.0, *unused, *(1.0 / j for j in range(n // 2, n + 1))],
+                [float(x) for x in itertools.accumulate(
+                    [root] * ((1 << _EXP_BITS) - 1), operator.mul,
+                    initial=Decimal(1))],
+                [float((-1) ** (k + 1) / (k * ln2)) for k in range(1, 6)],
+                [float((ln2 / (1 << _EXP_BITS)) ** k / math.factorial(k))
+                 for k in range(1, 5)])
 
 
 # _cpass.c has the polynomials' lengths, 5 and 4, as constants.
 _LOG_TABLE, _INV_TABLE, _EXP_TABLE, _LOG_POLY, _EXP_POLY = _power_tables()
 
 
-def abs_power(s: np.ndarray, d: float) -> np.ndarray:
-    """|s|**d, d >= 0, by the station law's recipe.
-
-    d = 0 gives exactly 1.  An integer d in [1, 32] takes left-to-right
-    binary powering, which multiplies only: s * s first, so that only an
-    odd d needs |s|.  Any other d takes 2**y, y = d log2|s|, in two table
-    steps, each difference in them exact:
-    - log2: frexp gives |s| = m 2**e, m in [1/2, 1).  With the node j =
-      rint(m 2**_LOG_BITS) and r = (m 2**_LOG_BITS - j) / j, log2|s| =
-      (e + log2(j / 2**_LOG_BITS)) + log2(1 + r), the last a polynomial;
-    - exp2: y is held to [-1100, 1100], where 2**y is 0 or infinite
-      anyway.  With k = rint(y 2**_EXP_BITS) and g = y 2**_EXP_BITS - k,
-      2**y = ldexp(T + T (2**(g / 2**_EXP_BITS) - 1), k >> _EXP_BITS),
-      where T = 2**((k & (2**_EXP_BITS - 1)) / 2**_EXP_BITS) and the
-      bracket is a polynomial.
-    The result is within (8 + 3|y|) 2**-53 of |s|**d, relative
-    (CHANGES.md), and _cpass.c's table_power computes the same bits.  The
-    arrays are updated in place, so that a chunk's arrays stay few.
-    """
-    k = multiply_only(d)
-    if k:
-        if k % 2:  # the last step multiplies by s, so s must be |s|
-            s = np.abs(s)
-        power = s
-        for digit in bin(k)[3:]:  # the binary digits after the leading one
-            power = power * power
-            if digit == "1":
-                power = power * s
-        return power
-    if d == 0.0:
-        return np.ones(np.shape(s))
-    m, e = np.frexp(np.abs(s))
-    m *= float(1 << _LOG_BITS)
-    node = np.rint(m)
-    j = node.astype(np.intp)
-    m -= node
-    m *= _INV_TABLE.take(j)  # r
-    y = _LOG_TABLE.take(j)  # then y = d log2|s|
-    y += e
-    y += _horner(m, _LOG_POLY)
-    y *= d
-    np.clip(y, -1100.0, 1100.0, out=y)
-    y *= float(1 << _EXP_BITS)
-    k = np.rint(y)
-    i = k.astype(np.int32)
-    y -= k  # g
-    power = _horner(y, _EXP_POLY)  # then T + T power
-    tab = _EXP_TABLE.take(i & ((1 << _EXP_BITS) - 1))
-    power *= tab
-    power += tab
-    return np.ldexp(power, i >> _EXP_BITS)
-
-
-def station_law(params, trig2, turn, r, rhat):
-    """(x == +1, w, v) of stations over a chunk: the station law.
-
-    trig2 = (cos 2phi1, sin 2phi1) of the trials (see trig); turn = (ca,
-    sa), such that cos 2(a - phi) = ca cos 2phi1 + sa sin 2phi1 and
-    sin 2(a - phi) = sa cos 2phi1 - ca sin 2phi1, per station or per
-    trial; r and rhat are the stations' uniforms and params a
-    ModelParams.  x = +1 where (1 + c)/2 - r > 0, taken as
-    dx = (c ca/2 + s sa/2) - r > -1/2.
-    """
-    cos2, sin2 = trig2
-    ca, sa = turn
-    x = (cos2 * (0.5 * ca) + sin2 * (0.5 * sa)) - r > -0.5
-    v = (abs_power(cos2 * sa - sin2 * ca, params.d) * rhat) * params.span \
-        - params.v_max_mag
-    return x, v < params.threshold, v
-
-
-# Weight of each state bit of a CFD trial: x of the stations in
-# experiment.STATION_NAMES order, then their w.
-_CFD_WEIGHTS = (1 << np.arange(8, dtype=np.uint8))[:, None]
-# Weight of each state bit of a non-CFD trial: x of side 1 and 2, their
-# w, then the coins primed1 and primed2, so that a trial's state is
-# 16 * pair + its 16-state of pair_statistics, pair = 2 primed1 + primed2.
-_NONCFD_WEIGHTS = np.array([1, 2, 4, 8, 32, 16], np.uint8)[:, None]
-
-
-def numpy_chunk(cfd: bool, params, turns: np.ndarray, u: np.ndarray):
-    """(each trial's state, the (k, n) voltages of its k stations) of the
-    chunk of trials whose uniforms u holds, in numpy.
-
-    turns holds (ca, sa) of the stations a1, a1p, a2, a2p, a (4, 2)
-    array.  A CFD chunk's uniforms are the source, then r of each
-    station, then rhat of each; its trials run through all four stations
-    and their states are as _CFD_WEIGHTS says.  A non-CFD chunk's are the
-    source, each side's coin, r of each side and rhat of each; a trial's
-    side runs through the station of its setting, primed where its coin
-    is below 1/2, and its state is as _NONCFD_WEIGHTS says.  Stations run
-    one at a time: their arrays then stay small enough for the memory
-    allocator to hand the same pages back in every chunk.
-    """
-    trig2 = trig(u[0])
-    if cfd:
-        stations = [(turns[c], u[1 + c], u[5 + c]) for c in range(4)]
-        extra, weights = [], _CFD_WEIGHTS
-    else:
-        primed = u[1:3] < 0.5
-        # ca, sa of each side's station, 2 * side + primed, per trial
-        stations = [(turns.T.take(primed[side] + 2 * side, axis=1),
-                     u[3 + side], u[5 + side]) for side in (0, 1)]
-        extra, weights = [primed], _NONCFD_WEIGHTS
-    x, w, v = zip(*[station_law(params, trig2, *station)
-                    for station in stations])
-    # the sum of the weights of each trial's bits that are set
-    bits = np.vstack((x, w, *extra)).view(np.uint8)
-    return np.bitwise_or.reduce(bits * weights, axis=0), np.array(v)
-
+# ------------------------------------------------------- the compiled pass
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_cpass.c")
 _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
@@ -412,66 +217,99 @@ class CPassPoint(ctypes.Structure):
             "scale", "step", "cos_4", "sin_3", "sin_5", "log_scale",
             "exp_scale", "d", "span", "v_max", "threshold")],
         *[(name, ctypes.c_int64) for name in (
-            "exp_bits", "power", "capacity")],
-        *[(name, ctypes.c_void_p) for name in ("hist", "codes", "volts")],
+            "exp_bits", "power", "capacity", "quota")],
+        *[(name, ctypes.c_void_p) for name in (
+            "hist", "held", "codes", "volts")],
     ]
 
 
+def _doubles(values):
+    """A ctypes array of the floats values."""
+    return (ctypes.c_double * len(values))(*values)
+
+
+_TABLES = {name: _doubles(table) for name, table in (
+    ("cos_table", _COS_TABLE), ("sin_table", _SIN_TABLE),
+    ("log_table", _LOG_TABLE), ("inv_table", _INV_TABLE),
+    ("exp_table", _EXP_TABLE), ("log_poly", _LOG_POLY),
+    ("exp_poly", _EXP_POLY))}
 # The fields of CPassPoint that are the same at every point: the tables'
-# addresses, read once, and the constants of trig and abs_power.
+# addresses and the constants of trig and abs_power.
 _POINT_CONSTANTS = {
-    **{name: table.ctypes.data for name, table in (
-        ("cos_table", _COS_TABLE), ("sin_table", _SIN_TABLE),
-        ("log_table", _LOG_TABLE), ("inv_table", _INV_TABLE),
-        ("exp_table", _EXP_TABLE), ("log_poly", _LOG_POLY),
-        ("exp_poly", _EXP_POLY))},
+    **{name: ctypes.addressof(table) for name, table in _TABLES.items()},
     "scale": 2.0 ** (_TABLE_BITS + 1), "step": _STEP, "cos_4": _COS_4,
     "sin_3": _SIN_3, "sin_5": _SIN_5, "log_scale": float(1 << _LOG_BITS),
     "exp_scale": float(1 << _EXP_BITS), "exp_bits": _EXP_BITS}
+# The constants alone: all that cpass_trig reads.
+_CONSTANTS = CPassPoint(**_POINT_CONSTANTS)
 
 
 class Compiled:
     """One point of lib's compiled pass, numpy_chunk's counterpart.
 
-    It holds the point's inputs (params, turns and origins as numpy_chunk
-    and fill_uniforms take them) and the arrays the pass writes, for
-    chunks of up to capacity trials: the chunk's state counts, each
-    trial's state and, with trials, each station's voltage.  The struct
-    of pointers to them is built once per point, so that a chunk costs
-    one foreign call.
+    It holds the point's inputs: params, the stations' turns ((ca, sa)
+    of each, as experiment._turns gives them), one origin per stream
+    (ints) and, for non-CFD trials, the quota of each setting pair (0:
+    none).  Each call of add is one foreign call, which releases the
+    interpreter lock, and adds the state counts of its trials to hist
+    (with a quota, those of the trials the quota keeps, held counting
+    them per pair).  codes and volts, where given, are the addresses of
+    arrays of capacity trials that get each trial's state and each
+    station's voltages.
     """
 
-    def __init__(self, lib, cfd: bool, params, turns, origins, capacity: int,
-                 trials: bool = False):
+    def __init__(self, lib, cfd: bool, params, turns, origins, quota: int = 0,
+                 capacity: int = 0, codes: int = 0, volts: int = 0):
+        if len(origins) != (9 if cfd else 7) or len(turns) != 4:
+            raise ValueError("the pass takes one origin per stream and "
+                             "one turn per station")
         self.capacity = capacity
-        self.origins = np.ascontiguousarray(origins, np.uint64).ravel()
-        if self.origins.size != (9 if cfd else 7):
-            raise ValueError("the pass takes one origin per stream")
-        self.turns = np.ascontiguousarray(np.hstack([turns, 0.5 * turns]))
-        self.hist = np.zeros(256 if cfd else 64, np.int64)
-        self.codes = np.empty(capacity, np.uint8)
-        self.volts = np.empty((4 if cfd else 2, capacity)) if trials else None
-        arrays = {"origins": self.origins, "turns": self.turns,
-                  "hist": self.hist, "codes": self.codes,
-                  **({"volts": self.volts} if trials else {})}
-        self.point = CPassPoint(
+        self._origins = (ctypes.c_uint64 * len(origins))(*origins)
+        self._turns = _doubles([x for ca, sa in turns
+                                for x in (ca, sa, 0.5 * ca, 0.5 * sa)])
+        self.hist = (ctypes.c_int64 * (256 if cfd else 64))()
+        self.held = (ctypes.c_int64 * 4)()
+        arrays = {"origins": self._origins, "turns": self._turns,
+                  "hist": self.hist, "held": self.held}
+        self._point = CPassPoint(
             d=params.d, span=params.span, v_max=params.v_max_mag,
             threshold=params.threshold, power=multiply_only(params.d),
-            capacity=capacity, **_POINT_CONSTANTS,
-            **{name: a.ctypes.data for name, a in arrays.items()})
-        self._ref = ctypes.byref(self.point)
+            capacity=capacity, quota=quota, codes=codes or None,
+            volts=volts or None, **_POINT_CONSTANTS,
+            **{name: ctypes.addressof(a) for name, a in arrays.items()})
+        self._ref = ctypes.byref(self._point)
         self._run = lib.cpass_cfd if cfd else lib.cpass_noncfd
 
-    def run(self, start: int, n: int):
-        """(state counts, each trial's state, the (k, n) voltages or None)
-        of trials start..start+n-1, as numpy_chunk gives them.  The
-        arrays are overwritten by the next chunk."""
-        if not 0 < n <= self.capacity:
+    def add(self, start: int, n: int) -> int:
+        """Run trials start..start+n-1 and add their state counts to hist;
+        returns the trials walked: n, or fewer where a quota's last pair
+        filled.  Their states and voltages overwrite codes and volts."""
+        if self._point.codes and not 0 < n <= self.capacity:
             raise ValueError(f"chunk of {n} trials, capacity {self.capacity}")
-        self._run(self._ref, start, n)
-        return (self.hist, self.codes[:n],
-                None if self.volts is None else self.volts[:, :n])
+        return self._run(self._ref, start, n)
 
+
+def _lib_trig(lib, us):
+    """(cos 2phi1, sin 2phi1) of phi1 = TWO_PI * u for each u of the list
+    us, as lists: lib's cpass_trig, law.trig's twin."""
+    n = len(us)
+    c, s = (ctypes.c_double * n)(), (ctypes.c_double * n)()
+    lib.cpass_trig(ctypes.byref(_CONSTANTS), _doubles(us), n, c, s)
+    return c[:], s[:]
+
+
+def trig_of(us):
+    """(cos 2phi1, sin 2phi1) of phi1 = TWO_PI * u for each u of the list
+    us, as lists: by CPASS (_lib_trig), or by law.trig where no library
+    loaded."""
+    if CPASS is not None:
+        return _lib_trig(CPASS, us)
+    import numpy as np
+    from .law import trig
+    return tuple(t.tolist() for t in trig(np.array(us)))
+
+
+# ------------------------------------------------------------ the formatter
 
 class CPassColumn(ctypes.Structure):
     """struct cpass_column of _cpass.c: one column of format_csv."""
@@ -486,75 +324,129 @@ _TEXT, _INT64, _FLOAT64, _INT8 = 0, 1, 2, 3
 _WIDTH = {_INT64: 20, _FLOAT64: 24, _INT8: 4}
 
 
-def integer_column(col: np.ndarray) -> np.ndarray:
-    """An integer column of the trial dump as its writers take it: int8
-    and int64 as they are, any other integer dtype as int64.
+class CsvFormat:
+    """The columns of cpass_format for rows of columns like these, built
+    once and pointed at each set of rows in turn (write).
 
-    Raises ValueError where a value does not fit in int64 (a uint64 of
-    2**63 or more), so that neither writer prints a wrapped value.
+    A column is bytes (the same text in every row), an integer array
+    (written as str writes it; see law.integer_column: int8 and int64 are
+    read in place, strided or not) or a float array ('%.17g'); a 2-D
+    array stands for its columns, in order.  Each set of columns that
+    write takes must have the same texts, dtypes and shapes but the
+    rows'.
     """
-    if col.dtype == np.int8 or col.dtype == np.int64:
-        return col
-    if not np.can_cast(col.dtype, np.int64) and col.size \
-            and col.max() > np.iinfo(np.int64).max:
-        raise ValueError(f"a {col.dtype} column holds {col.max()}, "
-                         "which does not fit in int64")
-    return col.astype(np.int64)
+
+    def __init__(self, columns):
+        self._specs = []  # (first field, fields, kind, text or dtype)
+        self._texts = []  # the buffers that the text fields point into
+        fields = []
+        for col in columns:
+            if isinstance(col, bytes):
+                text = ctypes.create_string_buffer(col, len(col) or 1)
+                self._texts.append(text)
+                self._specs.append((len(fields), 1, _TEXT, col))
+                fields.append(CPassColumn(_TEXT, ctypes.addressof(text), 0,
+                                          len(col)))
+            else:
+                kind = _FLOAT64 if col.dtype.kind == "f" \
+                    else _INT8 if col.dtype.str == "|i1" else _INT64
+                count = col.shape[1] if col.ndim == 2 else 1
+                self._specs.append((len(fields), count, kind, col.dtype))
+                fields += [CPassColumn(kind) for _ in range(count)]
+        self._fields = (CPassColumn * len(fields))(*fields)
+        self._views = list(self._fields)  # each field, in place
+        # the bytes a row takes, at most
+        self.width = 1 + sum(1 + (f.length if f.kind == _TEXT
+                                  else _WIDTH[f.kind]) for f in fields)
+
+    def write(self, lib, columns, buffer=None):
+        """The CSV lines of columns, formatted by lib's cpass_format: one
+        line per row, its fields joined by ',' and ended by '\\n'.
+
+        The lines go into buffer, a writable memoryview, replaced by a
+        larger one when it is too small.  Returns (buffer, the number of
+        bytes written).
+        """
+        n = next(len(c) for c in columns if not isinstance(c, bytes))
+        keep = []  # the arrays that the fields point into
+        for (first, count, kind, key), col in zip(self._specs, columns):
+            if kind == _TEXT:
+                if col != key:
+                    raise ValueError("a text column changed")
+                continue
+            if len(col) != n:
+                raise ValueError("columns of different lengths")
+            if col.dtype != key or (col.shape[1] if col.ndim == 2
+                                    else 1) != count:
+                raise ValueError("a column changed its dtype or shape")
+            if kind == _FLOAT64 and col.dtype.str != "<f8":
+                col = col.astype("float64")
+            elif kind == _INT64 and col.dtype.str != "<i8":
+                from .law import integer_column
+                col = integer_column(col)
+            data, stride, step = col.ctypes.data, col.strides[0], \
+                col.strides[-1]
+            for c, field in enumerate(self._views[first:first + count]):
+                field.data, field.stride = data + c * step, stride
+            keep.append(col)
+        if buffer is None or buffer.nbytes < n * self.width:
+            buffer = memoryview(bytearray(n * self.width))
+        out = ctypes.addressof(ctypes.c_char.from_buffer(buffer)) \
+            if buffer.nbytes else None
+        return buffer, lib.cpass_format(self._fields, len(self._fields), n,
+                                        out)
 
 
 def format_csv(lib, columns, buffer=None):
-    """The CSV lines of equal-length columns, formatted by lib's
-    cpass_format: one line per row, its fields joined by ',' and ended
-    by '\\n'.
-
-    A column is bytes (the same text in every row), an integer array
-    (written as str writes it; see integer_column: int8 and int64 are
-    read in place, strided or not) or a float array ('%.17g').  The lines
-    go into buffer, a uint8 array, replaced by a larger one when it is
-    too small.  Returns (buffer, the number of bytes written).
-    """
-    n = next(len(c) for c in columns if not isinstance(c, bytes))
-    fields = (CPassColumn * len(columns))()
-    keep = []  # the arrays that fields point into
-    width = 1
-    for field, col in zip(fields, columns):
-        if isinstance(col, bytes):
-            col = np.frombuffer(col, np.uint8)
-            field.kind, field.length = _TEXT, col.size
-            width += col.size + 1
-        else:
-            if len(col) != n:
-                raise ValueError("columns of different lengths")
-            if np.issubdtype(col.dtype, np.floating):
-                field.kind, col = _FLOAT64, np.asarray(col, np.float64)
-            else:
-                col = integer_column(col)
-                field.kind = _INT8 if col.dtype == np.int8 else _INT64
-            field.stride = col.strides[0]
-            width += _WIDTH[field.kind] + 1
-        field.data = col.ctypes.data
-        keep.append(col)
-    if buffer is None or buffer.size < n * width:
-        buffer = np.empty(n * width, np.uint8)
-    return buffer, lib.cpass_format(fields, len(columns), n,
-                                    buffer.ctypes.data)
+    """CsvFormat(columns).write(lib, columns, buffer): the CSV lines of
+    equal-length columns, and the bytes written."""
+    return CsvFormat(columns).write(lib, columns, buffer)
 
 
-def _cpu_key() -> str | None:
-    """A hash of the CPU features numpy found on this host (the names of
-    those that are present), or None where numpy names none or cannot
-    say.  numpy reads them once at its import, so this starts no
-    process.  An extension that numpy does not name is not in the hash:
-    two CPUs that differ only in one share a library."""
+# ------------------------------------------------------------------ loading
+
+_CPUINFO = "/proc/cpuinfo"
+
+
+def _cpu_flags():
+    """The names on the first 'flags' line of _CPUINFO, or None where the
+    host has no such file or line."""
+    try:
+        with open(_CPUINFO, encoding="ascii", errors="replace") as fh:
+            for line in fh:
+                key, _, value = line.partition(":")
+                if key.strip() == "flags":
+                    return value.split()
+    except OSError:
+        pass
+    return None
+
+
+def _numpy_features():
+    """The names of the CPU features numpy found on this host, or None
+    where it cannot say.  numpy reads them once at its import, so this
+    starts no process."""
+    import numpy as np
     core = getattr(np, "_core", None) or np.core  # np.core before numpy 2
     features = getattr(getattr(core, "_multiarray_umath", None),
                        "__cpu_features__", None)
     try:
-        present = sorted(name for name, on in features.items() if on)
+        return [name for name, on in features.items() if on]
     except (AttributeError, TypeError):
         return None
-    return sha256(" ".join(present).encode()).hexdigest()[:8] \
-        if present else None
+
+
+def _cpu_key() -> str | None:
+    """A hash of the CPU's features: the flags of /proc/cpuinfo, or, on a
+    host without them, the features numpy found (importing numpy only
+    there).  None where neither names any.  An extension that the source
+    of the names does not name is not in the hash: two CPUs that differ
+    only in one share a library."""
+    names = _cpu_flags()
+    if names is None:
+        names = _numpy_features()
+    return sha256(" ".join(sorted(names)).encode()).hexdigest()[:8] \
+        if names else None
 
 
 def _compiled(source: str, cache: str) -> str | None:
@@ -628,43 +520,78 @@ def _remove_stale(cache: str, path: str, cpu: str) -> None:
 # signed zeros, infinities and nans; the ends of int64, int64s of 7, 8
 # and 9 digits (the last two on either side of put_int's one-word path),
 # and the ends of int8.
-_CHECK_FLOATS = np.array([1 + 2.0 ** -17, 26215 * 2.0 ** -18,
-                          -26217 * 2.0 ** -18, 196611 * 2.0 ** -18,
-                          -196609 * 2.0 ** -18, 5e-324, 1e16, 1e17, 1e-4,
-                          1e-5, 0.0, -0.0, math.inf, -math.inf, math.nan,
-                          math.copysign(math.nan, -1.0), -0.7071067811865476,
-                          123456789.125])
-_CHECK_INTS = np.array([-2 ** 63, 2 ** 63 - 1, 0, -1, 7, 10 ** 18, -1234567,
-                        99999999, 100000000] +
-                       [0] * (len(_CHECK_FLOATS) - 9), np.int64)
-_CHECK_INT8S = np.resize(np.array([-128, 127, -1, 0, 1, 9, 10, -10],
-                                  np.int8), len(_CHECK_FLOATS))
+_CHECK_FLOATS = [1 + 2.0 ** -17, 26215 * 2.0 ** -18, -26217 * 2.0 ** -18,
+                 196611 * 2.0 ** -18, -196609 * 2.0 ** -18, 5e-324, 1e16,
+                 1e17, 1e-4, 1e-5, 0.0, -0.0, math.inf, -math.inf, math.nan,
+                 math.copysign(math.nan, -1.0), -0.7071067811865476,
+                 123456789.125]
+_CHECK_INTS = [-2 ** 63, 2 ** 63 - 1, 0, -1, 7, 10 ** 18, -1234567, 99999999,
+               100000000] + [0] * (len(_CHECK_FLOATS) - 9)
+_CHECK_INT8S = ([-128, 127, -1, 0, 1, 9, 10, -10] * 3)[:len(_CHECK_FLOATS)]
 _CHECK_CSV = "".join(
     "%.17g,t,%d,%d\n" % row
-    for row in zip(_CHECK_FLOATS.tolist(), _CHECK_INTS.tolist(),
-                   _CHECK_INT8S.tolist())).encode()
+    for row in zip(_CHECK_FLOATS, _CHECK_INTS, _CHECK_INT8S)).encode()
+
+
+def _formats(lib) -> bool:
+    """Whether lib's cpass_format gives Python's bytes of _CHECK_FLOATS,
+    _CHECK_INTS and _CHECK_INT8S, a row each, with a text column."""
+    n = len(_CHECK_FLOATS)
+    text = ctypes.create_string_buffer(b"t", 1)
+    columns = [(_FLOAT64, (ctypes.c_double * n)(*_CHECK_FLOATS)),
+               (_TEXT, text),
+               (_INT64, (ctypes.c_int64 * n)(*_CHECK_INTS)),
+               (_INT8, (ctypes.c_int8 * n)(*_CHECK_INT8S))]
+    fields = (CPassColumn * len(columns))(*(
+        CPassColumn(kind, ctypes.addressof(data), ctypes.sizeof(data) // n,
+                    len(text) if kind == _TEXT else 0)
+        for kind, data in columns))
+    width = 1 + sum(1 + _WIDTH.get(kind, len(text)) for kind, _ in columns)
+    out = ctypes.create_string_buffer(n * width)
+    size = lib.cpass_format(fields, len(columns), n, out)
+    return out.raw[:size] == _CHECK_CSV
+
+
+# The known-answer check of the pass: a chunk of 200 CFD trials (a block
+# and a part of one) whose counters cross 2**40, with these origins and
+# settings (u of their turns), at d = 3 (binary powering) and at d = 0.5
+# (the table power).  The span, 0.7, is not a power of two, and at d = 0.5
+# the power is large for most s, so that its last bits reach the printed
+# voltage.  _PASS_DIGESTS holds the sha256 of numpy_chunk's states and of
+# its (4, 200) voltages' bytes for each d; tests/test_cpass.py checks that
+# numpy_chunk gives them on every leg of its host matrix.
+_CHECK_ORIGINS = [k * _M1 % 2 ** 64 for k in range(1, 10)]
+_CHECK_U = [0.05, 0.3, 0.55, 0.8]
+_CHECK_START, _CHECK_N = 2 ** 40 - 100, 200
+_PASS_DIGESTS = {
+    3.0: ("50a47fb6ce0a726730c2849b2846d3dbfcdf5652eead6678a9a303f8d9725892",
+          "52967d2262ce226d734fc7564d8776b860e11961be158f85a25f7b3c0cce3a93"),
+    0.5: ("f5f5ddb9939ff27299c2dda08b35a5462cfbf09abb5b24fca34d7ee43369697b",
+          "f9128cff41b396cf987f93e9d83d1570a45c89ae13d6f40f31c73888b3a4e934"),
+}
+
+
+def _check_params(d: float) -> ModelParams:
+    return ModelParams(d=d, v_min_mag=0.3, threshold=-0.65)
 
 
 def _pass_agrees(lib) -> bool:
-    """Whether lib's CFD pass gives numpy_chunk's states and voltages,
-    bit for bit, on a fixed chunk of 200 trials (a block and a part of
-    one) whose counters cross 2**40, at d = 3 (binary powering) and at
-    d = 0.5 (the table power).
-
-    The span, 0.7, is not a power of two, and at d = 0.5 the power is
-    large for most s, so that its last bits reach the printed voltage.
-    """
-    origins = (np.arange(1, 10, dtype=np.uint64) * _M1_U64)[:, None]
-    turns = np.array(trig(np.array([0.05, 0.3, 0.55, 0.8]))).T
-    start = 2 ** 40 - 100
-    for d in (3.0, 0.5):
-        params = ModelParams(d=d, v_min_mag=0.3, threshold=-0.65)
-        _, states, volts = Compiled(lib, True, params, turns, origins, 200,
-                                    trials=True).run(start, 200)
-        want = numpy_chunk(True, params, turns,
-                           fill_uniforms(origins, start, 200))
-        if not (np.array_equal(states, want[0])
-                and np.array_equal(volts, want[1])):
+    """Whether lib's CFD pass, cpass_trig giving its turns, gives the
+    states and voltages of _PASS_DIGESTS, and counts its states."""
+    turns = list(zip(*_lib_trig(lib, _CHECK_U)))
+    codes = (ctypes.c_uint8 * _CHECK_N)()
+    volts = (ctypes.c_double * (4 * _CHECK_N))()
+    for d, digests in _PASS_DIGESTS.items():
+        point = Compiled(lib, True, _check_params(d), turns, _CHECK_ORIGINS,
+                         capacity=_CHECK_N, codes=ctypes.addressof(codes),
+                         volts=ctypes.addressof(volts))
+        point.add(_CHECK_START, _CHECK_N)
+        counts = [0] * 256
+        for state in codes:
+            counts[state] += 1
+        if (sha256(bytes(codes)).hexdigest(),
+                sha256(bytes(volts)).hexdigest()) != digests \
+                or point.hist[:] != counts:
             return False
     return True
 
@@ -674,8 +601,7 @@ def load_cpass(source: str = _SOURCE, cache: str = _CACHE):
 
     None where it cannot be built or loaded, where its pass, counter hash
     included, does not reproduce numpy_chunk (_pass_agrees), or where its
-    formatter does not reproduce Python's bytes of _CHECK_FLOATS,
-    _CHECK_INTS and _CHECK_INT8S.
+    formatter does not reproduce Python's bytes (_formats).
     """
     path = _compiled(source, cache)
     if path is None:
@@ -686,18 +612,20 @@ def load_cpass(source: str = _SOURCE, cache: str = _CACHE):
             fn = getattr(lib, name)
             fn.argtypes = (ctypes.POINTER(CPassPoint), ctypes.c_uint64,
                            ctypes.c_int64)
-            fn.restype = None
+            fn.restype = ctypes.c_int64
+        lib.cpass_trig.argtypes = (ctypes.POINTER(CPassPoint),
+                                   ctypes.POINTER(ctypes.c_double),
+                                   ctypes.c_int64,
+                                   ctypes.POINTER(ctypes.c_double),
+                                   ctypes.POINTER(ctypes.c_double))
+        lib.cpass_trig.restype = None
         lib.cpass_format.argtypes = (ctypes.POINTER(CPassColumn),
                                      ctypes.c_int64, ctypes.c_int64,
                                      ctypes.c_void_p)
         lib.cpass_format.restype = ctypes.c_int64
     except (OSError, AttributeError):
         return None
-    if not _pass_agrees(lib):
-        return None
-    buffer, size = format_csv(lib, [_CHECK_FLOATS, b"t", _CHECK_INTS,
-                                    _CHECK_INT8S])
-    if buffer[:size].tobytes() != _CHECK_CSV:
+    if not (_pass_agrees(lib) and _formats(lib)):
         return None
     return lib
 

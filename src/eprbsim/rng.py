@@ -7,8 +7,6 @@ of a run; per-point sub-seeds keep sweep grid points independent.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from . import kernels
 
 _MASK64 = (1 << 64) - 1
@@ -60,15 +58,6 @@ def derive_seed(seed: int, index: int) -> int:
     return _mix64(_mix64(seed) + _LEAP * (index + 1))
 
 
-def uniforms(seed: int, stream: int, n: int, start: int = 0) -> np.ndarray:
-    """n uniforms in [0, 1) at counters start..start+n-1."""
+def uniforms(seed: int, stream: int, n: int, start: int = 0):
+    """n uniforms in [0, 1) at counters start..start+n-1, a numpy array."""
     return kernels.fill_uniforms(stream_origin(seed, stream), start, n)
-
-
-def stream_origins(seed: int, streams) -> np.ndarray:
-    """stream_origin of each stream, as a (len(streams), 1) uint64 column.
-
-    kernels.fill_uniforms of it fills one row per stream: a pass computes
-    it once per point and fills every chunk from it.
-    """
-    return np.array([[stream_origin(seed, s)] for s in streams], np.uint64)

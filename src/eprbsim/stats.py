@@ -8,8 +8,7 @@ silent zeros or NaNs.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import operator
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -54,15 +53,12 @@ def eberhard_j_terms(f_1, f_1p, f_2, f_2p):
     """Per-trial Eberhard-style count combination.
 
     Arguments are fates at the four stations (side-1 plain and primed,
-    side-2 plain and primed).  The combination pairs the primed side-1
-    setting with the primed side-2 setting in the 'wasted pair' terms
-    and is non-negative for every fate assignment.  On 0/1 detection
-    indicators it is the CH combination.
+    side-2 plain and primed), ints or integer arrays alike.  The
+    combination pairs the primed side-1 setting with the primed side-2
+    setting in the 'wasted pair' terms and is non-negative for every fate
+    assignment.  On 0/1 detection indicators it is the CH combination.
     """
-    o1 = (np.asarray(f_1) == 1).astype(np.int64)
-    o1p = (np.asarray(f_1p) == 1).astype(np.int64)
-    o2 = (np.asarray(f_2) == 1).astype(np.int64)
-    o2p = (np.asarray(f_2p) == 1).astype(np.int64)
+    o1, o1p, o2, o2p = ((f == 1) * 1 for f in (f_1, f_1p, f_2, f_2p))
     return o1p * (1 - o2p) + (1 - o1) * o2 + o1 * o2p - o1p * o2
 
 
@@ -84,32 +80,38 @@ def eberhard_selected(n_oo, n_oe, n_eo) -> int:
 # x2 = +1, bit 2 for w1, bit 3 for w2.  Every sum an estimator needs is
 # an integer linear function of those counts.
 
-_STATE = np.arange(16)
-_O1, _O2, _W1, _W2 = ((_STATE >> bit) & 1 for bit in range(4))
-_X1, _X2 = 2 * _O1 - 1, 2 * _O2 - 1
-_BOTH = _W1 * _W2
+def _weights(*factors):
+    """The product of the factors, one weight per state."""
+    return tuple(math.prod(f) for f in zip(*factors))
+
+
+_O1, _O2, _W1, _W2 = (tuple((s >> bit) & 1 for s in range(16))
+                      for bit in range(4))
+_X1, _X2 = (tuple(2 * o - 1 for o in _O1), tuple(2 * o - 1 for o in _O2))
+_E1, _E2 = (tuple(1 - o for o in _O1), tuple(1 - o for o in _O2))
+_BOTH = _weights(_W1, _W2)
 _PAIR_SUMS = {
-    "n": np.ones(16, np.int64),
-    "xx": _X1 * _X2,                  # detection-event product sum
-    "n_pass": _BOTH,                  # pairs both flags identify
-    "xx_pass": _BOTH * _X1 * _X2,     # product sum over those pairs
-    "n1": _W1, "x1": _W1 * _X1,       # side-1 identified count and sum
-    "n2": _W2, "x2": _W2 * _X2,       # side-2 identified count and sum
-    "n_oo": _BOTH * _O1 * _O2,
-    "n_oe": _BOTH * _O1 * (1 - _O2),
-    "n_eo": _BOTH * (1 - _O1) * _O2,
+    "n": (1,) * 16,
+    "xx": _weights(_X1, _X2),              # detection-event product sum
+    "n_pass": _BOTH,                       # pairs both flags identify
+    "xx_pass": _weights(_BOTH, _X1, _X2),  # product sum over those pairs
+    "n1": _W1, "x1": _weights(_W1, _X1),   # side-1 identified count and sum
+    "n2": _W2, "x2": _weights(_W2, _X2),   # side-2 identified count and sum
+    "n_oo": _weights(_BOTH, _O1, _O2),
+    "n_oe": _weights(_BOTH, _O1, _E2),
+    "n_eo": _weights(_BOTH, _E1, _O2),
 }
 
 
 def _pair_sums(pair_counts) -> dict:
     """Integer sums over each setting pair's trials.
 
-    pair_counts is a (P, 16) array of state counts.  Returns a dict
-    mapping each sum's name ('n', 'xx', 'n_pass', 'xx_pass', 'n1', 'x1',
-    'n2', 'x2', 'n_oo', 'n_oe', 'n_eo') to a list of P ints.
+    pair_counts holds P rows of 16 state counts.  Returns a dict mapping
+    each sum's name ('n', 'xx', 'n_pass', 'xx_pass', 'n1', 'x1', 'n2',
+    'x2', 'n_oo', 'n_oe', 'n_eo') to a list of P ints.
     """
-    pc = np.asarray(pair_counts, np.int64)
-    return {name: [int(v) for v in pc @ weight]
+    return {name: [int(sum(map(operator.mul, counts, weight)))
+                   for counts in pair_counts]
             for name, weight in _PAIR_SUMS.items()}
 
 

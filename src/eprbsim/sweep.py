@@ -7,11 +7,13 @@ byte-identical output files at any number of threads (see _sweep).  A
 run with a trial dump (_TrialDumper) walks each point once, in the
 calling thread, one chunk's records at a time, and its rows are the
 counts of the dumped trials.  The dump is formatted by the compiled
-library (kernels.format_csv) or, where kernels.BACKEND is "numpy", line
-by line (_csv_lines), with the same bytes.
+library (kernels.CsvFormat) or, where kernels.BACKEND is "numpy", line
+by line (_csv_lines), with the same bytes.  Rows are built from state
+counts in Python ints; only the dump's records need numpy.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -19,8 +21,6 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import experiment, kernels, rng, stats
 from .experiment import (PAIR_NAMES, QUADRUPLES, CfdRun, InvariantError,
@@ -145,7 +145,7 @@ def _row(theta: float, pair_counts, n: int, cfg_seed: int) -> dict:
 
 
 def _point_counts(mode: str, params: ModelParams, theta: float, n: int,
-                  point_seed: int, span=None) -> np.ndarray:
+                  point_seed: int, span=None) -> list:
     """State counts of one point: cfd_counts for mode "cfd", of trials
     lo..hi-1 alone where span = (lo, hi) is given, else noncfd_counts of
     the whole point, whatever span is.  One task of a sweep's pool."""
@@ -155,7 +155,7 @@ def _point_counts(mode: str, params: ModelParams, theta: float, n: int,
     return noncfd_counts(params, quad, n, point_seed)
 
 
-def _cfd_row(theta: float, counts: np.ndarray, n: int, cfg_seed: int,
+def _cfd_row(theta: float, counts, n: int, cfg_seed: int,
              delta_denominator: str) -> dict:
     """The row of one CFD point, from its 256 state counts."""
     experiment._check_identities(counts)
@@ -164,14 +164,13 @@ def _cfd_row(theta: float, counts: np.ndarray, n: int, cfg_seed: int,
     if s_hat is None or abs(s_hat) > 2.0 + _TOL:
         raise InvariantError(f"detection-event |S| exceeded 2: {s_hat}")
 
-    by_flags = counts.reshape(16, 16)  # [flag bits, outcome bits]
-    outcomes = by_flags.sum(axis=0)
-    j_det = int(outcomes @ stats.eberhard_j_terms(*QUADRUPLES.T))
+    j_det = int(sum(count * stats.eberhard_j_terms(*q) for q, count in
+                    zip(QUADRUPLES, experiment.outcome_counts(counts))))
     if j_det < 0:
         raise InvariantError(
             f"detection-event count combination went negative: J={j_det}")
 
-    n_prime = int(by_flags[15].sum())
+    n_prime = int(sum(counts[240:]))  # all four flags set
     n_passes = tuple(row[f"n_pass_{name}"] for name in PAIR_NAMES)
     delta, bound = stats.delta_ratio(n_prime, n_passes, delta_denominator,
                                      per_setting_total=n)
@@ -181,8 +180,7 @@ def _cfd_row(theta: float, counts: np.ndarray, n: int, cfg_seed: int,
     return row
 
 
-def _noncfd_row(theta: float, counts: np.ndarray, quota: int,
-                cfg_seed: int) -> dict:
+def _noncfd_row(theta: float, counts, quota: int, cfg_seed: int) -> dict:
     """The row of one non-CFD point, from its (4, 16) pair state counts."""
     row = _row(theta, counts, quota, cfg_seed)
     # Pair selection accounting does not apply without quadruples.
@@ -190,8 +188,23 @@ def _noncfd_row(theta: float, counts: np.ndarray, quota: int,
     return row
 
 
-def theta_grid(cfg: RunConfig) -> np.ndarray:
-    return np.linspace(cfg.theta_start, cfg.theta_end, cfg.theta_steps)
+def _linspace(start: float, stop: float, num: int) -> list:
+    """num floats evenly spaced from start to stop, both included: those
+    of np.linspace(start, stop, num), bit for bit, step by step as it
+    computes them."""
+    div, delta = num - 1, stop - start
+    if div <= 0:  # one point, or none
+        return [0.0 * delta + start] * num
+    step = delta / div
+    if step == 0:  # numpy's special case of a subnormal step
+        grid = [i / div * delta + start for i in range(div)]
+    else:
+        grid = [i * step + start for i in range(div)]
+    return grid + [stop]
+
+
+def theta_grid(cfg: RunConfig) -> list:
+    return _linspace(cfg.theta_start, cfg.theta_end, cfg.theta_steps)
 
 
 def _usable_cpus() -> int:
@@ -200,6 +213,22 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity on this platform
         return os.cpu_count() or 1
+
+
+def _pool_cpus(workers: int) -> list:
+    """A CPU for each of workers threads, distinct, from this process's
+    affinity; [] where there are fewer or the platform cannot pin."""
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return []
+    return cpus[:workers] if workers > 1 and len(cpus) >= workers else []
+
+
+def _pin(cpu: int) -> None:
+    """Run the calling thread on this CPU alone, where the host lets it."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, {cpu})
 
 
 def _pool_map(tasks, workers: int) -> None:
@@ -211,9 +240,16 @@ def _pool_map(tasks, workers: int) -> None:
     and then the first exception raises here as it was raised.  A
     KeyboardInterrupt in the calling thread stops the pool the same way,
     between tasks or while it waits for the others.
+
+    For the pool's life each thread runs on a CPU of its own
+    (_pool_cpus): a started thread otherwise stays on its parent's CPU
+    where the host does not balance its threads across CPUs.  The
+    calling thread's CPUs are restored when the pool ends, however it
+    ends.
     """
     errors, pending, lock = [], iter(tasks), threading.Lock()
     ended = threading.Semaphore(0)  # released by each started thread
+    cpus = _pool_cpus(workers)
 
     def stop(exc):
         with lock:
@@ -230,32 +266,42 @@ def _pool_map(tasks, workers: int) -> None:
             except BaseException as exc:
                 stop(exc)
 
-    def started():
+    def started(cpu):
         try:
+            if cpu is not None:
+                _pin(cpu)
             work()
         finally:
             ended.release()
 
-    threads = []
+    threads, caller = [], cpus and os.sched_getaffinity(0)
     try:
-        for _ in range(workers - 1):
-            thread = threading.Thread(target=started)
+        if cpus:
+            _pin(cpus[0])
+        for k in range(1, workers):
+            thread = threading.Thread(target=started,
+                                      args=(cpus[k] if cpus else None,))
             thread.start()
             threads.append(thread)
         work()
     except BaseException as exc:  # outside a task: a Ctrl-C
         stop(exc)
-    # Not Thread.join: interrupted, it can mark a running thread as ended
-    # (Python before 3.13).
-    for _ in threads:
-        while True:
-            try:
-                ended.acquire()
-                break
-            except BaseException as exc:  # a Ctrl-C while waiting
-                stop(exc)
-    for thread in threads:
-        thread.join()
+    try:
+        # Not Thread.join: interrupted, it can mark a running thread as
+        # ended (Python before 3.13).
+        for _ in threads:
+            while True:
+                try:
+                    ended.acquire()
+                    break
+                except BaseException as exc:  # a Ctrl-C while waiting
+                    stop(exc)
+        for thread in threads:
+            thread.join()
+    finally:
+        if caller:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, caller)
     if errors:
         raise errors[0]
 
@@ -268,12 +314,13 @@ def _sweep(cfg: RunConfig, points) -> list:
     each point once, in order, and its counts are those of the runs the
     dump writes (_TrialDumper.write_point).  Otherwise the tasks, CFD
     blocks of BLOCK_CHUNKS CHUNKs of a point's trials, or whole non-CFD
-    points, whose quota cut takes their chunks in trial order, run on
+    points, whose quota cut takes their trials in order, run on
     min(--threads, usable CPUs, tasks) threads, the calling one among
     them (_pool_map): the compiled pass drops the interpreter lock for
-    each chunk.  Each task adds its integer counts to its point's as it
-    ends, in any order, and no task or block's counts outlive it.  This
-    thread builds every row from the points' counts in grid order.
+    each foreign call, a block's trials at most.  Each task adds its
+    integer counts to its point's as it ends, in any order, and no task
+    or block's counts outlive it.  This thread builds every row from the
+    points' counts in grid order.
     """
     seeds = [rng.derive_seed(cfg.seed, i) for i in range(len(points))]
     params, thetas = zip(*points)
@@ -285,15 +332,16 @@ def _sweep(cfg: RunConfig, points) -> list:
         finally:
             dump.close()
     else:
-        counts, lock = [0] * len(points), threading.Lock()
+        counts, lock = [None] * len(points), threading.Lock()
         block = BLOCK_CHUNKS * experiment.CHUNK if cfg.mode == "cfd" else cfg.n
         starts = range(0, cfg.n, block)
 
         def add(i, lo):
             c = _point_counts(cfg.mode, params[i], thetas[i], cfg.n, seeds[i],
                               (lo, min(lo + block, cfg.n)))
-            with lock:
-                counts[i] = counts[i] + c
+            with lock:  # a non-CFD point is one task: its counts stand
+                counts[i] = c if counts[i] is None \
+                    else [a + b for a, b in zip(counts[i], c)]
 
         _pool_map((functools.partial(add, i, lo)
                    for i in range(len(points)) for lo in starts),
@@ -308,14 +356,13 @@ def _sweep(cfg: RunConfig, points) -> list:
 def sweep_theta(cfg: RunConfig):
     """One row per theta grid point.  Returns (columns, rows)."""
     params = cfg.model_params()
-    points = [(params, float(theta)) for theta in theta_grid(cfg)]
+    points = [(params, theta) for theta in theta_grid(cfg)]
     return THETA_COLUMNS, _sweep(cfg, points)
 
 
 def sweep_threshold(cfg: RunConfig):
     """One row per threshold at fixed theta; documents S -> S_ref convergence."""
-    start, stop, steps = cfg.threshold_sweep
-    thresholds = [float(thr) for thr in np.linspace(start, stop, steps)]
+    thresholds = _linspace(*cfg.threshold_sweep)
     points = [(cfg.model_params(threshold=thr), THRESHOLD_SWEEP_THETA)
               for thr in thresholds]
     rows = _sweep(cfg, points)
@@ -356,8 +403,9 @@ class _TrialDumper:
     """Raw per-trial record writer (comma separated, one line per record).
 
     A run's records are formatted in one call of the compiled library
-    (kernels.format_csv) where kernels.BACKEND is "c", and one line at a
-    time by _csv_lines otherwise, with the same bytes.
+    where kernels.BACKEND is "c", through the columns of a
+    kernels.CsvFormat built once per point, and one line at a time by
+    _csv_lines otherwise, with the same bytes.
     """
 
     CFD_HEADER = ("k,a1,a1p,a2,a2p,x1,x1p,x2,x2p,"
@@ -367,17 +415,18 @@ class _TrialDumper:
     def __init__(self, path: str, mode: str):
         self.fh = open(path, "wb")
         self.mode = mode
-        self.buffer = None  # format_csv's, reused from run to run
+        self.buffer = None  # CsvFormat.write's, reused from run to run
+        self.format = None  # the point's CsvFormat, built at its first run
         self.fh.write((self.CFD_HEADER if mode == "cfd"
                        else self.NONCFD_HEADER).encode() + b"\n")
 
     def write_point(self, params: ModelParams, theta: float, n: int,
-                    seed: int) -> np.ndarray:
+                    seed: int) -> list:
         """Write a point's records a run at a time, in counter order, and
-        return the sum of the runs' state counts: run_cfd over each CHUNK
-        of trials, all from one pass of the point, whose quadruples the
-        row checks on the sum (_cfd_row), or the runs of run_noncfd,
-        whose quota ties each chunk to the chunks before it."""
+        return the sum of the runs' state counts, as lists of ints: run_cfd
+        over each CHUNK of trials, all from one pass of the point, whose
+        quadruples the row checks on the sum (_cfd_row), or the runs of
+        run_noncfd, whose quota ties each chunk to the chunks before it."""
         quad, length = SettingsQuad.for_theta(theta), experiment.CHUNK
         if self.mode == "cfd":
             chunk = experiment._pass(True, params, quad, seed,
@@ -387,24 +436,27 @@ class _TrialDumper:
                     for start in range(0, n, length))
         else:
             runs = run_noncfd(params, quad, n, seed)
-        counts = 0
+        counts, self.format = 0, None
         for run in runs:
             self.write_run(run)
             counts = counts + run.counts
-        return counts
+        return counts.tolist()
 
     def write_run(self, run) -> None:
         """Write the records of a CfdRun or a NonCfdRun, in counter order."""
         if isinstance(run, CfdRun):
+            import numpy as np
             settings = ",".join("%.17g" % ai for ai in run.quad.as_tuple())
             head = [np.arange(run.start, run.start + run.n), settings.encode()]
         else:
-            head = [run.k, *run.a.T]
-        columns = [*head, *run.x.T, *run.v.T, *run.w.T]
+            head = [run.k, run.a]
+        columns = [*head, run.x, run.v, run.w]
         if kernels.BACKEND == "c":
-            self.buffer, size = kernels.format_csv(kernels.CPASS, columns,
-                                                   self.buffer)
-            self.fh.write(memoryview(self.buffer)[:size])
+            if self.format is None:
+                self.format = kernels.CsvFormat(columns)
+            self.buffer, size = self.format.write(kernels.CPASS, columns,
+                                                  self.buffer)
+            self.fh.write(self.buffer[:size])
         else:
             self.fh.write(_csv_lines(columns))
 
@@ -416,11 +468,13 @@ def _csv_lines(columns) -> bytes:
     """The records of kernels.format_csv's columns, formatted line by line:
     '%d' of each integer and '%.17g' of each float.  An integer column
     with a value outside int64 raises ValueError, as it does there."""
+    columns = [c for col in columns for c in (
+        col.T if not isinstance(col, bytes) and col.ndim == 2 else [col])]
     line = ",".join(
         c.decode().replace("%", "%%") if isinstance(c, bytes)
-        else "%.17g" if np.issubdtype(c.dtype, np.floating) else "%d"
+        else "%.17g" if c.dtype.kind == "f" else "%d"
         for c in columns) + "\n"
-    rows = zip(*[(c if np.issubdtype(c.dtype, np.floating)
+    rows = zip(*[(c if c.dtype.kind == "f"
                   else kernels.integer_column(c)).tolist()
                  for c in columns if not isinstance(c, bytes)])
     return "".join(line % row for row in rows).encode()

@@ -140,9 +140,9 @@ def decision_params(d):
 
 
 def _origins(cfd):
-    streams = experiment._CHUNK_STREAMS if cfd else \
-        experiment._NONCFD_STREAMS
-    return rng.stream_origins(DECISION_SEED, streams)
+    """The pass's stream origins, as a column for kernels.fill_uniforms."""
+    return np.array(experiment._origins(cfd, DECISION_SEED),
+                    np.uint64)[:, None]
 
 
 def chunk_values(cfd, params, quad, n=DECISION_N):
@@ -158,7 +158,7 @@ def _recomputed(cfd, params, quad):
     from kernels.trig and kernels.abs_power on."""
     u = kernels.fill_uniforms(_origins(cfd), 0, DECISION_N)
     cos2, sin2 = kernels.trig(u[0])
-    turns = experiment._turns(quad)  # rows ca, sa per station
+    turns = np.array(experiment._turns(quad))  # rows ca, sa per station
     if cfd:
         station, r, rhat = np.arange(4)[:, None], u[1:5], u[5:9]
         extra, weights = [], [1, 2, 4, 8, 16, 32, 64, 128]

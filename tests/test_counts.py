@@ -6,6 +6,7 @@ array estimators of `reference`, the way rows were computed before
 counts.
 """
 import math
+import os
 import pathlib
 import signal
 import threading
@@ -162,7 +163,7 @@ def test_pool_rows_are_built_here_in_grid_order(mode, monkeypatch):
     build, seen = getattr(sweep, name), []
 
     def spy(theta, counts, *args):
-        seen.append((theta, isinstance(counts, np.ndarray),
+        seen.append((theta, isinstance(counts, list),
                      threading.current_thread()))
         return build(theta, counts, *args)
 
@@ -263,6 +264,73 @@ def test_ctrl_c_while_the_calling_thread_waits_still_joins(monkeypatch):
                               threads=2))
     assert len(ended) == 1
     assert threading.active_count() == before
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="fewer than two CPUs to pin threads to")
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("ending", ["returns", "raises", "ctrl-c"])
+def test_the_pool_pins_its_threads_and_restores_the_callers_cpus(ending):
+    """Each of a pool's two threads runs its tasks on a CPU of its own,
+    and the calling thread's CPUs are restored as the pool ends, however
+    it ends."""
+    here, mask = threading.current_thread(), os.sched_getaffinity(0)
+    seen, both = {}, threading.Barrier(2, timeout=60)
+
+    def task(first):
+        seen.setdefault(threading.current_thread(), set()).add(
+            frozenset(os.sched_getaffinity(0)))
+        if first:  # one task on each thread at once
+            both.wait()
+        if threading.current_thread() is here and not first:
+            if ending == "raises":
+                raise RuntimeError("a task failed")
+            if ending == "ctrl-c":
+                raise KeyboardInterrupt
+
+    tasks = [lambda: task(True), lambda: task(True), lambda: task(False),
+             lambda: task(False), lambda: task(False)]
+    if ending == "returns":
+        sweep._pool_map(tasks, 2)
+    else:
+        with pytest.raises(RuntimeError if ending == "raises"
+                           else KeyboardInterrupt):
+            sweep._pool_map(tasks, 2)
+    assert os.sched_getaffinity(0) == mask
+    assert len(seen) == 2 and here in seen
+    cpus = [next(iter(masks)) for masks in seen.values()]
+    assert all(len(masks) == 1 for masks in seen.values())
+    assert all(len(cpu) == 1 and cpu <= mask for cpu in cpus)
+    assert cpus[0] != cpus[1]
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("mode,sweep_range", [
+    ("cfd", None), ("noncfd", None), ("cfd", (-0.9995, -0.99, 4))])
+def test_pinned_pools_give_the_bytes_at_one_to_three_threads(
+        mode, sweep_range, monkeypatch):
+    # Three threads pinned to two CPUs share one: the pool pins them all
+    # here, and the rows stay those of one thread.
+    cpus = sorted(os.sched_getaffinity(0))
+    monkeypatch.setattr(sweep, "_pool_cpus",
+                        lambda workers: [cpus[k % len(cpus)]
+                                         for k in range(workers)])
+    pools, _ = _spy_pools(monkeypatch, cpus=3)
+    mask, outputs = os.sched_getaffinity(0), []
+    for threads in (1, 2, 3):
+        cfg = RunConfig(mode=mode, n=3 * sweep.BLOCK_CHUNKS
+                        * experiment.CHUNK + 7, theta_steps=3,
+                        threads=threads, threshold_sweep=sweep_range)
+        run = sweep.sweep_theta if sweep_range is None \
+            else sweep.sweep_threshold
+        outputs.append(rows_to_csv(*run(cfg)))
+        assert os.sched_getaffinity(0) == mask
+    assert pools == [1, 2, 3]
+    assert outputs == [outputs[0]] * 3
 
 
 def test_a_threaded_sweep_loads_no_process_pool():
@@ -392,7 +460,9 @@ def test_a_sweep_of_fewer_points_than_workers_splits_them(backend, dump,
 @pytest.mark.parametrize("mode", ["cfd", "noncfd"])
 def test_a_dumped_sweep_passes_each_trial_once(mode, tmp_path, monkeypatch):
     # Trials through experiment._pass per point seed: a dump run's rows
-    # are the counts of the trials it dumps, with no second pass.
+    # are the counts of the trials it dumps, with no second pass, under
+    # each pass.  The rows-only walk is numpy's: the compiled pass counts
+    # a rows-only point without experiment._pass.
     make, passed = experiment._pass, {}
 
     def counted(cfd, params, quad, seed, *args, **kwargs):
@@ -405,16 +475,20 @@ def test_a_dumped_sweep_passes_each_trial_once(mode, tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiment, "_pass", counted)
     monkeypatch.setattr(experiment, "CHUNK", 64)
+    monkeypatch.setattr(kernels, "BACKEND", "numpy")
     cfg = RunConfig(mode=mode, n=300, theta_steps=3)
     rows = rows_to_csv(*sweep_theta(cfg))
-    walked, passed = passed, {}
-    cfg.dump_trials = str(tmp_path / "trials.csv")
-    assert rows_to_csv(*sweep_theta(cfg)) == rows
+    walked = passed.copy()
     seeds = [rng.derive_seed(cfg.seed, i) for i in range(3)]
-    assert sorted(passed) == sorted(seeds)
-    assert passed == walked
-    if mode == "cfd":
-        assert passed == dict.fromkeys(seeds, 300)
+    cfg.dump_trials = str(tmp_path / "trials.csv")
+    for backend in PASSES:
+        monkeypatch.setattr(kernels, "BACKEND", backend)
+        passed.clear()
+        assert rows_to_csv(*sweep_theta(cfg)) == rows
+        assert sorted(passed) == sorted(seeds)
+        assert passed == walked
+        if mode == "cfd":
+            assert passed == dict.fromkeys(seeds, 300)
 
 
 def _traced_peak(point) -> int:
@@ -449,9 +523,7 @@ def test_sweep_bookkeeping_does_not_grow_with_n(monkeypatch):
     # sweep holds neither a task nor counts per block.  Each block's
     # counts are its trials at state 255, all +1 and all identified.
     def block(mode, params, theta, n, seed, span):
-        counts = np.zeros(256, np.int64)
-        counts[255] = span[1] - span[0]
-        return counts
+        return [0] * 255 + [span[1] - span[0]]
 
     monkeypatch.setattr(sweep, "_point_counts", block)
     peaks = [_traced_peak(lambda: sweep_theta(RunConfig(n=n, theta_steps=4)))
@@ -510,6 +582,27 @@ def test_noncfd_runs_walk_the_chunks_of_noncfd_counts(backend, monkeypatch):
     held = np.cumsum([run.counts.sum(axis=1) for run in runs], axis=0)
     assert held[-1].tolist() == [quota] * 4
     assert np.all(held[:-1].min(axis=1) < quota)
+
+
+@pytest.mark.skipif(kernels.CPASS is None, reason="no compiled pass")
+def test_the_compiled_quota_cut_stops_at_the_trial_that_fills_the_last_pair():
+    # The trial that fills the last pair is the last one run_noncfd keeps.
+    quad, quota, seed = SettingsQuad.for_theta(0.4), 300, 17
+    last = max(int(run.k[-1]) for run in
+               run_noncfd(ModelParams(), quad, quota, seed))
+    want = noncfd_counts(ModelParams(), quad, quota, seed)
+    whole = experiment._compiled(False, ModelParams(), quad, seed, quota)
+    assert whole.add(0, 10**6) == last + 1
+    assert whole.held[:] == [quota] * 4
+    assert whole.add(last + 1, 100) == 0  # every pair holds its quota
+    # In calls of 77 trials, which end inside blocks of the pass.
+    pieces, start = experiment._compiled(False, ModelParams(), quad, seed,
+                                         quota), 0
+    while min(pieces.held) < quota:
+        start += pieces.add(start, 77)
+    assert start == last + 1
+    for point in (whole, pieces):
+        assert [point.hist[16 * p:16 * p + 16] for p in range(4)] == want
 
 
 @pytest.mark.parametrize("chunk,theta,quota,seeds", [

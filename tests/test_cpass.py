@@ -231,11 +231,70 @@ def test_a_library_for_other_cpu_features_is_neither_loaded_nor_removed(
                for library in other_cpu)
 
 
+def _cpuinfo(tmp_path, monkeypatch, text):
+    """kernels._CPUINFO of this text, or of no file where text is None."""
+    path = tmp_path / "cpuinfo"
+    if text is not None:
+        path.write_text(text)
+    monkeypatch.setattr(kernels, "_CPUINFO", str(path))
+
+
+def _key(names):
+    return hashlib.sha256(" ".join(sorted(names)).encode()).hexdigest()[:8]
+
+
+# Two processors' lines, as /proc/cpuinfo has them on x86.
+CPUINFO = ("processor\t: 0\nvendor_id\t: GenuineIntel\n"
+           "flags\t\t: {}\nbugs\t\t: spectre_v1\n\n"
+           "processor\t: 1\nflags\t\t: fpu\n")
+
+
+@pytest.mark.parametrize("text,names", [
+    (CPUINFO.format("fpu sse2 avx2"), ["avx2", "fpu", "sse2"]),
+    (CPUINFO.format("sse2 fpu"), ["fpu", "sse2"])], ids=["avx2", "sse2"])
+def test_the_cpu_key_is_the_first_flags_line_of_cpuinfo(tmp_path, monkeypatch,
+                                                         text, names):
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+    monkeypatch.delattr(umath, "__cpu_features__")  # not read
+    _cpuinfo(tmp_path, monkeypatch, text)
+    assert kernels._cpu_key() == _key(names)
+
+
+@pytest.mark.parametrize("text", [None, "processor\t: 0\nFeatures\t: fp\n"],
+                         ids=["no-file", "no-flags-line"])
+def test_a_host_without_cpuinfo_flags_keys_by_numpys_features(
+        tmp_path, monkeypatch, text):
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
+    monkeypatch.setattr(umath, "__cpu_features__",
+                        {"AVX2": True, "SSE2": True, "AVX512F": False})
+    _cpuinfo(tmp_path, monkeypatch, text)
+    assert kernels._cpu_key() == _key(["AVX2", "SSE2"])
+
+
+@needs_cc
+def test_two_flag_sets_build_two_libraries(tmp_path, monkeypatch):
+    """Hosts whose CPUs differ in a flag each build and load a library of
+    their own from one cache, and neither removes the other's."""
+    cache, paths = tmp_path / "cache", []
+    for flags in ("fpu sse2 avx2", "fpu sse2"):
+        _cpuinfo(tmp_path, monkeypatch, CPUINFO.format(flags))
+        lib = kernels.load_cpass(kernels._SOURCE, str(cache))
+        assert lib is not None
+        paths.append(lib._name)
+    names = [os.path.basename(p) for p in paths]
+    # _cpass-<tag>-<cpu>-<key>.so
+    assert [name.split("-")[-2] for name in names] == [
+        _key(["avx2", "fpu", "sse2"]), _key(["fpu", "sse2"])]
+    assert sorted(os.listdir(cache)) == sorted(names)
+
+
 @needs_cc
 @pytest.mark.parametrize("features", [None, {"AVX2": False}],
                          ids=["absent", "none-present"])
 def test_an_unreadable_feature_set_builds_with_the_portable_flags(
         tmp_path, monkeypatch, features):
+    # No /proc/cpuinfo, and numpy names no feature either.
+    _cpuinfo(tmp_path, monkeypatch, None)
     umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
     if features is None:
         monkeypatch.delattr(umath, "__cpu_features__")
@@ -266,11 +325,13 @@ def test_the_pinned_run_with_each_flag_set(tmp_path, native):
 
 # Runs every pinned run of test_output_bytes in a fresh interpreter and
 # prints, as JSON, the pass in use, the CPU features of REDUCED that numpy
-# dispatches to, and each run's rows and dump sha256.
+# dispatches to, each run's rows and dump sha256, and the digests of
+# numpy_chunk's states and voltages on the chunk of the library's load
+# check (kernels._pass_agrees), which pins them.
 MATRIX_CLI = """
 import hashlib, json, os, sys
 import numpy as np
-from eprbsim import cli, kernels
+from eprbsim import cli, kernels, law
 umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
 work, runs = sys.argv[1], json.loads(sys.argv[2])
 shas = {}
@@ -280,7 +341,14 @@ for name, (argv, dump) in runs.items():
     assert cli.main(argv + ["--out", out[0]] + extra) == 0
     shas[name] = [hashlib.sha256(open(path, "rb").read()).hexdigest()
                   for path in out[:1 + dump]]
+origins = np.array(kernels._CHECK_ORIGINS, np.uint64)[:, None]
+turns = np.array(law.trig(np.array(kernels._CHECK_U))).T
+u = law.fill_uniforms(origins, kernels._CHECK_START, kernels._CHECK_N)
+digests = {repr(d): [hashlib.sha256(a.tobytes()).hexdigest() for a in
+                     law.numpy_chunk(True, kernels._check_params(d), turns, u)]
+           for d in kernels._PASS_DIGESTS}
 print(json.dumps({"backend": kernels.BACKEND, "runs": shas,
+                  "digests": digests,
                   "features": [f for f in json.loads(sys.argv[3])
                                if umath.__cpu_features__.get(f)]}))
 """
@@ -307,8 +375,9 @@ def test_every_pinned_run_on_each_host_leg(build, dispatch, tmp_path):
     """The host matrix: every pinned run gives its pinned bytes under
     numpy's pass (no compiler on PATH) and under the compiled one built
     with this CPU's flags and with the portable ones, each with numpy's
-    full CPU dispatch and with its AVX-512 targets disabled.  Each leg
-    runs a copy of the package, with a cache of its own."""
+    full CPU dispatch and with its AVX-512 targets disabled, and
+    numpy_chunk gives the digests that the library's load check pins.
+    Each leg runs a copy of the package, with a cache of its own."""
     env = {**os.environ, "PYTHONPATH": str(_copy_package(tmp_path))}
     if dispatch == "reduced":
         disabled = _dispatched(REDUCED)
@@ -342,6 +411,8 @@ def test_every_pinned_run_on_each_host_leg(build, dispatch, tmp_path):
                                else _dispatched(REDUCED))
     assert got["runs"] == {name: [rows] + ([dump] if dump else [])
                            for name, (_, rows, dump) in RUNS.items()}
+    assert got["digests"] == {repr(d): list(digests) for d, digests
+                              in kernels._PASS_DIGESTS.items()}
 
 
 # This CPU's flags without AVX-512: where the CPU has it, the build whose

@@ -170,7 +170,7 @@ def test_a_dumped_cfd_point_runs_one_pass_and_one_identity_check(
     monkeypatch.setattr(experiment, "_pass", lambda *args, **kwargs:
                         passes.append(args[4]) or make_pass(*args, **kwargs))
     monkeypatch.setattr(experiment, "_check_identities", lambda counts:
-                        checks.append(int(counts.sum())) or check(counts))
+                        checks.append(sum(counts)) or check(counts))
     n = 2 * experiment.CHUNK + 5
     got, want, chunks = _dump_and_reference(
         tmp_path, monkeypatch, "--theta-steps", "2", "--n", str(n))

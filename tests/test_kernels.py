@@ -91,9 +91,10 @@ def test_stream_rows_reuse_buffers_and_match_single_streams():
     streams = (0, 3, 8)
     out = np.full((3, 300), np.nan)
     work = np.zeros((3, 300), np.uint64)
+    origins = np.array([[rng.stream_origin(5, s)] for s in streams],
+                       np.uint64)
     for start in (0, 300, 2**33):
-        rows = kernels.fill_uniforms(rng.stream_origins(5, streams), start,
-                                     300, out=out, work=work)
+        rows = kernels.fill_uniforms(origins, start, 300, out=out, work=work)
         assert rows is out
         for row, s in zip(rows, streams):
             assert np.array_equal(row, rng.uniforms(5, s, 300, start))
