@@ -17,8 +17,8 @@
  * A pass adds its trials' state counts to the point's, and writes each
  * trial's state and voltages only where the caller gives it arrays for
  * them; a non-CFD pass with a quota cuts its trials at it in trial order,
- * as experiment._quota_cut does, and stops at the trial that fills the
- * last pair.  cpass_trig is the table trig alone, for the settings.
+ * as numpy's pass (law.NumpyPass) does, and stops at the trial that fills
+ * the last pair.  cpass_trig is the table trig alone, for the settings.
  *
  * cpass_format writes the trial dump's CSV records: str of each integer
  * and '%.17g' of each double, byte for byte as Python prints them.  A
@@ -332,16 +332,21 @@ static int full(const struct cpass_point *p)
     return 1;
 }
 
-/* The quota cut over the block's first n non-CFD states, in trial order:
- * a trial's state is added to hist while its pair (state >> 4) holds
- * fewer than quota trials, and held counts them.  Returns the trials
- * walked: n, or fewer where one filled the last pair. */
+/* The quota cut over the block's first n non-CFD states, from trial i0 of
+ * the chunk, in trial order: a trial's state is added to hist while its
+ * pair (state >> 4) holds fewer than quota trials, and held counts them.
+ * codes, where not NULL, gets the state of each trial walked, 64 for one
+ * the cut drops.  Returns the trials walked: n, or fewer where one filled
+ * the last pair. */
 static int64_t count_quota(const struct cpass_point *p, const int64_t *state,
-                           int64_t n)
+                           int64_t i0, int64_t n)
 {
     for (int64_t i = 0; i < n; i++) {
         int64_t pair = state[i] >> 4;
-        if (p->held[pair] < p->quota) {
+        int kept = p->held[pair] < p->quota;
+        if (p->codes)
+            p->codes[i0 + i] = kept ? (uint8_t)state[i] : 64;
+        if (kept) {
             p->hist[state[i]]++;
             if (++p->held[pair] == p->quota && full(p))
                 return i + 1;
@@ -387,10 +392,11 @@ int64_t cpass_cfd(const struct cpass_point *p, uint64_t start, int64_t n)
 /* Trials start..start+n-1 of a non-CFD point: their 64 counts of 16 *
  * pair + state (law._NONCFD_WEIGHTS) are added to hist, and codes
  * gets every trial's.  With a quota, only the trials that the quota cut
- * keeps are counted (count_quota; codes is not written), and the pass
- * ends at the trial that fills the last pair.  Streams: the source, each
- * side's coin, then r of each side, then rhat of each.  Returns the
- * trials walked. */
+ * keeps are counted, codes getting 64 for each one it drops
+ * (count_quota), and the pass ends at the trial that fills the last pair,
+ * at once where every pair is full.  Streams: the source, each side's
+ * coin, then r of each side, then rhat of each.  Returns the trials
+ * walked. */
 int64_t cpass_noncfd(const struct cpass_point *p, uint64_t start, int64_t n)
 {
     struct block b;
@@ -414,7 +420,7 @@ int64_t cpass_noncfd(const struct cpass_point *p, uint64_t start, int64_t n)
         if (!p->quota) {
             count(p, state, i0, len);
         } else {
-            int64_t walked = count_quota(p, state, len);
+            int64_t walked = count_quota(p, state, i0, len);
             if (full(p))
                 return i0 + walked;
         }

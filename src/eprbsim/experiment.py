@@ -10,25 +10,20 @@ for a given seed regardless of chunking or worker count.
 Every statistic a sweep reports depends on a trial only through its
 state: the outcome signs and identification flags of its stations (see
 QUADRUPLES), so a run reduces to integer counts of states, kept as
-lists of Python ints.  `cfd_counts` and `noncfd_counts` count them in
-one of two passes, with the same values, bit for bit:
-- where kernels.BACKEND is "c", the compiled pass (kernels.Compiled)
-  adds a span's counts in one foreign call and applies the non-CFD quota
-  cut itself, without numpy;
-- otherwise numpy's pass (law.numpy_chunk) runs over one walk,
-  `_point_chunks`, which takes a point chunk by chunk in counter order
-  and owns its chunk length, its non-CFD quota cut (`_quota_cut`) and
-  its stop rule.
-A trial dump (sweep._TrialDumper) sums the counts of runs that also hold
-each trial's records, numpy arrays from either pass (`_pass`): `run_cfd`
-of each CHUNK of CFD trials, all through one pass of the point, or the
-chunks of the walk `run_noncfd` yields.  The functions that need numpy
-import it when they run.
+lists of Python ints.  Each point walks once through one pass
+(`_point`): the compiled one (kernels.Compiled) where kernels.BACKEND is
+"c", else numpy's (law.NumpyPass), with the same interface and values.
+Its add(start, n) adds the state counts of trials start..start+n-1 to
+its hist; on non-CFD trials it makes the quota cut, in trial order, and
+stops at the trial that fills the last pair.  `cfd_counts` and
+`noncfd_counts` read the counts alone, the compiled pass's without
+numpy.  A trial dump (sweep._TrialDumper) also reads each trial's state
+and voltages from the pass's numpy arrays: through `run_cfd` over each
+CHUNK of CFD trials, or the calls that `run_noncfd` yields.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -115,9 +110,10 @@ class CfdRun:
     """CFD trials start..start+n-1: all four stations observed per trial.
 
     x, v, w are (n, 4) arrays in STATION_NAMES column order; counts
-    holds the 256 state counts of those trials.  phi1 and phi2, the
-    trials' polarization angles (source_phis), are computed at the first
-    access: the trial dump does not print them.
+    holds the 256 state counts of those trials (None for a run of a
+    point's pass: see run_cfd).  phi1 and phi2, the trials' polarization
+    angles (source_phis), are computed at the first access: the trial
+    dump does not print them.
     """
 
     params: ModelParams
@@ -127,7 +123,7 @@ class CfdRun:
     x: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    counts: np.ndarray
+    counts: np.ndarray | None
     start: int = 0
 
     @functools.cached_property
@@ -146,7 +142,7 @@ class CfdRun:
 @dataclass
 class NonCfdRun:
     """The records of non-CFD trials start..start+n_trials-1: the n
-    trials that their setting pair kept (see _point_chunks), in counter
+    trials that their setting pair kept (see noncfd_counts), in counter
     order.
 
     k holds their trial indices; a, x, v, w are (n, 2) arrays of the
@@ -232,104 +228,28 @@ def _origins(cfd: bool, seed: int) -> list:
             for s in (_CHUNK_STREAMS if cfd else _NONCFD_STREAMS)]
 
 
-def _compiled(cfd: bool, params: ModelParams, quad: SettingsQuad, seed: int,
-              quota: int = 0) -> kernels.Compiled:
-    """The compiled pass of a point, counts only."""
-    return kernels.Compiled(kernels.CPASS, cfd, params, _turns(quad),
-                            _origins(cfd, seed), quota)
+def _point(cfd: bool, params: ModelParams, quad: SettingsQuad, seed: int,
+           quota: int, capacity: int, trials: bool = False):
+    """One point's pass, compiled or numpy's as kernels.BACKEND says.
 
-
-def _pass(cfd: bool, params: ModelParams, quad: SettingsQuad, seed: int,
-          capacity: int, trials: bool = False):
-    """chunk(start, n) -> (state counts, each trial's state, the (k, n)
-    voltages), numpy arrays, of chunks of up to capacity trials of a
-    point's pass, compiled or numpy's as kernels.BACKEND says.
-
-    The voltages come only with trials, and the compiled pass's arrays
-    are overwritten by the next chunk.
+    Its add takes up to point.capacity trials a call: capacity, but
+    _CALL_TRIALS for the compiled pass's counts alone.  With trials, each
+    call writes its trials' states and (k, n) voltages into point.codes
+    and point.volts, numpy arrays of capacity trials.
     """
-    import numpy as np
-    origins, turns = _origins(cfd, seed), _turns(quad)
-    if kernels.BACKEND == "c":
+    turns, origins = _turns(quad), _origins(cfd, seed)
+    codes = volts = None
+    if trials:
+        import numpy as np
         codes = np.empty(capacity, np.uint8)
-        volts = np.empty((4 if cfd else 2, capacity)) if trials else None
-        point = kernels.Compiled(
-            kernels.CPASS, cfd, params, turns, origins, capacity=capacity,
-            codes=codes.ctypes.data, volts=volts.ctypes.data if trials else 0)
-        counts = np.frombuffer(point.hist, np.int64)
-
-        def compiled(start, n):
-            counts[:] = 0
-            point.add(start, n)
-            return counts, codes[:n], volts[:, :n] if trials else None
-        return compiled
-    turns = np.array(turns)
-    origins = np.array(origins, np.uint64)[:, None]
-    # The uniforms and their hash words are allocated once per point, the
-    # other arrays per chunk.  Those must peak below twice the uniforms'
-    # size, glibc's trim threshold, or every chunk faults its pages back
-    # in: like per-chunk uniforms, that is 2x slower.
-    u = np.empty((len(origins), capacity))
-    words = np.empty(u.shape, np.uint64)
-
-    def chunk(start, n):
-        u_n = kernels.fill_uniforms(origins, start, n, out=u[:, :n],
-                                    work=words[:, :n])
-        states, v = kernels.numpy_chunk(cfd, params, turns, u_n)
-        return np.bincount(states, minlength=256 if cfd else 64), states, v
-    return chunk
-
-
-def _quota_cut(states: np.ndarray, room: np.ndarray) -> np.ndarray:
-    """Cut a non-CFD chunk at its pairs' quotas: pair p keeps its first
-    room[p] trials, and each trial past them gets state 64, in place.
-    Returns the 64 state counts of the trials kept.  The compiled pass
-    cuts its counts itself (kernels.Compiled)."""
-    import numpy as np
-    pair = states >> 4
-    for p in range(4):
-        states[np.flatnonzero(pair == p)[room[p]:]] = 64
-    return np.bincount(states, minlength=65)[:64]
-
-
-def _point_chunks(cfd: bool, params: ModelParams, quad: SettingsQuad, n: int,
-                  seed: int, trials: bool = False, span=None):
-    """(start, counts, states, volts) of each chunk of a point's pass, in
-    counter order: the walk of the trial dump, and of numpy's pass.
-
-    A CFD point is trials 0..n-1, CHUNK at a time; span = (lo, hi) walks
-    trials lo..hi-1 alone, CHUNK at a time from lo, as a CFD trial
-    depends on its index alone.  A non-CFD point runs
-    chunks of up to 2 * CHUNK trials, which evaluate as many stations as
-    a CFD chunk does, and keeps a trial while its setting pair holds
-    fewer than n (the quota); a trial past that gets state 64 and is left
-    out of the counts (_quota_cut, only in a chunk where some pair drew
-    more trials than its room).  The walk ends with the chunk whose
-    counts bring every pair to n, so memory does not grow with n.
-
-    counts are the chunk's 256 (CFD) or 64 state counts, states each
-    trial's state and volts, with trials, the voltages of its stations,
-    as _pass gives them: the compiled pass overwrites them in the next
-    chunk.
-    """
-    import numpy as np
-    _validate_run(n, seed, "n" if cfd else "quota")
-    # Every pair holds n at the earliest after 4 * n non-CFD trials.
-    length = min(CHUNK, n) if cfd else min(2 * CHUNK, 4 * n)
-    lo, hi = span or (0, n)
-    chunk = _pass(cfd, params, quad, seed, length, trials)
-    held = np.zeros(4, np.int64)  # kept trials per setting pair
-    for start in range(lo, hi, length) if cfd else itertools.count(0, length):
-        counts, states, volts = chunk(start, min(length, hi - start) if cfd
-                                      else length)
-        if not cfd:
-            room, drawn = n - held, counts.reshape(4, 16).sum(axis=1)
-            if np.any(drawn > room):  # a pair passes its quota here
-                counts = _quota_cut(states, room)
-            held += np.minimum(drawn, room)
-        yield start, counts, states, volts
-        if not cfd and held.min() == n:
-            return
+        volts = np.empty((4 if cfd else 2, capacity))
+    if kernels.BACKEND == "c":
+        return kernels.Compiled(kernels.CPASS, cfd, params, turns, origins,
+                                quota, capacity if trials else _CALL_TRIALS,
+                                codes, volts)
+    from .law import NumpyPass
+    return NumpyPass(cfd, params, turns, origins, quota, capacity, codes,
+                     volts)
 
 
 def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
@@ -337,23 +257,18 @@ def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
     """The 256 state counts of CFD trials 0..n-1 of this seed, a list of
     ints: every station gets fresh draws each trial.
 
-    The compiled pass adds them up in calls of up to _CALL_TRIALS trials,
-    numpy's over _point_chunks, so memory does not grow with n; the
-    counts do not depend on the chunking.  With span = (lo, hi) they are
-    the counts of trials lo..hi-1 alone, whose quadruples the caller
-    checks on the point's sum (_check_identities); a point's are checked
-    here.
+    The point's pass adds them up a call at a time, so memory does not
+    grow with n; the counts do not depend on the calls' lengths.  With
+    span = (lo, hi) they are the counts of trials lo..hi-1 alone, whose
+    quadruples the caller checks on the point's sum (_check_identities);
+    a point's are checked here.
     """
-    if kernels.BACKEND == "c":
-        _validate_run(n, seed)
-        point = _compiled(True, params, quad, seed)
-        lo, hi = span or (0, n)
-        for start in range(lo, hi, _CALL_TRIALS):
-            point.add(start, min(_CALL_TRIALS, hi - start))
-        counts = point.hist[:]
-    else:
-        counts = sum(c for _, c, _, _ in _point_chunks(
-            True, params, quad, n, seed, span=span)).tolist()
+    _validate_run(n, seed)
+    point = _point(True, params, quad, seed, 0, min(CHUNK, n))
+    lo, hi = span or (0, n)
+    for start in range(lo, hi, point.capacity):
+        point.add(start, min(point.capacity, hi - start))
+    counts = point.hist[:]
     if span is None:
         _check_identities(counts)
     return counts
@@ -367,30 +282,33 @@ def _bits(states: np.ndarray, count: int) -> np.ndarray:
 
 
 def run_cfd(params: ModelParams, quad: SettingsQuad, n: int, seed: int,
-            start: int = 0, chunk=None) -> CfdRun:
+            start: int = 0, point=None) -> CfdRun:
     """CFD trials start..start+n-1 of cfd_counts' pass, with each trial's
     outcomes, voltages and flags.  A CFD trial depends on its index
     alone, so any range of a point stands on its own.
 
-    chunk is the point's pass, _pass(True, params, quad, seed, capacity,
-    trials=True) with capacity >= n, or None for a pass of this run
-    alone.  Handed the point's pass, the run's v and counts are its
-    arrays, overwritten by the pass's next chunk, and the quadruple
-    identities are left to the caller, who checks them on the point's
-    summed counts (_check_identities, as sweep._cfd_row does); otherwise
-    they are checked here.
+    point is the point's pass, _point(True, params, quad, seed, 0, c,
+    trials=True) with c >= n, or None for a pass of this run alone.
+    Handed the point's pass, the run adds its counts to the pass's hist
+    (its own counts are None), its v is the pass's array, overwritten by
+    the next run, and the quadruple identities are left to the caller,
+    who checks them on the point's counts (_check_identities, as
+    sweep._cfd_row does); otherwise they are checked here.
     """
+    import numpy as np
     _validate_run(n, seed)
-    if chunk is None:
-        counts, states, v = _pass(True, params, quad, seed, n,
-                                  trials=True)(start, n)
+    own = point is None
+    if own:
+        point = _point(True, params, quad, seed, 0, n, trials=True)
+    point.add(start, n)
+    counts = None
+    if own:
+        counts = np.array(point.hist)
         _check_identities(counts)
-    else:
-        counts, states, v = chunk(start, n)
-    bits = _bits(states, 8)  # x then w of each station
+    bits = _bits(point.codes[:n], 8)  # x then w of each station
     return CfdRun(params=params, quad=quad, n=n, seed=seed,
-                  x=2 * bits[:, :4] - 1, v=v.T, w=bits[:, 4:], counts=counts,
-                  start=start)
+                  x=2 * bits[:, :4] - 1, v=point.volts[:, :n].T,
+                  w=bits[:, 4:], counts=counts, start=start)
 
 
 def noncfd_counts(params: ModelParams, quad: SettingsQuad, quota: int,
@@ -399,39 +317,42 @@ def noncfd_counts(params: ModelParams, quad: SettingsQuad, quota: int,
     lists of ints: those of each pair's first quota trials.
 
     Trials are drawn in counter order, and each side's coin selects the
-    (ca, sa) of its setting per trial.  The compiled pass cuts them at
-    the quota itself, in calls of up to _CALL_TRIALS trials until every
-    pair holds it; numpy's sums them over _point_chunks.
+    (ca, sa) of its setting per trial.  The pass cuts them at the quota
+    until every pair holds it.  A call of 2 * CHUNK trials evaluates as
+    many stations as a CFD chunk, and every pair holds the quota at the
+    earliest after 4 * quota trials.
     """
-    if kernels.BACKEND == "c":
-        _validate_run(quota, seed, "quota")
-        point = _compiled(False, params, quad, seed, quota)
-        start = 0
-        while min(point.held) < quota:
-            start += point.add(start, _CALL_TRIALS)
-        counts = point.hist[:]
-    else:
-        counts = sum(c for _, c, _, _ in _point_chunks(
-            False, params, quad, quota, seed)).tolist()
+    _validate_run(quota, seed, "quota")
+    point = _point(False, params, quad, seed, quota,
+                   min(2 * CHUNK, 4 * quota))
+    start = 0
+    while walked := point.add(start, point.capacity):
+        start += walked
+    counts = point.hist[:]
     return [counts[16 * p:16 * p + 16] for p in range(4)]
 
 
 def run_noncfd(params: ModelParams, quad: SettingsQuad, quota: int,
                seed: int):
-    """The records of noncfd_counts' pass, one NonCfdRun per chunk of
-    _point_chunks, in counter order.  A chunk's records depend on the
-    chunks before it, through the quota; each run owns its arrays.
+    """The records of noncfd_counts' pass, one NonCfdRun per call of its
+    add, in counter order.  A call's records depend on the calls before
+    it, through the quota; each run owns its arrays.
     """
     import numpy as np
-    for start, counts, code, v in _point_chunks(False, params, quad, quota,
-                                                seed, trials=True):
+    _validate_run(quota, seed, "quota")
+    point = _point(False, params, quad, seed, quota,
+                   min(2 * CHUNK, 4 * quota), trials=True)
+    start = 0
+    while walked := point.add(start, point.capacity):
+        code = point.codes[:walked]
         keep = code < 64
-        code, v = code[keep], v[:, keep]
+        code, v = code[keep], point.volts[:, :walked][:, keep]
         bits = _bits(code, 6)  # x1, x2, w1, w2, primed2, primed1
         a = np.where(bits[:, [5, 4]], [quad.a1p, quad.a2p],
                      [quad.a1, quad.a2])
         yield NonCfdRun(params=params, quad=quad, quota=quota, seed=seed,
-                        start=start, n_trials=len(keep), n=len(code),
+                        start=start, n_trials=walked, n=len(code),
                         k=start + np.flatnonzero(keep), a=a,
                         x=2 * bits[:, :2] - 1, v=v.T, w=bits[:, 2:4],
-                        counts=counts.reshape(4, 16).copy())
+                        counts=np.bincount(code, minlength=64).reshape(4, 16))
+        start += walked

@@ -18,12 +18,13 @@ arithmetic, as Python floats, and every other step is one IEEE + - * or
 an exact operation (frexp, ldexp, rint, a comparison), so every IEEE
 host computes the same values.
 
-A chunk of trials runs through the law one of two ways.  law.numpy_chunk
-is plain numpy array expressions; _cpass.c does the same float
-operations in the same order (Compiled), a block of trials at a time, in
-one foreign call per span of trials, so that every state and every
-voltage is numpy's, bit for bit.  The same library formats the trial
-dump's records (format_csv), with the bytes of Python's str and '%.17g'.
+A point's trials run through the law by one of two passes, with one
+interface.  law.NumpyPass runs plain numpy array expressions; Compiled
+runs _cpass.c, which does the same float operations in the same order,
+a block of trials at a time, in one foreign call per add, so that
+every state and every voltage is numpy's, bit for bit.  The same library
+formats the trial dump's records (CsvFormat), with the bytes of
+Python's str and '%.17g'.
 This module imports no numpy: its names of law's functions (fill_uniforms
 among them) import law, and numpy, at their first use.
 load_cpass compiles _cpass.c with the system's cc at first use, for
@@ -68,8 +69,8 @@ _U53 = 2.0 ** -53
 # law's functions, which need numpy: module attributes of this one from
 # their first use (__getattr__).
 _LAW = frozenset({"fill_uniforms", "gather_uniforms", "station_response",
-                  "trig", "abs_power", "station_law", "numpy_chunk",
-                  "integer_column", "_hash_to_uniforms"})
+                  "trig", "abs_power", "station_law", "integer_column",
+                  "_hash_to_uniforms"})
 
 
 def __getattr__(name):
@@ -245,25 +246,25 @@ _CONSTANTS = CPassPoint(**_POINT_CONSTANTS)
 
 
 class Compiled:
-    """One point of lib's compiled pass, numpy_chunk's counterpart.
+    """One point of lib's compiled pass, law.NumpyPass's twin.
 
     It holds the point's inputs: params, the stations' turns ((ca, sa)
     of each, as experiment._turns gives them), one origin per stream
-    (ints) and, for non-CFD trials, the quota of each setting pair (0:
-    none).  Each call of add is one foreign call, which releases the
-    interpreter lock, and adds the state counts of its trials to hist
-    (with a quota, those of the trials the quota keeps, held counting
-    them per pair).  codes and volts, where given, are the addresses of
-    arrays of capacity trials that get each trial's state and each
-    station's voltages.
+    (ints), for non-CFD trials the quota of each setting pair (0: none),
+    and the most trials a call takes, capacity.  Each call of add is one
+    foreign call, which releases the interpreter lock, and adds the state
+    counts of its trials to hist (with a quota, those of the trials the
+    quota keeps, held counting them per pair).  codes and volts, where
+    given, are writable buffers (uint8, and (k, capacity) float64) that
+    get each trial's state and each station's voltages.
     """
 
     def __init__(self, lib, cfd: bool, params, turns, origins, quota: int = 0,
-                 capacity: int = 0, codes: int = 0, volts: int = 0):
+                 capacity: int = 0, codes=None, volts=None):
         if len(origins) != (9 if cfd else 7) or len(turns) != 4:
             raise ValueError("the pass takes one origin per stream and "
                              "one turn per station")
-        self.capacity = capacity
+        self.capacity, self.codes, self.volts = capacity, codes, volts
         self._origins = (ctypes.c_uint64 * len(origins))(*origins)
         self._turns = _doubles([x for ca, sa in turns
                                 for x in (ca, sa, 0.5 * ca, 0.5 * sa)])
@@ -274,19 +275,27 @@ class Compiled:
         self._point = CPassPoint(
             d=params.d, span=params.span, v_max=params.v_max_mag,
             threshold=params.threshold, power=multiply_only(params.d),
-            capacity=capacity, quota=quota, codes=codes or None,
-            volts=volts or None, **_POINT_CONSTANTS,
+            capacity=capacity, quota=quota, codes=_address(codes),
+            volts=_address(volts), **_POINT_CONSTANTS,
             **{name: ctypes.addressof(a) for name, a in arrays.items()})
         self._ref = ctypes.byref(self._point)
         self._run = lib.cpass_cfd if cfd else lib.cpass_noncfd
 
     def add(self, start: int, n: int) -> int:
-        """Run trials start..start+n-1 and add their state counts to hist;
-        returns the trials walked: n, or fewer where a quota's last pair
-        filled.  Their states and voltages overwrite codes and volts."""
-        if self._point.codes and not 0 < n <= self.capacity:
+        """Run trials start..start+n-1, n <= capacity, and add their state
+        counts to hist; returns the trials walked: n, or fewer where a
+        quota's last pair filled, 0 once every pair is full.  Their states
+        (64 for a trial the quota drops) and voltages overwrite codes and
+        volts."""
+        if not 0 < n <= self.capacity:
             raise ValueError(f"chunk of {n} trials, capacity {self.capacity}")
         return self._run(self._ref, start, n)
+
+
+def _address(buffer):
+    """The address of a writable buffer's first byte; None for None."""
+    return None if buffer is None \
+        else ctypes.addressof(ctypes.c_char.from_buffer(buffer))
 
 
 def _lib_trig(lib, us):
@@ -312,7 +321,7 @@ def trig_of(us):
 # ------------------------------------------------------------ the formatter
 
 class CPassColumn(ctypes.Structure):
-    """struct cpass_column of _cpass.c: one column of format_csv."""
+    """struct cpass_column of _cpass.c: one column of cpass_format."""
 
     _fields_ = [("kind", ctypes.c_int64), ("data", ctypes.c_void_p),
                 ("stride", ctypes.c_int64), ("length", ctypes.c_int64)]
@@ -391,16 +400,9 @@ class CsvFormat:
             keep.append(col)
         if buffer is None or buffer.nbytes < n * self.width:
             buffer = memoryview(bytearray(n * self.width))
-        out = ctypes.addressof(ctypes.c_char.from_buffer(buffer)) \
-            if buffer.nbytes else None
+        out = _address(buffer) if buffer.nbytes else None
         return buffer, lib.cpass_format(self._fields, len(self._fields), n,
                                         out)
-
-
-def format_csv(lib, columns, buffer=None):
-    """CsvFormat(columns).write(lib, columns, buffer): the CSV lines of
-    equal-length columns, and the bytes written."""
-    return CsvFormat(columns).write(lib, columns, buffer)
 
 
 # ------------------------------------------------------------------ loading
@@ -583,8 +585,7 @@ def _pass_agrees(lib) -> bool:
     volts = (ctypes.c_double * (4 * _CHECK_N))()
     for d, digests in _PASS_DIGESTS.items():
         point = Compiled(lib, True, _check_params(d), turns, _CHECK_ORIGINS,
-                         capacity=_CHECK_N, codes=ctypes.addressof(codes),
-                         volts=ctypes.addressof(volts))
+                         capacity=_CHECK_N, codes=codes, volts=volts)
         point.add(_CHECK_START, _CHECK_N)
         counts = [0] * 256
         for state in codes:

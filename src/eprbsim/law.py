@@ -1,12 +1,14 @@
 """The station law in numpy: the counter hash, the table trig and power,
-numpy's pass over a chunk of trials, and the law as first written.
+numpy's pass, and the law as first written.
 
-numpy_chunk is the compiled pass's twin (kernels.Compiled), with the
-same float operations in the same order, so that every state and every
-voltage is the same, bit for bit; it is the pass where no library
-loads, and the tests' reference.  Its tables are those of kernels, as
-float64 arrays.  station_response is the law with libm's cos, sin and
-pow; the tests compare the two.  kernels names each function here too,
+numpy_chunk runs a chunk of trials through the law with the compiled
+pass's float operations in the same order, so that every state and
+every voltage is the same, bit for bit.  NumpyPass, kernels.Compiled's
+twin, walks a point through it, a chunk per call, with the compiled
+pass's quota cut: it is the pass where no library loads, and the tests'
+reference.  The tables are those of kernels, as float64 arrays.
+station_response is the law with libm's cos, sin and pow; the tests
+compare the two.  kernels names the law's functions too (kernels._LAW),
 and imports this module, and numpy with it, at the first use of one:
 the compiled pass runs without numpy.
 """
@@ -204,9 +206,11 @@ _CFD_WEIGHTS = (1 << np.arange(8, dtype=np.uint8))[:, None]
 _NONCFD_WEIGHTS = np.array([1, 2, 4, 8, 32, 16], np.uint8)[:, None]
 
 
-def numpy_chunk(cfd: bool, params, turns: np.ndarray, u: np.ndarray):
+def numpy_chunk(cfd: bool, params, turns: np.ndarray, u: np.ndarray,
+                states=None, volts=None):
     """(each trial's state, the (k, n) voltages of its k stations) of the
-    chunk of trials whose uniforms u holds, in numpy.
+    chunk of trials whose uniforms u holds, in numpy: into the arrays
+    states (uint8) and volts where given.
 
     turns holds (ca, sa) of the stations a1, a1p, a2, a2p, a (4, 2)
     array.  A CFD chunk's uniforms are the source, then r of each
@@ -232,7 +236,69 @@ def numpy_chunk(cfd: bool, params, turns: np.ndarray, u: np.ndarray):
                     for station in stations])
     # the sum of the weights of each trial's bits that are set
     bits = np.vstack((x, w, *extra)).view(np.uint8)
-    return np.bitwise_or.reduce(bits * weights, axis=0), np.array(v)
+    return (np.bitwise_or.reduce(bits * weights, axis=0, out=states),
+            np.stack(v, out=volts))
+
+
+class NumpyPass:
+    """One point of numpy's pass, kernels.Compiled's twin: its inputs but
+    lib, codes and volts numpy arrays or None, and its add, hist and
+    held.  Each call of add is one chunk of numpy_chunk, and a quota cuts
+    only a chunk in which some pair drew more trials than its room."""
+
+    def __init__(self, cfd: bool, params, turns, origins, quota: int = 0,
+                 capacity: int = 0, codes=None, volts=None):
+        self.capacity, self.codes, self.volts = capacity, codes, volts
+        self._cfd, self._params, self._quota = cfd, params, quota
+        self._turns = np.array(turns)
+        self._origins = np.array(origins, np.uint64)[:, None]
+        # The uniforms and their hash words are allocated once per point,
+        # the other arrays per chunk.  Those must peak below twice the
+        # uniforms' size, glibc's trim threshold, or every chunk faults
+        # its pages back in: like per-chunk uniforms, that is 2x slower.
+        self._u = np.empty((len(origins), capacity))
+        self._words = np.empty(self._u.shape, np.uint64)
+        self._hist = np.zeros(256 if cfd else 64, np.int64)
+        self.held = [0] * 4
+
+    @property
+    def hist(self) -> list:
+        return self._hist.tolist()
+
+    def add(self, start: int, n: int) -> int:
+        """Compiled.add, in numpy."""
+        if not 0 < n <= self.capacity:
+            raise ValueError(f"chunk of {n} trials, capacity {self.capacity}")
+        quota = self._quota
+        if quota and min(self.held) == quota:
+            return 0
+        # kernels' name, which a tracer of the layers may wrap
+        u = kernels.fill_uniforms(self._origins, start, n,
+                                  out=self._u[:, :n], work=self._words[:, :n])
+        states, _ = numpy_chunk(
+            self._cfd, self._params, self._turns, u,
+            None if self.codes is None else self.codes[:n],
+            None if self.volts is None else self.volts[:, :n])
+        counts = np.bincount(states, minlength=self._hist.size)
+        if quota:
+            room = [quota - held for held in self.held]
+            drawn = counts.reshape(4, 16).sum(axis=1).tolist()
+            if any(d > r for d, r in zip(drawn, room)):
+                counts = self._quota_cut(states, room)
+            self.held = [min(h + d, quota) for h, d in zip(self.held, drawn)]
+            if min(self.held) == quota:  # the last trial kept filled it
+                n = int(np.flatnonzero(states < 64)[-1]) + 1
+        self._hist += counts
+        return n
+
+    def _quota_cut(self, states: np.ndarray, room: list) -> np.ndarray:
+        """Cut a non-CFD chunk at its pairs' quotas: pair p keeps its
+        first room[p] trials, and each trial past them gets state 64, in
+        place.  Returns the 64 state counts of the trials kept."""
+        pair = states >> 4
+        for p in range(4):
+            states[np.flatnonzero(pair == p)[room[p]:]] = 64
+        return np.bincount(states, minlength=65)[:64]
 
 
 def integer_column(col: np.ndarray) -> np.ndarray:

@@ -92,6 +92,10 @@ class RunConfig:
         rng.validate_seed(self.seed)
         if self.mode == "oracles" and self.dump_trials is not None:
             raise ValueError("dump-trials: mode oracles runs no trials")
+        if self.mode == "oracles" and self.format != "csv":
+            raise ValueError("format: mode oracles prints a text report")
+        if self.dump_trials == "":
+            raise ValueError("dump-trials must name a file")
         if self.dump_trials is not None and _same_file(self.out,
                                                         self.dump_trials):
             raise ValueError("dump-trials names the rows' file: "
@@ -324,7 +328,7 @@ def _sweep(cfg: RunConfig, points) -> list:
     """
     seeds = [rng.derive_seed(cfg.seed, i) for i in range(len(points))]
     params, thetas = zip(*points)
-    if cfg.dump_trials:
+    if cfg.dump_trials is not None:
         dump = _TrialDumper(cfg.dump_trials, cfg.mode)
         try:
             counts = [dump.write_point(*point, cfg.n, seed)
@@ -423,21 +427,21 @@ class _TrialDumper:
     def write_point(self, params: ModelParams, theta: float, n: int,
                     seed: int) -> list:
         """Write a point's records a run at a time, in counter order, and
-        return the sum of the runs' state counts, as lists of ints: run_cfd
-        over each CHUNK of trials, all from one pass of the point, whose
-        quadruples the row checks on the sum (_cfd_row), or the runs of
+        return the state counts of the trials written, as lists of ints:
+        run_cfd over each CHUNK of trials, all through one pass of the
+        point, whose counts the row checks (_cfd_row), or the runs of
         run_noncfd, whose quota ties each chunk to the chunks before it."""
-        quad, length = SettingsQuad.for_theta(theta), experiment.CHUNK
+        quad, self.format = SettingsQuad.for_theta(theta), None
         if self.mode == "cfd":
-            chunk = experiment._pass(True, params, quad, seed,
-                                     min(length, n), trials=True)
-            runs = (run_cfd(params, quad, min(length, n - start), seed, start,
-                            chunk)
-                    for start in range(0, n, length))
-        else:
-            runs = run_noncfd(params, quad, n, seed)
-        counts, self.format = 0, None
-        for run in runs:
+            point = experiment._point(True, params, quad, seed, 0,
+                                      min(experiment.CHUNK, n), trials=True)
+            for start in range(0, n, point.capacity):
+                self.write_run(run_cfd(params, quad,
+                                       min(point.capacity, n - start), seed,
+                                       start, point))
+            return point.hist[:]
+        counts = 0
+        for run in run_noncfd(params, quad, n, seed):
             self.write_run(run)
             counts = counts + run.counts
         return counts.tolist()
@@ -465,7 +469,7 @@ class _TrialDumper:
 
 
 def _csv_lines(columns) -> bytes:
-    """The records of kernels.format_csv's columns, formatted line by line:
+    """The records of kernels.CsvFormat's columns, formatted line by line:
     '%d' of each integer and '%.17g' of each float.  An integer column
     with a value outside int64 raises ValueError, as it does there."""
     columns = [c for col in columns for c in (

@@ -148,9 +148,10 @@ def _origins(cfd):
 def chunk_values(cfd, params, quad, n=DECISION_N):
     """(each trial's state, the (k, n) voltages) of a first chunk of n
     trials of seed DECISION_SEED, by the pass kernels.BACKEND picks."""
-    _, states, v = experiment._pass(cfd, params, quad, DECISION_SEED, n,
-                                    trials=True)(0, n)
-    return states.copy(), v.copy()
+    point = experiment._point(cfd, params, quad, DECISION_SEED, 0, n,
+                              trials=True)
+    point.add(0, n)
+    return point.codes[:n].copy(), point.volts[:, :n].copy()
 
 
 def _recomputed(cfd, params, quad):

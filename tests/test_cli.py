@@ -65,6 +65,9 @@ def test_bad_mode_is_config_error():
     ["--threshold-sweep=-0.99:inf:2"],
     ["--threshold-sweep=-2:-0.99:2"],
     ["--d", "inf"],
+    # an empty dump path, and a format that the oracles' report ignores
+    ["--n", "10", "--theta-steps", "1", "--dump-trials", ""],
+    ["--mode", "oracles", "--format", "json"],
 ])
 def test_invalid_values_exit_one(argv, capsys):
     # some errors surface as a return code, argparse's own as SystemExit

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import reference
-from eprbsim import experiment, kernels, rng, stats, sweep
+from eprbsim import experiment, kernels, law, rng, stats, sweep
 from eprbsim.experiment import (PAIR_COLUMNS, PAIR_NAMES, cfd_counts,
                                 noncfd_counts, pair_counts, run_cfd,
                                 run_noncfd)
@@ -457,32 +457,41 @@ def test_a_sweep_of_fewer_points_than_workers_splits_them(backend, dump,
     assert rows_to_csv(*sweep.sweep_threshold(cfg)) == outputs[0][0]
 
 
+class _Counted:
+    """A point's pass whose add adds the trials it walks to passed[seed]."""
+
+    def __init__(self, point, seed, passed):
+        self._point, self._seed, self._passed = point, seed, passed
+
+    def __getattr__(self, name):
+        return getattr(self._point, name)
+
+    def add(self, start, n):
+        walked = self._point.add(start, n)
+        self._passed[self._seed] = self._passed.get(self._seed, 0) + walked
+        return walked
+
+
 @pytest.mark.parametrize("mode", ["cfd", "noncfd"])
 def test_a_dumped_sweep_passes_each_trial_once(mode, tmp_path, monkeypatch):
-    # Trials through experiment._pass per point seed: a dump run's rows
-    # are the counts of the trials it dumps, with no second pass, under
-    # each pass.  The rows-only walk is numpy's: the compiled pass counts
-    # a rows-only point without experiment._pass.
-    make, passed = experiment._pass, {}
-
-    def counted(cfd, params, quad, seed, *args, **kwargs):
-        chunk = make(cfd, params, quad, seed, *args, **kwargs)
-
-        def run(start, n):
-            passed[seed] = passed.get(seed, 0) + n
-            return chunk(start, n)
-        return run
-
-    monkeypatch.setattr(experiment, "_pass", counted)
+    # Trials through experiment._point per point seed: a dump run's rows
+    # are the counts of the trials it dumps, with no second pass, and a
+    # rows-only run walks the same trials, under each pass.
+    make, passed = experiment._point, {}
+    monkeypatch.setattr(experiment, "_point", lambda cfd, params, quad, seed,
+                        *args, **kwargs: _Counted(make(
+                            cfd, params, quad, seed, *args, **kwargs), seed,
+                            passed))
     monkeypatch.setattr(experiment, "CHUNK", 64)
-    monkeypatch.setattr(kernels, "BACKEND", "numpy")
     cfg = RunConfig(mode=mode, n=300, theta_steps=3)
-    rows = rows_to_csv(*sweep_theta(cfg))
-    walked = passed.copy()
     seeds = [rng.derive_seed(cfg.seed, i) for i in range(3)]
-    cfg.dump_trials = str(tmp_path / "trials.csv")
     for backend in PASSES:
         monkeypatch.setattr(kernels, "BACKEND", backend)
+        cfg.dump_trials = None
+        passed.clear()
+        rows = rows_to_csv(*sweep_theta(cfg))
+        walked = passed.copy()
+        cfg.dump_trials = str(tmp_path / "trials.csv")
         passed.clear()
         assert rows_to_csv(*sweep_theta(cfg)) == rows
         assert sorted(passed) == sorted(seeds)
@@ -584,20 +593,22 @@ def test_noncfd_runs_walk_the_chunks_of_noncfd_counts(backend, monkeypatch):
     assert np.all(held[:-1].min(axis=1) < quota)
 
 
-@pytest.mark.skipif(kernels.CPASS is None, reason="no compiled pass")
-def test_the_compiled_quota_cut_stops_at_the_trial_that_fills_the_last_pair():
+@pytest.mark.parametrize("backend", PASSES)
+def test_the_quota_cut_stops_at_the_trial_that_fills_the_last_pair(
+        backend, monkeypatch):
     # The trial that fills the last pair is the last one run_noncfd keeps.
+    monkeypatch.setattr(kernels, "BACKEND", backend)
     quad, quota, seed = SettingsQuad.for_theta(0.4), 300, 17
     last = max(int(run.k[-1]) for run in
                run_noncfd(ModelParams(), quad, quota, seed))
     want = noncfd_counts(ModelParams(), quad, quota, seed)
-    whole = experiment._compiled(False, ModelParams(), quad, seed, quota)
-    assert whole.add(0, 10**6) == last + 1
+    whole = experiment._point(False, ModelParams(), quad, seed, quota, 10**4)
+    assert whole.add(0, 10**4) == last + 1
     assert whole.held[:] == [quota] * 4
     assert whole.add(last + 1, 100) == 0  # every pair holds its quota
-    # In calls of 77 trials, which end inside blocks of the pass.
-    pieces, start = experiment._compiled(False, ModelParams(), quad, seed,
-                                         quota), 0
+    # In calls of 77 trials, which end inside blocks of the compiled pass.
+    pieces, start = experiment._point(False, ModelParams(), quad, seed,
+                                      quota, 77), 0
     while min(pieces.held) < quota:
         start += pieces.add(start, 77)
     assert start == last + 1
@@ -611,19 +622,20 @@ def test_the_compiled_quota_cut_stops_at_the_trial_that_fills_the_last_pair():
 ], ids=["short-chunks", "theta-noncfd"])
 def test_a_noncfd_chunk_is_cut_only_where_a_pair_overflows(
         chunk, theta, quota, seeds, monkeypatch):
-    """experiment._quota_cut runs on exactly the chunks that drop a trial:
-    those in which some pair drew more trials than its room.  At
-    theta-noncfd's quota that is one chunk per point, where cutting each
-    chunk in which some pair's room was below the chunk's length cut
-    four."""
+    """numpy's pass runs its quota cut (law.NumpyPass._quota_cut) on
+    exactly the chunks that drop a trial: those in which some pair drew
+    more trials than its room.  At theta-noncfd's quota that is one chunk
+    per point, where cutting each chunk in which some pair's room was
+    below the chunk's length cut four."""
     monkeypatch.setattr(experiment, "CHUNK", chunk)
-    cut, cuts = experiment._quota_cut, []
+    monkeypatch.setattr(kernels, "BACKEND", "numpy")
+    cut, cuts = law.NumpyPass._quota_cut, []
 
-    def counted(states, room):
+    def counted(self, states, room):
         cuts.append(room.copy())
-        return cut(states, room)
+        return cut(self, states, room)
 
-    monkeypatch.setattr(experiment, "_quota_cut", counted)
+    monkeypatch.setattr(law.NumpyPass, "_quota_cut", counted)
     quad, length = SettingsQuad.for_theta(theta), 2 * chunk
     per_point = []
     for seed in seeds:

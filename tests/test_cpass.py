@@ -567,7 +567,7 @@ SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 # Loads the library built with SANITIZE added to both flag sets from the
 # cache given, which runs its known-answer checks.  Then it formats each
 # value of the float64 and the int64 bytes read from stdin, and the ends
-# of int8, each the last field of a buffer of the size format_csv
+# of int8, each the last field of a buffer of the size CsvFormat.write
 # allocates for it, so that no store of a field reaches past it, and
 # runs a CFD and a non-CFD CLI point of 1001 trials at d = 0.5
 # with a trial dump, and a CFD point of two blocks (sweep.BLOCK_CHUNKS
@@ -591,7 +591,7 @@ for column in (*floats[:, None], *ints[:, None],
     value = ("%.17g" % column[0] if column.dtype == np.float64
              else str(column[0])).encode()
     for row in ([column], [b"t", column]):
-        buffer, size = kernels.format_csv(lib, row)
+        buffer, size = kernels.CsvFormat(row).write(lib, row)
         assert buffer[:size].tobytes() == b",".join(row[:-1] + [value]) \\
             + b"\\n"
 kernels.CPASS = lib

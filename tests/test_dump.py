@@ -7,7 +7,7 @@ draw their trials their own way and evaluate each station with the
 package's law (`reference.package_station`).  The dump, written chunk
 by chunk by `sweep._TrialDumper` from the streaming pass, must produce
 the same bytes, whether the compiled library formats it
-(`kernels.format_csv`) or the per-line fallback does.  The compiled
+(`kernels.CsvFormat`) or the per-line fallback does.  The compiled
 formatter is checked against Python's '%.17g' and str on its own, too.
 """
 import io
@@ -120,6 +120,12 @@ def _dump_and_reference(tmp_path, monkeypatch, *args):
     ("--mode", "noncfd", "--theta-steps", "1", "--n", "1", "--seed", "8"),
     ("--mode", "noncfd", "--theta-steps", "1", "--n", "5000", "--d", "0",
      "--vmin", "0.95", "--seed", "9"),
+    # quotas whose pairs fill inside a block of the compiled pass's quota
+    # cut, and inside a chunk of the dump
+    *(("--mode", "noncfd", "--theta-steps", "2", "--n", str(quota),
+       "--seed", str(quota))
+      for quota in (1, 127, 129, experiment.CHUNK // 2 - 1,
+                    experiment.CHUNK // 2 + 1)),
 ])
 def test_dump_bytes_match_per_line_writer(tmp_path, monkeypatch, args):
     got, want, _ = _dump_and_reference(tmp_path, monkeypatch, *args)
@@ -164,11 +170,11 @@ def test_dump_when_pairs_fill_in_different_chunks(tmp_path, monkeypatch):
 def test_a_dumped_cfd_point_runs_one_pass_and_one_identity_check(
         tmp_path, monkeypatch):
     # Its runs, one a CHUNK, share the point's pass, and the row checks
-    # the quadruples of their summed counts.
+    # the quadruples of the pass's counts.
     passes, checks = [], []
-    make_pass, check = experiment._pass, experiment._check_identities
-    monkeypatch.setattr(experiment, "_pass", lambda *args, **kwargs:
-                        passes.append(args[4]) or make_pass(*args, **kwargs))
+    make_pass, check = experiment._point, experiment._check_identities
+    monkeypatch.setattr(experiment, "_point", lambda *args, **kwargs:
+                        passes.append(args[5]) or make_pass(*args, **kwargs))
     monkeypatch.setattr(experiment, "_check_identities", lambda counts:
                         checks.append(sum(counts)) or check(counts))
     n = 2 * experiment.CHUNK + 5
@@ -194,7 +200,7 @@ needs_cpass = pytest.mark.skipif(
 
 
 def _format(columns) -> bytes:
-    buffer, size = kernels.format_csv(kernels.CPASS, columns)
+    buffer, size = kernels.CsvFormat(columns).write(kernels.CPASS, columns)
     return buffer[:size].tobytes()
 
 
@@ -423,7 +429,7 @@ def test_both_writers_refuse_integers_past_int64(compiled):
     columns = [np.array([2 ** 63, 2 ** 64 - 1], np.uint64)]
     with pytest.raises(ValueError, match="does not fit in int64"):
         if compiled:
-            kernels.format_csv(kernels.CPASS, columns)
+            kernels.CsvFormat(columns).write(kernels.CPASS, columns)
         else:
             sweep._csv_lines(columns)
 
@@ -456,6 +462,6 @@ def test_mixed_and_strided_columns():
 
 @needs_cpass
 def test_zero_rows():
-    buffer, size = kernels.format_csv(
-        kernels.CPASS, [np.empty(0, np.int64), b"t", np.empty(0)])
+    columns = [np.empty(0, np.int64), b"t", np.empty(0)]
+    buffer, size = kernels.CsvFormat(columns).write(kernels.CPASS, columns)
     assert size == 0
