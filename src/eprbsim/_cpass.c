@@ -21,9 +21,11 @@
  * the last pair.  cpass_trig is the table trig alone, for the settings.
  *
  * cpass_format writes the trial dump's CSV records: str of each integer
- * and '%.17g' of each double, byte for byte as Python prints them.  A
- * double in fixed notation gets its 17 digits exactly, in 128-bit integer
- * arithmetic (put_fixed); any other goes to the C library's snprintf.
+ * and '%.17g' of each double, byte for byte as Python prints them, and
+ * the fields a trial's state code gives (its index, its outcomes, flags
+ * and settings, and whether the quota dropped it).  A double in fixed
+ * notation gets its 17 digits exactly, in 128-bit integer arithmetic
+ * (put_fixed); any other goes to the C library's snprintf.
  */
 #include <math.h>
 #include <stdint.h>
@@ -445,14 +447,17 @@ void cpass_trig(const struct cpass_point *p, const double *u, int64_t n,
 }
 
 /* A column of cpass_format.  Mirrored field for field by
- * kernels.CPassColumn. */
-enum { COLUMN_TEXT, COLUMN_INT64, COLUMN_FLOAT64, COLUMN_INT8 };
+ * kernels.CPassColumn; the kinds are kernels.TEXT to kernels.SKIP. */
+enum { COLUMN_TEXT, COLUMN_FLOAT64, COLUMN_INDEX, COLUMN_SIGN, COLUMN_BIT,
+       COLUMN_CHOICE, COLUMN_SKIP };
 
 struct cpass_column {
     int64_t kind;
-    const void *data;   /* the text, or the column's value in row 0 */
-    int64_t stride;     /* bytes from one row's value to the next */
+    const void *data;   /* the text, the doubles of rows 0..n-1, or a
+                           choice's two text columns */
     int64_t length;     /* bytes of the text */
+    int64_t value;      /* an index's value in row 0, or the bit of the
+                           row's state that a sign, bit or choice reads */
 };
 
 /* The eight decimal digits of m < 10**8, zero padded, one a byte (0 to
@@ -476,9 +481,21 @@ static inline void store_text(char *p, uint64_t digits)
     memcpy(p, &digits, sizeof digits);
 }
 
-/* The decimal digits of m at p; returns their end. */
-static char *put_digits(char *p, uint64_t m)
+/* str(v) of an int64, whose field holds 20 bytes.  A value of 2 to 8
+ * digits (the dump's trial index) is one word of digits_8 without its
+ * leading zeros, stored whole: the store stays inside the field.  Any
+ * other is written digit by digit. */
+static char *put_int(char *p, int64_t v)
 {
+    uint64_t m = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;  /* -2**63 too */
+    *p = '-';
+    p += v < 0;
+    if (m >= 10 && m < 100000000) {
+        uint64_t digits = digits_8((uint32_t)m);
+        int zeros = __builtin_ctzll(digits) >> 3;  /* m >= 10: at most 6 */
+        store_text(p, digits >> 8 * zeros);
+        return p + 8 - zeros;
+    }
     char digits[20];
     int k = 0;
     do {
@@ -488,39 +505,6 @@ static char *put_digits(char *p, uint64_t m)
     while (k)
         *p++ = digits[--k];
     return p;
-}
-
-/* str(v), digit by digit past the first: an int8 column's writer, whose
- * fields hold 4 bytes.  The sign is written without a branch: the dump's
- * outcomes are -1 and +1 at random.  Always inlined, so that an int8
- * field takes no call. */
-static inline __attribute__((always_inline)) char *
-put_small(char *p, int64_t v)
-{
-    uint64_t m = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;  /* -2**63 too */
-    *p = '-';
-    p += v < 0;
-    if (m < 10) {
-        *p = (char)('0' + m);
-        return p + 1;
-    }
-    return put_digits(p, m);
-}
-
-/* str(v) of an int64, whose field holds 20 bytes.  A value of 2 to 8
- * digits (the dump's trial index) is one word of digits_8 without its
- * leading zeros, stored whole: the store stays inside the field. */
-static char *put_int(char *p, int64_t v)
-{
-    uint64_t m = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
-    if (m < 10 || m >= 100000000)
-        return put_small(p, v);
-    uint64_t digits = digits_8((uint32_t)m);
-    int zeros = __builtin_ctzll(digits) >> 3;  /* m >= 10: at most 6 */
-    *p = '-';
-    p += v < 0;
-    store_text(p, digits >> 8 * zeros);
-    return p + 8 - zeros;
 }
 
 #if defined(__SIZEOF_INT128__)
@@ -660,36 +644,57 @@ static char *put_float(char *p, double v)
 }
 
 /* Rows 0..n-1 of the columns into out, each row its fields joined by
- * ',' and ended by '\n': constant text, str of an int64 or an int8,
- * '%.17g' of a double.  out holds at least n times (1 + the sum over the
- * columns of one more than the text's length, 20 for an int64, 4 for an
- * int8 and 24 for a double) bytes.  Returns the bytes written. */
+ * ',' and ended by '\n': constant text, '%.17g' of a double; of row i's
+ * state, states[i]: str(value + i) (an index), -1 or 1 (a sign) and 0 or
+ * 1 (a bit) as its bit is clear or set, or the first or the second text
+ * of a choice.  A skip column has no field, and a row whose state is 64
+ * (a trial the quota dropped) is not written where one is present.  out
+ * holds at least n times (1 + the sum over the columns of one more than
+ * the text's length, the longer text of a choice, 24 for a double, 20
+ * for an index, 2 for a sign and 1 for a bit) bytes.  Returns the bytes
+ * written. */
 int64_t cpass_format(const struct cpass_column *columns, int64_t ncolumns,
-                     int64_t n, char *out)
+                     const uint8_t *states, int64_t n, char *out)
 {
     char *p = out;
     for (int64_t i = 0; i < n; i++) {
+        char *row = p;
         for (int64_t c = 0; c < ncolumns; c++) {
             const struct cpass_column *col = columns + c;
-            const char *at = (const char *)col->data + i * col->stride;
-            if (c)
-                *p++ = ',';
-            if (col->kind == COLUMN_TEXT) {
-                memcpy(p, col->data, (size_t)col->length);
-                p += col->length;
-            } else if (col->kind == COLUMN_INT64) {
-                int64_t v;
-                memcpy(&v, at, sizeof v);
-                p = put_int(p, v);
-            } else if (col->kind == COLUMN_INT8) {
-                p = put_small(p, *(const int8_t *)at);
-            } else {
-                double v;
-                memcpy(&v, at, sizeof v);
-                p = put_float(p, v);
+            const struct cpass_column *text = col;
+            switch (col->kind) {
+            case COLUMN_FLOAT64:
+                p = put_float(p, ((const double *)col->data)[i]);
+                break;
+            case COLUMN_INDEX:  /* in uint64: no signed overflow */
+                p = put_int(p, (int64_t)((uint64_t)col->value + (uint64_t)i));
+                break;
+            case COLUMN_SIGN:
+                *p = '-';
+                p += !(states[i] >> col->value & 1);
+                *p++ = '1';
+                break;
+            case COLUMN_BIT:
+                *p++ = (char)('0' + (states[i] >> col->value & 1));
+                break;
+            case COLUMN_SKIP:
+                if (states[i] == 64)
+                    goto dropped;
+                continue;
+            case COLUMN_CHOICE:
+                text = (const struct cpass_column *)col->data
+                       + (states[i] >> col->value & 1);
+                /* fall through */
+            default:  /* text */
+                memcpy(p, text->data, (size_t)text->length);
+                p += text->length;
             }
+            *p++ = ',';
         }
-        *p++ = '\n';
+        p[-1] = '\n';
+        continue;
+    dropped:
+        p = row;
     }
     return p - out;
 }

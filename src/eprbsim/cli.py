@@ -117,10 +117,9 @@ def config_from_args(args) -> sweep.RunConfig:
         delta_denominator=args.delta_denominator,
     )
     cfg.validate()
-    if cfg.mode != "oracles" and (cfg.dump_trials is not None
-                                  or kernels.BACKEND != "c"):
-        # numpy's pass, or a trial dump's records: numpy is imported here,
-        # while the run starts up, and not within its first point.
+    if cfg.mode != "oracles" and kernels.BACKEND != "c":
+        # numpy's pass: numpy is imported here, while the run starts up,
+        # and not within its first point.
         from . import law  # noqa: F401
     return cfg
 
@@ -166,6 +165,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"eprbsim: config error: {exc}", file=sys.stderr)
         return 1
+    if kernels.CPASS is None:
+        print(f"eprbsim: note: no compiled pass ({kernels.NOTE}); running "
+              "numpy's, with the same output", file=sys.stderr)
 
     run = sweep.sweep_theta if cfg.threshold_sweep is None \
         else sweep.sweep_threshold

@@ -16,10 +16,12 @@ lists of Python ints.  Each point walks once through one pass
 Its add(start, n) adds the state counts of trials start..start+n-1 to
 its hist; on non-CFD trials it makes the quota cut, in trial order, and
 stops at the trial that fills the last pair.  `cfd_counts` and
-`noncfd_counts` read the counts alone, the compiled pass's without
-numpy.  A trial dump (sweep._TrialDumper) also reads each trial's state
-and voltages from the pass's numpy arrays: through `run_cfd` over each
-CHUNK of CFD trials, or the calls that `run_noncfd` yields.
+`noncfd_counts` read the counts alone.  A trial dump (sweep._TrialDumper)
+also reads each trial's state and voltages from the pass's buffers,
+plain bytearrays, through `run_cfd` over each CHUNK of CFD trials, or
+the calls that `run_noncfd` yields; the compiled pass's dump imports no
+numpy.  The records' numpy arrays (x, v, w and the like) are computed
+from those buffers at their first access.
 """
 from __future__ import annotations
 
@@ -105,26 +107,56 @@ def source_phis(seed: int, n: int, start: int = 0):
     return phi1, _orthogonal(phi1)
 
 
+class _Records:
+    """The numpy arrays of a run's records, computed at their first
+    access from its buffers codes and volts, laid out as _point's: x, v
+    and w, (records, stations) arrays of the outcomes, voltages and
+    flags of its stations (the trial dump reads the buffers)."""
+
+    @functools.cached_property
+    def _states(self):
+        import numpy as np
+        return np.frombuffer(self.codes, np.uint8)[self._rows]
+
+    @functools.cached_property
+    def _bits(self):  # the stations' x, then their w, then any coins
+        import numpy as np
+        return np.unpackbits(self._states[:, None], axis=1,
+                             bitorder="little").view(np.int8)
+
+    x = functools.cached_property(
+        lambda self: 2 * self._bits[:, :self._stations] - 1)
+    w = functools.cached_property(
+        lambda self: self._bits[:, self._stations:2 * self._stations])
+
+    @functools.cached_property
+    def v(self):
+        import numpy as np
+        return np.frombuffer(self.volts).reshape(self._stations,
+                                                 -1)[:, self._rows].T
+
+
 @dataclass
-class CfdRun:
+class CfdRun(_Records):
     """CFD trials start..start+n-1: all four stations observed per trial.
 
-    x, v, w are (n, 4) arrays in STATION_NAMES column order; counts
-    holds the 256 state counts of those trials (None for a run of a
-    point's pass: see run_cfd).  phi1 and phi2, the trials' polarization
-    angles (source_phis), are computed at the first access: the trial
-    dump does not print them.
+    codes holds each trial's state and volts its stations' voltages, and
+    counts the 256 state counts of those trials (None for a run of a
+    point's pass: see run_cfd).  x, v and w are (n, 4), in
+    STATION_NAMES column order; phi1 and phi2, the trials' polarization
+    angles (source_phis), are computed at their first access too.
     """
 
     params: ModelParams
     quad: SettingsQuad
     n: int
     seed: int
-    x: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
+    codes: bytearray
+    volts: bytearray
     counts: np.ndarray | None
     start: int = 0
+    _stations = 4
+    _rows = property(lambda self: slice(self.n))
 
     @functools.cached_property
     def _phis(self):
@@ -140,14 +172,16 @@ class CfdRun:
 
 
 @dataclass
-class NonCfdRun:
+class NonCfdRun(_Records):
     """The records of non-CFD trials start..start+n_trials-1: the n
     trials that their setting pair kept (see noncfd_counts), in counter
     order.
 
-    k holds their trial indices; a, x, v, w are (n, 2) arrays of the
-    settings, outcomes, voltages and flags of side 1 and side 2.  counts
-    holds each setting pair's 16 state counts, in PAIR_NAMES order.
+    codes and volts hold the states (64 for a trial the quota dropped)
+    and voltages of all n_trials.  k holds the records' trial indices;
+    a, x, v, w are (n, 2) arrays of the settings, outcomes, voltages and
+    flags of side 1 and side 2; counts holds each setting pair's 16
+    state counts, in PAIR_NAMES order.
     """
 
     params: ModelParams
@@ -157,12 +191,29 @@ class NonCfdRun:
     start: int
     n_trials: int
     n: int
-    k: np.ndarray
-    a: np.ndarray
-    x: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    counts: np.ndarray
+    codes: bytearray
+    volts: bytearray
+    _stations = 2
+
+    @functools.cached_property
+    def _rows(self):  # of the kept trials
+        import numpy as np
+        return np.flatnonzero(np.frombuffer(self.codes, np.uint8,
+                                            self.n_trials) < 64)
+
+    k = functools.cached_property(lambda self: self.start + self._rows)
+
+    @functools.cached_property
+    def a(self):  # the coins: primed1 is bit 5, primed2 bit 4
+        import numpy as np
+        quad = self.quad
+        return np.where(self._bits[:, [5, 4]], [quad.a1p, quad.a2p],
+                        [quad.a1, quad.a2])
+
+    @functools.cached_property
+    def counts(self):
+        import numpy as np
+        return np.bincount(self._states, minlength=64).reshape(4, 16)
 
 
 class InvariantError(RuntimeError):
@@ -234,15 +285,15 @@ def _point(cfd: bool, params: ModelParams, quad: SettingsQuad, seed: int,
 
     Its add takes up to point.capacity trials a call: capacity, but
     _CALL_TRIALS for the compiled pass's counts alone.  With trials, each
-    call writes its trials' states and (k, n) voltages into point.codes
-    and point.volts, numpy arrays of capacity trials.
+    call writes its trials' states and voltages into point.codes and
+    point.volts, bytearrays of capacity trials: a uint8 each, and a
+    float64 per station and trial, station s's from trial s * capacity.
     """
     turns, origins = _turns(quad), _origins(cfd, seed)
     codes = volts = None
     if trials:
-        import numpy as np
-        codes = np.empty(capacity, np.uint8)
-        volts = np.empty((4 if cfd else 2, capacity))
+        codes = bytearray(capacity)
+        volts = bytearray(8 * (4 if cfd else 2) * capacity)
     if kernels.BACKEND == "c":
         return kernels.Compiled(kernels.CPASS, cfd, params, turns, origins,
                                 quota, capacity if trials else _CALL_TRIALS,
@@ -250,6 +301,14 @@ def _point(cfd: bool, params: ModelParams, quad: SettingsQuad, seed: int,
     from .law import NumpyPass
     return NumpyPass(cfd, params, turns, origins, quota, capacity, codes,
                      volts)
+
+
+def _noncfd_point(params: ModelParams, quad: SettingsQuad, quota: int,
+                  seed: int, trials: bool = False):
+    """A non-CFD point's pass, of calls of 2 * CHUNK trials (as many
+    stations as a CFD chunk), or 4 * quota, when every pair can fill."""
+    return _point(False, params, quad, seed, quota,
+                  min(2 * CHUNK, 4 * quota), trials)
 
 
 def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
@@ -274,28 +333,20 @@ def cfd_counts(params: ModelParams, quad: SettingsQuad, n: int,
     return counts
 
 
-def _bits(states: np.ndarray, count: int) -> np.ndarray:
-    """Bits 0..count-1 of each trial's uint8 state, as (n, count) int8."""
-    import numpy as np
-    return np.unpackbits(states[:, None], axis=1, count=count,
-                         bitorder="little").view(np.int8)
-
-
 def run_cfd(params: ModelParams, quad: SettingsQuad, n: int, seed: int,
             start: int = 0, point=None) -> CfdRun:
     """CFD trials start..start+n-1 of cfd_counts' pass, with each trial's
-    outcomes, voltages and flags.  A CFD trial depends on its index
-    alone, so any range of a point stands on its own.
+    state and voltages.  A CFD trial depends on its index alone, so any
+    range of a point stands on its own.
 
     point is the point's pass, _point(True, params, quad, seed, 0, c,
     trials=True) with c >= n, or None for a pass of this run alone.
     Handed the point's pass, the run adds its counts to the pass's hist
-    (its own counts are None), its v is the pass's array, overwritten by
+    (its own counts are None), its buffers are the pass's, overwritten by
     the next run, and the quadruple identities are left to the caller,
     who checks them on the point's counts (_check_identities, as
     sweep._cfd_row does); otherwise they are checked here.
     """
-    import numpy as np
     _validate_run(n, seed)
     own = point is None
     if own:
@@ -303,12 +354,12 @@ def run_cfd(params: ModelParams, quad: SettingsQuad, n: int, seed: int,
     point.add(start, n)
     counts = None
     if own:
+        import numpy as np
         counts = np.array(point.hist)
         _check_identities(counts)
-    bits = _bits(point.codes[:n], 8)  # x then w of each station
     return CfdRun(params=params, quad=quad, n=n, seed=seed,
-                  x=2 * bits[:, :4] - 1, v=point.volts[:, :n].T,
-                  w=bits[:, 4:], counts=counts, start=start)
+                  codes=point.codes, volts=point.volts, counts=counts,
+                  start=start)
 
 
 def noncfd_counts(params: ModelParams, quad: SettingsQuad, quota: int,
@@ -318,41 +369,43 @@ def noncfd_counts(params: ModelParams, quad: SettingsQuad, quota: int,
 
     Trials are drawn in counter order, and each side's coin selects the
     (ca, sa) of its setting per trial.  The pass cuts them at the quota
-    until every pair holds it.  A call of 2 * CHUNK trials evaluates as
-    many stations as a CFD chunk, and every pair holds the quota at the
-    earliest after 4 * quota trials.
+    until every pair holds it.
     """
     _validate_run(quota, seed, "quota")
-    point = _point(False, params, quad, seed, quota,
-                   min(2 * CHUNK, 4 * quota))
+    point = _noncfd_point(params, quad, quota, seed)
     start = 0
     while walked := point.add(start, point.capacity):
         start += walked
-    counts = point.hist[:]
-    return [counts[16 * p:16 * p + 16] for p in range(4)]
+    return _by_pair(point.hist)
+
+
+def _by_pair(hist) -> list:
+    """The 64 state counts of a non-CFD pass as each pair's 16."""
+    return [hist[16 * p:16 * p + 16] for p in range(4)]
 
 
 def run_noncfd(params: ModelParams, quad: SettingsQuad, quota: int,
-               seed: int):
+               seed: int, point=None):
     """The records of noncfd_counts' pass, one NonCfdRun per call of its
     add, in counter order.  A call's records depend on the calls before
-    it, through the quota; each run owns its arrays.
+    it, through the quota.
+
+    point is the point's pass, _noncfd_point(params, quad, quota, seed,
+    trials=True), or None for a pass of these runs alone.  Handed the
+    point's pass, each run's buffers are the pass's, overwritten by the
+    next run; otherwise each run owns a copy of them.
     """
-    import numpy as np
     _validate_run(quota, seed, "quota")
-    point = _point(False, params, quad, seed, quota,
-                   min(2 * CHUNK, 4 * quota), trials=True)
+    own = point is None
+    if own:
+        point = _noncfd_point(params, quad, quota, seed, trials=True)
     start = 0
     while walked := point.add(start, point.capacity):
-        code = point.codes[:walked]
-        keep = code < 64
-        code, v = code[keep], point.volts[:, :walked][:, keep]
-        bits = _bits(code, 6)  # x1, x2, w1, w2, primed2, primed1
-        a = np.where(bits[:, [5, 4]], [quad.a1p, quad.a2p],
-                     [quad.a1, quad.a2])
+        codes, volts = point.codes, point.volts
+        if own:
+            codes, volts = bytearray(codes), bytearray(volts)
         yield NonCfdRun(params=params, quad=quad, quota=quota, seed=seed,
-                        start=start, n_trials=walked, n=len(code),
-                        k=start + np.flatnonzero(keep), a=a,
-                        x=2 * bits[:, :2] - 1, v=v.T, w=bits[:, 2:4],
-                        counts=np.bincount(code, minlength=64).reshape(4, 16))
+                        start=start, n_trials=walked,
+                        n=walked - codes.count(64, 0, walked), codes=codes,
+                        volts=volts)
         start += walked

@@ -23,8 +23,8 @@ interface.  law.NumpyPass runs plain numpy array expressions; Compiled
 runs _cpass.c, which does the same float operations in the same order,
 a block of trials at a time, in one foreign call per add, so that
 every state and every voltage is numpy's, bit for bit.  The same library
-formats the trial dump's records (CsvFormat), with the bytes of
-Python's str and '%.17g'.
+formats the trial dump's records (CsvFormat) from the pass's state codes
+and voltages (TrialColumn), with the bytes of Python's str and '%.17g'.
 This module imports no numpy: its names of law's functions (fill_uniforms
 among them) import law, and numpy, at their first use.
 load_cpass compiles _cpass.c with the system's cc at first use, for
@@ -36,13 +36,15 @@ loads the other's; the key is a hash of the source and the flags.  Where
 -march=native does not compile the build takes the portable flags, under
 the same name; where the features cannot be read it takes them under
 <cpu> "portable".  A build removes the libraries of the same tag and
-<cpu> that it replaces, and those named by earlier builds without a
-<cpu> or without a tag.
+<cpu> that it replaces, those of any <cpu> built from another source or
+flags, and those named by earlier builds without a <cpu> or without a
+tag.
 CPASS is the loaded library, or None where there is no compiler, the
 build or the load fails, or the library fails its known-answer checks
 (a chunk of its pass against numpy_chunk's pinned digests, its formatter
-against Python's bytes); BACKEND names the pass in use, "c" or "numpy",
-and the passes and the trial dump read it at each call.
+against Python's bytes), and NOTE then says which; BACKEND names the
+pass in use, "c" or "numpy", and the passes and the trial dump read it
+at each call.
 """
 from __future__ import annotations
 
@@ -53,6 +55,7 @@ import math
 import operator
 import os
 from decimal import Decimal, localcontext
+from typing import NamedTuple
 
 from .params import TWO_PI, ModelParams
 
@@ -69,8 +72,7 @@ _U53 = 2.0 ** -53
 # law's functions, which need numpy: module attributes of this one from
 # their first use (__getattr__).
 _LAW = frozenset({"fill_uniforms", "gather_uniforms", "station_response",
-                  "trig", "abs_power", "station_law", "integer_column",
-                  "_hash_to_uniforms"})
+                  "trig", "abs_power", "station_law", "_hash_to_uniforms"})
 
 
 def __getattr__(name):
@@ -293,8 +295,9 @@ class Compiled:
 
 
 def _address(buffer):
-    """The address of a writable buffer's first byte; None for None."""
-    return None if buffer is None \
+    """The address of a writable buffer's first byte; None for None or an
+    empty buffer."""
+    return None if buffer is None or not memoryview(buffer).nbytes \
         else ctypes.addressof(ctypes.c_char.from_buffer(buffer))
 
 
@@ -324,85 +327,90 @@ class CPassColumn(ctypes.Structure):
     """struct cpass_column of _cpass.c: one column of cpass_format."""
 
     _fields_ = [("kind", ctypes.c_int64), ("data", ctypes.c_void_p),
-                ("stride", ctypes.c_int64), ("length", ctypes.c_int64)]
+                ("length", ctypes.c_int64), ("value", ctypes.c_int64)]
 
 
-_TEXT, _INT64, _FLOAT64, _INT8 = 0, 1, 2, 3
-# The widest field of each kind: str(-2**63), '%.17g' of
-# -2.2250738585072014e-308, and str(-128).
-_WIDTH = {_INT64: 20, _FLOAT64: 24, _INT8: 4}
+TEXT, FLOAT64, INDEX, SIGN, BIT, CHOICE, SKIP = range(7)
+# The widest field of each kind: '%.17g' of -2.2250738585072014e-308,
+# str(-2**63), "-1" and "0".
+_WIDTH = {FLOAT64: 24, INDEX: 20, SIGN: 2, BIT: 1}
+
+
+class TrialColumn(NamedTuple):
+    """A column of CsvFormat, read from a pass's buffers: in row i, of
+    the trial of state codes[i], kind INDEX prints start + i; SIGN and
+    BIT print bit value of the state as -1 or 1 and as 0 or 1; CHOICE
+    prints texts[0] or texts[1] as that bit is clear or set; FLOAT64
+    prints the double volts[value + i] ('%.17g').  SKIP prints no field,
+    and drops the rows whose state is 64 (the trials a quota dropped)."""
+
+    kind: int
+    value: int = 0
+    texts: tuple = ()
 
 
 class CsvFormat:
-    """The columns of cpass_format for rows of columns like these, built
-    once and pointed at each set of rows in turn (write).
-
-    A column is bytes (the same text in every row), an integer array
-    (written as str writes it; see law.integer_column: int8 and int64 are
-    read in place, strided or not) or a float array ('%.17g'); a 2-D
-    array stands for its columns, in order.  Each set of columns that
-    write takes must have the same texts, dtypes and shapes but the
-    rows'.
-    """
+    """The fields of cpass_format for rows of these columns, each bytes
+    (the same text in every row) or a TrialColumn, built once and pointed
+    at each set of rows in turn (write)."""
 
     def __init__(self, columns):
-        self._specs = []  # (first field, fields, kind, text or dtype)
         self._texts = []  # the buffers that the text fields point into
-        fields = []
-        for col in columns:
-            if isinstance(col, bytes):
-                text = ctypes.create_string_buffer(col, len(col) or 1)
-                self._texts.append(text)
-                self._specs.append((len(fields), 1, _TEXT, col))
-                fields.append(CPassColumn(_TEXT, ctypes.addressof(text), 0,
-                                          len(col)))
-            else:
-                kind = _FLOAT64 if col.dtype.kind == "f" \
-                    else _INT8 if col.dtype.str == "|i1" else _INT64
-                count = col.shape[1] if col.ndim == 2 else 1
-                self._specs.append((len(fields), count, kind, col.dtype))
-                fields += [CPassColumn(kind) for _ in range(count)]
-        self._fields = (CPassColumn * len(fields))(*fields)
-        self._views = list(self._fields)  # each field, in place
+        self._fields = (CPassColumn * len(columns))(*map(self._field,
+                                                          columns))
+        # the fields each set of rows moves, in place, and their columns
+        self._moving = [(self._fields[i], col) for i, col in enumerate(
+            columns) if getattr(col, "kind", TEXT) in (INDEX, FLOAT64)]
         # the bytes a row takes, at most
-        self.width = 1 + sum(1 + (f.length if f.kind == _TEXT
-                                  else _WIDTH[f.kind]) for f in fields)
+        self.width = 1 + sum(1 + _WIDTH.get(f.kind, f.length)
+                             for f in self._fields if f.kind != SKIP)
 
-    def write(self, lib, columns, buffer=None):
-        """The CSV lines of columns, formatted by lib's cpass_format: one
-        line per row, its fields joined by ',' and ended by '\\n'.
+    def _field(self, col) -> CPassColumn:
+        if isinstance(col, bytes):
+            text = ctypes.create_string_buffer(col, len(col) or 1)
+            self._texts.append(text)
+            return CPassColumn(TEXT, ctypes.addressof(text), len(col))
+        field = CPassColumn(col.kind, value=col.value)
+        if col.kind == CHOICE:
+            texts = (CPassColumn * 2)(*map(self._field, col.texts))
+            self._texts.append(texts)
+            field.data, field.length = ctypes.addressof(texts), max(
+                map(len, col.texts))
+        return field
+
+    def write(self, lib, rows, buffer=None):
+        """The CSV lines of rows = (start, n, codes, volts) by lib's
+        cpass_format: n trials from start, of states codes (a writable
+        buffer of n bytes or more) and voltages volts (one of doubles),
+        one line per row (but a skipped one), its fields joined by ','
+        and ended by '\\n'.
 
         The lines go into buffer, a writable memoryview, replaced by a
         larger one when it is too small.  Returns (buffer, the number of
         bytes written).
         """
-        n = next(len(c) for c in columns if not isinstance(c, bytes))
-        keep = []  # the arrays that the fields point into
-        for (first, count, kind, key), col in zip(self._specs, columns):
-            if kind == _TEXT:
-                if col != key:
-                    raise ValueError("a text column changed")
-                continue
-            if len(col) != n:
-                raise ValueError("columns of different lengths")
-            if col.dtype != key or (col.shape[1] if col.ndim == 2
-                                    else 1) != count:
-                raise ValueError("a column changed its dtype or shape")
-            if kind == _FLOAT64 and col.dtype.str != "<f8":
-                col = col.astype("float64")
-            elif kind == _INT64 and col.dtype.str != "<i8":
-                from .law import integer_column
-                col = integer_column(col)
-            data, stride, step = col.ctypes.data, col.strides[0], \
-                col.strides[-1]
-            for c, field in enumerate(self._views[first:first + count]):
-                field.data, field.stride = data + c * step, stride
-            keep.append(col)
+        start, n, codes, volts = _checked(rows)
+        for field, col in self._moving:
+            if col.kind == INDEX:
+                field.value = start
+            elif 8 * (col.value + n) > memoryview(volts).nbytes:
+                raise ValueError(f"fewer voltages than {col.value} + {n}")
+            elif n:
+                field.data = _address(volts) + 8 * col.value
         if buffer is None or buffer.nbytes < n * self.width:
             buffer = memoryview(bytearray(n * self.width))
-        out = _address(buffer) if buffer.nbytes else None
-        return buffer, lib.cpass_format(self._fields, len(self._fields), n,
-                                        out)
+        return buffer, lib.cpass_format(self._fields, len(self._fields),
+                                        _address(codes), n, _address(buffer))
+
+
+def _checked(rows):
+    """rows = (start, n, codes, volts), where codes holds n states and
+    indices start..start+n-1 fit in int64; else ValueError."""
+    start, n, codes, _ = rows
+    if n > len(codes) or start + n > 2 ** 63:
+        raise ValueError(f"indices {start}..{start + n - 1} of {len(codes)}"
+                         " states: more rows than states, or past int64")
+    return rows
 
 
 # ------------------------------------------------------------------ loading
@@ -451,22 +459,30 @@ def _cpu_key() -> str | None:
         if names else None
 
 
-def _compiled(source: str, cache: str) -> str | None:
+def _keys(text: bytes) -> tuple:
+    """The keys of the libraries of source text: built with
+    _NATIVE_CFLAGS, then _CFLAGS, and built with _CFLAGS alone."""
+    return tuple(sha256(b"\0".join([text, *(" ".join(f).encode()
+                                            for f in builds),
+                                    _TAG.encode()])).hexdigest()[:16]
+                 for builds in ((_NATIVE_CFLAGS, _CFLAGS), (_CFLAGS,)))
+
+
+def _compiled(source: str, cache: str) -> str:
     """The library of source for this host in cache, compiled there on a
     miss.
 
     A build tries _NATIVE_CFLAGS, then _CFLAGS; without a CPU key, only
     _CFLAGS.  It writes a temporary file and renames it into place, so
-    processes that build at once each load a whole library.  Returns
-    None where the build fails.
+    processes that build at once each load a whole library.  Raises
+    OSError, saying why, where there is no cc, the build fails or the
+    cache cannot be written.
     """
     with open(source, "rb") as fh:
-        text = fh.read()
+        keys = _keys(fh.read())
     cpu = _cpu_key()
     builds = (_CFLAGS,) if cpu is None else (_NATIVE_CFLAGS, _CFLAGS)
-    cpu = cpu or "portable"
-    key = sha256(b"\0".join([text, *(" ".join(f).encode() for f in builds),
-                              _TAG.encode()])).hexdigest()[:16]
+    cpu, key = (cpu, keys[0]) if cpu else ("portable", keys[1])
     path = os.path.join(cache, f"_cpass-{_TAG}-{cpu}-{key}.so")
     if os.path.exists(path):
         return path
@@ -475,83 +491,98 @@ def _compiled(source: str, cache: str) -> str | None:
     try:
         os.makedirs(cache, exist_ok=True)
         fd, tmp = tempfile.mkstemp(".so", "_cpass-", cache)
-    except OSError:
-        return None
+    except OSError as exc:
+        raise OSError(f"cannot write the cache {cache}: {exc.strerror}") \
+            from None
     os.close(fd)
     try:
         for flags in builds:
-            if subprocess.run(["cc", *flags, "-o", tmp, source, "-lm"],
-                              capture_output=True,
-                              timeout=_BUILD_TIMEOUT_S).returncode == 0:
+            built = subprocess.run(["cc", *flags, "-o", tmp, source, "-lm"],
+                                   capture_output=True, text=True,
+                                   timeout=_BUILD_TIMEOUT_S)
+            if built.returncode == 0:
                 break
-        else:
-            return None
+        else:  # the first line naming an error, or the last
+            lines = built.stderr.splitlines() or [""]
+            raise OSError(f"cc failed to build {source}: " + next(
+                (line for line in lines if "error" in line), lines[-1]))
         os.chmod(tmp, 0o755)  # mkstemp's 0o600 would hide it from others
         os.replace(tmp, path)
-    except (OSError, subprocess.SubprocessError):
-        return None
+    except FileNotFoundError:
+        raise OSError("no C compiler (cc) on PATH") from None
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"cc failed to build {source}: {exc}") from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-    _remove_stale(cache, path, cpu)
+    _remove_stale(cache, path, cpu, keys)
     return path
 
 
-def _remove_stale(cache: str, path: str, cpu: str) -> None:
-    """Remove this interpreter's libraries for this cpu in cache other
-    than path: those of earlier sources or flags, and those named as
-    earlier builds named them, _cpass-<tag>-<key>.so without the cpu and
-    _cpass-<key>.so without the tag either.  Other interpreters' and
-    other CPUs' libraries stay."""
+def _remove_stale(cache: str, path: str, cpu: str, keys) -> None:
+    """Remove this interpreter's libraries in cache other than path that
+    no host loads: this cpu's of any key, any CPU's of a key not in keys
+    (an earlier source's or flags', stale on every host), and those
+    named as earlier builds named them, _cpass-<tag>-<key>.so without
+    the cpu and _cpass-<key>.so without the tag either.  Other
+    interpreters' libraries, and other CPUs' of these keys, stay."""
     import re
-    tag, cpu = re.escape(_TAG), re.escape(cpu)
-    stale = re.compile(rf"_cpass-(({tag}-{cpu}|{tag})-)?[0-9a-f]{{16}}\.so")
+    stale = re.compile(rf"_cpass-(?:{re.escape(_TAG)}-(?:([0-9a-f]{{8}}"
+                       rf"|portable)-)?)?([0-9a-f]{{16}})\.so")
     for name in os.listdir(cache):
-        if stale.fullmatch(name) and name != os.path.basename(path):
+        match = stale.fullmatch(name)
+        if match and name != os.path.basename(path) and (
+                match[1] in (None, cpu) or match[2] not in keys):
             try:
                 os.remove(os.path.join(cache, name))
             except FileNotFoundError:  # another process removed it
                 pass
 
 
-# The known-answer check of cpass_format: exact ties at 17 digits, whose
-# rounding goes to the even digit (1 + 2**-17 down; 26215 * 2**-18 up and
-# -26217 * 2**-18 down, in a binade that holds 0.1; 196611 * 2**-18 up
-# and -196609 * 2**-18 down, in the voltages' binade [1/2, 1)), the
-# smallest subnormal, both ends of fixed notation and values past them,
-# signed zeros, infinities and nans; the ends of int64, int64s of 7, 8
-# and 9 digits (the last two on either side of put_int's one-word path),
-# and the ends of int8.
+# The known-answer check of cpass_format, rows of each kind of column in
+# turn: exact ties at 17 digits, whose rounding goes to the even digit
+# (1 + 2**-17 down; 26215 * 2**-18 up and -26217 * 2**-18 down, in a
+# binade that holds 0.1; 196611 * 2**-18 up and -196609 * 2**-18 down, in
+# the voltages' binade [1/2, 1)), the smallest subnormal, both ends of
+# fixed notation and values past them, signed zeros, infinities and nans;
+# each bit of the states as a sign and as a bit, and both texts of a
+# choice; indices from 0 with rows skipped first, in the middle and last,
+# indices on either side of put_int's one-word path (10**8) and up to
+# 2**63 - 1.
 _CHECK_FLOATS = [1 + 2.0 ** -17, 26215 * 2.0 ** -18, -26217 * 2.0 ** -18,
                  196611 * 2.0 ** -18, -196609 * 2.0 ** -18, 5e-324, 1e16,
                  1e17, 1e-4, 1e-5, 0.0, -0.0, math.inf, -math.inf, math.nan,
                  math.copysign(math.nan, -1.0), -0.7071067811865476,
                  123456789.125]
-_CHECK_INTS = [-2 ** 63, 2 ** 63 - 1, 0, -1, 7, 10 ** 18, -1234567, 99999999,
-               100000000] + [0] * (len(_CHECK_FLOATS) - 9)
-_CHECK_INT8S = ([-128, 127, -1, 0, 1, 9, 10, -10] * 3)[:len(_CHECK_FLOATS)]
-_CHECK_CSV = "".join(
-    "%.17g,t,%d,%d\n" % row
-    for row in zip(_CHECK_FLOATS, _CHECK_INTS, _CHECK_INT8S)).encode()
+_CHECK_STATES = [64, 0, 255, 0x5A, 64, 0xA5, 1, 128, 64, 2, 4, 8, 16, 32,
+                 0x7F, 0xFE, 0x3C, 64]
+_CHECK_CHOICE = (b"0.5", b"-0.78539816339744828")
+_CHECK_COLUMNS = [TrialColumn(SKIP), TrialColumn(INDEX),
+                  TrialColumn(CHOICE, 5, _CHECK_CHOICE),
+                  *(TrialColumn(kind, bit) for kind in (SIGN, BIT)
+                    for bit in range(8)), TrialColumn(FLOAT64)]
 
 
 def _formats(lib) -> bool:
-    """Whether lib's cpass_format gives Python's bytes of _CHECK_FLOATS,
-    _CHECK_INTS and _CHECK_INT8S, a row each, with a text column."""
-    n = len(_CHECK_FLOATS)
-    text = ctypes.create_string_buffer(b"t", 1)
-    columns = [(_FLOAT64, (ctypes.c_double * n)(*_CHECK_FLOATS)),
-               (_TEXT, text),
-               (_INT64, (ctypes.c_int64 * n)(*_CHECK_INTS)),
-               (_INT8, (ctypes.c_int8 * n)(*_CHECK_INT8S))]
-    fields = (CPassColumn * len(columns))(*(
-        CPassColumn(kind, ctypes.addressof(data), ctypes.sizeof(data) // n,
-                    len(text) if kind == _TEXT else 0)
-        for kind, data in columns))
-    width = 1 + sum(1 + _WIDTH.get(kind, len(text)) for kind, _ in columns)
-    out = ctypes.create_string_buffer(n * width)
-    size = lib.cpass_format(fields, len(columns), n, out)
-    return out.raw[:size] == _CHECK_CSV
+    """Whether lib's cpass_format gives Python's bytes of _CHECK_COLUMNS'
+    rows from index 0, and without the SKIP column from either side of
+    10**8 and up to 2**63 - 1."""
+    n = len(_CHECK_STATES)
+    codes = (ctypes.c_uint8 * n)(*_CHECK_STATES)
+    volts = _doubles(_CHECK_FLOATS)
+    tails = [",".join([_CHECK_CHOICE[s >> 5 & 1].decode(),
+                       *(("-1", "1")[s >> b & 1] for b in range(8)),
+                       *(str(s >> b & 1) for b in range(8)),
+                       "%.17g\n" % _CHECK_FLOATS[i]])
+             for i, s in enumerate(_CHECK_STATES)]  # each row past its index
+    for start in (0, 10 ** 8 - 5, 2 ** 63 - n):
+        want = "".join(f"{start + i},{tail}" for i, (s, tail) in enumerate(
+            zip(_CHECK_STATES, tails)) if s != 64 or start)
+        buffer, size = CsvFormat(_CHECK_COLUMNS[start > 0:]).write(
+            lib, (start, n, codes, volts))
+        if buffer[:size] != want.encode():
+            return False
+    return True
 
 
 # The known-answer check of the pass: a chunk of 200 CFD trials (a block
@@ -604,11 +635,13 @@ def load_cpass(source: str = _SOURCE, cache: str = _CACHE):
     included, does not reproduce numpy_chunk (_pass_agrees), or where its
     formatter does not reproduce Python's bytes (_formats).
     """
-    path = _compiled(source, cache)
-    if path is None:
-        return None
+    return _load(source, cache)[0]
+
+
+def _load(source: str, cache: str):
+    """(load_cpass's library, None), or (None, why there is none)."""
     try:
-        lib = ctypes.CDLL(path)
+        lib = ctypes.CDLL(_compiled(source, cache))
         for name in ("cpass_cfd", "cpass_noncfd"):
             fn = getattr(lib, name)
             fn.argtypes = (ctypes.POINTER(CPassPoint), ctypes.c_uint64,
@@ -621,15 +654,15 @@ def load_cpass(source: str = _SOURCE, cache: str = _CACHE):
                                    ctypes.POINTER(ctypes.c_double))
         lib.cpass_trig.restype = None
         lib.cpass_format.argtypes = (ctypes.POINTER(CPassColumn),
-                                     ctypes.c_int64, ctypes.c_int64,
-                                     ctypes.c_void_p)
+                                     ctypes.c_int64, ctypes.c_void_p,
+                                     ctypes.c_int64, ctypes.c_void_p)
         lib.cpass_format.restype = ctypes.c_int64
-    except (OSError, AttributeError):
-        return None
-    if not (_pass_agrees(lib) and _formats(lib)):
-        return None
-    return lib
+    except (OSError, AttributeError) as exc:
+        return None, str(exc)
+    if _pass_agrees(lib) and _formats(lib):
+        return lib, None
+    return None, f"{lib._name} failed its known-answer check"
 
 
-CPASS = load_cpass()
+CPASS, NOTE = _load(_SOURCE, _CACHE)  # NOTE says why CPASS is None
 BACKEND = "numpy" if CPASS is None else "c"

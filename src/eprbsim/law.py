@@ -242,13 +242,17 @@ def numpy_chunk(cfd: bool, params, turns: np.ndarray, u: np.ndarray,
 
 class NumpyPass:
     """One point of numpy's pass, kernels.Compiled's twin: its inputs but
-    lib, codes and volts numpy arrays or None, and its add, hist and
-    held.  Each call of add is one chunk of numpy_chunk, and a quota cuts
-    only a chunk in which some pair drew more trials than its room."""
+    lib, and its add, hist and held.  Each call of add is one chunk of
+    numpy_chunk, which writes codes and volts, where given, through numpy
+    views of them, and a quota cuts only a chunk in which some pair drew
+    more trials than its room."""
 
     def __init__(self, cfd: bool, params, turns, origins, quota: int = 0,
                  capacity: int = 0, codes=None, volts=None):
         self.capacity, self.codes, self.volts = capacity, codes, volts
+        if codes is not None:  # their numpy views
+            self._codes = np.frombuffer(codes, np.uint8)
+            self._volts = np.frombuffer(volts).reshape(-1, capacity)
         self._cfd, self._params, self._quota = cfd, params, quota
         self._turns = np.array(turns)
         self._origins = np.array(origins, np.uint64)[:, None]
@@ -277,8 +281,8 @@ class NumpyPass:
                                   out=self._u[:, :n], work=self._words[:, :n])
         states, _ = numpy_chunk(
             self._cfd, self._params, self._turns, u,
-            None if self.codes is None else self.codes[:n],
-            None if self.volts is None else self.volts[:, :n])
+            None if self.codes is None else self._codes[:n],
+            None if self.codes is None else self._volts[:, :n])
         counts = np.bincount(states, minlength=self._hist.size)
         if quota:
             room = [quota - held for held in self.held]
@@ -299,19 +303,3 @@ class NumpyPass:
         for p in range(4):
             states[np.flatnonzero(pair == p)[room[p]:]] = 64
         return np.bincount(states, minlength=65)[:64]
-
-
-def integer_column(col: np.ndarray) -> np.ndarray:
-    """An integer column of the trial dump as its writers take it: int8
-    and int64 as they are, any other integer dtype as int64.
-
-    Raises ValueError where a value does not fit in int64 (a uint64 of
-    2**63 or more), so that neither writer prints a wrapped value.
-    """
-    if col.dtype == np.int8 or col.dtype == np.int64:
-        return col
-    if not np.can_cast(col.dtype, np.int64) and col.size \
-            and col.max() > np.iinfo(np.int64).max:
-        raise ValueError(f"a {col.dtype} column holds {col.max()}, "
-                         "which does not fit in int64")
-    return col.astype(np.int64)

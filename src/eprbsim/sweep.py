@@ -6,10 +6,11 @@ per point from the configured seed, so identical configurations yield
 byte-identical output files at any number of threads (see _sweep).  A
 run with a trial dump (_TrialDumper) walks each point once, in the
 calling thread, one chunk's records at a time, and its rows are the
-counts of the dumped trials.  The dump is formatted by the compiled
-library (kernels.CsvFormat) or, where kernels.BACKEND is "numpy", line
-by line (_csv_lines), with the same bytes.  Rows are built from state
-counts in Python ints; only the dump's records need numpy.
+counts of the dumped trials.  The dump is formatted from the pass's
+buffers of states and voltages by the compiled library
+(kernels.CsvFormat) or, where kernels.BACKEND is "numpy", line by line
+(_csv_lines), with the same bytes.  Rows are built from state counts in
+Python ints; only numpy's pass imports numpy.
 """
 from __future__ import annotations
 
@@ -406,10 +407,10 @@ def write_rows(cfg: RunConfig, columns, rows, fh) -> None:
 class _TrialDumper:
     """Raw per-trial record writer (comma separated, one line per record).
 
-    A run's records are formatted in one call of the compiled library
-    where kernels.BACKEND is "c", through the columns of a
-    kernels.CsvFormat built once per point, and one line at a time by
-    _csv_lines otherwise, with the same bytes.
+    A run's records are formatted from the pass's buffers in one call of
+    the compiled library where kernels.BACKEND is "c", through a
+    kernels.CsvFormat of the point's columns, built once per point, and
+    one line at a time by _csv_lines otherwise, with the same bytes.
     """
 
     CFD_HEADER = ("k,a1,a1p,a2,a2p,x1,x1p,x2,x2p,"
@@ -420,7 +421,7 @@ class _TrialDumper:
         self.fh = open(path, "wb")
         self.mode = mode
         self.buffer = None  # CsvFormat.write's, reused from run to run
-        self.format = None  # the point's CsvFormat, built at its first run
+        self.columns = self.format = None  # the point's, at its first run
         self.fh.write((self.CFD_HEADER if mode == "cfd"
                        else self.NONCFD_HEADER).encode() + b"\n")
 
@@ -431,7 +432,7 @@ class _TrialDumper:
         run_cfd over each CHUNK of trials, all through one pass of the
         point, whose counts the row checks (_cfd_row), or the runs of
         run_noncfd, whose quota ties each chunk to the chunks before it."""
-        quad, self.format = SettingsQuad.for_theta(theta), None
+        quad, self.columns = SettingsQuad.for_theta(theta), None
         if self.mode == "cfd":
             point = experiment._point(True, params, quad, seed, 0,
                                       min(experiment.CHUNK, n), trials=True)
@@ -440,45 +441,75 @@ class _TrialDumper:
                                        min(point.capacity, n - start), seed,
                                        start, point))
             return point.hist[:]
-        counts = 0
-        for run in run_noncfd(params, quad, n, seed):
+        point = experiment._noncfd_point(params, quad, n, seed, trials=True)
+        for run in run_noncfd(params, quad, n, seed, point):
             self.write_run(run)
-            counts = counts + run.counts
-        return counts.tolist()
+        return experiment._by_pair(point.hist)
 
     def write_run(self, run) -> None:
         """Write the records of a CfdRun or a NonCfdRun, in counter order."""
-        if isinstance(run, CfdRun):
-            import numpy as np
-            settings = ",".join("%.17g" % ai for ai in run.quad.as_tuple())
-            head = [np.arange(run.start, run.start + run.n), settings.encode()]
-        else:
-            head = [run.k, run.a]
-        columns = [*head, run.x, run.v, run.w]
+        cfd = isinstance(run, CfdRun)
+        rows = (run.start, run.n if cfd else run.n_trials, run.codes,
+                run.volts)
+        if self.columns is None:
+            self.columns = _dump_columns(run.quad, cfd, len(run.codes))
+            self.format = kernels.CsvFormat(self.columns)
         if kernels.BACKEND == "c":
-            if self.format is None:
-                self.format = kernels.CsvFormat(columns)
-            self.buffer, size = self.format.write(kernels.CPASS, columns,
+            self.buffer, size = self.format.write(kernels.CPASS, rows,
                                                   self.buffer)
             self.fh.write(self.buffer[:size])
         else:
-            self.fh.write(_csv_lines(columns))
+            self.fh.write(_csv_lines(self.columns, rows))
 
     def close(self) -> None:
         self.fh.close()
 
 
-def _csv_lines(columns) -> bytes:
-    """The records of kernels.CsvFormat's columns, formatted line by line:
-    '%d' of each integer and '%.17g' of each float.  An integer column
-    with a value outside int64 raises ValueError, as it does there."""
-    columns = [c for col in columns for c in (
-        col.T if not isinstance(col, bytes) and col.ndim == 2 else [col])]
+def _dump_columns(quad: SettingsQuad, cfd: bool, capacity: int) -> list:
+    """The trial dump's columns of a point's pass of this capacity: a
+    trial's index, the settings (a non-CFD side's by its coin, state bit 5
+    or 4), then each station's outcome, voltage and flag (state bits s and
+    k + s of station s of k); non-CFD trials the quota dropped skipped."""
+    col, k = kernels.TrialColumn, 4 if cfd else 2
+    texts = [b"%.17g" % a for a in quad.as_tuple()]  # a1, a1p, a2, a2p
+    if cfd:
+        head = [col(kernels.INDEX), b",".join(texts)]
+    else:
+        head = [col(kernels.SKIP), col(kernels.INDEX),
+                col(kernels.CHOICE, 5, (texts[0], texts[1])),
+                col(kernels.CHOICE, 4, (texts[2], texts[3]))]
+    return [*head, *(col(kernels.SIGN, s) for s in range(k)),
+            *(col(kernels.FLOAT64, s * capacity) for s in range(k)),
+            *(col(kernels.BIT, k + s) for s in range(k))]
+
+
+def _csv_lines(columns, rows) -> bytes:
+    """The lines of kernels.CsvFormat's columns and rows, formatted line
+    by line through numpy: '%d' of each integer, '%.17g' of each double
+    and the text of each choice."""
+    import numpy as np
+    start, n, codes, volts = kernels._checked(rows)
+    states, kept, fields = np.frombuffer(codes, np.uint8, n), slice(None), []
+    for col in columns:
+        kind = col.kind if isinstance(col, kernels.TrialColumn) else None
+        if kind == kernels.SKIP:
+            kept = states != 64
+        elif kind == kernels.INDEX:
+            fields.append(np.arange(start, start + n, dtype=np.int64))
+        elif kind == kernels.FLOAT64:
+            fields.append(np.frombuffer(volts, np.float64, n, 8 * col.value))
+        elif kind is not None:  # a bit of the state
+            bit = states >> col.value & 1
+            fields.append(2 * bit.astype(np.int8) - 1 if kind == kernels.SIGN
+                          else bit if kind == kernels.BIT
+                          else np.array([t.decode() for t in col.texts])[bit])
+        else:
+            fields.append(col)
     line = ",".join(
         c.decode().replace("%", "%%") if isinstance(c, bytes)
-        else "%.17g" if c.dtype.kind == "f" else "%d"
-        for c in columns) + "\n"
-    rows = zip(*[(c if c.dtype.kind == "f"
-                  else kernels.integer_column(c)).tolist()
-                 for c in columns if not isinstance(c, bytes)])
-    return "".join(line % row for row in rows).encode()
+        else "%.17g" if c.dtype.kind == "f"
+        else "%s" if c.dtype.kind == "U" else "%d"
+        for c in fields) + "\n"
+    values = zip(*[c[kept].tolist() for c in fields
+                   if not isinstance(c, bytes)])
+    return "".join(line % row for row in values).encode()

@@ -150,8 +150,9 @@ def chunk_values(cfd, params, quad, n=DECISION_N):
     trials of seed DECISION_SEED, by the pass kernels.BACKEND picks."""
     point = experiment._point(cfd, params, quad, DECISION_SEED, 0, n,
                               trials=True)
-    point.add(0, n)
-    return point.codes[:n].copy(), point.volts[:, :n].copy()
+    point.add(0, n)  # its buffers hold these n trials
+    return (np.frombuffer(point.codes, np.uint8).copy(),
+            np.frombuffer(point.volts).reshape(-1, n).copy())
 
 
 def _recomputed(cfd, params, quad):

@@ -181,27 +181,32 @@ def test_a_new_build_removes_this_interpreters_stale_libraries(tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()
     tag = kernels._TAG
-    kept = [cache / name for name in (
-        # another interpreter's, named before and after the CPU key
-        "_cpass-cpython-399-other-platform-0123456789abcdef.so",
-        "_cpass-cpython-399-other-platform-0f0f0f0f-0123456789abcdef.so",
-        # this interpreter's for another CPU, and for a host whose CPU
-        # features numpy could not read
-        f"_cpass-{tag}-0f0f0f0f-0123456789abcdef.so",
-        f"_cpass-{tag}-portable-0123456789abcdef.so")]
-    # named as builds named their libraries before the CPU key, and
-    # before the interpreter tag
-    removed = [cache / f"_cpass-{tag}-97719a62751a7c21.so",
-               cache / "_cpass-97719a62751a7c21.so"]
-    for library in kept + removed:
-        library.write_bytes(b"a library that this build does not replace")
     first = tmp_path / "first.c"
     second = tmp_path / "second.c"
     text = pathlib.Path(kernels._SOURCE).read_text()
     first.write_text(text)
     second.write_text(text + "\n/* another source */\n")
-    for source in (first, second):
-        assert kernels.load_cpass(str(source), str(cache)) is not None
+    native, portable = kernels._keys(second.read_bytes())
+    kept = [cache / name for name in (
+        # another interpreter's, named before and after the CPU key
+        "_cpass-cpython-399-other-platform-0123456789abcdef.so",
+        "_cpass-cpython-399-other-platform-0f0f0f0f-0123456789abcdef.so",
+        # this interpreter's builds of the second source for another CPU,
+        # and for a host whose CPU features numpy could not read
+        f"_cpass-{tag}-0f0f0f0f-{native}.so",
+        f"_cpass-{tag}-portable-{portable}.so")]
+    # named as builds named their libraries before the CPU key, and
+    # before the interpreter tag, and an earlier source's, for another
+    # CPU and for a host without CPU features
+    removed = [cache / f"_cpass-{tag}-97719a62751a7c21.so",
+               cache / "_cpass-97719a62751a7c21.so",
+               cache / f"_cpass-{tag}-0f0f0f0f-0123456789abcdef.so",
+               cache / f"_cpass-{tag}-portable-0123456789abcdef.so"]
+    # the second source replaces the first
+    assert kernels.load_cpass(str(first), str(cache)) is not None
+    for library in kept + removed:
+        library.write_bytes(b"a library that this build does not replace")
+    assert kernels.load_cpass(str(second), str(cache)) is not None
     ours = [p for p in os.listdir(cache)
             if p.startswith(f"_cpass-{tag}-{kernels._cpu_key()}-")]
     assert len(ours) == 1
@@ -210,25 +215,68 @@ def test_a_new_build_removes_this_interpreters_stale_libraries(tmp_path):
     assert not any(library.exists() for library in removed)
 
 
+def test_stale_libraries_of_every_cpu_key_are_removed(tmp_path):
+    """Libraries of an earlier source are stale on every host: those of
+    CPU keys that this host no longer computes (numpy's features once
+    keyed them), of another CPU and of the portable build go, while every
+    CPU's build of the current source's two keys stays."""
+    cache, tag = tmp_path, kernels._TAG
+    native, portable = kernels._keys(b"the current source")
+    ours = f"_cpass-{tag}-86d9ce9c-{native}.so"
+    kept = [ours, f"_cpass-{tag}-1a35e27c-{native}.so",
+            f"_cpass-{tag}-portable-{portable}.so",
+            f"_cpass-cpython-399-other-1a35e27c-{'0' * 16}.so", "_cpass.c"]
+    removed = [f"_cpass-{tag}-{cpu}-{key}.so" for cpu, key in (
+        ("1a35e27c", "a4696f8042748aec"), ("95875b97", "5c6da4a3112aee2c"),
+        ("portable", "0" * 16), ("86d9ce9c", portable))]
+    for name in kept + removed:
+        (cache / name).write_bytes(b"")
+    kernels._remove_stale(str(cache), str(cache / ours), "86d9ce9c",
+                          (native, portable))
+    assert sorted(os.listdir(cache)) == sorted(kept)
+
+
 @needs_cc
 def test_a_library_for_other_cpu_features_is_neither_loaded_nor_removed(
         tmp_path):
     cache = tmp_path / "cache"
     ours = kernels._compiled(kernels._SOURCE, str(cache))
     name, cpu = os.path.basename(ours), kernels._cpu_key()
-    # Another host's builds of this source and of an earlier one: not
-    # libraries at all, so that loading one would fail.
-    other_cpu = [cache / name.replace(f"-{cpu}-", "-0f0f0f0f-"),
-                 cache / f"_cpass-{kernels._TAG}-0f0f0f0f-0123456789abcdef.so"]
-    for library in other_cpu:
+    # Another host's build of this source: not a library at all, so that
+    # loading it would fail.  Its build of an earlier source is stale on
+    # every host, and goes.
+    other_cpu = cache / name.replace(f"-{cpu}-", "-0f0f0f0f-")
+    earlier = cache / f"_cpass-{kernels._TAG}-0f0f0f0f-0123456789abcdef.so"
+    for library in (other_cpu, earlier):
         library.write_bytes(b"a library for another CPU")
     os.remove(ours)
     lib = kernels.load_cpass(kernels._SOURCE, str(cache))
     assert lib is not None and lib._name == ours
-    assert sorted(os.listdir(cache)) == sorted(
-        [name, *(library.name for library in other_cpu)])
-    assert all(library.read_bytes() == b"a library for another CPU"
-               for library in other_cpu)
+    assert sorted(os.listdir(cache)) == sorted([name, other_cpu.name])
+    assert other_cpu.read_bytes() == b"a library for another CPU"
+
+
+def test_a_run_without_the_library_says_why_on_stderr(tmp_path, monkeypatch,
+                                                      capsys):
+    """Built into a cache that cannot be created (a path under a regular
+    file), no library loads, and a CLI run says so in one line on stderr,
+    while its rows are those of the compiled pass."""
+    (tmp_path / "file").write_text("")
+    cache = tmp_path / "file" / "cache"
+    lib, note = kernels._load(kernels._SOURCE, str(cache))
+    assert lib is None
+    monkeypatch.setattr(kernels, "CPASS", lib)
+    monkeypatch.setattr(kernels, "NOTE", note)
+    monkeypatch.setattr(kernels, "BACKEND", "numpy")
+    argv, rows_sha, _ = RUNS["cfd"]
+    assert cli.main([*argv, "--out", str(tmp_path / "rows")]) == 0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"eprbsim: note: no compiled pass (cannot write the cache "
+                   f"{cache}: Not a directory); running numpy's, with the "
+                   "same output\n")
+    assert hashlib.sha256((tmp_path / "rows").read_bytes()).hexdigest() \
+        == rows_sha
 
 
 def _cpuinfo(tmp_path, monkeypatch, text):
@@ -528,14 +576,20 @@ def test_the_source_compiles_without_warnings(tmp_path):
     ("- 1 + (n >> r & 1)) >> r;", ") >> r;"),
     ("(rest + (1ULL << (r - 1)) - 1 + (q & 1)) >> r",
      "(rest + (1ULL << (r - 1))) >> r"),
-    ("m < 10 || m >= 100000000", "m < 10 || m > 100000000"),
-], ids=["nan", "ties-up", "binade-ties-up", "int-word-edge"])
+    ("m >= 10 && m < 100000000", "m >= 10 && m <= 100000000"),
+    ("(uint64_t)col->value + (uint64_t)i", "(uint64_t)col->value + 1"),
+    ("p += !(states[i] >> col->value & 1);", "p += !(states[i] & 1);"),
+    ("'0' + (states[i] >> col->value & 1)", "'0' + (states[i] >> 4 & 1)"),
+    ("+ (states[i] >> col->value & 1);", "+ (states[i] & 1);"),
+    ("if (states[i] == 64)", "if (states[i] == 64 && i)"),
+], ids=["nan", "ties-up", "binade-ties-up", "int-word-edge", "index",
+        "sign", "bit", "choice", "skip-first"])
 def test_a_library_whose_formatter_disagrees_with_python(tmp_path, old, new):
     # "-nan" for a nan with its sign bit set, as the C library prints it;
     # a 17-digit rounding that takes every tie up, where '%.17g' rounds
     # half to even, in a binade that holds a power of ten and in one
     # inside a decade; 10**8, of 9 digits, through the one-word path of
-    # 2 to 8 digits.
+    # 2 to 8 digits; and each kind of kernels.TrialColumn misread.
     source = tmp_path / "_cpass.c"
     text = pathlib.Path(kernels._SOURCE).read_text()
     assert old in text
@@ -566,9 +620,10 @@ def test_a_library_whose_pass_disagrees_with_numpy(tmp_path, old, new):
 SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 # Loads the library built with SANITIZE added to both flag sets from the
 # cache given, which runs its known-answer checks.  Then it formats each
-# value of the float64 and the int64 bytes read from stdin, and the ends
-# of int8, each the last field of a buffer of the size CsvFormat.write
-# allocates for it, so that no store of a field reaches past it, and
+# value of the float64 bytes read from stdin, an index of each value of
+# the int64 bytes, and a sign and a bit of states 0 and 255, each the
+# last field of a buffer of the size CsvFormat.write allocates for it, so
+# that no store of a field reaches past it, and
 # runs a CFD and a non-CFD CLI point of 1001 trials at d = 0.5
 # with a trial dump, and a CFD point of two blocks (sweep.BLOCK_CHUNKS
 # CHUNKs each) and 5 trials on two threads, so that two passes run at
@@ -584,16 +639,20 @@ kernels._CFLAGS += extra
 lib = kernels.load_cpass(kernels._SOURCE, os.path.join(work, "cache"))
 assert lib is not None
 floats, ints = sys.stdin.read().split()
-floats = np.frombuffer(bytes.fromhex(floats))
-ints = np.frombuffer(bytes.fromhex(ints), np.int64)
-for column in (*floats[:, None], *ints[:, None],
-               *np.array([[-128], [127], [-1], [0]], np.int8)):
-    value = ("%.17g" % column[0] if column.dtype == np.float64
-             else str(column[0])).encode()
+floats = np.frombuffer(bytes.fromhex(floats)).tolist()
+ints = np.frombuffer(bytes.fromhex(ints), np.int64).tolist()
+Col = kernels.TrialColumn
+fields = [(Col(kernels.FLOAT64), 0, 0, v, "%.17g" % v) for v in floats] \\
+    + [(Col(kernels.INDEX), v, 0, 0.0, str(v)) for v in ints] \\
+    + [(Col(kind, 7), 0, state, 0.0, text) for kind, state, text in (
+        (kernels.SIGN, 0, "-1"), (kernels.SIGN, 255, "1"),
+        (kernels.BIT, 0, "0"), (kernels.BIT, 255, "1"))]
+for column, start, state, volt, text in fields:
+    rows = (start, 1, bytearray([state]), bytearray(np.float64(volt)))
     for row in ([column], [b"t", column]):
-        buffer, size = kernels.CsvFormat(row).write(lib, row)
-        assert buffer[:size].tobytes() == b",".join(row[:-1] + [value]) \\
-            + b"\\n"
+        buffer, size = kernels.CsvFormat(row).write(lib, rows)
+        assert buffer[:size].tobytes() == (",".join(["t"] * (len(row) - 1)
+                                                    + [text]) + "\\n").encode()
 kernels.CPASS = lib
 shas = []
 for mode in ("cfd", "noncfd"):

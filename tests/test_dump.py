@@ -199,13 +199,35 @@ needs_cpass = pytest.mark.skipif(
     reason="no compiled library: no C compiler, or its build or load failed")
 
 
-def _format(columns) -> bytes:
-    buffer, size = kernels.CsvFormat(columns).write(kernels.CPASS, columns)
+Col = kernels.TrialColumn
+INDEX, FLOAT = Col(kernels.INDEX), Col(kernels.FLOAT64)
+
+
+def _rows(n, start=0, states=None, volts=()):
+    """rows of CsvFormat.write: n trials from start, of these states (0
+    where None) and doubles."""
+    return (start, n, bytearray(states or n),
+            bytearray(np.array(volts, np.float64).tobytes()))
+
+
+def _format(columns, rows) -> bytes:
+    buffer, size = kernels.CsvFormat(columns).write(kernels.CPASS, rows)
     return buffer[:size].tobytes()
 
 
+def _write(compiled, columns, rows) -> bytes:
+    """The lines of the compiled formatter or of the line by line one."""
+    return _format(columns, rows) if compiled \
+        else sweep._csv_lines(columns, rows)
+
+
 def _formatted(values):
-    return _format([np.asarray(values, np.float64)])
+    return _format([FLOAT], _rows(len(values), volts=values))
+
+
+def _indices(values, *texts):
+    """An index column of each of values, one row each, and texts."""
+    return b"".join(_format([INDEX, *texts], _rows(1, v)) for v in values)
 
 
 def _expected(values):
@@ -303,13 +325,11 @@ def test_the_binades_inside_one_decade():
 def test_both_writers_print_the_one_word_paths_edges_as_python(compiled):
     if compiled and kernels.CPASS is None:
         pytest.skip("no compiled library")
-    floats, ints = np.array(FAST_EDGE), np.array(INT_EDGE, np.int64)
-    want = [("%.17g\n" % v).encode() for v in FAST_EDGE] \
-        + [f"{v},t\n".encode() for v in INT_EDGE]
-    for columns, lines in (([floats], want[:len(floats)]),
-                           ([ints, b"t"], want[len(floats):])):
-        got = _format(columns) if compiled else sweep._csv_lines(columns)
-        assert got == b"".join(lines)
+    got = _write(compiled, [FLOAT], _rows(len(FAST_EDGE), volts=FAST_EDGE))
+    assert got == "".join("%.17g\n" % v for v in FAST_EDGE).encode()
+    got = b"".join(_write(compiled, [INDEX, b"t"], _rows(1, v))
+                   for v in INT_EDGE)
+    assert got == "".join(f"{v},t\n" for v in INT_EDGE).encode()
 
 
 @needs_cpass
@@ -402,66 +422,58 @@ def test_roundings_that_carry_to_the_next_power_of_ten():
 def test_small_integers_match_str_and_percent_g():
     values = list(range(-10, 11))
     assert _formatted(values) == _expected(values)
-    for dtype in (np.int8, np.int64):
-        assert _format([np.array(values, dtype)]) == \
-            "".join(f"{v}\n" for v in values).encode()
-
-
-def test_both_writers_print_other_integer_dtypes_as_str():
-    columns = [np.array([0, 2 ** 63 - 1], np.uint64),
-               np.array([-128, 127], np.int8),
-               np.array([7, 65535], np.uint16), b"t",
-               np.array([-2 ** 31, 2 ** 31 - 1], np.int32)]
-    want = (b"0,-128,7,t,-2147483648\n"
-            b"9223372036854775807,127,65535,t,2147483647\n")
-    assert sweep._csv_lines(columns) == want
-    if kernels.CPASS is not None:
-        assert _format(columns) == want
+    assert _format([INDEX], _rows(21, -10)) == \
+        "".join(f"{v}\n" for v in values).encode()
 
 
 @pytest.mark.parametrize("compiled", [True, False],
                          ids=["format_csv", "csv_lines"])
 def test_both_writers_refuse_integers_past_int64(compiled):
-    """A uint64 of 2**63 or more has no int64 value: neither writer
-    prints it wrapped (the compiled one did, as -9223372036854775808)."""
+    """Indices past 2**63 - 1 have no int64 value: neither writer prints
+    them wrapped, nor reads more states than the buffer holds."""
     if compiled and kernels.CPASS is None:
         pytest.skip("no compiled library")
-    columns = [np.array([2 ** 63, 2 ** 64 - 1], np.uint64)]
-    with pytest.raises(ValueError, match="does not fit in int64"):
-        if compiled:
-            kernels.CsvFormat(columns).write(kernels.CPASS, columns)
-        else:
-            sweep._csv_lines(columns)
+    assert _write(compiled, [INDEX], _rows(1, 2 ** 63 - 1)) == \
+        b"9223372036854775807\n"
+    for rows in (_rows(2, 2 ** 63 - 1), (0, 3, bytearray(2), bytearray())):
+        with pytest.raises(ValueError, match="past int64"):
+            _write(compiled, [INDEX], rows)
 
 
 @needs_cpass
 @given(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=1,
                 max_size=40))
 def test_int_column_matches_str(values):
-    got = _format([np.array(values, np.int64), b"c,d"])
-    assert got == "".join(f"{v},c,d\n" for v in values).encode()
+    assert _indices(values, b"c,d") == \
+        "".join(f"{v},c,d\n" for v in values).encode()
 
 
 @needs_cpass
 def test_int64_ends_match_str():
     values = [-2 ** 63, 2 ** 63 - 1, -2 ** 63 + 1, 0, -1]
-    assert _format([np.array(values, np.int64)]) == \
-        "".join(f"{v}\n" for v in values).encode()
+    assert _indices(values) == "".join(f"{v}\n" for v in values).encode()
 
 
-@needs_cpass
 def test_mixed_and_strided_columns():
-    # Columns of a (rows, 2) array are strided; int8 and uint8 columns
-    # print as integers.
-    v = np.array([[-0.5, 0.25], [1e-7, -3.0]])
-    x = np.array([[1, -1], [-1, 1]], np.int8)
-    w = np.array([[0, 1], [1, 0]], np.uint8)
-    got = _format([np.array([7, 8]), b"s", *v.T, *x.T, *w.T])
-    assert got == b"7,s,-0.5,0.25,1,-1,0,1\n8,s,9.9999999999999995e-08,-3,-1,1,1,0\n"
+    """Both writers print every kind of column, the second station's
+    voltages read from its offset in the buffer, a row skipped in the
+    middle."""
+    columns = [Col(kernels.SKIP), INDEX, Col(kernels.CHOICE, 5, (b"a", b"bc")),
+               b"s", Col(kernels.SIGN, 0), Col(kernels.SIGN, 1),
+               Col(kernels.FLOAT64, 0), Col(kernels.FLOAT64, 3),
+               Col(kernels.BIT, 2), Col(kernels.BIT, 3)]
+    rows = _rows(3, 7, [0b100001, 64, 0b011110],
+                 [-0.5, 2.0, 1e-7, 0.25, 9.0, -3.0])
+    for compiled in [False] + [True] * (kernels.CPASS is not None):
+        assert _write(compiled, columns, rows) == (
+            b"7,bc,s,1,-1,-0.5,0.25,0,0\n"
+            b"9,a,s,-1,1,9.9999999999999995e-08,-3,1,1\n")
+        assert _write(compiled, columns[1:], rows).splitlines()[1] == \
+            b"8,a,s,-1,-1,2,9,0,0"
 
 
 @needs_cpass
 def test_zero_rows():
-    columns = [np.empty(0, np.int64), b"t", np.empty(0)]
-    buffer, size = kernels.CsvFormat(columns).write(kernels.CPASS, columns)
+    buffer, size = kernels.CsvFormat([INDEX, b"t", FLOAT]).write(
+        kernels.CPASS, _rows(0))
     assert size == 0

@@ -1,10 +1,11 @@
 """The compiled CLI without numpy.
 
-Where the compiled library loads, a run without a trial dump never
-imports numpy: the pass, its counts, the rows and the oracles are plain
-Python over ctypes.  Each run here is a fresh interpreter in which numpy
-cannot be imported at all, and must print the bytes of the same run with
-numpy importable and of the same run under numpy's pass.
+Where the compiled library loads, no run imports numpy: the pass, its
+counts, the rows, the trial dump and the oracles are plain Python over
+ctypes.  Each run here is a fresh interpreter in which numpy cannot be
+imported at all, and must print the bytes of the same run, rows and
+trial dump, with numpy importable and of the same run under numpy's
+pass.
 """
 import math
 import os
@@ -40,37 +41,48 @@ if how != "numpy":
 sys.exit(rc)
 """
 
+# Each run's arguments, and whether it writes a trial dump.
 RUNS = {
-    "default": [],
-    "threshold-sweep": ["--threshold-sweep=-0.9995:-0.99:3", "--n",
-                        "600000", "--threads", "2"],
-    "noncfd": ["--mode", "noncfd", "--n", "20000", "--theta-steps", "5"],
-    "oracles": ["--mode", "oracles"],
+    "default": ([], False),
+    "threshold-sweep": (["--threshold-sweep=-0.9995:-0.99:3", "--n",
+                         "600000", "--threads", "2"], False),
+    "noncfd": (["--mode", "noncfd", "--n", "20000", "--theta-steps", "5"],
+               False),
+    "oracles": (["--mode", "oracles"], False),
+    "cfd-dump": (["--n", "20000", "--theta-steps", "3"], True),
+    "noncfd-dump": (["--mode", "noncfd", "--n", "5000", "--theta-steps",
+                     "2"], True),
+    "threshold-sweep-dump": (["--threshold-sweep=-0.9995:-0.99:2", "--n",
+                              "9000"], True),
 }
 
 
-def _run(how, argv, out):
+def _run(how, argv, dump, work):
+    """The bytes of the run's rows and, where dump, of its trial dump."""
+    out = [work / f"{how}.{ext}" for ext in ("rows", "dump")]
+    extra = ["--dump-trials", str(out[1])] if dump else []
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", CLI, how, *argv,
-                           "--out", str(out)], env=env, capture_output=True,
-                          text=True, timeout=300)
+                           "--out", str(out[0]), *extra], env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return out.read_bytes()
+    return [path.read_bytes() for path in out[:1 + dump]]
 
 
 @needs_cpass
 @pytest.mark.parametrize("name", list(RUNS))
 def test_a_run_without_numpy_prints_the_bytes_of_one_with_it(name, tmp_path):
-    argv = RUNS[name]
-    got = {how: _run(how, argv, tmp_path / how)
+    argv, dump = RUNS[name]
+    got = {how: _run(how, argv, dump, tmp_path)
            for how in ("blocked", "free", "numpy")}
-    assert got["blocked"]
+    assert all(got["blocked"])
     assert got["blocked"] == got["free"] == got["numpy"]
 
 
 @needs_cpass
-def test_a_trial_dump_imports_numpy_while_it_starts(tmp_path):
-    # Before cli.config_from_args returns, as every run once did.
+def test_a_trial_dump_leaves_numpy_unloaded_while_it_starts(tmp_path):
+    # Once cli.config_from_args has returned, as no run under the
+    # compiled pass imports it.
     code = ("import sys; from eprbsim import cli\n"
             "cfg = cli.config_from_args(cli.build_parser().parse_args(\n"
             "    sys.argv[1:]))\n"
@@ -81,8 +93,9 @@ def test_a_trial_dump_imports_numpy_while_it_starts(tmp_path):
         env=env, capture_output=True, text=True, check=True,
         timeout=300).stdout.split() for extra in (
             [], ["--dump-trials", str(tmp_path / "trials")],
+            ["--mode", "noncfd", "--dump-trials", str(tmp_path / "trials")],
             ["--mode", "oracles"])]
-    assert seen == [["False"], ["True"], ["False"]]
+    assert seen == [["False"]] * 4
 
 
 def _grids():
