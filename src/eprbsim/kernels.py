@@ -30,15 +30,18 @@ among them) import law, and numpy, at their first use.
 load_cpass compiles _cpass.c with the system's cc at first use, for
 the host's own CPU (-O3 -march=native), into the package's __pycache__
 as _cpass-<interpreter tag>-<cpu>-<key>.so, and later imports load it
-from there.  <cpu> is a hash of the CPU's feature flags (_cpu_key), so a
-checkout shared by two machines keeps a library for each and neither
-loads the other's; the key is a hash of the source and the flags.  Where
--march=native does not compile the build takes the portable flags, under
-the same name; where the features cannot be read it takes them under
-<cpu> "portable".  A build removes the libraries of the same tag and
-<cpu> that it replaces, those of any <cpu> built from another source or
-flags, and those named by earlier builds without a <cpu> or without a
-tag.
+from there; where that directory cannot be written, into the per-user
+cache ($XDG_CACHE_HOME/eprbsim, else ~/.cache/eprbsim).  <cpu> is a
+hash of the CPU's feature flags (_cpu_key), so a checkout shared by two
+machines keeps a library for each and neither loads the other's; the
+key is a hash of the source and the flags.  Where -march=native does
+not compile the build takes the portable flags, under the same name;
+where the features cannot be read it takes them under <cpu> "portable".
+A build that fails leaves a .failed marker of the same name, and later
+imports raise its error without running cc.  A build removes the
+libraries and markers of the same tag and <cpu> that it replaces, those
+of any <cpu> built from another source or flags, and those named by
+earlier builds without a <cpu> or without a tag.
 CPASS is the loaded library, or None where there is no compiler, the
 build or the load fails, or the library fails its known-answer checks
 (a chunk of its pass against numpy_chunk's pinned digests, its formatter
@@ -192,15 +195,23 @@ _CACHE = os.path.join(os.path.dirname(__file__), "__pycache__")
 # on 64-byte boundaries, so that code added to the library does not shift
 # the passes' loops across cache lines (without it, adding cpass_format
 # slowed the passes by 2-3%).  _NATIVE_CFLAGS let cc use every
-# instruction of the host's CPU: the counter hash, all integer, then runs
-# in the widest vectors, about twice as fast on a CPU with AVX-512, and
-# the stations run as many trials at a time as those vectors hold
-# (_cpass.c's LANES: 8 with AVX-512, 4 with AVX, else 2).  _CFLAGS are
-# the portable ones, where those do not compile or the CPU is not known;
-# they run the stations 2 trials at a time.
+# instruction of the host's CPU, and the stations run as many trials at
+# a time as its vectors hold (_cpass.c's LANES: 8 with AVX-512, 4 with
+# AVX, else 2).  On x86 they also ask for 512-bit vectors in the loops
+# that cc vectorizes itself (the counter hash, the trig, abs_power's):
+# gcc 12 picks 256-bit ones there even on a CPU with AVX-512, where the
+# hash then takes half of a CFD trial's time, and 512-bit ones run a CFD
+# trial about 1.7 times as fast.  Where the target has no AVX-512 the
+# flag changes nothing.  gcc >= 8 and clang >= 7 take it; an older cc, or
+# one that refuses -march=native, takes _CFLAGS, the portable flags, as
+# does a CPU that is not known.  They run the stations 2 trials at a time.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off",
            "-falign-functions=64")
-_NATIVE_CFLAGS = ("-O3", "-march=native", *_CFLAGS[1:])
+_X86 = hasattr(os, "uname") and os.uname().machine in (
+    "x86_64", "amd64", "i386", "i686")
+_NATIVE_CFLAGS = ("-O3", "-march=native",
+                  *(("-mprefer-vector-width=512",) if _X86 else ()),
+                  *_CFLAGS[1:])
 _BUILD_TIMEOUT_S = 120
 # The interpreter's tag in its libraries' names: its EXT_SUFFIX without
 # the dots, e.g. "cpython-311-x86_64-linux-gnu", names its version,
@@ -468,33 +479,78 @@ def _keys(text: bytes) -> tuple:
                  for builds in ((_NATIVE_CFLAGS, _CFLAGS), (_CFLAGS,)))
 
 
+def _user_cache() -> str:
+    """The per-user cache: $XDG_CACHE_HOME/eprbsim, or ~/.cache/eprbsim
+    where XDG_CACHE_HOME is not an absolute path."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "eprbsim")
+
+
+class _Unwritable(OSError):
+    """A cache directory that cannot be created or written: its path and
+    why."""
+
+
 def _compiled(source: str, cache: str) -> str:
     """The library of source for this host in cache, compiled there on a
-    miss.
+    miss; where cache cannot be written, the same in _user_cache().
 
     A build tries _NATIVE_CFLAGS, then _CFLAGS; without a CPU key, only
     _CFLAGS.  It writes a temporary file and renames it into place, so
-    processes that build at once each load a whole library.  Raises
-    OSError, saying why, where there is no cc, the build fails or the
-    cache cannot be written.
+    processes that build at once each load a whole library.  A build
+    that fails leaves a marker, the library's name ending in .failed
+    instead of .so, that holds its error, and later calls raise that
+    error without running cc.  Raises OSError, saying why, where there is
+    no cc, the build fails (or failed before) or neither cache can be
+    written.
     """
     with open(source, "rb") as fh:
         keys = _keys(fh.read())
     cpu = _cpu_key()
     builds = (_CFLAGS,) if cpu is None else (_NATIVE_CFLAGS, _CFLAGS)
     cpu, key = (cpu, keys[0]) if cpu else ("portable", keys[1])
-    path = os.path.join(cache, f"_cpass-{_TAG}-{cpu}-{key}.so")
+    name = f"_cpass-{_TAG}-{cpu}-{key}"
+    path = os.path.join(cache, name + ".so")
     if os.path.exists(path):
         return path
+    try:
+        return _build(source, cache, name, builds, cpu, keys)
+    except _Unwritable as exc:
+        user = _user_cache()
+        path = os.path.join(user, name + ".so")
+        if os.path.exists(path):
+            return path
+        try:
+            return _build(source, user, name, builds, cpu, keys)
+        except _Unwritable as second:
+            raise OSError(f"cannot write the cache {exc} or {second}") \
+                from None
+
+
+def _build(source: str, cache: str, name: str, builds, cpu: str,
+           keys) -> str:
+    """_compiled's build of source into cache as name + ".so", with each
+    flag set of builds in turn until one compiles.  Raises _Unwritable
+    where cache cannot be written."""
+    failed = os.path.join(cache, name + ".failed")
+    try:
+        with open(failed, encoding="utf-8") as fh:
+            error = fh.read()
+    except OSError:
+        pass
+    else:
+        raise OSError(f"{error} (remembered in {failed})")
     import subprocess
     import tempfile
     try:
         os.makedirs(cache, exist_ok=True)
         fd, tmp = tempfile.mkstemp(".so", "_cpass-", cache)
     except OSError as exc:
-        raise OSError(f"cannot write the cache {cache}: {exc.strerror}") \
-            from None
+        raise _Unwritable(f"{cache} ({exc.strerror})") from None
     os.close(fd)
+    path = os.path.join(cache, name + ".so")
     try:
         for flags in builds:
             built = subprocess.run(["cc", *flags, "-o", tmp, source, "-lm"],
@@ -504,13 +560,18 @@ def _compiled(source: str, cache: str) -> str:
                 break
         else:  # the first line naming an error, or the last
             lines = built.stderr.splitlines() or [""]
-            raise OSError(f"cc failed to build {source}: " + next(
-                (line for line in lines if "error" in line), lines[-1]))
+            error = f"cc failed to build {source}: " + next(
+                (line for line in lines if "error" in line), lines[-1])
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(error)
+            os.chmod(tmp, 0o644)
+            os.replace(tmp, failed)
+            raise OSError(error)
         os.chmod(tmp, 0o755)  # mkstemp's 0o600 would hide it from others
         os.replace(tmp, path)
     except FileNotFoundError:
         raise OSError("no C compiler (cc) on PATH") from None
-    except subprocess.SubprocessError as exc:
+    except subprocess.SubprocessError as exc:  # a timeout: not remembered
         raise OSError(f"cc failed to build {source}: {exc}") from None
     finally:
         if os.path.exists(tmp):
@@ -520,15 +581,16 @@ def _compiled(source: str, cache: str) -> str:
 
 
 def _remove_stale(cache: str, path: str, cpu: str, keys) -> None:
-    """Remove this interpreter's libraries in cache other than path that
-    no host loads: this cpu's of any key, any CPU's of a key not in keys
-    (an earlier source's or flags', stale on every host), and those
-    named as earlier builds named them, _cpass-<tag>-<key>.so without
-    the cpu and _cpass-<key>.so without the tag either.  Other
-    interpreters' libraries, and other CPUs' of these keys, stay."""
+    """Remove this interpreter's libraries and failed-build markers in
+    cache other than path that no host loads or reads: this cpu's of any
+    key, any CPU's of a key not in keys (an earlier source's or flags',
+    stale on every host), and those named as earlier builds named them,
+    _cpass-<tag>-<key>.so without the cpu and _cpass-<key>.so without the
+    tag either.  Other interpreters' files, and other CPUs' of these
+    keys, stay."""
     import re
     stale = re.compile(rf"_cpass-(?:{re.escape(_TAG)}-(?:([0-9a-f]{{8}}"
-                       rf"|portable)-)?)?([0-9a-f]{{16}})\.so")
+                       rf"|portable)-)?)?([0-9a-f]{{16}})\.(?:so|failed)")
     for name in os.listdir(cache):
         match = stale.fullmatch(name)
         if match and name != os.path.basename(path) and (

@@ -1,10 +1,12 @@
 """Building and loading the compiled chunk pass (kernels.load_cpass).
 
 The pass is compiled at first use for the host's CPU into the package's
-__pycache__, under a name keyed by the CPU's features, and loaded from
-there afterwards; where that build fails it is compiled with portable
-flags.  Every build, whatever the width of its vectors, gives the same
-values, counts and bytes.  Wherever it cannot be built, loaded or
+__pycache__ (or, where that cannot be written, the per-user cache),
+under a name keyed by the CPU's features, and loaded from there
+afterwards; where that build fails it is compiled with portable flags,
+and where that fails too, the failure is remembered.  Every build,
+whatever the width of its vectors, gives the same values, counts and
+bytes.  Wherever it cannot be built, loaded or
 checked, the package runs numpy's pass, with the same bytes.  Most cases
 here run the CLI in a fresh interpreter on a copy of the package, whose
 __pycache__ is a cache of its own.
@@ -46,10 +48,12 @@ def _copy_package(tmp_path):
 
 def _run_cli(root, tmp_path, path=None) -> str:
     """BACKEND of a pinned CLI run of the package at root, in a fresh
-    interpreter; its rows must have the pinned bytes."""
+    interpreter whose per-user cache is under tmp_path / "home"; its rows
+    must have the pinned bytes."""
     argv, rows_sha, _ = RUNS["cfd"]
     rows = tmp_path / "rows"
-    env = {**os.environ, "PYTHONPATH": str(root)}
+    env = {**os.environ, "PYTHONPATH": str(root),
+           "XDG_CACHE_HOME": str(tmp_path / "home")}
     if path is not None:
         env["PATH"] = path
     out = subprocess.run([sys.executable, "-c", CLI, *argv, "--out",
@@ -99,12 +103,54 @@ def test_no_compiler_on_path(tmp_path):
     assert _cached(root) == []
 
 
+@needs_cc
 def test_a_source_that_fails_to_compile(tmp_path):
+    """Run twice, it runs cc once per flag set: the first run leaves a
+    marker of its failure, and no temporary file, and the second reads
+    the marker."""
     root = _copy_package(tmp_path)
     with open(root / "eprbsim" / "_cpass.c", "a") as fh:
         fh.write("\n#error this source does not compile\n")
-    assert _run_cli(root, tmp_path) == "numpy"
-    assert _cached(root) == []  # and no temporary file is left
+    path, log = _cc_on_path(tmp_path, refuse_native=False)
+    for _ in range(2):
+        assert _run_cli(root, tmp_path, path=path) == "numpy"
+    assert [line.split(" -o ")[0] for line in log.read_text().splitlines()] \
+        == [" ".join(flags) for flags in (kernels._NATIVE_CFLAGS,
+                                          kernels._CFLAGS)]
+    [marker] = _cached(root)
+    assert marker.endswith(".failed")
+
+
+@needs_cc
+def test_a_failed_build_is_remembered_until_the_source_changes(
+        tmp_path, monkeypatch):
+    source, cache = tmp_path / "_cpass.c", tmp_path / "cache"
+    text = pathlib.Path(kernels._SOURCE).read_text()
+    source.write_text(text + "\n#error this source does not compile\n")
+    calls = _cc_calls(monkeypatch)
+    notes = [kernels._load(str(source), str(cache))[1] for _ in range(2)]
+    assert calls == [kernels._NATIVE_CFLAGS, kernels._CFLAGS]
+    [marker] = os.listdir(cache)
+    assert marker.endswith(".failed")
+    assert notes[0].startswith(f"cc failed to build {source}: {source}:")
+    assert notes[0].endswith("error: #error this source does not compile")
+    assert notes[1] == f"{notes[0]} (remembered in {cache / marker})"
+    # A new source builds, and its library replaces the stale marker.
+    source.write_text(text)
+    assert kernels.load_cpass(str(source), str(cache)) is not None
+    assert [name.endswith(".so") for name in os.listdir(cache)] == [True]
+
+
+def test_a_build_that_times_out_is_not_remembered(tmp_path, monkeypatch):
+    def timed_out(args, **kwargs):
+        raise subprocess.TimeoutExpired(args, kwargs["timeout"])
+
+    monkeypatch.setattr(subprocess, "run", timed_out)
+    cache = tmp_path / "cache"
+    lib, note = kernels._load(kernels._SOURCE, str(cache))
+    assert lib is None and note.startswith("cc failed to build ")
+    assert "timed out" in note
+    assert os.listdir(cache) == []
 
 
 @needs_cc
@@ -129,11 +175,54 @@ def test_a_truncated_cached_library(tmp_path):
 
 
 def test_an_unwritable_cache_directory(tmp_path):
-    # A file where the cache directory should be: no one can write
-    # there, root included.
+    # A file where each cache directory should be, the package's and the
+    # per-user one: no one can write there, root included.
     root = _copy_package(tmp_path)
     (root / "eprbsim" / "__pycache__").write_text("")
+    (tmp_path / "home").write_text("")
     assert _run_cli(root, tmp_path) == "numpy"
+
+
+@needs_cc
+def test_an_unwritable_package_cache_builds_in_the_user_cache(tmp_path):
+    """Where the package's __pycache__ cannot be written the library is
+    built in $XDG_CACHE_HOME/eprbsim, and a later run loads it from
+    there without a compiler."""
+    root = _copy_package(tmp_path)
+    (root / "eprbsim" / "__pycache__").write_text("")
+    assert _run_cli(root, tmp_path) == "c"
+    [name] = os.listdir(tmp_path / "home" / "eprbsim")
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    assert _run_cli(root, tmp_path, path=str(empty)) == "c"
+    assert os.listdir(tmp_path / "home" / "eprbsim") == [name]
+
+
+@needs_cc
+def test_a_cache_under_a_file_falls_back_to_the_user_cache(tmp_path,
+                                                          monkeypatch):
+    (tmp_path / "file").write_text("")
+    cache, user = tmp_path / "file" / "cache", tmp_path / "xdg"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(user))
+    calls = _cc_calls(monkeypatch)
+    lib = kernels.load_cpass(kernels._SOURCE, str(cache))
+    assert lib is not None and len(calls) == 1
+    assert os.path.dirname(lib._name) == str(user / "eprbsim")
+    assert kernels.load_cpass(kernels._SOURCE, str(cache))._name \
+        == lib._name
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("xdg", [None, "", "relative/cache"],
+                         ids=["unset", "empty", "relative"])
+def test_the_user_cache_without_an_absolute_xdg_cache_home(
+        tmp_path, monkeypatch, xdg):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    if xdg is None:
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+    assert kernels._user_cache() == str(tmp_path / ".cache" / "eprbsim")
 
 
 @needs_cc
@@ -147,14 +236,15 @@ def test_a_cold_cache_builds_once_and_a_warm_one_runs_no_subprocess(
         calls.append(args)
         return run(*args, **kwargs)
 
+    def refused(*args, **kwargs):
+        raise AssertionError("a warm cache started a subprocess")
+
+    # a writable cache never looks for the per-user one
+    monkeypatch.setattr(kernels, "_user_cache", refused)
     monkeypatch.setattr(subprocess, "run", counted)
     assert kernels.load_cpass(kernels._SOURCE, str(cache)) is not None
     assert len(calls) == 1
     [name] = os.listdir(cache)
-
-    def refused(*args, **kwargs):
-        raise AssertionError("a warm cache started a subprocess")
-
     monkeypatch.setattr(subprocess, "run", refused)
     assert kernels.load_cpass(kernels._SOURCE, str(cache)) is not None
     assert os.listdir(cache) == [name]
@@ -216,19 +306,24 @@ def test_a_new_build_removes_this_interpreters_stale_libraries(tmp_path):
 
 
 def test_stale_libraries_of_every_cpu_key_are_removed(tmp_path):
-    """Libraries of an earlier source are stale on every host: those of
-    CPU keys that this host no longer computes (numpy's features once
-    keyed them), of another CPU and of the portable build go, while every
-    CPU's build of the current source's two keys stays."""
+    """Libraries and failed-build markers of an earlier source are stale
+    on every host: those of CPU keys that this host no longer computes
+    (numpy's features once keyed them), of another CPU and of the
+    portable build go, while every CPU's build of the current source's
+    two keys stays, and so does its marker."""
     cache, tag = tmp_path, kernels._TAG
     native, portable = kernels._keys(b"the current source")
     ours = f"_cpass-{tag}-86d9ce9c-{native}.so"
     kept = [ours, f"_cpass-{tag}-1a35e27c-{native}.so",
+            f"_cpass-{tag}-1a35e27c-{native}.failed",
             f"_cpass-{tag}-portable-{portable}.so",
             f"_cpass-cpython-399-other-1a35e27c-{'0' * 16}.so", "_cpass.c"]
-    removed = [f"_cpass-{tag}-{cpu}-{key}.so" for cpu, key in (
-        ("1a35e27c", "a4696f8042748aec"), ("95875b97", "5c6da4a3112aee2c"),
-        ("portable", "0" * 16), ("86d9ce9c", portable))]
+    removed = [f"_cpass-{tag}-{cpu}-{key}.{ext}" for cpu, key, ext in (
+        ("1a35e27c", "a4696f8042748aec", "so"),
+        ("95875b97", "5c6da4a3112aee2c", "so"),
+        ("95875b97", "5c6da4a3112aee2c", "failed"),
+        ("portable", "0" * 16, "so"), ("86d9ce9c", portable, "so"),
+        ("86d9ce9c", native, "failed"))]
     for name in kept + removed:
         (cache / name).write_bytes(b"")
     kernels._remove_stale(str(cache), str(cache / ours), "86d9ce9c",
@@ -259,10 +354,12 @@ def test_a_library_for_other_cpu_features_is_neither_loaded_nor_removed(
 def test_a_run_without_the_library_says_why_on_stderr(tmp_path, monkeypatch,
                                                       capsys):
     """Built into a cache that cannot be created (a path under a regular
-    file), no library loads, and a CLI run says so in one line on stderr,
-    while its rows are those of the compiled pass."""
+    file), with a per-user cache that cannot be either, no library
+    loads, and a CLI run says so in one line on stderr, while its rows
+    are those of the compiled pass."""
     (tmp_path / "file").write_text("")
     cache = tmp_path / "file" / "cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
     lib, note = kernels._load(kernels._SOURCE, str(cache))
     assert lib is None
     monkeypatch.setattr(kernels, "CPASS", lib)
@@ -273,8 +370,9 @@ def test_a_run_without_the_library_says_why_on_stderr(tmp_path, monkeypatch,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (f"eprbsim: note: no compiled pass (cannot write the cache "
-                   f"{cache}: Not a directory); running numpy's, with the "
-                   "same output\n")
+                   f"{cache} (Not a directory) or {tmp_path}/file/eprbsim "
+                   "(Not a directory)); running numpy's, with the same "
+                   "output\n")
     assert hashlib.sha256((tmp_path / "rows").read_bytes()).hexdigest() \
         == rows_sha
 
@@ -466,18 +564,25 @@ def test_every_pinned_run_on_each_host_leg(build, dispatch, tmp_path):
 # This CPU's flags without AVX-512: where the CPU has it, the build whose
 # vectors are AVX's, 4 lanes of _cpass.c's LANES against native's 8.
 NO_AVX512_CFLAGS = (*kernels._NATIVE_CFLAGS, "-mno-avx512f")
+# This CPU's flags with the 256-bit vectors that cc picks for its own
+# loops without -mprefer-vector-width=512, on x86: the other width a cc
+# may take for them.  The stations keep native's LANES.
+NATIVE_256_CFLAGS = (*kernels._NATIVE_CFLAGS, "-mprefer-vector-width=256") \
+    if kernels._X86 else None
 
 
 @pytest.fixture(scope="module")
 def builds(tmp_path_factory):
     """The library built with each flag set, by name, each loaded from a
-    cache of its own: the portable flags, this CPU's and, on a CPU with
-    AVX-512 whose cc takes them, NO_AVX512_CFLAGS."""
+    cache of its own: the portable flags, this CPU's, on x86
+    NATIVE_256_CFLAGS and, on a CPU with AVX-512 whose cc takes them,
+    NO_AVX512_CFLAGS."""
     libs = {}
     for name, flags in (("portable", kernels._CFLAGS),
                         ("native", kernels._NATIVE_CFLAGS),
+                        ("native-256", NATIVE_256_CFLAGS),
                         ("no-avx512", NO_AVX512_CFLAGS)):
-        if name == "no-avx512" and not _has("AVX512F"):
+        if flags is None or name == "no-avx512" and not _has("AVX512F"):
             continue
         with pytest.MonkeyPatch.context() as mp:
             if name == "portable":
@@ -499,7 +604,8 @@ def test_each_build_runs_as_many_lanes_as_its_target_holds(builds):
     """8 lanes with AVX-512, 4 with AVX, else 2: a build that fell back
     to 2 lanes on this CPU fails here."""
     native = 8 if _has("AVX512F") else 4 if _has("AVX") else 2
-    want = {"portable": 2, "native": native, "no-avx512": 4}
+    want = {"portable": 2, "native": native, "native-256": native,
+            "no-avx512": 4}
     assert {name: lib.cpass_lanes() for name, lib in builds.items()} \
         == {name: want[name] for name in builds}
 
@@ -561,6 +667,7 @@ def test_the_source_compiles_without_warnings(tmp_path):
     # The last build is that of a target without 128-bit integers, whose
     # floats all go to snprintf.
     for flags in (kernels._CFLAGS, kernels._NATIVE_CFLAGS,
+                  *([NATIVE_256_CFLAGS] if NATIVE_256_CFLAGS else []),
                   *([NO_AVX512_CFLAGS] if _has("AVX512F") else []),
                   (*kernels._CFLAGS, "-U__SIZEOF_INT128__")):
         out = subprocess.run(
