@@ -2,7 +2,7 @@
  *
  * This is law.numpy_chunk transliterated, operation for operation:
  * the counter hash of law.fill_uniforms, the table trig of
- * law.trig, the angle-addition values, the power of
+ * kernels.table_trig, the angle-addition values, the power of
  * law.abs_power and the flags and voltages of law.station_law.
  * Built with -ffp-contract=off and without -ffast-math, every + - *
  * rounds once, as numpy's does, and rint, frexp and ldexp (the last two
@@ -18,7 +18,7 @@
  * trial's state and voltages only where the caller gives it arrays for
  * them; a non-CFD pass with a quota cuts its trials at it in trial order,
  * as numpy's pass (law.NumpyPass) does, and stops at the trial that fills
- * the last pair.  cpass_trig is the table trig alone, for the settings.
+ * the last pair.
  *
  * cpass_format writes the trial dump's CSV records: str of each integer
  * and '%.17g' of each double, byte for byte as Python prints them, and
@@ -166,7 +166,7 @@ static void fill(uint64_t origin, uint64_t first, double *restrict out)
         out[i] = uniform(origin + (first + (uint64_t)i + 1) * GOLDEN);
 }
 
-/* cos 2phi1 and sin 2phi1 of phi1 = 2 pi u: law.trig. */
+/* cos 2phi1 and sin 2phi1 of phi1 = 2 pi u: kernels.table_trig. */
 static void trig(const struct cpass_point *p, struct block *b)
 {
     double scale = p->scale, step = p->step;
@@ -428,22 +428,6 @@ int64_t cpass_noncfd(const struct cpass_point *p, uint64_t start, int64_t n)
         }
     }
     return n;
-}
-
-/* cos 2phi1 and sin 2phi1 of phi1 = 2 pi u for each of the n draws u, into
- * c and s: law.trig. */
-void cpass_trig(const struct cpass_point *p, const double *u, int64_t n,
-                double *c, double *s)
-{
-    struct block b;
-    for (int64_t i0 = 0; i0 < n; i0 += BLOCK) {
-        int64_t len = block_length(i0, n);
-        for (int64_t i = 0; i < BLOCK; i++)
-            b.u[0][i] = i < len ? u[i0 + i] : 0.0;
-        trig(p, &b);
-        memcpy(c + i0, b.c, (size_t)len * sizeof *c);
-        memcpy(s + i0, b.s, (size_t)len * sizeof *s);
-    }
 }
 
 /* A column of cpass_format.  Mirrored field for field by

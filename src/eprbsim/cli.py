@@ -165,7 +165,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"eprbsim: config error: {exc}", file=sys.stderr)
         return 1
-    if kernels.CPASS is None:
+    if kernels.CPASS is None and cfg.mode != "oracles":
         print(f"eprbsim: note: no compiled pass ({kernels.NOTE}); running "
               "numpy's, with the same output", file=sys.stderr)
 

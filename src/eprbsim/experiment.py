@@ -263,13 +263,14 @@ def _turns(quad: SettingsQuad):
     cos 2(a - phi) = ca cos 2phi1 + sa sin 2phi1 and sin 2(a - phi) =
     sa cos 2phi1 - ca sin 2phi1.
 
-    On side 1 they are cos 2a and sin 2a, from law.trig (by its compiled
-    twin, kernels.trig_of) at u = a / TWO_PI; side 2 negates both,
-    because 2phi2 = 2phi1 + pi (mod 2pi).
+    On side 1 they are cos 2a and sin 2a, from kernels.table_trig in
+    Python floats at u = a / TWO_PI, the same bits as law.trig's; side 2
+    negates both, because 2phi2 = 2phi1 + pi (mod 2pi).
     """
-    cos2a, sin2a = kernels.trig_of([a / TWO_PI for a in quad.as_tuple()])
-    return tuple((c * sign, s * sign) for c, s, sign
-                 in zip(cos2a, sin2a, (1.0, 1.0, -1.0, -1.0)))
+    return tuple((c * sign, s * sign) for (c, s), sign in zip(
+        (kernels.table_trig(a / TWO_PI, int, kernels._COS_TABLE,
+                            kernels._SIN_TABLE) for a in quad.as_tuple()),
+        (1.0, 1.0, -1.0, -1.0)))
 
 
 def _origins(cfd: bool, seed: int) -> list:

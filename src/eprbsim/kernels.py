@@ -9,8 +9,9 @@ generators.
 
 The station law is the arithmetic of law.station_law, with no libm
 call.  cos 2phi1 and sin 2phi1 come from a table and two short
-polynomials (law.trig), cos 2(a - phi) and sin 2(a - phi) = s from them
-by angle addition with each setting's (cos 2a, sin 2a), and |s|**d from
+polynomials (table_trig), cos 2(a - phi) and sin 2(a - phi) = s from them
+by angle addition with each setting's turn (cos 2a, sin 2a), which
+table_trig gives too, in Python floats, and |s|**d from
 binary powering or a table-driven log2 and exp2 (law.abs_power).  Then
 x = +1 where (1 + c)/2 - r > 0, v = (|s|**d * rhat) * span - v_max and
 w = [v < threshold].  The tables are computed here once, in decimal
@@ -116,17 +117,46 @@ def _trig_table(bits: int):
 
 
 # cos and sin of 2 pi k / 2**_TABLE_BITS for k < 2**(_TABLE_BITS + 1):
-# the nodes of trig over two turns, since 2 phi1 / 2 pi = 2u lies in
-# [0, 2).  The second turn repeats the first.
+# the nodes of table_trig over two turns, since 2 phi1 / 2 pi = 2u lies
+# in [0, 2).  The second turn repeats the first.
 _TABLE_BITS = 10
 _COS_TABLE, _SIN_TABLE = (t * 2 for t in _trig_table(_TABLE_BITS))
 # Spacing of the nodes, exactly TWO_PI / 2**_TABLE_BITS, and the Taylor
 # coefficients of cos x - 1 (to x**4) and sin x (to x**5) for the offset
-# 0 <= x < _STEP from a node.
+# 0 <= x < _STEP from a node: table_trig's, and the compiled pass's
+# through _POINT_CONSTANTS.
 _STEP = TWO_PI * 2.0 ** -_TABLE_BITS
 _COS_4 = 1.0 / 24.0
 _SIN_3 = -1.0 / 6.0
 _SIN_5 = 1.0 / 120.0
+
+
+def table_trig(u, floor, cos_table, sin_table):
+    """(cos 2phi1, sin 2phi1) of phi1 = TWO_PI * u, u in [0, 1), from a
+    table: the arithmetic of law.trig and of _cpass.c's trig.
+
+    u is a float, floor int and the tables _COS_TABLE and _SIN_TABLE, for
+    a setting's turn; or, in law.trig, u is a float64 array, floor turns
+    an array into integers (truncating) and the tables are arrays of
+    these.  Each + - * rounds once, in Python as in numpy, so both give
+    the same bits.
+
+    2phi1 is 2 pi (j + f) / 2**_TABLE_BITS up to rounding, with j =
+    floor(v), f = v - j and v = u * 2**(_TABLE_BITS + 1), all three
+    exact.  With x = f * _STEP and the node values T_c[j], T_s[j],
+    cos 2phi1 = T_c + (T_c (cos x - 1) - T_s sin x) and sin 2phi1 =
+    T_s + (T_s (cos x - 1) + T_c sin x), where short Horner polynomials
+    give cos x - 1 and sin x.  Each value is within 59 * 2**-53 of the
+    exact one (CHANGES.md gives the argument).
+    """
+    v = u * 2.0 ** (_TABLE_BITS + 1)
+    index = floor(v)  # floor, since v >= 0
+    x = (v - index) * _STEP
+    z = x * x
+    cm1 = (z * _COS_4 - 0.5) * z
+    sx = (z * _SIN_5 + _SIN_3) * z * x + x
+    tc, ts = cos_table[index], sin_table[index]
+    return (tc * cm1 - ts * sx) + tc, (ts * cm1 + tc * sx) + ts
 
 
 def multiply_only(d: float) -> int:
@@ -248,14 +278,12 @@ _TABLES = {name: _doubles(table) for name, table in (
     ("exp_table", _EXP_TABLE), ("log_poly", _LOG_POLY),
     ("exp_poly", _EXP_POLY))}
 # The fields of CPassPoint that are the same at every point: the tables'
-# addresses and the constants of trig and abs_power.
+# addresses and the constants of table_trig and abs_power.
 _POINT_CONSTANTS = {
     **{name: ctypes.addressof(table) for name, table in _TABLES.items()},
     "scale": 2.0 ** (_TABLE_BITS + 1), "step": _STEP, "cos_4": _COS_4,
     "sin_3": _SIN_3, "sin_5": _SIN_5, "log_scale": float(1 << _LOG_BITS),
     "exp_scale": float(1 << _EXP_BITS), "exp_bits": _EXP_BITS}
-# The constants alone: all that cpass_trig reads.
-_CONSTANTS = CPassPoint(**_POINT_CONSTANTS)
 
 
 class Compiled:
@@ -310,26 +338,6 @@ def _address(buffer):
     empty buffer."""
     return None if buffer is None or not memoryview(buffer).nbytes \
         else ctypes.addressof(ctypes.c_char.from_buffer(buffer))
-
-
-def _lib_trig(lib, us):
-    """(cos 2phi1, sin 2phi1) of phi1 = TWO_PI * u for each u of the list
-    us, as lists: lib's cpass_trig, law.trig's twin."""
-    n = len(us)
-    c, s = (ctypes.c_double * n)(), (ctypes.c_double * n)()
-    lib.cpass_trig(ctypes.byref(_CONSTANTS), _doubles(us), n, c, s)
-    return c[:], s[:]
-
-
-def trig_of(us):
-    """(cos 2phi1, sin 2phi1) of phi1 = TWO_PI * u for each u of the list
-    us, as lists: by CPASS (_lib_trig), or by law.trig where no library
-    loaded."""
-    if CPASS is not None:
-        return _lib_trig(CPASS, us)
-    import numpy as np
-    from .law import trig
-    return tuple(t.tolist() for t in trig(np.array(us)))
 
 
 # ------------------------------------------------------------ the formatter
@@ -671,9 +679,9 @@ def _check_params(d: float) -> ModelParams:
 
 
 def _pass_agrees(lib) -> bool:
-    """Whether lib's CFD pass, cpass_trig giving its turns, gives the
-    states and voltages of _PASS_DIGESTS, and counts its states."""
-    turns = list(zip(*_lib_trig(lib, _CHECK_U)))
+    """Whether lib's CFD pass gives the states and voltages of
+    _PASS_DIGESTS, and counts its states."""
+    turns = [table_trig(u, int, _COS_TABLE, _SIN_TABLE) for u in _CHECK_U]
     codes = (ctypes.c_uint8 * _CHECK_N)()
     volts = (ctypes.c_double * (4 * _CHECK_N))()
     for d, digests in _PASS_DIGESTS.items():
@@ -709,12 +717,6 @@ def _load(source: str, cache: str):
             fn.argtypes = (ctypes.POINTER(CPassPoint), ctypes.c_uint64,
                            ctypes.c_int64)
             fn.restype = ctypes.c_int64
-        lib.cpass_trig.argtypes = (ctypes.POINTER(CPassPoint),
-                                   ctypes.POINTER(ctypes.c_double),
-                                   ctypes.c_int64,
-                                   ctypes.POINTER(ctypes.c_double),
-                                   ctypes.POINTER(ctypes.c_double))
-        lib.cpass_trig.restype = None
         lib.cpass_format.argtypes = (ctypes.POINTER(CPassColumn),
                                      ctypes.c_int64, ctypes.c_void_p,
                                      ctypes.c_int64, ctypes.c_void_p)

@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .kernels import (_COS_4, _EXP_BITS, _LOG_BITS, _SIN_3, _SIN_5, _STEP,
-                      _TABLE_BITS, _U53, _horner, multiply_only)
+from .kernels import _EXP_BITS, _LOG_BITS, _U53, _horner, multiply_only
 
 _GOLDEN_U64 = np.uint64(kernels.GOLDEN)
 _M1_U64 = np.uint64(kernels._M1)
@@ -105,25 +104,11 @@ def station_response(a, phi, r, rhat, d, v_min_mag, v_max_mag):
 
 
 def trig(u: np.ndarray):
-    """(cos 2phi1, sin 2phi1) of phi1 = TWO_PI * u, u in [0, 1), from a
-    table.
-
-    2phi1 is 2 pi (j + f) / 2**_TABLE_BITS up to rounding, with j =
-    floor(v), f = v - j and v = u * 2**(_TABLE_BITS + 1), all three
-    exact.  With x = f * _STEP and the node values T_c[j], T_s[j],
-    cos 2phi1 = T_c + (T_c (cos x - 1) - T_s sin x) and sin 2phi1 =
-    T_s + (T_s (cos x - 1) + T_c sin x), where short Horner polynomials
-    give cos x - 1 and sin x.  Each value is within 59 * 2**-53 of the
-    exact one (CHANGES.md gives the argument).
-    """
-    v = u * 2.0 ** (_TABLE_BITS + 1)
-    index = v.astype(np.intp)  # floor, since v >= 0
-    x = (v - index) * _STEP
-    z = x * x
-    cm1 = (z * _COS_4 - 0.5) * z
-    sx = (z * _SIN_5 + _SIN_3) * z * x + x
-    tc, ts = _COS_TABLE[index], _SIN_TABLE[index]
-    return (tc * cm1 - ts * sx) + tc, (ts * cm1 + tc * sx) + ts
+    """(cos 2phi1, sin 2phi1) of phi1 = TWO_PI * u for a float64 array of
+    u in [0, 1), from a table: kernels.table_trig, where the arithmetic
+    lives, on numpy arrays."""
+    return kernels.table_trig(u, lambda v: v.astype(np.intp), _COS_TABLE,
+                              _SIN_TABLE)
 
 
 def abs_power(s: np.ndarray, d: float) -> np.ndarray:

@@ -33,9 +33,9 @@ RHAT_STREAMS = (RHAT_1, RHAT_1P, RHAT_2, RHAT_2P)
 def _mix64(z: int) -> int:
     z &= _MASK64
     z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z = (z * kernels._M1) & _MASK64
     z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
+    z = (z * kernels._M2) & _MASK64
     z ^= z >> 31
     return z
 

@@ -20,9 +20,9 @@ import numpy as np
 import pytest
 
 import reference
-from eprbsim import experiment, kernels, rng
+from eprbsim import cli, experiment, kernels, rng, sweep
 from eprbsim.experiment import cfd_counts, noncfd_counts
-from eprbsim.params import ModelParams, SettingsQuad
+from eprbsim.params import TWO_PI, ModelParams, SettingsQuad
 from reference import PASSES
 
 THETAS = (0.0, 3.0 * math.pi / 8.0, math.pi)
@@ -247,6 +247,37 @@ def test_trig_error_over_real_draws():
     u = np.concatenate([rng.uniforms(seed, rng.SOURCE, 250_000)
                         for seed in (1, 22, 333, 4444)])
     assert _trig_error(u) <= TRIG_BOUND
+
+
+def _table_nodes_and_neighbours():
+    nodes = [j * 2.0 ** -(kernels._TABLE_BITS + 1)
+             for j in range(2 << kernels._TABLE_BITS)]
+    return [x for u in nodes for x in (math.nextafter(u, -1.0), u,
+                                       math.nextafter(u, 2.0))]
+
+
+def _settings():
+    """u = a / TWO_PI of every setting of the default theta grid's points
+    and of the threshold sweep's point, side 2's pi/8 and 3pi/8 among
+    them."""
+    cfg = cli.config_from_args(cli.build_parser().parse_args([]))
+    return [a / TWO_PI for theta in [*sweep.theta_grid(cfg),
+                                     sweep.THRESHOLD_SWEEP_THETA]
+            for a in SettingsQuad.for_theta(theta).as_tuple()]
+
+
+@pytest.mark.parametrize("us", [
+    pytest.param(_table_nodes_and_neighbours(), id="table-nodes"),
+    pytest.param(_settings(), id="settings"),
+    pytest.param(rng.uniforms(29, rng.SOURCE, 10_000).tolist(), id="draws"),
+])
+def test_the_turns_in_python_floats_are_law_trigs_bit_for_bit(us):
+    """kernels.table_trig over Python floats, as experiment._turns calls
+    it, gives law.trig's bits."""
+    scalar = np.array([kernels.table_trig(u, int, kernels._COS_TABLE,
+                                          kernels._SIN_TABLE) for u in us])
+    assert np.array_equal(scalar.view(np.uint64), np.stack(
+        kernels.trig(np.array(us)), axis=1).view(np.uint64))
 
 
 # The power's bound (abs_power's docstring, CHANGES.md): relative error

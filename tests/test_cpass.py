@@ -356,7 +356,8 @@ def test_a_run_without_the_library_says_why_on_stderr(tmp_path, monkeypatch,
     """Built into a cache that cannot be created (a path under a regular
     file), with a per-user cache that cannot be either, no library
     loads, and a CLI run says so in one line on stderr, while its rows
-    are those of the compiled pass."""
+    are those of the compiled pass.  An oracles run, which runs no pass,
+    says nothing."""
     (tmp_path / "file").write_text("")
     cache = tmp_path / "file" / "cache"
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
@@ -375,6 +376,9 @@ def test_a_run_without_the_library_says_why_on_stderr(tmp_path, monkeypatch,
                    "output\n")
     assert hashlib.sha256((tmp_path / "rows").read_bytes()).hexdigest() \
         == rows_sha
+    oracles = tmp_path / "oracles"
+    assert cli.main(["--mode", "oracles", "--out", str(oracles)]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def _cpuinfo(tmp_path, monkeypatch, text):
