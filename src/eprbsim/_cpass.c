@@ -18,7 +18,10 @@
  * trial's state and voltages only where the caller gives it arrays for
  * them; a non-CFD pass with a quota cuts its trials at it in trial order,
  * as numpy's pass (law.NumpyPass) does, and stops at the trial that fills
- * the last pair.
+ * the last pair.  As numpy's pass cuts only a chunk in which some pair
+ * drew more trials than its room, this pass cuts only a block in which
+ * some pair has less room than the block has trials; it counts any other
+ * block whole.
  *
  * cpass_format writes the trial dump's CSV records: str of each integer
  * and '%.17g' of each double, byte for byte as Python prints them, and
@@ -166,7 +169,10 @@ static void fill(uint64_t origin, uint64_t first, double *restrict out)
         out[i] = uniform(origin + (first + (uint64_t)i + 1) * GOLDEN);
 }
 
-/* cos 2phi1 and sin 2phi1 of phi1 = 2 pi u: kernels.table_trig. */
+/* cos 2phi1 and sin 2phi1 of phi1 = 2 pi u: kernels.table_trig.  The
+ * offsets' polynomials vectorize on their own; the nodes' table values are
+ * read into vectors a lane at a time (compilers emit no gather for them),
+ * so that the angle addition runs on whole vectors too. */
 static void trig(const struct cpass_point *p, struct block *b)
 {
     double scale = p->scale, step = p->step;
@@ -181,10 +187,15 @@ static void trig(const struct cpass_point *p, struct block *b)
         cm1[i] = (z * cos_4 - 0.5) * z;
         sx[i] = (z * sin_5 + sin_3) * z * x + x;
     }
-    for (int i = 0; i < BLOCK; i++) {
-        double tc = p->cos_table[j[i]], ts = p->sin_table[j[i]];
-        b->c[i] = (tc * cm1[i] - ts * sx[i]) + tc;
-        b->s[i] = (ts * cm1[i] + tc * sx[i]) + ts;
+    for (int i = 0; i < BLOCK; i += LANES) {
+        vd tc, ts;
+        for (int l = 0; l < LANES; l++) {
+            tc[l] = p->cos_table[j[i + l]];
+            ts[l] = p->sin_table[j[i + l]];
+        }
+        vd c1 = load(cm1 + i), s1 = load(sx + i);
+        store(b->c + i, (tc * c1 - ts * s1) + tc);
+        store(b->s + i, (ts * c1 + tc * s1) + ts);
     }
 }
 
@@ -339,10 +350,25 @@ static int full(const struct cpass_point *p)
  * pair (state >> 4) holds fewer than quota trials, and held counts them.
  * codes, where not NULL, gets the state of each trial walked, 64 for one
  * the cut drops.  Returns the trials walked: n, or fewer where one filled
- * the last pair. */
+ * the last pair.  Only a block in which some pair has less room than n
+ * trials is cut trial by trial: any other keeps all its trials, as count
+ * does, and each pair's held is then the sum of its 16 counts in hist. */
 static int64_t count_quota(const struct cpass_point *p, const int64_t *state,
                            int64_t i0, int64_t n)
 {
+    int roomy = 1;
+    for (int k = 0; k < 4; k++)
+        roomy &= p->quota - p->held[k] >= n;
+    if (roomy) {
+        count(p, state, i0, n);
+        for (int k = 0; k < 4; k++) {
+            int64_t held = 0;
+            for (int s = 0; s < 16; s++)
+                held += p->hist[16 * k + s];
+            p->held[k] = held;
+        }
+        return n;
+    }
     for (int64_t i = 0; i < n; i++) {
         int64_t pair = state[i] >> 4;
         int kept = p->held[pair] < p->quota;

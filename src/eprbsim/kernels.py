@@ -45,8 +45,9 @@ of any <cpu> built from another source or flags, and those named by
 earlier builds without a <cpu> or without a tag.
 CPASS is the loaded library, or None where there is no compiler, the
 build or the load fails, or the library fails its known-answer checks
-(a chunk of its pass against numpy_chunk's pinned digests, its formatter
-against Python's bytes), and NOTE then says which; BACKEND names the
+(a CFD chunk of its pass against numpy_chunk's pinned digests, a
+non-CFD chunk with a quota against numpy's pass's, its formatter against
+Python's bytes), and NOTE then says which; BACKEND names the
 pass in use, "c" or "numpy", and the passes and the trial dump read it
 at each call.
 """
@@ -438,13 +439,14 @@ _CPUINFO = "/proc/cpuinfo"
 
 
 def _cpu_flags():
-    """The names on the first 'flags' line of _CPUINFO, or None where the
-    host has no such file or line."""
+    """The names on the first 'flags' line of _CPUINFO (x86) or its first
+    'Features' line (arm64), or None where the host has no such file or
+    line."""
     try:
         with open(_CPUINFO, encoding="ascii", errors="replace") as fh:
             for line in fh:
                 key, _, value = line.partition(":")
-                if key.strip() == "flags":
+                if key.strip() in ("flags", "Features"):
                     return value.split()
     except OSError:
         pass
@@ -466,11 +468,11 @@ def _numpy_features():
 
 
 def _cpu_key() -> str | None:
-    """A hash of the CPU's features: the flags of /proc/cpuinfo, or, on a
-    host without them, the features numpy found (importing numpy only
-    there).  None where neither names any.  An extension that the source
-    of the names does not name is not in the hash: two CPUs that differ
-    only in one share a library."""
+    """A hash of the CPU's features: the flags (arm64: Features) of
+    /proc/cpuinfo, or, on a host without them, the features numpy found
+    (importing numpy only there).  None where neither names any.  An
+    extension that the source of the names does not name is not in the
+    hash: two CPUs that differ only in one share a library."""
     names = _cpu_flags()
     if names is None:
         names = _numpy_features()
@@ -655,7 +657,7 @@ def _formats(lib) -> bool:
     return True
 
 
-# The known-answer check of the pass: a chunk of 200 CFD trials (a block
+# The known-answer check of the CFD pass: a chunk of 200 trials (a block
 # and a part of one) whose counters cross 2**40, with these origins and
 # settings (u of their turns), at d = 3 (binary powering) and at d = 0.5
 # (the table power).  The span, 0.7, is not a power of two, and at d = 0.5
@@ -674,14 +676,49 @@ _PASS_DIGESTS = {
 }
 
 
+# The known-answer check of the non-CFD pass: a chunk of 1000 trials from
+# _CHECK_START, of the first seven origins, at d = 3 and a quota of 200.
+# Its first three blocks keep every trial and the next four take the
+# per-trial cut, whose last pair fills at trial 840.  _QUOTA_DIGESTS holds
+# the sha256 of its states and of its two stations' voltages, of the
+# trials walked, and of repr([hist, held, trials walked]), as numpy's pass
+# gives them (_quota_check); tests/test_cpass.py checks that numpy's pass
+# gives them on every leg of its host matrix.
+_CHECK_QUOTA, _CHECK_QUOTA_N = 200, 1000
+_QUOTA_DIGESTS = (
+    "9cd9882e39423d98327c7a5fc311ceda185edf052e6d2832c7811d253554e674",
+    "76354656931eb34dfca9d58b25d0792ff30a9fe4ddabdb94616ceaacc2dbb433",
+    "8169ec773f78dfee1775537a9de650f8031ad287d7f0cb6279d450d3a7abd15d")
+
+
 def _check_params(d: float) -> ModelParams:
     return ModelParams(d=d, v_min_mag=0.3, threshold=-0.65)
 
 
+def _check_turns() -> list:
+    return [table_trig(u, int, _COS_TABLE, _SIN_TABLE) for u in _CHECK_U]
+
+
+def _quota_check(make) -> tuple:
+    """The digests of _QUOTA_DIGESTS from the pass that make, Compiled's
+    signature without lib (law.NumpyPass's), builds for the chunk."""
+    n = _CHECK_QUOTA_N
+    point = make(False, _check_params(3.0), _check_turns(),
+                 _CHECK_ORIGINS[:7], _CHECK_QUOTA, n, bytearray(n),
+                 bytearray(16 * n))
+    walked = point.add(_CHECK_START, n)
+    volts = bytes(point.volts)
+    return tuple(sha256(data).hexdigest() for data in (
+        bytes(point.codes[:walked]),
+        volts[:8 * walked] + volts[8 * n:8 * (n + walked)],
+        repr([list(point.hist), list(point.held), walked]).encode()))
+
+
 def _pass_agrees(lib) -> bool:
     """Whether lib's CFD pass gives the states and voltages of
-    _PASS_DIGESTS, and counts its states."""
-    turns = [table_trig(u, int, _COS_TABLE, _SIN_TABLE) for u in _CHECK_U]
+    _PASS_DIGESTS, and counts its states, and its non-CFD pass gives
+    _QUOTA_DIGESTS."""
+    turns = _check_turns()
     codes = (ctypes.c_uint8 * _CHECK_N)()
     volts = (ctypes.c_double * (4 * _CHECK_N))()
     for d, digests in _PASS_DIGESTS.items():
@@ -695,15 +732,16 @@ def _pass_agrees(lib) -> bool:
                 sha256(bytes(volts)).hexdigest()) != digests \
                 or point.hist[:] != counts:
             return False
-    return True
+    return _quota_check(lambda *args: Compiled(lib, *args)) \
+        == _QUOTA_DIGESTS
 
 
 def load_cpass(source: str = _SOURCE, cache: str = _CACHE):
     """The compiled pass of source, built into cache at first use.
 
     None where it cannot be built or loaded, where its pass, counter hash
-    included, does not reproduce numpy_chunk (_pass_agrees), or where its
-    formatter does not reproduce Python's bytes (_formats).
+    and quota cut included, does not reproduce numpy's (_pass_agrees), or
+    where its formatter does not reproduce Python's bytes (_formats).
     """
     return _load(source, cache)[0]
 

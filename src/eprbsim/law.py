@@ -230,7 +230,9 @@ class NumpyPass:
     lib, and its add, hist and held.  Each call of add is one chunk of
     numpy_chunk, which writes codes and volts, where given, through numpy
     views of them, and a quota cuts only a chunk in which some pair drew
-    more trials than its room."""
+    more trials than its room.  Both passes cut only where a pair can
+    overflow: the compiled one counts whole each block of its chunk in
+    which every pair has room for all the block's trials."""
 
     def __init__(self, cfd: bool, params, turns, origins, quota: int = 0,
                  capacity: int = 0, codes=None, volts=None):

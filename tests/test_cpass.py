@@ -393,10 +393,14 @@ def _key(names):
     return hashlib.sha256(" ".join(sorted(names)).encode()).hexdigest()[:8]
 
 
-# Two processors' lines, as /proc/cpuinfo has them on x86.
+# Two processors' lines, as /proc/cpuinfo has them on x86, and as it has
+# them on arm64 Linux, which names the features on a Features line.
 CPUINFO = ("processor\t: 0\nvendor_id\t: GenuineIntel\n"
            "flags\t\t: {}\nbugs\t\t: spectre_v1\n\n"
            "processor\t: 1\nflags\t\t: fpu\n")
+ARM64_CPUINFO = ("processor\t: 0\nBogoMIPS\t: 50.00\n"
+                 "Features\t: fp asimd aes atomics\nCPU part\t: 0xd0c\n\n"
+                 "processor\t: 1\nFeatures\t: fp\n")
 
 
 @pytest.mark.parametrize("text,names", [
@@ -410,8 +414,29 @@ def test_the_cpu_key_is_the_first_flags_line_of_cpuinfo(tmp_path, monkeypatch,
     assert kernels._cpu_key() == _key(names)
 
 
-@pytest.mark.parametrize("text", [None, "processor\t: 0\nFeatures\t: fp\n"],
-                         ids=["no-file", "no-flags-line"])
+def test_an_arm64_cpuinfo_keys_the_library_without_numpy(tmp_path):
+    """The key is the first Features line of an arm64 cpuinfo, and taking
+    it leaves numpy unloaded, in a fresh interpreter."""
+    (tmp_path / "cpuinfo").write_text(ARM64_CPUINFO)
+    code = ("import sys\nfrom eprbsim import kernels\n"
+            "before = 'numpy' in sys.modules\n"
+            "kernels._CPUINFO = sys.argv[1]\n"
+            "print(kernels._cpu_key(), before, 'numpy' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(PACKAGE)}
+    out = subprocess.run([sys.executable, "-c", code,
+                          str(tmp_path / "cpuinfo")], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300).stdout.split()
+    if out[1] == "True":
+        pytest.skip("this host's own cpuinfo names no features, so the "
+                    "package's import loaded numpy")
+    assert out == [_key(["aes", "asimd", "atomics", "fp"]), "False", "False"]
+
+
+# The second file has neither a flags nor a Features line.
+@pytest.mark.parametrize("text", [
+    None, "processor\t: 0\nBogoMIPS\t: 50.00\n"],
+    ids=["no-file", "no-flags-line"])
 def test_a_host_without_cpuinfo_flags_keys_by_numpys_features(
         tmp_path, monkeypatch, text):
     umath = (getattr(np, "_core", None) or np.core)._multiarray_umath
@@ -476,8 +501,9 @@ def test_the_pinned_run_with_each_flag_set(tmp_path, native):
 # Runs every pinned run of test_output_bytes in a fresh interpreter and
 # prints, as JSON, the pass in use, the CPU features of REDUCED that numpy
 # dispatches to, each run's rows and dump sha256, and the digests of
-# numpy_chunk's states and voltages on the chunk of the library's load
-# check (kernels._pass_agrees), which pins them.
+# numpy_chunk's states and voltages on the CFD chunk of the library's load
+# check (kernels._pass_agrees), and of numpy's pass on its non-CFD chunk,
+# which pin them.
 MATRIX_CLI = """
 import hashlib, json, os, sys
 import numpy as np
@@ -499,6 +525,7 @@ digests = {repr(d): [hashlib.sha256(a.tobytes()).hexdigest() for a in
            for d in kernels._PASS_DIGESTS}
 print(json.dumps({"backend": kernels.BACKEND, "runs": shas,
                   "digests": digests,
+                  "quota": kernels._quota_check(law.NumpyPass),
                   "features": [f for f in json.loads(sys.argv[3])
                                if umath.__cpu_features__.get(f)]}))
 """
@@ -526,8 +553,9 @@ def test_every_pinned_run_on_each_host_leg(build, dispatch, tmp_path):
     numpy's pass (no compiler on PATH) and under the compiled one built
     with this CPU's flags and with the portable ones, each with numpy's
     full CPU dispatch and with its AVX-512 targets disabled, and
-    numpy_chunk gives the digests that the library's load check pins.
-    Each leg runs a copy of the package, with a cache of its own."""
+    numpy_chunk and numpy's pass give the digests that the library's load
+    check pins.  Each leg runs a copy of the package, with a cache of its
+    own."""
     env = {**os.environ, "PYTHONPATH": str(_copy_package(tmp_path))}
     if dispatch == "reduced":
         disabled = _dispatched(REDUCED)
@@ -563,6 +591,7 @@ def test_every_pinned_run_on_each_host_leg(build, dispatch, tmp_path):
                            for name, (_, rows, dump) in RUNS.items()}
     assert got["digests"] == {repr(d): list(digests) for d, digests
                               in kernels._PASS_DIGESTS.items()}
+    assert got["quota"] == list(kernels._QUOTA_DIGESTS)
 
 
 # This CPU's flags without AVX-512: where the CPU has it, the build whose
@@ -621,8 +650,8 @@ def test_both_flag_sets_give_the_same_decision_values(builds, cfd, d,
                                                       monkeypatch):
     """Each build's per-trial states and voltages are numpy's, bit for
     bit, for both powers: binary (d = 4, 3, 1) and the table's."""
-    _assert_builds_give_numpys_values(builds, cfd, decision_params(d),
-                                      monkeypatch)
+    _assert_builds_give_numpys_values(builds, monkeypatch, _chunk_values(
+        cfd, decision_params(d)))
 
 
 @needs_cc
@@ -633,21 +662,82 @@ def test_chunk_tails_give_numpys_decision_values(builds, cfd, d, n,
                                                  monkeypatch):
     """Chunks whose last block ends in a part of a vector of each
     build's lanes, and a chunk shorter than one vector."""
-    _assert_builds_give_numpys_values(builds, cfd, decision_params(d),
-                                      monkeypatch, n)
+    _assert_builds_give_numpys_values(builds, monkeypatch, _chunk_values(
+        cfd, decision_params(d), n))
 
 
-def _assert_builds_give_numpys_values(builds, cfd, params, monkeypatch,
-                                      n=DECISION_N):
-    quad = SettingsQuad.for_theta(0.4)
+# Seeds of QUOTA_PARAMS' non-CFD point at THETA_QUAD whose last pair fills
+# at quota QUOTA_EDGE on the last trial of a block (trial 20095 = 157 *
+# 128 - 1) and on the first trial of one (20224 = 158 * 128), as found by
+# a search over seeds with numpy's pass; test_the_seeds_fill_at_block_edges
+# checks it.
+QUOTA_PARAMS, THETA_QUAD = ModelParams(d=4.0, threshold=-0.9), \
+    SettingsQuad.for_theta(0.4)
+QUOTA_EDGE, LAST_TRIAL_SEED, FIRST_TRIAL_SEED = 5000, 87, 283
+CAPACITIES = [2 * experiment.CHUNK, 129]
+
+
+@pytest.mark.parametrize("seed,trials", [(LAST_TRIAL_SEED, 157 * 128),
+                                         (FIRST_TRIAL_SEED, 158 * 128 + 1)])
+def test_the_seeds_fill_at_block_edges(seed, trials, monkeypatch):
     monkeypatch.setattr(kernels, "BACKEND", "numpy")
-    states, v = chunk_values(cfd, params, quad, n)
+    walk = _quota_walk(QUOTA_EDGE, CAPACITIES[0], False, seed)()
+    assert sum(walk[0]) == trials
+    assert walk[2] == [QUOTA_EDGE] * 4
+
+
+@needs_cc
+@pytest.mark.parametrize("dump", [False, True], ids=["counts", "dump"])
+@pytest.mark.parametrize("capacity", CAPACITIES)
+@pytest.mark.parametrize("quota,seed", [
+    *((quota, 3) for quota in (1, 2, 63, 64, 100, 5000)),
+    (QUOTA_EDGE, LAST_TRIAL_SEED), (QUOTA_EDGE, FIRST_TRIAL_SEED)])
+def test_the_quota_cut_gives_numpys_values_at_block_edges(
+        builds, quota, seed, capacity, dump, monkeypatch):
+    """Each build's quota cut, over blocks that keep every trial and
+    blocks cut trial by trial, walks numpy's trials to numpy's counts,
+    with numpy's states and voltages: quotas below, at and above a
+    block's 128 trials, calls of two blocks' worth and of a block and one
+    trial, and a last pair that fills at either edge of a block."""
+    _assert_builds_give_numpys_values(builds, monkeypatch, _quota_walk(
+        quota, capacity, dump, seed))
+
+
+def _chunk_values(cfd, params, n=DECISION_N):
+    """chunk_values at THETA_QUAD, as bytes."""
+    return lambda: [a.tobytes() for a in chunk_values(cfd, params,
+                                                      THETA_QUAD, n)]
+
+
+def _quota_walk(quota, capacity, dump, seed):
+    """The walk of QUOTA_PARAMS' non-CFD point at THETA_QUAD and this
+    quota, by the pass kernels.BACKEND picks, in calls of capacity
+    trials: the trials each call walked and, with dump, its states and
+    voltages, then hist and held."""
+    def walk():
+        point = experiment._point(False, QUOTA_PARAMS, THETA_QUAD, seed,
+                                  quota, capacity, trials=dump)
+        start, calls = 0, []
+        while walked := point.add(start, capacity):
+            calls.append(walked)
+            if dump:
+                volts = bytes(point.volts)
+                calls += [bytes(point.codes[:walked]), volts[:8 * walked],
+                          volts[8 * capacity:8 * (capacity + walked)]]
+            start += walked
+        return calls, list(point.hist), list(point.held)
+    return walk
+
+
+def _assert_builds_give_numpys_values(builds, monkeypatch, values):
+    """values(), of the pass kernels.BACKEND picks, is the same under each
+    build's pass as under numpy's."""
+    monkeypatch.setattr(kernels, "BACKEND", "numpy")
+    want = values()
     monkeypatch.setattr(kernels, "BACKEND", "c")
     for lib in builds.values():
         monkeypatch.setattr(kernels, "CPASS", lib)
-        got_states, got_v = chunk_values(cfd, params, quad, n)
-        assert np.array_equal(got_states, states)
-        assert np.array_equal(got_v, v)
+        assert values() == want
 
 
 @needs_cc
@@ -716,10 +806,15 @@ def test_a_library_whose_formatter_disagrees_with_python(tmp_path, old, new):
      "                       + horner(p->log_poly, LOG_TERMS, r));",
      "((double)e + (p->log_table[j]\n"
      "                       + horner(p->log_poly, LOG_TERMS, r)));"),
-], ids=["voltage", "table-power"])
+    ("roomy &= p->quota - p->held[k] >= n;", "roomy &= p->quota >= n;"),
+    ("p->held[k] = held;", "p->held[k] += held;"),
+], ids=["voltage", "table-power", "quota-room", "quota-held"])
 def test_a_library_whose_pass_disagrees_with_numpy(tmp_path, old, new):
     # One operation reordered: each + - * still rounds once, but the
-    # values are no longer numpy's.  The source still builds.
+    # values are no longer numpy's.  Or a quota cut that lets a block
+    # overflow a pair (its room test forgets what the pairs hold), or
+    # that miscounts what they hold after a block kept whole.  The source
+    # still builds.
     source, cache = tmp_path / "_cpass.c", str(tmp_path / "cache")
     text = pathlib.Path(kernels._SOURCE).read_text()
     assert old in text
